@@ -23,11 +23,8 @@ from .controller import (
     QuestionState,
     RunResult,
     Sampler,
-    cges_run,
-    esc_run,
     majority_label,
     run,
-    sc_run,
 )
 from .errors import (
     CandidateCountError,
@@ -37,6 +34,7 @@ from .errors import (
     DuplicateRecordError,
     EmptyResponseError,
     EmptySamplesError,
+    InvalidSampleError,
     InvalidScoreError,
     KeyMismatchError,
     ReplayMissError,
@@ -90,6 +88,7 @@ from .posterior import (
     CandidateSet,
     KPolicy,
     PosteriorVector,
+    RunningPosterior,
     Sample,
     llr_increment,
     log_likelihood,

@@ -11,7 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -19,7 +18,7 @@ from typing import Optional
 from . import genmodel, harness
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, run as run_controller
-from .errors import CGESError
+from .errors import CGESError, ConfigurationError
 from .llmclient import EndpointConfig, RecordStore, replay_sampler
 from .posterior import CandidateSet, Sample, score, top
 
@@ -184,12 +183,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     samples = []
-    with args.samples.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
+    for line_no, raw in harness.read_jsonl(args.samples):
+        try:
             samples.append(
                 Sample(
                     label=str(raw["label"]),
@@ -197,6 +192,14 @@ def cmd_score(args: argparse.Namespace) -> int:
                     round=int(raw.get("round", len(samples) + 1)),
                 )
             )
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"{args.samples}:{line_no}: sample record lacks field {exc}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{args.samples}:{line_no}: bad sample record: {exc}"
+            ) from exc
     candidates = CandidateSet.from_samples(samples, fixed_k=args.k_policy)
     posterior = score(samples, candidates)
     label, mass = top(posterior)

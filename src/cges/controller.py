@@ -1,13 +1,15 @@
 """Adaptive sampling loop and fixed-budget baselines over a batch of questions.
 
 Three methods share one sampler interface, a callable
-``sampler(question_id, round) -> (label, confidence)``:
+``sampler(question_id, round) -> (label, confidence)``, and one loop,
+``run``.  Each round samples every still-active question once; a method is
+a stop rule and a predict rule:
 
-* ``cges_run``  - resample only questions whose top posterior mass is still
-  below the threshold gamma, stopping early per question;
-* ``sc_run``    - draw the full budget everywhere and take the majority label;
-* ``esc_run``   - stop a question once a full window of consecutive samples
-  agrees, majority vote over everything drawn.
+* ``cges`` - stop once the top posterior mass reaches the threshold gamma,
+  predict the posterior argmax;
+* ``sc``   - never stop (draw the full budget), predict the majority label;
+* ``esc``  - stop at a window boundary once the last ``esc_window`` samples
+  agree, predict the majority label over everything drawn.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError, ReplayMissError, SamplerError
-from .posterior import CandidateSet, Label, PosteriorVector, Sample, score, top
+from .posterior import Label, PosteriorVector, RunningPosterior
 
 logger = logging.getLogger(__name__)
 
@@ -66,14 +68,20 @@ class QuestionState:
     """Mutable per-question bookkeeping owned by the controller."""
 
     question_id: str
-    samples: list[Sample] = field(default_factory=list)
-    candidates: Optional[CandidateSet] = None
-    posterior: Optional[PosteriorVector] = None
+    posterior: RunningPosterior
     resolved: bool = False
+    # trailing run of identical labels, for the ESC stop rule
+    last_label: Optional[Label] = None
+    run_length: int = 0
 
     @property
     def calls(self) -> int:
-        return len(self.samples)
+        return self.posterior.n
+
+    def observe(self, label: Label, confidence: float) -> None:
+        self.posterior.add(label, confidence)
+        self.run_length = self.run_length + 1 if label == self.last_label else 1
+        self.last_label = label
 
 
 @dataclass(frozen=True)
@@ -82,149 +90,81 @@ class RunResult:
     avg_calls: float
     per_question_calls: dict[str, int]
     per_question_posterior: dict[str, PosteriorVector]
-    # diagnostics: questions that exhausted the budget without reaching gamma
+    # diagnostics: questions that exhausted the budget without their stop rule
+    # firing (for CGES, without reaching gamma); always empty for SC
     unresolved: tuple[str, ...] = ()
+
+
+# stop(state, round) -> bool, evaluated after each of the question's rounds;
+# None draws the full budget and counts every question as resolved
+StopRule = Optional[Callable[[QuestionState, int], bool]]
+PredictRule = Callable[[QuestionState], Label]
 
 
 def run(
     questions: Sequence[str], sampler: Sampler, config: ControllerConfig
 ) -> RunResult:
-    """Dispatch to the configured method."""
-    if config.method is Method.CGES:
-        return cges_run(questions, sampler, config)
-    if config.method is Method.SC:
-        return sc_run(
-            questions,
-            sampler,
-            config.budget,
-            fixed_k=config.fixed_k,
-            max_retries=config.max_retries,
-            max_parallel=config.max_parallel,
-        )
-    return esc_run(
-        questions,
-        sampler,
-        config.esc_window,
-        config.budget,
-        fixed_k=config.fixed_k,
-        max_retries=config.max_retries,
-        max_parallel=config.max_parallel,
-    )
-
-
-def cges_run(
-    questions: Sequence[str], sampler: Sampler, config: ControllerConfig
-) -> RunResult:
-    """Threshold-stopped Bayesian aggregation under a per-question call budget.
+    """Sample every question round by round until its stop rule fires or the
+    budget runs out, then predict.
 
     Round 1 samples every question once; each later round resamples exactly
-    the questions whose top posterior mass is still below gamma.  Stopping is
-    inclusive (mass >= gamma stops) and the comparison runs in log space so a
+    the questions whose stop rule has not fired.  For CGES stopping is
+    inclusive (mass >= gamma stops) and the comparison runs in log space, so a
     threshold of 1.0 stays unreachable while any competing mass is positive.
     """
-    if config.method is not Method.CGES:
-        raise ConfigurationError(f"cges_run needs method=CGES, got {config.method}")
-    states = _fresh_states(questions)
-    qids = list(states)
-    log_gamma = math.log(config.gamma)
-
-    _sample_round(states, qids, 1, sampler, config)
-    remaining = qids
-    for round_idx in range(2, config.budget + 1):
-        remaining = [
-            qid
-            for qid in remaining
-            if states[qid].posterior.top_log_mass() < log_gamma
-        ]
-        if not remaining:
-            break
-        _sample_round(states, remaining, round_idx, sampler, config)
-
-    for state in states.values():
-        state.resolved = state.posterior.top_log_mass() >= log_gamma
-    predictions = {qid: top(state.posterior)[0] for qid, state in states.items()}
-    return _finalize(states, predictions)
-
-
-def sc_run(
-    questions: Sequence[str],
-    sampler: Sampler,
-    budget: int,
-    *,
-    fixed_k: Optional[int] = None,
-    max_retries: int = 3,
-    max_parallel: int = 1,
-) -> RunResult:
-    """Self-consistency: exactly ``budget`` samples per question, majority label.
-
-    Confidences are ignored for the prediction; the posterior is still filled
-    in for diagnostics.
-    """
-    config = ControllerConfig(
-        method=Method.SC,
-        budget=budget,
-        fixed_k=fixed_k,
-        max_retries=max_retries,
-        max_parallel=max_parallel,
-    )
-    states = _fresh_states(questions)
-    qids = list(states)
-    for round_idx in range(1, budget + 1):
-        _sample_round(states, qids, round_idx, sampler, config)
-    for state in states.values():
-        state.resolved = True
-    predictions = {
-        qid: majority_label([s.label for s in state.samples])
-        for qid, state in states.items()
+    stop, predict = _rules(config)
+    qids = list(questions)
+    if not qids:
+        raise ConfigurationError("at least one question is required")
+    if len(set(qids)) != len(qids):
+        raise ConfigurationError("question ids must be unique")
+    states = {
+        qid: QuestionState(qid, RunningPosterior(fixed_k=config.fixed_k)) for qid in qids
     }
-    return _finalize(states, predictions)
 
-
-def esc_run(
-    questions: Sequence[str],
-    sampler: Sampler,
-    window: int,
-    budget: int,
-    *,
-    fixed_k: Optional[int] = None,
-    max_retries: int = 3,
-    max_parallel: int = 1,
-) -> RunResult:
-    """Early-stopping self-consistency over non-overlapping agreement windows.
-
-    A question stops as soon as the latest full window of ``window`` samples
-    holds a single label; otherwise it runs to the budget (a trailing partial
-    window never triggers a stop).  The prediction is the majority label over
-    everything drawn.
-    """
-    config = ControllerConfig(
-        method=Method.ESC,
-        budget=budget,
-        esc_window=window,
-        fixed_k=fixed_k,
-        max_retries=max_retries,
-        max_parallel=max_parallel,
-    )
-    states = _fresh_states(questions)
-    active = list(states)
-    for round_idx in range(1, budget + 1):
+    active = qids
+    for round_idx in range(1, config.budget + 1):
         if not active:
             break
         _sample_round(states, active, round_idx, sampler, config)
-        if round_idx % window == 0:
-            still_active = []
+        if stop is not None:
             for qid in active:
-                latest = states[qid].samples[-window:]
-                if len({s.label for s in latest}) > 1:
-                    still_active.append(qid)
-                else:
-                    states[qid].resolved = True
-            active = still_active
-    predictions = {
-        qid: majority_label([s.label for s in state.samples])
-        for qid, state in states.items()
-    }
-    return _finalize(states, predictions)
+                states[qid].resolved = stop(states[qid], round_idx)
+            active = [qid for qid in active if not states[qid].resolved]
+
+    per_question_calls = {qid: state.calls for qid, state in states.items()}
+    unresolved = () if stop is None else tuple(qid for qid in qids if not states[qid].resolved)
+    return RunResult(
+        predictions={qid: predict(state) for qid, state in states.items()},
+        avg_calls=sum(per_question_calls.values()) / len(states),
+        per_question_calls=per_question_calls,
+        per_question_posterior={
+            qid: state.posterior.posterior() for qid, state in states.items()
+        },
+        unresolved=unresolved,
+    )
+
+
+def _rules(config: ControllerConfig) -> tuple[StopRule, PredictRule]:
+    """The (stop, predict) pair of the configured method."""
+
+    def majority(state: QuestionState) -> Label:
+        return _majority(state.posterior.counts)
+
+    if config.method is Method.CGES:
+        log_gamma = math.log(config.gamma)
+        return (
+            lambda state, _round: state.posterior.top_log_mass() >= log_gamma,
+            lambda state: state.posterior.top_label(),
+        )
+    if config.method is Method.ESC:
+        window = config.esc_window
+        # a trailing partial window never stops a question
+        return (
+            lambda state, round_idx: round_idx % window == 0 and state.run_length >= window,
+            majority,
+        )
+    return None, majority
 
 
 def majority_label(labels: Sequence[Label]) -> Label:
@@ -234,21 +174,12 @@ def majority_label(labels: Sequence[Label]) -> Label:
     counts: dict[Label, int] = {}
     for label in labels:
         counts[label] = counts.get(label, 0) + 1
-    best = None
-    best_count = 0
-    for label, count in counts.items():  # insertion order = first-seen order
-        if count > best_count:
-            best, best_count = label, count
-    return best
+    return _majority(counts)
 
 
-def _fresh_states(questions: Sequence[str]) -> dict[str, QuestionState]:
-    qids = list(questions)
-    if not qids:
-        raise ConfigurationError("at least one question is required")
-    if len(set(qids)) != len(qids):
-        raise ConfigurationError("question ids must be unique")
-    return {qid: QuestionState(question_id=qid) for qid in qids}
+def _majority(counts: dict[Label, int]) -> Label:
+    # max returns the first maximum; insertion order = first-seen order
+    return max(counts, key=counts.__getitem__)
 
 
 def _sample_round(
@@ -258,7 +189,7 @@ def _sample_round(
     sampler: Sampler,
     config: ControllerConfig,
 ) -> None:
-    """Draw one sample for each listed question and rescore it.
+    """Draw one sample for each listed question and fold it into its state.
 
     Distinct questions may sample concurrently up to ``max_parallel``; results
     are applied in question order, so outcomes do not depend on scheduling.
@@ -293,21 +224,4 @@ def _sample_round(
         results = [draw(qid) for qid in qids]
 
     for qid, (label, confidence) in zip(qids, results):
-        state = states[qid]
-        state.samples.append(
-            Sample(label=label, confidence=confidence, round=len(state.samples) + 1)
-        )
-        state.candidates = CandidateSet.from_samples(state.samples, fixed_k=config.fixed_k)
-        state.posterior = score(state.samples, state.candidates)
-
-
-def _finalize(states: dict[str, QuestionState], predictions: dict[str, Label]) -> RunResult:
-    per_question_calls = {qid: state.calls for qid, state in states.items()}
-    total = sum(per_question_calls.values())
-    return RunResult(
-        predictions=predictions,
-        avg_calls=total / len(states),
-        per_question_calls=per_question_calls,
-        per_question_posterior={qid: state.posterior for qid, state in states.items()},
-        unresolved=tuple(qid for qid, state in states.items() if not state.resolved),
-    )
+        states[qid].observe(label, confidence)

@@ -17,6 +17,11 @@ class EmptySamplesError(CGESError, ValueError):
     """An operation that needs at least one sample received none."""
 
 
+class InvalidSampleError(CGESError, ValueError):
+    """A sample or candidate set is malformed: a confidence outside (0, 1),
+    a round below 1, or repeated candidate labels."""
+
+
 class EmptyResponseError(CGESError, ValueError):
     """A tokenized response carries no tokens."""
 

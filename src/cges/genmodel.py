@@ -20,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -206,19 +207,32 @@ GenConfig = Union[IdealGenConfig, RealisticGenConfig]
 class TrialTrace:
     """One simulated question: samples plus LLR and posterior trajectories.
 
-    ``llr_paths[j][t]`` is the cumulative log-likelihood ratio between the
-    true index and competitor j after t + 1 rounds; ``posterior_path[t]`` is
-    the normalized posterior row after t + 1 rounds (fixed-K candidates are
-    the integers 0..K-1).  The posterior ratio mass[true]/mass[j] equals
-    exp(llr_paths[j]) at every round, up to float rounding.
+    ``responses[t]`` and ``confidences[t]`` are the answer index and the
+    confidence drawn at round t + 1; ``samples`` wraps them as ``Sample``
+    objects on first access.  ``llr_paths[j][t]`` is the cumulative
+    log-likelihood ratio between the true index and competitor j after t + 1
+    rounds; ``posterior_path[t]`` is the normalized posterior row after t + 1
+    rounds (fixed-K candidates are the integers 0..K-1).  The posterior ratio
+    mass[true]/mass[j] equals exp(llr_paths[j]) at every round, up to float
+    rounding.
     """
 
     true_index: int
     k: int
-    samples: list[Sample]
+    responses: np.ndarray
+    confidences: np.ndarray
     llr_paths: dict[int, np.ndarray]
     posterior_path: np.ndarray
     log_score_path: np.ndarray
+
+    @cached_property
+    def samples(self) -> list[Sample]:
+        return [
+            Sample(label=label, confidence=confidence, round=t + 1)
+            for t, (label, confidence) in enumerate(
+                zip(self.responses.tolist(), self.confidences.tolist())
+            )
+        ]
 
     @property
     def final_posterior(self) -> np.ndarray:
@@ -293,14 +307,11 @@ def _trace(
         for j in range(k)
         if j != true_index
     }
-    samples = [
-        Sample(label=int(responses[t]), confidence=float(confidences[t]), round=t + 1)
-        for t in range(m)
-    ]
     return TrialTrace(
         true_index=true_index,
         k=k,
-        samples=samples,
+        responses=responses,
+        confidences=confidences,
         llr_paths=llr_paths,
         posterior_path=posterior_path,
         log_score_path=cumulative,

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, RunResult, run
@@ -42,25 +42,39 @@ class Question:
     format: AnswerFormat
 
 
-def load_dataset(path: Union[str, Path]) -> list[Question]:
-    questions: list[Question] = []
+def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded value) for every non-blank line of a JSONL file.
+
+    A line that is not valid JSON raises ``ConfigurationError`` naming
+    ``path:line``.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
             try:
-                questions.append(
-                    Question(
-                        question_id=str(raw["id"]),
-                        prompt=raw["prompt"],
-                        gold=str(raw["gold"]),
-                        format=AnswerFormat(raw["format"]),
-                    )
+                yield line_no, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: malformed JSON at column {exc.colno}: {exc.msg}"
+                ) from exc
+
+
+def load_dataset(path: Union[str, Path]) -> list[Question]:
+    questions: list[Question] = []
+    for line_no, raw in read_jsonl(path):
+        try:
+            questions.append(
+                Question(
+                    question_id=str(raw["id"]),
+                    prompt=raw["prompt"],
+                    gold=str(raw["gold"]),
+                    format=AnswerFormat(raw["format"]),
                 )
-            except (KeyError, ValueError) as exc:
-                raise ConfigurationError(f"{path}:{line_no}: bad question record: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}:{line_no}: bad question record: {exc}") from exc
     if not questions:
         raise ConfigurationError(f"dataset {path} holds no questions")
     return questions

@@ -22,7 +22,7 @@ from cges.confidence import (
     mars_step_weights,
     mars_stepwise,
 )
-from cges.controller import ControllerConfig, Method, cges_run, esc_run, sc_run
+from cges.controller import ControllerConfig, Method, run
 from cges.genmodel import (
     DriftMethod,
     IdealGenConfig,
@@ -296,11 +296,11 @@ def test_criterion_5_minority_confident_fixture():
         def sampler(qid, rnd):
             return stream[qid][rnd - 1]
 
-        majority = sc_run(["q"], sampler, 3)
+        majority = run(["q"], sampler, ControllerConfig(method=Method.SC, budget=3))
         assert majority.predictions["q"] == "a2"  # frequency vote is wrong
 
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3, fixed_k=3)
-        bayes = cges_run(["q"], sampler, config)
+        bayes = run(["q"], sampler, config)
         assert bayes.predictions["q"] == "a1"
         mass = bayes.per_question_posterior["q"].masses["a1"]
         assert abs(mass - 0.144 / 0.154) <= 1e-6  # = 0.935064935...
@@ -316,7 +316,7 @@ def test_criterion_6_controller_laws(tmp_path):
         extra_streams = random_streams(np.random.default_rng(1106), 200, budget)
         extra_store = build_replay_store(tmp_path / "laws2.jsonl", extra_streams)
         for gamma in (0.7, 0.9, 0.999):
-            bounded = cges_run(
+            bounded = run(
                 list(extra_streams),
                 replay_sampler(extra_store, "lns_arith"),
                 ControllerConfig(method=Method.CGES, gamma=gamma, budget=budget),
@@ -344,7 +344,7 @@ def test_criterion_6_controller_laws(tmp_path):
         assert calls == sorted(calls), calls
 
         # gamma = 1.0 equals full-budget aggregation, question by question
-        full = cges_run(
+        full = run(
             qids, sampler, ControllerConfig(method=Method.CGES, gamma=1.0, budget=budget)
         )
         for qid, stream in streams.items():
@@ -354,12 +354,14 @@ def test_criterion_6_controller_laws(tmp_path):
             assert full.predictions[qid] == reference
 
         # SC uses exactly the budget
-        majority = sc_run(qids, sampler, budget)
+        majority = run(qids, sampler, ControllerConfig(method=Method.SC, budget=budget))
         assert all(c == budget for c in majority.per_question_calls.values())
 
         # ESC stops at the first fully agreeing window
         window = 4
-        esc = esc_run(qids, sampler, window, budget)
+        esc = run(
+            qids, sampler, ControllerConfig(method=Method.ESC, esc_window=window, budget=budget)
+        )
         for qid, stream in streams.items():
             labels = [lab for lab, _ in stream]
             expected = budget
@@ -476,13 +478,13 @@ def test_criterion_8_replay_determinism(tmp_path):
                 base_seed=1,
             )
             config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3)
-            live = cges_run(list(prompts), sampler, config)
+            live = run(list(prompts), sampler, config)
         finally:
             server.shutdown()
             server.server_close()
 
         # re-execution in replay mode matches the live run exactly
-        replayed = cges_run(
+        replayed = run(
             list(prompts), replay_sampler(RecordStore.open_replay(store_path)), config
         )
         assert replayed == live

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from cges.controller import (
-    ControllerConfig,
-    Method,
-    cges_run,
-    esc_run,
-    majority_label,
-    run,
-    sc_run,
-)
+from cges.controller import ControllerConfig, Method, majority_label, run
 from cges.errors import ConfigurationError, SamplerError
 from cges.posterior import CandidateSet, Sample, score, top
 
@@ -45,7 +37,7 @@ def random_streams(rng, n_questions, budget, n_labels=4, prefix="q"):
 class TestCgesRun:
     def test_confident_answer_stops_after_one_call(self):
         config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=16)
-        result = cges_run(["q0"], constant_sampler("a1", 0.99), config)
+        result = run(["q0"], constant_sampler("a1", 0.99), config)
         assert result.per_question_calls["q0"] == 1
         assert result.predictions["q0"] == "a1"
         assert result.avg_calls == 1.0
@@ -53,7 +45,7 @@ class TestCgesRun:
 
     def test_gamma_one_exhausts_the_budget(self):
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=5)
-        result = cges_run(["q0"], constant_sampler("a1", 0.99), config)
+        result = run(["q0"], constant_sampler("a1", 0.99), config)
         assert result.per_question_calls["q0"] == 5
         assert result.unresolved == ("q0",)
 
@@ -62,7 +54,7 @@ class TestCgesRun:
         budget = 8
         streams = random_streams(rng, 20, budget)
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=budget)
-        result = cges_run(list(streams), stream_sampler(streams), config)
+        result = run(list(streams), stream_sampler(streams), config)
         for qid, stream in streams.items():
             samples = [
                 Sample(label, confidence, t + 1)
@@ -79,7 +71,7 @@ class TestCgesRun:
             "slow": [(f"b{t}", 0.3) for t in range(budget)],  # never concentrates
         }
         config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=budget)
-        result = cges_run(list(streams), stream_sampler(streams), config)
+        result = run(list(streams), stream_sampler(streams), config)
         assert result.per_question_calls == {"fast": 1, "slow": budget}
         assert result.avg_calls == (1 + budget) / 2
         assert result.unresolved == ("slow",)
@@ -92,7 +84,7 @@ class TestCgesRun:
         previous = None
         for gamma in (0.7, 0.8, 0.9, 0.99, 0.999, 1.0):
             config = ControllerConfig(method=Method.CGES, gamma=gamma, budget=budget)
-            result = cges_run(list(streams), sampler, config)
+            result = run(list(streams), sampler, config)
             calls = [result.per_question_calls[qid] for qid in streams]
             assert all(1 <= c <= budget for c in calls)
             if previous is not None:
@@ -104,9 +96,9 @@ class TestCgesRun:
         streams = random_streams(rng, 6, 8)
         sampler = stream_sampler(streams)
         config = ControllerConfig(method=Method.CGES, gamma=0.85, budget=8)
-        together = cges_run(list(streams), sampler, config)
+        together = run(list(streams), sampler, config)
         for qid in streams:
-            alone = cges_run([qid], sampler, config)
+            alone = run([qid], sampler, config)
             assert alone.predictions[qid] == together.predictions[qid]
             assert alone.per_question_calls[qid] == together.per_question_calls[qid]
 
@@ -118,9 +110,9 @@ class TestCgesRun:
         threaded = ControllerConfig(
             method=Method.CGES, gamma=0.9, budget=10, max_parallel=4
         )
-        first = cges_run(list(streams), sampler, serial)
-        second = cges_run(list(streams), sampler, serial)
-        third = cges_run(list(streams), sampler, threaded)
+        first = run(list(streams), sampler, serial)
+        second = run(list(streams), sampler, serial)
+        third = run(list(streams), sampler, threaded)
         assert first == second == third
 
     def test_fixed_k_policy_reaches_threshold_faster(self):
@@ -128,26 +120,21 @@ class TestCgesRun:
         stream = {"q": [("a", 0.8), ("a", 0.8), ("a", 0.8), ("a", 0.8)]}
         fixed = ControllerConfig(method=Method.CGES, gamma=0.97, budget=4, fixed_k=2)
         open_ended = ControllerConfig(method=Method.CGES, gamma=0.97, budget=4)
-        fixed_calls = cges_run(["q"], stream_sampler(stream), fixed).per_question_calls["q"]
-        open_calls = cges_run(["q"], stream_sampler(stream), open_ended).per_question_calls["q"]
+        fixed_calls = run(["q"], stream_sampler(stream), fixed).per_question_calls["q"]
+        open_calls = run(["q"], stream_sampler(stream), open_ended).per_question_calls["q"]
         assert fixed_calls <= open_calls
-
-    def test_wrong_method_rejected(self):
-        config = ControllerConfig(method=Method.SC)
-        with pytest.raises(ConfigurationError):
-            cges_run(["q"], constant_sampler("a", 0.5), config)
 
 
 class TestScRun:
     def test_strict_majority(self):
         streams = {"q": [("a1", 0.5), ("a2", 0.5), ("a2", 0.5), ("a1", 0.5), ("a2", 0.5)]}
-        result = sc_run(["q"], stream_sampler(streams), 5)
+        result = run(["q"], stream_sampler(streams), ControllerConfig(method=Method.SC, budget=5))
         assert result.predictions["q"] == "a2"
         assert result.per_question_calls["q"] == 5
 
     def test_tie_breaks_to_first_seen(self):
         streams = {"q": [("a1", 0.5), ("a2", 0.5)]}
-        result = sc_run(["q"], stream_sampler(streams), 2)
+        result = run(["q"], stream_sampler(streams), ControllerConfig(method=Method.SC, budget=2))
         assert result.predictions["q"] == "a1"
 
     def test_confidences_are_ignored(self):
@@ -155,53 +142,77 @@ class TestScRun:
         low = {"q": [("a", 0.1), ("b", 0.1), ("a", 0.1)]}
         high = {"q": [("a", 0.9), ("b", 0.9), ("a", 0.9)]}
         assert (
-            sc_run(["q"], stream_sampler(low), 3).predictions
-            == sc_run(["q"], stream_sampler(high), 3).predictions
+            run(["q"], stream_sampler(low), ControllerConfig(method=Method.SC, budget=3))
+            .predictions
+            == run(["q"], stream_sampler(high), ControllerConfig(method=Method.SC, budget=3))
+            .predictions
         )
 
     def test_uses_exactly_the_budget(self):
         rng = np.random.default_rng(3)
         streams = random_streams(rng, 10, 7)
-        result = sc_run(list(streams), stream_sampler(streams), 7)
+        result = run(
+            list(streams), stream_sampler(streams), ControllerConfig(method=Method.SC, budget=7)
+        )
         assert all(calls == 7 for calls in result.per_question_calls.values())
 
     def test_minority_confident_fixture_votes_wrong(self):
         streams = {"q": [("a1", 0.9), ("a2", 0.2), ("a2", 0.2)]}
-        sc = sc_run(["q"], stream_sampler(streams), 3)
+        sc = run(["q"], stream_sampler(streams), ControllerConfig(method=Method.SC, budget=3))
         assert sc.predictions["q"] == "a2"
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3)
-        bayes = cges_run(["q"], stream_sampler(streams), config)
+        bayes = run(["q"], stream_sampler(streams), config)
         assert bayes.predictions["q"] == "a1"
 
 
 class TestEscRun:
     def test_first_window_agreement_stops(self):
         streams = {"q": [("a", 0.5)] * 4}
-        result = esc_run(["q"], stream_sampler(streams), 4, 16)
+        result = run(
+            ["q"],
+            stream_sampler(streams),
+            ControllerConfig(method=Method.ESC, esc_window=4, budget=16),
+        )
         assert result.per_question_calls["q"] == 4
         assert result.predictions["q"] == "a"
 
     def test_second_window_agreement(self):
         labels = ["a", "b", "a", "a", "a", "a", "a", "a"]
         streams = {"q": [(lab, 0.5) for lab in labels] + [("a", 0.5)] * 8}
-        result = esc_run(["q"], stream_sampler(streams), 4, 16)
+        result = run(
+            ["q"],
+            stream_sampler(streams),
+            ControllerConfig(method=Method.ESC, esc_window=4, budget=16),
+        )
         assert result.per_question_calls["q"] == 8
 
     def test_never_agreeing_stream_exhausts_budget(self):
         streams = {"q": [(f"a{t}", 0.5) for t in range(16)]}
-        result = esc_run(["q"], stream_sampler(streams), 4, 16)
+        result = run(
+            ["q"],
+            stream_sampler(streams),
+            ControllerConfig(method=Method.ESC, esc_window=4, budget=16),
+        )
         assert result.per_question_calls["q"] == 16
 
     def test_trailing_partial_window_cannot_stop(self):
         # rounds 5..6 agree but never form a full window of 4
         labels = ["a", "b", "c", "d", "e", "e"]
         streams = {"q": [(lab, 0.5) for lab in labels]}
-        result = esc_run(["q"], stream_sampler(streams), 4, 6)
+        result = run(
+            ["q"],
+            stream_sampler(streams),
+            ControllerConfig(method=Method.ESC, esc_window=4, budget=6),
+        )
         assert result.per_question_calls["q"] == 6
 
     def test_window_must_fit_budget(self):
         with pytest.raises(ConfigurationError):
-            esc_run(["q"], constant_sampler("a", 0.5), 8, 4)
+            run(
+                ["q"],
+                constant_sampler("a", 0.5),
+                ControllerConfig(method=Method.ESC, esc_window=8, budget=4),
+            )
 
 
 class TestMajorityLabel:
@@ -246,7 +257,7 @@ class TestSamplerFailures:
             return "a", 0.99
 
         config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_retries=3)
-        result = cges_run(["q"], flaky, config)
+        result = run(["q"], flaky, config)
         assert result.predictions["q"] == "a"
         assert attempts["count"] == 3
 
@@ -256,7 +267,7 @@ class TestSamplerFailures:
 
         config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_retries=2)
         with pytest.raises(SamplerError, match="q.*round 1.*3 attempts"):
-            cges_run(["q"], broken, config)
+            run(["q"], broken, config)
 
     def test_definitive_sampler_error_is_not_retried(self):
         attempts = {"count": 0}
@@ -267,7 +278,7 @@ class TestSamplerFailures:
 
         config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_retries=3)
         with pytest.raises(SamplerError, match="degraded"):
-            cges_run(["q"], refusing, config)
+            run(["q"], refusing, config)
         assert attempts["count"] == 1
 
 

@@ -82,6 +82,14 @@ class TestLoadDataset:
         with pytest.raises(ConfigurationError, match="bad.jsonl:1"):
             load_dataset(path)
 
+    def test_malformed_json_line_reports_line(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text(
+            '{"id": "q1", "prompt": "p", "gold": "1", "format": "boxed_math"}\n{"id": "q2", "pro\n'
+        )
+        with pytest.raises(ConfigurationError, match="torn.jsonl:2"):
+            load_dataset(path)
+
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
@@ -345,6 +353,34 @@ class TestCli:
         )
         assert code == 0
         assert "top: a1 (0.935065)" in capsys.readouterr().out
+
+    def test_score_command_rejects_confidence_of_one(self, tmp_path, capsys):
+        path = tmp_path / "samples.jsonl"
+        path.write_text('{"label": "a", "confidence": 0.5}\n{"label": "b", "confidence": 1.0}\n')
+        code = main(["score", "--samples", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "samples.jsonl:2" in err
+
+    def test_score_command_rejects_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "samples.jsonl"
+        path.write_text('{"label": "a", "confidence": 0.5}\n{"label": \n')
+        code = main(["score", "--samples", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "samples.jsonl:2" in err
+
+    @pytest.mark.parametrize("record", ['{"confidence": 0.5}', '{"label": "a"}'])
+    def test_score_command_rejects_missing_field(self, tmp_path, capsys, record):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(record + "\n")
+        code = main(["score", "--samples", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "samples.jsonl:1" in err
 
     def test_run_command(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"

@@ -7,13 +7,24 @@ import pytest
 
 from cges.errors import (
     CandidateCountError,
+    CGESError,
     ContradictoryHypothesesError,
     EmptySamplesError,
+    InvalidSampleError,
     UnknownLabelError,
+)
+from cges.genmodel import (
+    IdealGenConfig,
+    PointSimplex,
+    RealisticGenConfig,
+    Uniform,
+    sample_ideal,
+    sample_realistic,
 )
 from cges.posterior import (
     CandidateSet,
     KPolicy,
+    RunningPosterior,
     Sample,
     llr_increment,
     log_likelihood,
@@ -101,6 +112,25 @@ class TestCandidateSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             CandidateSet(("a", "a"))
+        with pytest.raises(InvalidSampleError):
+            CandidateSet(("a", "a"))
+
+
+class TestSampleValidation:
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_confidence_outside_open_interval_rejected(self, confidence):
+        with pytest.raises(InvalidSampleError):
+            Sample("a", confidence)
+        with pytest.raises(InvalidSampleError):
+            RunningPosterior().add("a", confidence)
+
+    def test_round_below_one_rejected(self):
+        with pytest.raises(InvalidSampleError):
+            Sample("a", 0.5, 0)
+
+    def test_error_is_a_library_value_error(self):
+        assert issubclass(InvalidSampleError, CGESError)
+        assert issubclass(InvalidSampleError, ValueError)
 
 
 class TestScoreExamples:
@@ -292,3 +322,144 @@ class TestScoreProperties:
             expected = direct_product_masses(labels, confidences, k)
             for j in range(k):
                 assert posterior.masses[j] == pytest.approx(expected[j], rel=1e-10)
+
+
+def naive_log_scores(stream, named, k):
+    """Per-hypothesis log products built from ``log_likelihood``, no running sums.
+
+    Returns the named labels' scores and the scores of the k - len(named)
+    unnamed hypotheses, which no sample matches.
+    """
+    samples = [Sample(label, c, t + 1) for t, (label, c) in enumerate(stream)]
+    named_scores = {
+        h: math.fsum(log_likelihood(s, s.label == h, k) for s in samples) for h in named
+    }
+    unnamed = [math.fsum(log_likelihood(s, False, k) for s in samples)] * (k - len(named))
+    return named_scores, unnamed
+
+
+def naive_posterior(stream, named, k):
+    """(masses of the named labels, unnamed mass, top label, log top mass)."""
+    named_scores, unnamed = naive_log_scores(stream, named, k)
+    entries = list(named_scores.values()) + unnamed
+    shift = max(entries)
+    z = math.fsum(math.exp(v - shift) for v in entries)
+    masses = {h: math.exp(v - shift) / z for h, v in named_scores.items()}
+    virtual = math.fsum(math.exp(v - shift) for v in unnamed) / z
+    best = max(named_scores, key=named_scores.__getitem__)
+    top_log = named_scores[best]
+    others = [v for h, v in named_scores.items() if h != best] + unnamed
+    tail = math.fsum(math.exp(v - top_log) for v in others)
+    return masses, virtual, best, -math.log1p(tail)
+
+
+def assert_close(got, want, rel=1e-12):
+    assert got == pytest.approx(want, rel=rel, abs=1e-300), (got, want)
+
+
+class TestRunningPosterior:
+    def check_against_naive(self, running, stream, named, k):
+        masses, virtual, best, top_log = naive_posterior(stream, named, k)
+        posterior = running.posterior()
+        assert posterior.labels == tuple(named)
+        for label in named:
+            assert_close(posterior.masses[label], masses[label])
+        assert_close(posterior.virtual_mass, virtual)
+        assert running.top_label() == best == top(posterior)[0]
+        assert_close(running.top_log_mass(), top_log)
+        assert running.top_log_mass() == posterior.top_log_mass()
+
+    def test_matches_naive_product_as_k_grows(self):
+        # observed+virtual: K = distinct labels + 1 grows as new labels arrive
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n_labels = int(rng.integers(1, 6))
+            running = RunningPosterior()
+            stream, named = [], []
+            for _ in range(int(rng.integers(1, 25))):
+                label = f"a{int(rng.integers(n_labels))}"
+                confidence = float(rng.uniform(0.01, 0.99))
+                running.add(label, confidence)
+                stream.append((label, confidence))
+                if label not in named:
+                    named.append(label)
+                assert running.effective_k == len(named) + 1
+                self.check_against_naive(running, stream, named, len(named) + 1)
+
+    def test_matches_naive_product_under_fixed_k_with_unseen_labels(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            k = int(rng.integers(2, 7))
+            # draw from fewer labels than K so some candidates are never seen
+            n_drawn = int(rng.integers(1, k + 1))
+            running = RunningPosterior(fixed_k=k)
+            stream, named = [], []
+            for _ in range(int(rng.integers(1, 25))):
+                label = int(rng.integers(n_drawn))
+                confidence = float(rng.uniform(0.01, 0.99))
+                running.add(label, confidence)
+                stream.append((label, confidence))
+                if label not in named:
+                    named.append(label)
+                assert running.effective_k == k
+                self.check_against_naive(running, stream, named, k)
+
+    def test_named_but_unseen_labels_score_as_all_mismatch(self):
+        running = RunningPosterior(fixed_k=4, labels=("x", "y"))
+        running.add("y", 0.7)
+        running.add("z", 0.6)
+        self.check_against_naive(running, [("y", 0.7), ("z", 0.6)], ["x", "y", "z"], 4)
+        assert running.counts == {"x": 0, "y": 1, "z": 1}
+
+    def test_earliest_label_wins_exact_ties(self):
+        for fixed_k in (None, 2, 5):
+            running = RunningPosterior(fixed_k=fixed_k)
+            for label, confidence in [("b", 0.6), ("a", 0.6), ("b", 0.8), ("a", 0.8)]:
+                running.add(label, confidence)
+            scores = running.log_scores()
+            assert scores["a"] == scores["b"]
+            assert running.top_label() == "b"
+            assert top(running.posterior())[0] == "b"
+
+    def test_fixed_k_overflow_rejected(self):
+        running = RunningPosterior(fixed_k=2)
+        running.add("a", 0.5)
+        running.add("b", 0.5)
+        with pytest.raises(CandidateCountError):
+            running.add("c", 0.5)
+
+    def test_score_is_the_batch_form(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            labels, confidences = random_instance(rng, int(rng.integers(1, 12)), 4)
+            samples = [Sample(lab, c, t + 1) for t, (lab, c) in enumerate(zip(labels, confidences))]
+            running = RunningPosterior()
+            for sample in samples:
+                running.add(sample.label, sample.confidence)
+            assert running.posterior() == score(samples, CandidateSet.from_samples(samples))
+
+    def test_posterior_needs_a_sample(self):
+        with pytest.raises(EmptySamplesError):
+            RunningPosterior().posterior()
+
+    def test_simulator_log_scores_share_the_formula(self):
+        # the simulator's numpy cumsum and the running sums score alike under fixed K
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            k = int(rng.integers(2, 6))
+            if trial % 2:
+                config = IdealGenConfig(k=k, confidence_law=Uniform(0.05, 0.95))
+                trace = sample_ideal(config, int(rng.integers(1, 200)), rng)
+            else:
+                config = RealisticGenConfig(
+                    k=k,
+                    answer_law=PointSimplex((1.0 / k,) * k),
+                    confidence_noise=Uniform(0.05, 0.95),
+                )
+                trace = sample_realistic(config, int(rng.integers(1, 200)), rng)
+            running = RunningPosterior(fixed_k=k, labels=range(k))
+            for label, confidence in zip(trace.responses.tolist(), trace.confidences.tolist()):
+                running.add(label, confidence)
+            scores = running.log_scores()
+            for j in range(k):
+                assert_close(scores[j], float(trace.log_score_path[-1, j]))
