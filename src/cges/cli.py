@@ -19,7 +19,7 @@ from . import genmodel, harness
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, run as run_controller
 from .errors import CGESError, ConfigurationError
-from .llmclient import EndpointConfig, RecordStore, replay_sampler
+from .llmclient import EndpointConfig, RecordStore, read_jsonl, replay_sampler
 from .posterior import CandidateSet, Sample, score, top
 
 ESTIMATOR_FLAGS = {
@@ -183,7 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     samples = []
-    for line_no, raw in harness.read_jsonl(args.samples):
+    for line_no, raw in read_jsonl(args.samples):
         try:
             samples.append(
                 Sample(

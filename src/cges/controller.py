@@ -14,17 +14,15 @@ a stop rule and a predict rule:
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .errors import ConfigurationError, ReplayMissError, SamplerError
+from .errors import ConfigurationError
 from .posterior import Label, PosteriorVector, RunningPosterior
-
-logger = logging.getLogger(__name__)
 
 Sampler = Callable[[str, int], tuple[Label, float]]
 
@@ -42,7 +40,6 @@ class ControllerConfig:
     budget: int = 16
     esc_window: int = 4
     fixed_k: Optional[int] = None  # None selects the observed+virtual policy
-    max_retries: int = 3
     max_parallel: int = 1
 
     def __post_init__(self) -> None:
@@ -57,8 +54,6 @@ class ControllerConfig:
             )
         if self.fixed_k is not None and self.fixed_k < 2:
             raise ConfigurationError(f"fixed K must be >= 2, got {self.fixed_k!r}")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
         if self.max_parallel < 1:
             raise ConfigurationError("max_parallel must be >= 1")
 
@@ -126,7 +121,16 @@ def run(
     for round_idx in range(1, config.budget + 1):
         if not active:
             break
-        _sample_round(states, active, round_idx, sampler, config)
+        # one sampler call per active question, concurrently up to max_parallel;
+        # a sampler exception ends the run (HTTP retries live in the client)
+        if config.max_parallel > 1 and len(active) > 1:
+            with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
+                draws = list(pool.map(sampler, active, repeat(round_idx)))
+        else:
+            draws = [sampler(qid, round_idx) for qid in active]
+        # applied in question order, so outcomes do not depend on scheduling
+        for qid, (label, confidence) in zip(active, draws):
+            states[qid].observe(label, confidence)
         if stop is not None:
             for qid in active:
                 states[qid].resolved = stop(states[qid], round_idx)
@@ -180,48 +184,3 @@ def majority_label(labels: Sequence[Label]) -> Label:
 def _majority(counts: dict[Label, int]) -> Label:
     # max returns the first maximum; insertion order = first-seen order
     return max(counts, key=counts.__getitem__)
-
-
-def _sample_round(
-    states: dict[str, QuestionState],
-    qids: Sequence[str],
-    round_idx: int,
-    sampler: Sampler,
-    config: ControllerConfig,
-) -> None:
-    """Draw one sample for each listed question and fold it into its state.
-
-    Distinct questions may sample concurrently up to ``max_parallel``; results
-    are applied in question order, so outcomes do not depend on scheduling.
-    """
-
-    def draw(qid: str) -> tuple[Label, float]:
-        failure: Optional[Exception] = None
-        for attempt in range(config.max_retries + 1):
-            try:
-                return sampler(qid, round_idx)
-            except (SamplerError, ReplayMissError):
-                raise  # already definitive, retrying cannot help
-            except Exception as exc:  # noqa: BLE001 - sampler callbacks are arbitrary
-                failure = exc
-                logger.warning(
-                    "sampler failed for question %r round %d (attempt %d/%d): %s",
-                    qid,
-                    round_idx,
-                    attempt + 1,
-                    config.max_retries + 1,
-                    exc,
-                )
-        raise SamplerError(
-            f"sampling question {qid!r} round {round_idx} failed after "
-            f"{config.max_retries + 1} attempts"
-        ) from failure
-
-    if config.max_parallel > 1 and len(qids) > 1:
-        with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-            results = list(pool.map(draw, qids))
-    else:
-        results = [draw(qid) for qid in qids]
-
-    for qid, (label, confidence) in zip(qids, results):
-        states[qid].observe(label, confidence)

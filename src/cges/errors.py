@@ -39,7 +39,8 @@ class InvalidScoreError(CGESError, ValueError):
 
 
 class SamplerError(CGESError, RuntimeError):
-    """Sampling a response failed definitively (retries exhausted or record unusable)."""
+    """Sampling a response failed definitively (HTTP retries exhausted, reply
+    malformed, or record unusable)."""
 
 
 class ReplayMissError(CGESError, LookupError):

@@ -9,12 +9,11 @@ averaged over seeds and written as CSV tables plus a plain-text summary.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, RunResult, run
@@ -24,6 +23,7 @@ from .llmclient import (
     EndpointConfig,
     RecordStore,
     live_sampler,
+    read_jsonl,
     replay_sampler,
 )
 
@@ -40,25 +40,6 @@ class Question:
     prompt: str
     gold: str
     format: AnswerFormat
-
-
-def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
-    """(line number, decoded value) for every non-blank line of a JSONL file.
-
-    A line that is not valid JSON raises ``ConfigurationError`` naming
-    ``path:line``.
-    """
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: malformed JSON at column {exc.colno}: {exc.msg}"
-                ) from exc
 
 
 def load_dataset(path: Union[str, Path]) -> list[Question]:

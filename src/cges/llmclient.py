@@ -16,13 +16,14 @@ import logging
 import math
 import os
 import re
+import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 import requests
 
@@ -31,6 +32,7 @@ from .controller import Sampler
 from .errors import (
     ConfigurationError,
     DuplicateRecordError,
+    InvalidSampleError,
     ReplayMissError,
     SamplerError,
 )
@@ -129,7 +131,6 @@ class EndpointConfig:
     top_p: float = 1.0
     max_tokens: int = 32_768
     request_timeout: float = 120.0
-    max_parallel: int = 4
     max_retries: int = 3
     completions_path: str = "/v1/chat/completions"
     api_key_env: str = "CGES_API_KEY"
@@ -139,13 +140,35 @@ class EndpointConfig:
             raise ConfigurationError(f"temperature must be >= 0, got {self.temperature!r}")
         if not 0.0 < self.top_p <= 1.0:
             raise ConfigurationError(f"top_p must lie in (0, 1], got {self.top_p!r}")
-        if self.max_tokens < 1 or self.max_parallel < 1 or self.request_timeout <= 0:
-            raise ConfigurationError("max_tokens, max_parallel, request_timeout must be positive")
+        if self.max_tokens < 1 or self.request_timeout <= 0:
+            raise ConfigurationError("max_tokens and request_timeout must be positive")
+        if self.max_retries < 0:
+            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "EndpointConfig":
-        with Path(path).open("r", encoding="utf-8") as handle:
-            return cls(**json.load(handle))
+        """Config from a JSON object keyed by field name; any fault raises
+        ``ConfigurationError`` naming the path (and the key, where there is one)."""
+        try:
+            with Path(path).open("r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: cannot read endpoint config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: endpoint config must be a JSON object")
+        accepted = {field.name: field.type for field in fields(cls)}
+        json_types = {"str": (str,), "int": (int,), "float": (int, float)}  # by annotation
+        for key, value in raw.items():
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"{path}: unknown key {key!r}; accepted keys: {', '.join(accepted)}"
+                )
+            if type(value) not in json_types[accepted[key]]:
+                raise ConfigurationError(f"{path}: key {key!r} must be {accepted[key]}")
+        try:
+            return cls(**raw)
+        except (TypeError, ConfigurationError) as exc:  # TypeError: a required key is missing
+            raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -164,52 +187,58 @@ class SampleRecord:
     timestamp: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.question_id, str) or not isinstance(self.extracted_label, str):
+            raise InvalidSampleError("question_id and extracted_label must be strings")
         if not self.extracted_label:
-            raise ValueError("extracted_label must be non-empty (use the INVALID sentinel)")
-        if self.round < 1:
-            raise ValueError(f"round must be >= 1, got {self.round!r}")
+            raise InvalidSampleError("extracted_label must be non-empty (use the INVALID sentinel)")
+        if type(self.round) is not int or self.round < 1:
+            raise InvalidSampleError(f"round must be an integer >= 1, got {self.round!r}")
+        floats = [*(self.token_probs or ()), *(self.step_importance or ())]
+        if not {int, float}.issuperset(map(type, [*self.confidence_by_estimator.values(), *floats])):
+            raise InvalidSampleError("confidences, token_probs and step_importance must be numbers")
 
     def to_json_line(self) -> str:
-        payload = {
-            "question_id": self.question_id,
-            "round": self.round,
-            "prompt": self.prompt,
-            "raw_text": self.raw_text,
-            "extracted_label": self.extracted_label,
-            "token_probs": list(self.token_probs) if self.token_probs is not None else None,
-            "step_importance": (
-                list(self.step_importance) if self.step_importance is not None else None
-            ),
-            "confidence_by_estimator": {
-                key: self.confidence_by_estimator[key]
-                for key in sorted(self.confidence_by_estimator)
-            },
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-        }
+        # field order, then estimator names sorted; tuples serialize as lists
+        payload = dict(vars(self))
+        payload["confidence_by_estimator"] = dict(sorted(self.confidence_by_estimator.items()))
         return json.dumps(payload, ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "SampleRecord":
-        raw = json.loads(line)
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SampleRecord":
+        token_probs, step_importance = raw.get("token_probs"), raw.get("step_importance")
         return cls(
             question_id=raw["question_id"],
             round=raw["round"],
             prompt=raw.get("prompt", ""),
             raw_text=raw.get("raw_text", ""),
             extracted_label=raw["extracted_label"],
-            token_probs=(
-                tuple(raw["token_probs"]) if raw.get("token_probs") is not None else None
-            ),
-            step_importance=(
-                tuple(raw["step_importance"])
-                if raw.get("step_importance") is not None
-                else None
-            ),
+            token_probs=None if token_probs is None else tuple(token_probs),
+            step_importance=None if step_importance is None else tuple(step_importance),
             confidence_by_estimator=dict(raw.get("confidence_by_estimator", {})),
             seed=raw.get("seed", 0),
             timestamp=raw.get("timestamp", ""),
         )
+
+
+def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded value) for every non-blank line of a JSONL file.
+
+    A line that is not valid UTF-8 JSON, such as a line torn by a crash
+    mid-append, raises ``ConfigurationError`` naming ``path:line``.
+    """
+    with Path(path).open("rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            try:
+                value = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigurationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
+            yield line_no, value
 
 
 class StoreMode(Enum):
@@ -233,18 +262,19 @@ class RecordStore:
         if mode is StoreMode.REPLAY and not self.path.exists():
             raise ConfigurationError(f"replay store {self.path} does not exist")
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = SampleRecord.from_json_line(line)
-                    key = (record.question_id, record.round)
-                    if key in self._index:
-                        raise DuplicateRecordError(
-                            f"{self.path}:{line_no}: duplicate record for {key!r}"
-                        )
-                    self._index[key] = record
+            for line_no, raw in read_jsonl(self.path):
+                try:
+                    record = SampleRecord.from_dict(raw)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"{self.path}:{line_no}: bad sample record: {exc!r}"
+                    ) from exc
+                key = (record.question_id, record.round)
+                if key in self._index:
+                    raise DuplicateRecordError(
+                        f"{self.path}:{line_no}: duplicate record for {key!r}"
+                    )
+                self._index[key] = record
 
     @classmethod
     def open_record(cls, path: Union[str, Path]) -> "RecordStore":
@@ -299,7 +329,8 @@ def sample_once(
 
     Token log-probabilities are requested; when the server omits them the
     record is degraded (no probability-based confidences) and a warning is
-    logged.  HTTP failures are retried up to the configured bound, then raise.
+    logged.  HTTP failures are retried up to the configured bound, then raise;
+    this is the package's only retry layer.  A malformed reply is not retried.
     """
     prompt = render_prompt(prompt_text, fmt)
     url = endpoint.base_url.rstrip("/") + endpoint.completions_path
@@ -346,13 +377,15 @@ def sample_once(
             f"failed after {endpoint.max_retries + 1} attempts"
         ) from failure
 
-    raw_text, logprobs = _parse_completion(body)
+    try:
+        raw_text, logprobs = _parse_completion(body)
+    except SamplerError as exc:
+        raise SamplerError(f"question {question_id!r} round {round_idx}: {exc}") from exc
     token_probs: Optional[tuple[float, ...]] = None
     confidences: dict[str, float] = {}
     if logprobs:
-        token_probs = tuple(
-            min(max(math.exp(lp), MIN_TOKEN_PROB), 1.0) for lp in logprobs
-        )
+        # a positive logprob is clamped to probability 1 before exp can overflow
+        token_probs = tuple(max(math.exp(min(lp, 0.0)), MIN_TOKEN_PROB) for lp in logprobs)
         tokenized = TokenizedResponse(token_probs=token_probs)
         confidences[Estimator.LNS_ARITHMETIC.value] = lns_arithmetic(tokenized)
         confidences[Estimator.LNS_GEOMETRIC.value] = lns_geometric(tokenized)
@@ -377,28 +410,41 @@ def sample_once(
     )
 
 
-def _parse_completion(body: dict) -> tuple[str, Optional[list[float]]]:
-    """Text and per-token logprobs from a chat- or legacy-completions payload."""
-    try:
-        choice = body["choices"][0]
-    except (KeyError, IndexError) as exc:
-        raise SamplerError(f"malformed completion payload: {body!r}") from exc
+def _parse_completion(body: Any) -> tuple[str, Optional[list[float]]]:
+    """Text and per-token logprobs from a chat- or legacy-completions payload.
+
+    Any other shape raises ``SamplerError``. Null text and null logprobs are
+    skipped, as servers send them for empty completions and unscored tokens.
+    """
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not isinstance(choices, list) or not choices or not isinstance(choices[0], dict):
+        raise SamplerError(f"malformed completion payload: {body!r:.200}")
+    choice = choices[0]
     if "message" in choice:
-        text = choice["message"].get("content") or ""
+        message = choice["message"]
+        if not isinstance(message, dict):
+            raise SamplerError(f"malformed completion message: {message!r:.200}")
+        text = message.get("content")
     else:
-        text = choice.get("text") or ""
-    logprobs = None
+        text = choice.get("text")
+    if not isinstance(text, (str, type(None))):
+        raise SamplerError(f"completion text is not a string: {text!r:.200}")
     raw = choice.get("logprobs")
-    if isinstance(raw, dict):
-        if isinstance(raw.get("content"), list):
-            logprobs = [
-                entry["logprob"]
-                for entry in raw["content"]
-                if entry.get("logprob") is not None
-            ]
-        elif isinstance(raw.get("token_logprobs"), list):
-            logprobs = [lp for lp in raw["token_logprobs"] if lp is not None]
-    return text, logprobs or None
+    values: list = []
+    if isinstance(raw, dict) and isinstance(raw.get("content"), list):
+        if not all(isinstance(entry, dict) for entry in raw["content"]):
+            raise SamplerError("malformed completion payload: a logprob entry is not an object")
+        values = [entry.get("logprob") for entry in raw["content"]]
+    elif isinstance(raw, dict) and isinstance(raw.get("token_logprobs"), list):
+        values = raw["token_logprobs"]
+    logprobs = [_finite_logprob(value) for value in values if value is not None]
+    return text or "", logprobs or None
+
+
+def _finite_logprob(value: Any) -> float:
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # False for nan
+        return float(value)
+    raise SamplerError(f"logprob {value!r:.200} is not a finite number")
 
 
 # ---------------------------------------------------------------------------

@@ -247,27 +247,31 @@ class TestRunDispatch:
 
 
 class TestSamplerFailures:
-    def test_transient_failures_are_retried(self):
+    def test_sampler_exception_propagates_after_one_call(self):
         attempts = {"count": 0}
 
         def flaky(question_id, round_idx):
             attempts["count"] += 1
-            if attempts["count"] <= 2:
-                raise OSError("transient")
-            return "a", 0.99
+            raise OSError("transient")
 
-        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_retries=3)
-        result = run(["q"], flaky, config)
-        assert result.predictions["q"] == "a"
-        assert attempts["count"] == 3
+        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4)
+        with pytest.raises(OSError, match="transient"):
+            run(["q"], flaky, config)
+        assert attempts["count"] == 1
 
-    def test_persistent_failure_aborts_with_diagnostic(self):
-        def broken(question_id, round_idx):
-            raise OSError("down")
+    def test_pooled_sampler_exception_propagates(self):
+        attempts = {"q0": 0, "q1": 0}
 
-        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_retries=2)
-        with pytest.raises(SamplerError, match="q.*round 1.*3 attempts"):
-            run(["q"], broken, config)
+        def half_broken(question_id, round_idx):
+            attempts[question_id] += 1
+            if question_id == "q1":
+                raise OSError("down")
+            return "a", 0.5
+
+        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_parallel=2)
+        with pytest.raises(OSError, match="down"):
+            run(["q0", "q1"], half_broken, config)
+        assert attempts == {"q0": 1, "q1": 1}
 
     def test_definitive_sampler_error_is_not_retried(self):
         attempts = {"count": 0}
@@ -276,7 +280,7 @@ class TestSamplerFailures:
             attempts["count"] += 1
             raise SamplerError("record is degraded")
 
-        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_retries=3)
+        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4)
         with pytest.raises(SamplerError, match="degraded"):
             run(["q"], refusing, config)
         assert attempts["count"] == 1

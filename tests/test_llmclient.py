@@ -6,9 +6,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cges.cli import main
 from cges.confidence import Estimator
+from cges.controller import ControllerConfig, Method, run
 from cges.errors import (
+    CGESError,
     ConfigurationError,
     DuplicateRecordError,
     ReplayMissError,
@@ -20,6 +25,7 @@ from cges.llmclient import (
     EndpointConfig,
     RecordStore,
     SampleRecord,
+    _parse_completion,
     derive_seed,
     extract_answer,
     live_sampler,
@@ -124,6 +130,29 @@ class TestSampleRecord:
         with pytest.raises(ValueError):
             make_record(label="")
 
+    @settings(deadline=None)
+    @given(
+        st.builds(
+            SampleRecord,
+            question_id=st.text(),
+            round=st.integers(min_value=1),
+            prompt=st.text(),
+            raw_text=st.text(),
+            extracted_label=st.text(min_size=1),
+            token_probs=st.none() | st.lists(st.floats(allow_nan=False)).map(tuple),
+            step_importance=st.none() | st.lists(st.floats(allow_nan=False)).map(tuple),
+            confidence_by_estimator=st.dictionaries(st.text(), st.floats(allow_nan=False)),
+            seed=st.integers(),
+            timestamp=st.text(),
+        )
+    )
+    def test_json_round_trip_property(self, record):
+        line = record.to_json_line()
+        assert "\n" not in line
+        again = SampleRecord.from_json_line(line)
+        assert again == record
+        assert again.to_json_line() == line
+
 
 class TestRecordStore:
     def test_append_and_reload(self, tmp_path):
@@ -162,6 +191,60 @@ class TestRecordStore:
         replay = RecordStore.open_replay(path)
         with pytest.raises(ReplayMissError, match="'q0' round 9"):
             replay.get("q0", 9)
+
+    @pytest.mark.parametrize("mode", [RecordStore.open_record, RecordStore.open_replay])
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b'{"question_id": "q0", "round": 3, "extracted_la',
+            '{"question_id": "q0", "round": 3, "raw_text": "\u00e9'.encode()[:-1],
+        ],
+        ids=["mid-key", "mid-utf8-character"],
+    )
+    def test_torn_final_line_names_path_and_line(self, tmp_path, mode, tail):
+        path = tmp_path / "store.jsonl"
+        store = RecordStore.open_record(path)
+        store.append(make_record(round_idx=1))
+        store.append(make_record(round_idx=2))
+        with path.open("ab") as handle:
+            handle.write(tail)
+        with pytest.raises(CGESError, match="store.jsonl:3"):
+            mode(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw.pop("question_id"),
+            lambda raw: raw.pop("round"),
+            lambda raw: raw.pop("extracted_label"),
+            lambda raw: raw.update(round=0),
+            lambda raw: raw.update(round="1"),
+            lambda raw: raw.update(extracted_label=""),
+            lambda raw: raw.update(question_id=["q0"]),
+            lambda raw: raw.update(token_probs="0.9"),
+            lambda raw: raw.update(confidence_by_estimator={"lns_arith": "0.8"}),
+            lambda raw: raw.clear(),
+        ],
+        ids=[
+            "no-question-id", "no-round", "no-label", "round-0", "round-string",
+            "empty-label", "list-question-id", "string-token-probs",
+            "string-confidence", "empty-object",
+        ],
+    )
+    def test_bad_record_names_path_and_line(self, tmp_path, edit):
+        raw = json.loads(make_record(round_idx=2).to_json_line())
+        edit(raw)
+        path = tmp_path / "store.jsonl"
+        path.write_text(make_record().to_json_line() + "\n" + json.dumps(raw) + "\n")
+        for mode in (RecordStore.open_record, RecordStore.open_replay):
+            with pytest.raises(CGESError, match="store.jsonl:2"):
+                mode(path)
+
+    def test_non_object_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(CGESError, match="store.jsonl:1: bad sample record"):
+            RecordStore.open_replay(path)
 
     def test_replay_store_refuses_appends(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -211,6 +294,7 @@ class StubState:
         self.omit_logprobs = False
         self.text = r"The sum is \boxed{42}."
         self.logprobs = [-0.1, -0.2, -0.05]
+        self.body = None  # when set, sent verbatim as the 200 reply
 
 
 def make_stub_handler(state):
@@ -231,7 +315,8 @@ def make_stub_handler(state):
                 choice["logprobs"] = {
                     "content": [{"token": "t", "logprob": lp} for lp in state.logprobs]
                 }
-            body = json.dumps({"choices": [choice]}).encode()
+            reply = {"choices": [choice]} if state.body is None else state.body
+            body = json.dumps(reply).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -308,6 +393,15 @@ class TestSampleOnce:
         state.fail_next = 99
         with pytest.raises(SamplerError, match="3 attempts"):
             sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), seed=0)
+        assert len(state.requests) == 3
+
+    def test_positive_logprob_clamps_to_probability_one(self, stub_server):
+        base_url, state = stub_server
+        state.logprobs = [1e308, -0.1]
+        record = sample_once(
+            "q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), seed=0
+        )
+        assert record.token_probs == pytest.approx((1.0, math.exp(-0.1)))
 
     def test_missing_logprobs_degrades_record(self, stub_server):
         base_url, state = stub_server
@@ -371,6 +465,176 @@ class TestLiveSampler:
             )
 
 
+class TestOneRetryLayer:
+    """HTTP failures are retried by the client only; the controller never retries."""
+
+    def run_cges(self, base_url, **endpoint_overrides):
+        prompts = {"q0": ("What is 40+2?", AnswerFormat.BOXED_MATH)}
+        sampler = live_sampler(endpoint_for(base_url, **endpoint_overrides), prompts)
+        return run(["q0"], sampler, ControllerConfig(method=Method.CGES, budget=1))
+
+    def test_transient_failure_costs_its_retries_only(self, stub_server):
+        base_url, state = stub_server
+        state.fail_next = 2
+        result = self.run_cges(base_url)
+        assert result.predictions == {"q0": "42"}
+        assert len(state.requests) == 3
+
+    def test_persistent_failure_costs_one_client_budget(self, stub_server):
+        base_url, state = stub_server
+        state.fail_next = 99
+        with pytest.raises(SamplerError, match="4 attempts"):
+            self.run_cges(base_url, max_retries=3)
+        assert len(state.requests) == 4
+
+    def test_malformed_reply_costs_one_request(self, stub_server):
+        base_url, state = stub_server
+        state.body = {"choices": [{"message": None}]}
+        with pytest.raises(SamplerError, match="'q0' round 1: malformed completion message"):
+            self.run_cges(base_url, max_retries=3)
+        assert len(state.requests) == 1
+
+    def test_cli_run_exits_on_malformed_reply(self, stub_server, tmp_path, capsys):
+        base_url, state = stub_server
+        state.body = {"choices": [{"message": None}]}
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "q0", "prompt": "40+2?", "gold": "42", "format": "boxed_math"})
+            + "\n"
+        )
+        config = tmp_path / "endpoint.json"
+        config.write_text(json.dumps({"base_url": base_url, "model_name": "m"}))
+        code = main(
+            ["run", "--dataset", str(dataset), "--endpoint-config", str(config),
+             "--method", "cges", "--seeds", "0"]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert len(state.requests) == 1
+
+
+CHOICE_BASE = {"message": {"content": "Answer: A"}}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def or_junk(good):
+    """Mostly ``good``, sometimes an arbitrary JSON value in its place."""
+    return st.one_of(good, good, good, JSON_VALUES)
+
+
+# payloads near the accepted shapes, any field of which may be malformed
+LOGPROB = or_junk(st.floats(max_value=0.0) | st.none() | st.floats() | st.integers())
+COMPLETION_LIKE = st.fixed_dictionaries(
+    {
+        "choices": or_junk(
+            st.lists(
+                or_junk(
+                    st.fixed_dictionaries(
+                        {},
+                        optional={
+                            "message": or_junk(
+                                st.fixed_dictionaries(
+                                    {}, optional={"content": or_junk(st.none() | st.text())}
+                                )
+                            ),
+                            "text": or_junk(st.none() | st.text()),
+                            "logprobs": or_junk(
+                                st.fixed_dictionaries(
+                                    {},
+                                    optional={
+                                        "content": st.lists(
+                                            or_junk(st.fixed_dictionaries({"logprob": LOGPROB})),
+                                            max_size=4,
+                                        ),
+                                        "token_logprobs": st.lists(LOGPROB, max_size=4),
+                                    },
+                                )
+                            ),
+                        },
+                    )
+                ),
+                max_size=2,
+            )
+        )
+    }
+)
+
+
+class TestParseCompletion:
+    def test_chat_and_legacy_shapes(self):
+        chat = {
+            "choices": [
+                {
+                    "message": {"content": "hi"},
+                    "logprobs": {"content": [{"logprob": -0.5}, {"logprob": None}]},
+                }
+            ]
+        }
+        assert _parse_completion(chat) == ("hi", [-0.5])
+        legacy = {"choices": [{"text": "yo", "logprobs": {"token_logprobs": [None, -1]}}]}
+        assert _parse_completion(legacy) == ("yo", [-1.0])
+        assert _parse_completion({"choices": [{"message": {"content": None}}]}) == ("", None)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            "text",
+            None,
+            {},
+            {"choices": None},
+            {"choices": []},
+            {"choices": {"0": CHOICE_BASE}},
+            {"choices": [None]},
+            {"choices": ["text"]},
+            {"choices": [{"message": None}]},
+            {"choices": [{"message": "hi"}]},
+            {"choices": [{"message": {"content": ["part"]}}]},
+            {"choices": [{"text": 7}]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"content": [None]})]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"content": [-0.5]})]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"content": [{"logprob": "x"}]})]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"content": [{"logprob": True}]})]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"content": [{"logprob": math.nan}]})]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"token_logprobs": [-math.inf]})]},
+            {"choices": [dict(CHOICE_BASE, logprobs={"token_logprobs": [10**400]})]},
+        ],
+    )
+    def test_malformed_payload_raises_sampler_error(self, body):
+        with pytest.raises(SamplerError):
+            _parse_completion(body)
+
+    @settings(deadline=None)
+    @given(COMPLETION_LIKE | JSON_VALUES)
+    def test_any_json_value_parses_or_raises_sampler_error(self, body):
+        try:
+            text, logprobs = _parse_completion(body)
+        except SamplerError:
+            return
+        assert isinstance(text, str)
+        assert logprobs is None or (
+            logprobs and all(type(lp) is float and math.isfinite(lp) for lp in logprobs)
+        )
+
+    @settings(deadline=None)
+    @given(st.lists(st.none() | st.floats() | st.integers(-(10**6), 10**6), max_size=6))
+    def test_logprobs_parse_to_finite_floats_or_raise(self, values):
+        entries = [{"logprob": value} for value in values]
+        body = {"choices": [dict(CHOICE_BASE, logprobs={"content": entries})]}
+        kept = [float(value) for value in values if value is not None]
+        if all(map(math.isfinite, kept)):
+            assert _parse_completion(body) == ("Answer: A", kept or None)
+        else:
+            with pytest.raises(SamplerError, match="not a finite number"):
+                _parse_completion(body)
+
+
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
         assert derive_seed(1, "q0", 1) == derive_seed(1, "q0", 1)
@@ -385,9 +649,47 @@ class TestEndpointConfig:
         with pytest.raises(ConfigurationError):
             endpoint_for("http://x", top_p=0.0)
 
+        with pytest.raises(ConfigurationError):
+            endpoint_for("http://x", max_retries=-1)
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "endpoint.json"
         path.write_text(json.dumps({"base_url": "http://h", "model_name": "m"}))
         config = EndpointConfig.from_json_file(path)
         assert config.base_url == "http://h"
         assert config.temperature == 0.7
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"base_url": "http://h", "model_name": ', "cannot read endpoint config"),
+            ('["http://h", "m"]', "must be a JSON object"),
+            ('{"base_url": "http://h", "model_name": "m", "max_parallel": 4}',
+             "unknown key 'max_parallel'"),
+            ('{"model_name": "m"}', "missing .*'base_url'"),
+            ('{"base_url": "http://h"}', "missing .*'model_name'"),
+            ('{"base_url": "http://h", "model_name": "m", "temperature": "0.5"}',
+             "key 'temperature' must be float"),
+            ('{"base_url": "http://h", "model_name": "m", "max_retries": true}',
+             "key 'max_retries' must be int"),
+            ('{"base_url": "http://h", "model_name": "m", "top_p": 0}', "top_p"),
+        ],
+    )
+    def test_from_json_file_fails_closed(self, tmp_path, capsys, text, match):
+        path = tmp_path / "endpoint.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=match) as info:
+            EndpointConfig.from_json_file(path)
+        assert str(path) in str(info.value)
+
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "q0", "prompt": "p", "gold": "1", "format": "boxed_math"}) + "\n"
+        )
+        code = main(["run", "--dataset", str(dataset), "--endpoint-config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read endpoint config"):
+            EndpointConfig.from_json_file(tmp_path / "absent.json")
