@@ -23,7 +23,6 @@ from .controller import (
     QuestionState,
     RunResult,
     Sampler,
-    majority_label,
     run,
 )
 from .errors import (
@@ -86,14 +85,11 @@ from .llmclient import (
 )
 from .posterior import (
     CandidateSet,
-    KPolicy,
-    PosteriorVector,
     RunningPosterior,
     Sample,
     llr_increment,
     log_likelihood,
     score,
-    top,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .confidence import Estimator
 from .controller import ControllerConfig, Method, run as run_controller
 from .errors import CGESError, ConfigurationError
 from .llmclient import EndpointConfig, RecordStore, read_jsonl, replay_sampler
-from .posterior import CandidateSet, Sample, score, top
+from .posterior import CandidateSet, Sample, score
 
 ESTIMATOR_FLAGS = {
     "lns-arith": Estimator.LNS_ARITHMETIC,
@@ -118,7 +118,12 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, default=4)
     parser.add_argument("--estimator", choices=sorted(ESTIMATOR_FLAGS), default="lns-arith")
     parser.add_argument("--k-policy", type=_parse_k_policy, default=None)
-    parser.add_argument("--seeds", type=_parse_int_list, default=list(harness.DEFAULT_SEEDS))
+    parser.add_argument(
+        "--seeds",
+        type=_parse_int_list,
+        default=list(harness.DEFAULT_SEEDS),
+        help="base seeds to average over; live endpoints only, a replay runs once",
+    )
     parser.add_argument("--max-parallel", type=int, default=1)
 
 
@@ -202,11 +207,12 @@ def cmd_score(args: argparse.Namespace) -> int:
             ) from exc
     candidates = CandidateSet.from_samples(samples, fixed_k=args.k_policy)
     posterior = score(samples, candidates)
-    label, mass = top(posterior)
-    for candidate in posterior.labels:
-        print(f"{candidate}\t{posterior.masses[candidate]:.6f}")
-    if posterior.virtual_mass > 0.0:
-        print(f"(virtual)\t{posterior.virtual_mass:.6f}")
+    label, mass = posterior.top()
+    masses, virtual_mass = posterior.masses, posterior.virtual_mass
+    for candidate, candidate_mass in masses.items():
+        print(f"{candidate}\t{candidate_mass:.6f}")
+    if virtual_mass > 0.0:
+        print(f"(virtual)\t{virtual_mass:.6f}")
     print(f"top: {label} ({mass:.6f})")
     if args.out is not None:
         import csv as _csv
@@ -214,10 +220,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         with args.out.open("w", encoding="utf-8", newline="") as handle:
             writer = _csv.writer(handle)
             writer.writerow(["label", "mass"])
-            for candidate in posterior.labels:
-                writer.writerow([candidate, posterior.masses[candidate]])
-            if posterior.virtual_mass > 0.0:
-                writer.writerow(["(virtual)", posterior.virtual_mass])
+            writer.writerows(masses.items())
+            if virtual_mass > 0.0:
+                writer.writerow(["(virtual)", virtual_mass])
     return 0
 
 

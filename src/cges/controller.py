@@ -22,7 +22,7 @@ from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError
-from .posterior import Label, PosteriorVector, RunningPosterior
+from .posterior import Label, RunningPosterior
 
 Sampler = Callable[[str, int], tuple[Label, float]]
 
@@ -84,7 +84,7 @@ class RunResult:
     predictions: dict[str, Label]
     avg_calls: float
     per_question_calls: dict[str, int]
-    per_question_posterior: dict[str, PosteriorVector]
+    per_question_posterior: dict[str, RunningPosterior]
     # diagnostics: questions that exhausted the budget without their stop rule
     # firing (for CGES, without reaching gamma); always empty for SC
     unresolved: tuple[str, ...] = ()
@@ -142,9 +142,7 @@ def run(
         predictions={qid: predict(state) for qid, state in states.items()},
         avg_calls=sum(per_question_calls.values()) / len(states),
         per_question_calls=per_question_calls,
-        per_question_posterior={
-            qid: state.posterior.posterior() for qid, state in states.items()
-        },
+        per_question_posterior={qid: state.posterior for qid, state in states.items()},
         unresolved=unresolved,
     )
 
@@ -169,16 +167,6 @@ def _rules(config: ControllerConfig) -> tuple[StopRule, PredictRule]:
             majority,
         )
     return None, majority
-
-
-def majority_label(labels: Sequence[Label]) -> Label:
-    """Most frequent label; ties break toward the earliest first-seen label."""
-    if not labels:
-        raise ConfigurationError("majority vote needs at least one label")
-    counts: dict[Label, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    return _majority(counts)
 
 
 def _majority(counts: dict[Label, int]) -> Label:

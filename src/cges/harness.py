@@ -2,8 +2,9 @@
 
 Datasets are JSONL files with one question per line:
 ``{"id": ..., "prompt": ..., "gold": ..., "format": "boxed_math"|"letter_choice"}``.
-Samples come either from a replay store or a live endpoint; results are
-averaged over seeds and written as CSV tables plus a plain-text summary.
+Samples come either from a replay store, which runs once, or a live endpoint,
+whose results are averaged over seeds; both are written as CSV tables plus a
+plain-text summary.
 """
 
 from __future__ import annotations
@@ -172,11 +173,15 @@ def _make_sampler(spec: ExperimentSpec, seed: int):
 
 
 def run_method(spec: ExperimentSpec, config: ControllerConfig) -> tuple[float, float]:
-    """Seed-averaged (avg_calls, accuracy) for one method configuration."""
+    """Seed-averaged (avg_calls, accuracy) for one method configuration.
+
+    Seeds apply to a live endpoint only: a replay store serves one fixed
+    stream whatever the seed, so it runs once.
+    """
     calls: list[float] = []
     accs: list[float] = []
     qids = [q.question_id for q in spec.questions]
-    for seed in spec.seeds:
+    for seed in spec.seeds if spec.store is None else spec.seeds[:1]:
         sampler = _make_sampler(spec, seed)
         result = run(qids, sampler, config)
         calls.append(result.avg_calls)

@@ -196,6 +196,11 @@ class SampleRecord:
         floats = [*(self.token_probs or ()), *(self.step_importance or ())]
         if not {int, float}.issuperset(map(type, [*self.confidence_by_estimator.values(), *floats])):
             raise InvalidSampleError("confidences, token_probs and step_importance must be numbers")
+        for name, confidence in self.confidence_by_estimator.items():
+            if not 0.0 < confidence < 1.0:  # also False for NaN
+                raise InvalidSampleError(
+                    f"{name!r} confidence must lie strictly inside (0, 1), got {confidence!r}"
+                )
 
     def to_json_line(self) -> str:
         # field order, then estimator names sorted; tuples serialize as lists
@@ -495,6 +500,8 @@ def live_sampler(
     With a store attached, a (question, round) pair that is already recorded
     is served from the store instead of re-queried, so repeated runs (e.g.
     several methods compared in one session) draw from a single shared stream.
+    A stored record made under another base seed or prompt raises
+    ``ConfigurationError`` naming the store and the key.
     """
     if store is not None and store.mode is not StoreMode.RECORD:
         raise ConfigurationError("live_sampler can only record into a record-mode store")
@@ -502,20 +509,24 @@ def live_sampler(
     local = threading.local()  # sessions are not thread-safe; one per worker
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:
+        prompt_text, fmt = prompts[question_id]
+        seed = derive_seed(base_seed, question_id, round_idx)
         if store is not None and (question_id, round_idx) in store:
             record = store.get(question_id, round_idx)
-            return record.extracted_label, _confidence_from_record(record, key)
-        prompt_text, fmt = prompts[question_id]
+            if record.seed != seed:
+                mismatch = f"seed {record.seed}, this run's is {seed}"
+            elif record.prompt != render_prompt(prompt_text, fmt):
+                mismatch = "a different prompt"
+            else:
+                return record.extracted_label, _confidence_from_record(record, key)
+            raise ConfigurationError(
+                f"{store.path}: stored record for question {question_id!r} round "
+                f"{round_idx} has {mismatch}; record into a fresh store"
+            )
         if not hasattr(local, "session"):
             local.session = requests.Session()
         record = sample_once(
-            question_id,
-            prompt_text,
-            fmt,
-            round_idx,
-            endpoint,
-            seed=derive_seed(base_seed, question_id, round_idx),
-            session=local.session,
+            question_id, prompt_text, fmt, round_idx, endpoint, seed=seed, session=local.session
         )
         if store is not None:
             store.append(record)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -48,16 +47,9 @@ class Sample:
             raise InvalidSampleError(f"round must be a positive integer, got {self.round!r}")
 
 
-class KPolicy(Enum):
-    """How the candidate count K is determined."""
-
-    FIXED_K = "fixed"
-    OBSERVED_PLUS_VIRTUAL = "observed+virtual"
-
-
 @dataclass(frozen=True)
 class CandidateSet:
-    """Ordered distinct answer labels plus the policy fixing the count K.
+    """Ordered distinct answer labels plus the rule fixing the count K.
 
     With ``fixed_k`` set, K is the given constant (multiple-choice style) and
     may exceed the number of labels seen so far; the unnamed remainder shares
@@ -80,10 +72,6 @@ class CandidateSet:
             )
 
     @property
-    def policy(self) -> KPolicy:
-        return KPolicy.FIXED_K if self.fixed_k is not None else KPolicy.OBSERVED_PLUS_VIRTUAL
-
-    @property
     def effective_k(self) -> int:
         if self.fixed_k is not None:
             return self.fixed_k
@@ -102,34 +90,9 @@ class CandidateSet:
         return cls(labels=tuple(labels), fixed_k=fixed_k)
 
 
-@dataclass(frozen=True)
-class PosteriorVector:
-    """Normalized posterior mass over candidate answers.
-
-    ``virtual_mass`` is the combined mass of candidates that exist for
-    normalization but carry no label: the single virtual candidate under the
-    observed+virtual policy, or the unnamed remainder when a fixed K exceeds
-    the number of named labels.  It is 0.0 when every candidate is named.
-    """
-
-    labels: tuple[Label, ...]
-    masses: dict[Label, float]
-    log_unnormalized: dict[Label, float]
-    virtual_mass: float = 0.0
-    reserve_log_unnormalized: Optional[float] = None
-    log_normalizer: float = 0.0
-
-    def top(self) -> tuple[Label, float]:
-        return top(self)
-
-    def top_log_mass(self) -> float:
-        """log of the top candidate's mass, computed so it is exactly < 0
-        whenever any competing mass is positive (robust at thresholds near 1)."""
-        return _top_log_mass(self.log_unnormalized, self.reserve_log_unnormalized)
-
-
 class RunningPosterior:
-    """Sufficient statistics of a sample stream, updated in O(1) per sample.
+    """The posterior over candidate answers, kept as the sufficient statistics
+    of a sample stream and updated in O(1) per sample.
 
     Per label it keeps the count n_L, S_L = sum of log C and A_L = sum of
     log(1 - C) over the label's samples; globally the count n and
@@ -209,27 +172,79 @@ class RunningPosterior:
         return _argmax(self.log_scores())
 
     def top_log_mass(self) -> float:
-        """log of the top label's posterior mass; see ``PosteriorVector.top_log_mass``."""
-        return _top_log_mass(self.log_scores(), self.reserve_log_score())
+        """log of the top label's posterior mass.
 
-    def posterior(self) -> "PosteriorVector":
-        """The normalized posterior over the candidates named so far."""
+        It is computed as -log1p(sum of the other masses relative to the top
+        one), so it is exactly < 0 whenever any competing mass is positive and
+        a threshold of 1.0 stays unreachable (robust at thresholds near 1).
+        """
+        scores = self.log_scores()
+        best = _argmax(scores)
+        top_log = scores[best]
+        tail = math.fsum(math.exp(v - top_log) for label, v in scores.items() if label != best)
+        reserve_log = self.reserve_log_score()
+        if reserve_log is not None:
+            tail += math.exp(reserve_log - top_log)
+        return -math.log1p(tail)
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        """The named candidates, in first-seen order."""
+        return tuple(self.counts)
+
+    @property
+    def masses(self) -> dict[Label, float]:
+        """Normalized posterior mass of every named candidate, in first-seen order."""
+        scores, _, log_z = self._normalized()
+        return {label: math.exp(v - log_z) for label, v in scores.items()}
+
+    @property
+    def virtual_mass(self) -> float:
+        """Combined mass of the candidates that carry no label.
+
+        That is the single virtual candidate under the observed+virtual
+        policy, or the unnamed remainder when a fixed K exceeds the named
+        labels; 0.0 when every candidate is named.
+        """
+        _, reserve_log, log_z = self._normalized()
+        return 0.0 if reserve_log is None else math.exp(reserve_log - log_z)
+
+    def top(self) -> tuple[Label, float]:
+        """(named candidate with maximal mass, its mass); ties go to the earliest.
+
+        The virtual reserve is never returned, even when it outweighs every
+        named candidate.  Selection compares unnormalized log scores, which
+        order the masses monotonically.
+        """
+        scores, _, log_z = self._normalized()
+        best = _argmax(scores)
+        return best, math.exp(scores[best] - log_z)
+
+    def _normalized(self) -> tuple[dict[Label, float], Optional[float], float]:
+        """(log scores, reserve log score, log normalizer) via a max-shifted log-sum-exp."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
-        log_unnormalized = self.log_scores()
+        scores = self.log_scores()
         reserve_log = self.reserve_log_score()
-        entries = list(log_unnormalized.values())
+        entries = list(scores.values())
         if reserve_log is not None:
             entries.append(reserve_log)
-        log_z = _logsumexp(entries)
-        return PosteriorVector(
-            labels=tuple(log_unnormalized),
-            masses={label: math.exp(v - log_z) for label, v in log_unnormalized.items()},
-            log_unnormalized=log_unnormalized,
-            virtual_mass=math.exp(reserve_log - log_z) if reserve_log is not None else 0.0,
-            reserve_log_unnormalized=reserve_log,
-            log_normalizer=log_z,
+        return scores, reserve_log, _logsumexp(entries)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal statistics: the same K rule, samples folded in the same order."""
+        if not isinstance(other, RunningPosterior):
+            return NotImplemented
+        return (
+            self.fixed_k == other.fixed_k
+            and self.n == other.n
+            and self.sum_log_miss == other.sum_log_miss
+            and list(self.counts.items()) == list(other.counts.items())
+            and self._sum_log_hit == other._sum_log_hit
+            and self._sum_log_miss == other._sum_log_miss
         )
+
+    __hash__ = None  # mutable
 
 
 def log_likelihood(sample: Sample, hypothesis_matches: bool, effective_k: int) -> float:
@@ -264,7 +279,7 @@ def llr_increment(
     )
 
 
-def score(samples: Sequence[Sample], candidates: CandidateSet) -> PosteriorVector:
+def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosterior:
     """Posterior over candidates given all samples, via log-space products.
 
     The batch form of ``RunningPosterior``: for each candidate the
@@ -283,18 +298,7 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> PosteriorVecto
                 f"sample label {sample.label!r} is not in the fixed candidate set"
             )
         running.add(sample.label, sample.confidence)
-    return running.posterior()
-
-
-def top(posterior: PosteriorVector) -> tuple[Label, float]:
-    """The named candidate with maximal mass; ties go to the earliest-inserted label.
-
-    The virtual reserve is never returned, even when it outweighs every named
-    candidate.  Selection compares unnormalized log scores, which order the
-    masses monotonically.
-    """
-    best = _argmax(posterior.log_unnormalized)
-    return best, posterior.masses[best]
+    return running
 
 
 def _argmax(scores: dict[Label, float]) -> Label:
@@ -302,17 +306,6 @@ def _argmax(scores: dict[Label, float]) -> Label:
     if not scores:
         raise EmptySamplesError("posterior has no real candidates")
     return max(scores, key=scores.__getitem__)
-
-
-def _top_log_mass(scores: dict[Label, float], reserve_log: Optional[float]) -> float:
-    """log of the top label's mass, computed as -log1p(sum of the other masses
-    relative to it) so it is exactly < 0 whenever any competing mass is positive."""
-    best = _argmax(scores)
-    top_log = scores[best]
-    tail = math.fsum(math.exp(v - top_log) for label, v in scores.items() if label != best)
-    if reserve_log is not None:
-        tail += math.exp(reserve_log - top_log)
-    return -math.log1p(tail)
 
 
 def _check_confidence(confidence: float) -> None:

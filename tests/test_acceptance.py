@@ -49,7 +49,7 @@ from cges.llmclient import (
     live_sampler,
     replay_sampler,
 )
-from cges.posterior import CandidateSet, Sample, score, top
+from cges.posterior import CandidateSet, Sample, score
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONF_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -350,7 +350,7 @@ def test_criterion_6_controller_laws(tmp_path):
         for qid, stream in streams.items():
             assert full.per_question_calls[qid] == budget
             samples = [Sample(lab, conf, t + 1) for t, (lab, conf) in enumerate(stream)]
-            reference = top(score(samples, CandidateSet.from_samples(samples)))[0]
+            reference = score(samples, CandidateSet.from_samples(samples)).top()[0]
             assert full.predictions[qid] == reference
 
         # SC uses exactly the budget
@@ -443,7 +443,9 @@ def test_criterion_8_replay_determinism(tmp_path):
     def body():
         _StubHandler.answers = {"alpha": "11", "beta": "22", "gamma": "33"}
         server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         try:
             endpoint = EndpointConfig(

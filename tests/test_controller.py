@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cges.controller import ControllerConfig, Method, majority_label, run
+from cges.controller import ControllerConfig, Method, run
 from cges.errors import ConfigurationError, SamplerError
-from cges.posterior import CandidateSet, Sample, score, top
+from cges.posterior import CandidateSet, Sample, score
 
 
 def stream_sampler(streams):
@@ -61,7 +61,7 @@ class TestCgesRun:
                 for t, (label, confidence) in enumerate(stream)
             ]
             full = score(samples, CandidateSet.from_samples(samples))
-            assert result.predictions[qid] == top(full)[0]
+            assert result.predictions[qid] == full.top()[0]
             assert result.per_question_calls[qid] == budget
 
     def test_mixed_resolution_average(self):
@@ -215,17 +215,6 @@ class TestEscRun:
             )
 
 
-class TestMajorityLabel:
-    def test_counts_and_tie_break(self):
-        assert majority_label(["x", "y", "y"]) == "y"
-        assert majority_label(["x", "y"]) == "x"
-        assert majority_label(["z"]) == "z"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            majority_label([])
-
-
 class TestRunDispatch:
     def test_dispatches_by_method(self):
         streams = {"q": [("a", 0.99)] * 4}
@@ -236,6 +225,19 @@ class TestRunDispatch:
         assert cges.per_question_calls["q"] == 1
         assert sc.per_question_calls["q"] == 4
         assert esc.per_question_calls["q"] == 2
+
+    def test_results_compare_by_their_posteriors(self):
+        rng = np.random.default_rng(17)
+        streams = random_streams(rng, 5, 6)
+        # one first-round confidence halved: SC still predicts and counts alike
+        changed = {qid: list(stream) for qid, stream in streams.items()}
+        label, confidence = changed["q0"][0]
+        changed["q0"][0] = (label, confidence / 2)
+        for method in Method:
+            config = ControllerConfig(method=method, budget=6, esc_window=2)
+            first = run(list(streams), stream_sampler(streams), config)
+            assert run(list(streams), stream_sampler(streams), config) == first
+            assert run(list(streams), stream_sampler(changed), config) != first
 
     def test_duplicate_question_ids_rejected(self):
         with pytest.raises(ConfigurationError):

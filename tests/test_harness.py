@@ -1,6 +1,7 @@
 """Tests for experiment orchestration and the command-line interface."""
 
 import csv
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,13 @@ from cges.harness import (
     write_comparison_csv,
     write_curve_csv,
 )
-from cges.llmclient import AnswerFormat, RecordStore, SampleRecord
+from cges.llmclient import (
+    AnswerFormat,
+    EndpointConfig,
+    RecordStore,
+    SampleRecord,
+    replay_sampler,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,7 +179,7 @@ class TestCompareMethods:
         assert single.rows[0].avg_calls == triple.rows[0].avg_calls
         assert single.rows[0].accuracy == triple.rows[0].accuracy
 
-    def test_seed_averages_are_arithmetic_means(self, tmp_path, monkeypatch):
+    def test_seed_averages_are_arithmetic_means(self, monkeypatch):
         import cges.harness as harness_module
 
         # seed-dependent sampler: question resolves after seed+1 rounds
@@ -183,18 +190,42 @@ class TestCompareMethods:
             return sample
 
         monkeypatch.setattr(harness_module, "_make_sampler", fake_make_sampler)
-        streams = {"q0": [("a", 0.9)]}
-        spec = spec_for(
-            tmp_path,
-            streams,
-            {"q0": "a"},
+        spec = ExperimentSpec(
+            questions=[Question("q0", "prompt q0", "a", AnswerFormat.BOXED_MATH)],
             methods=[ControllerConfig(method=Method.CGES, gamma=0.9, budget=8)],
             seeds=(0, 1, 2),
+            endpoint=EndpointConfig(base_url="http://127.0.0.1:9", model_name="never-called"),
         )
         row = compare_methods(spec).rows[0]
         # per-seed calls are 1, 2, 3 -> mean 2.0; all predictions correct
         assert row.avg_calls == pytest.approx(2.0)
         assert row.accuracy == 1.0
+
+    def test_replay_runs_once_whatever_the_seeds(self, tmp_path, monkeypatch):
+        import cges.harness as harness_module
+
+        served = Counter()
+
+        def counting_replay_sampler(store, estimator):
+            replay = replay_sampler(store, estimator)
+
+            def sample(qid, rnd):
+                served[qid, rnd] += 1
+                return replay(qid, rnd)
+
+            return sample
+
+        monkeypatch.setattr(harness_module, "replay_sampler", counting_replay_sampler)
+        streams = {"q0": [("a", 0.8), ("a", 0.85)], "q1": [("b", 0.6), ("c", 0.4)]}
+        methods = [
+            ControllerConfig(method=Method.SC, budget=2),
+            ControllerConfig(method=Method.CGES, gamma=0.95, budget=2),
+        ]
+        spec = spec_for(tmp_path, streams, {"q0": "a", "q1": "b"}, methods, seeds=(0, 1, 2))
+        report = compare_methods(spec)
+        # both methods draw every round of both questions, once each
+        assert served == {(qid, rnd): 2 for qid in streams for rnd in (1, 2)}
+        assert [row.avg_calls for row in report.rows] == [2.0, 2.0]
 
     def test_no_sc_row_leaves_deltas_unset(self, tmp_path):
         streams = {"q0": [("a", 0.9)]}

@@ -85,6 +85,28 @@ class TestExtractAnswer:
                     assert extract_answer(canonical(label), fmt) == label
 
 
+# brace-balanced text holding no nested \boxed opener
+BALANCED = st.recursive(
+    st.text(st.characters(blacklist_characters="{}")),
+    lambda inner: st.lists(inner | inner.map("{{{}}}".format), max_size=3).map("".join),
+    max_leaves=8,
+).filter(lambda text: "\\boxed" not in text)
+
+
+class TestExtractAnswerProperties:
+    @settings(deadline=None)
+    @given(st.text(), st.sampled_from(AnswerFormat))
+    def test_any_text_yields_a_non_empty_label(self, text, fmt):
+        label = extract_answer(text, fmt)
+        assert isinstance(label, str) and label
+
+    @settings(deadline=None)
+    @given(BALANCED.filter(str.split))
+    def test_boxed_content_round_trips_whitespace_normalized(self, content):
+        text = rf"\boxed{{{content}}}"
+        assert extract_answer(text, AnswerFormat.BOXED_MATH) == " ".join(content.split())
+
+
 class TestRenderPrompt:
     def test_math_instruction(self):
         prompt = render_prompt("Compute 2+2.", AnswerFormat.BOXED_MATH)
@@ -141,7 +163,9 @@ class TestSampleRecord:
             extracted_label=st.text(min_size=1),
             token_probs=st.none() | st.lists(st.floats(allow_nan=False)).map(tuple),
             step_importance=st.none() | st.lists(st.floats(allow_nan=False)).map(tuple),
-            confidence_by_estimator=st.dictionaries(st.text(), st.floats(allow_nan=False)),
+            confidence_by_estimator=st.dictionaries(
+                st.text(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+            ),
             seed=st.integers(),
             timestamp=st.text(),
         )
@@ -240,6 +264,29 @@ class TestRecordStore:
             with pytest.raises(CGESError, match="store.jsonl:2"):
                 mode(path)
 
+    @pytest.mark.parametrize("confidence", ["NaN", "0.0", "1.0", "-0.1"])
+    def test_confidence_outside_the_open_interval_names_path_and_line(
+        self, tmp_path, confidence
+    ):
+        line = make_record(round_idx=2).to_json_line().replace("0.85", confidence)
+        path = tmp_path / "store.jsonl"
+        path.write_text(make_record().to_json_line() + "\n" + line + "\n")
+        for mode in (RecordStore.open_record, RecordStore.open_replay):
+            with pytest.raises(ConfigurationError, match="store.jsonl:2: .*lns_arith"):
+                mode(path)
+
+    def test_cli_replay_exits_on_out_of_range_confidence(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        store.write_text(make_record().to_json_line().replace("0.85", "NaN") + "\n")
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "q0", "prompt": "p", "gold": "42", "format": "boxed_math"})
+            + "\n"
+        )
+        argv = ["replay", "--dataset", str(dataset), "--replay", str(store)]
+        assert main([*argv, "--budget", "1", "--out", str(tmp_path / "out.csv")]) == 1
+        assert "store.jsonl:1" in capsys.readouterr().err
+
     def test_non_object_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "store.jsonl"
         path.write_text("[1, 2]\n")
@@ -333,7 +380,9 @@ def make_stub_handler(state):
 def stub_server():
     state = StubState()
     server = ThreadingHTTPServer(("127.0.0.1", 0), make_stub_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}", state
@@ -452,6 +501,32 @@ class TestLiveSampler:
         assert len(state.requests) == requests_before  # no new network calls
         assert second("q0", 3)  # beyond the recorded rounds it samples live
         assert len(state.requests) == requests_before + 1
+
+    @pytest.mark.parametrize(
+        "foreign, message",
+        [
+            (dict(seed=derive_seed(1, "q0", 1)), "has seed"),
+            (
+                dict(prompt=render_prompt("What is 40+3?", AnswerFormat.BOXED_MATH)),
+                "has a different prompt",
+            ),
+        ],
+        ids=["seed", "prompt"],
+    )
+    def test_foreign_record_is_refused(self, stub_server, tmp_path, foreign, message):
+        base_url, state = stub_server
+        prompts = {"q0": ("What is 40+2?", AnswerFormat.BOXED_MATH)}
+        fields = dict(
+            seed=derive_seed(0, "q0", 1),
+            prompt=render_prompt("What is 40+2?", AnswerFormat.BOXED_MATH),
+        )
+        fields.update(foreign)
+        store = RecordStore.open_record(tmp_path / "store.jsonl")
+        store.append(make_record(**fields))
+        sampler = live_sampler(endpoint_for(base_url), prompts, store=store, base_seed=0)
+        with pytest.raises(ConfigurationError, match=rf"store.jsonl: .*'q0' round 1 {message}"):
+            sampler("q0", 1)
+        assert state.requests == []
 
     def test_recording_requires_record_mode(self, stub_server, tmp_path):
         base_url, _ = stub_server

@@ -23,13 +23,11 @@ from cges.genmodel import (
 )
 from cges.posterior import (
     CandidateSet,
-    KPolicy,
     RunningPosterior,
     Sample,
     llr_increment,
     log_likelihood,
     score,
-    top,
 )
 
 
@@ -92,7 +90,6 @@ class TestLlrIncrement:
 class TestCandidateSet:
     def test_observed_plus_virtual_counts_one_reserve(self):
         candidates = CandidateSet.from_samples([Sample("x", 0.5), Sample("y", 0.5)])
-        assert candidates.policy is KPolicy.OBSERVED_PLUS_VIRTUAL
         assert candidates.effective_k == 3
 
     def test_first_seen_order_preserved(self):
@@ -147,7 +144,7 @@ class TestScoreExamples:
         assert posterior.masses["a1"] == pytest.approx(expected[0], rel=1e-12)
         assert posterior.masses["a2"] == pytest.approx(expected[1], rel=1e-12)
         assert posterior.masses["a3"] == pytest.approx(expected[2], rel=1e-12)
-        label, mass = top(posterior)
+        label, mass = posterior.top()
         assert label == "a1"
         assert mass == pytest.approx(0.144 / 0.154, rel=1e-12)
 
@@ -184,19 +181,19 @@ class TestTop:
         samples = [Sample("a1", 0.6, 1), Sample("a2", 0.6, 2)]
         posterior = score(samples, CandidateSet(("a1", "a2"), fixed_k=2))
         assert posterior.masses["a1"] == pytest.approx(posterior.masses["a2"], rel=1e-12)
-        assert top(posterior)[0] == "a1"
+        assert posterior.top()[0] == "a1"
 
     def test_virtual_candidate_never_predicted(self):
         samples = [Sample("a1", 0.4)]
         posterior = score(samples, CandidateSet.from_samples(samples))
         assert posterior.virtual_mass > posterior.masses["a1"]
-        assert top(posterior) == ("a1", pytest.approx(0.4, rel=1e-12))
+        assert posterior.top() == ("a1", pytest.approx(0.4, rel=1e-12))
 
     def test_top_log_mass_matches_log_of_top_mass(self):
         samples = [Sample("a1", 0.9, 1), Sample("a2", 0.2, 2)]
         posterior = score(samples, CandidateSet.from_samples(samples))
         assert posterior.top_log_mass() == pytest.approx(
-            math.log(top(posterior)[1]), abs=1e-12
+            math.log(posterior.top()[1]), abs=1e-12
         )
 
     def test_top_log_mass_stays_negative_when_linear_mass_saturates(self):
@@ -204,7 +201,7 @@ class TestTop:
         # 1.0 in linear space; the log margin still resolves the gap
         samples = [Sample("a1", 1.0 - 1e-6, t + 1) for t in range(16)]
         posterior = score(samples, CandidateSet.from_samples(samples))
-        assert top(posterior)[1] == 1.0  # linear space saturates
+        assert posterior.top()[1] == 1.0  # linear space saturates
         assert posterior.top_log_mass() < 0.0
 
 
@@ -307,9 +304,9 @@ class TestScoreProperties:
         direct = 0.01**400
         assert direct == 0.0
         posterior = score(samples, CandidateSet(("a", "b"), fixed_k=2))
-        assert math.isfinite(posterior.log_unnormalized["a"])
+        assert math.isfinite(posterior.log_scores()["a"])
         assert abs(sum(posterior.masses.values()) - 1.0) < 1e-9
-        assert top(posterior)[0] == "b"  # 0.01 << 1/2 is evidence against "a"
+        assert posterior.top()[0] == "b"  # 0.01 << 1/2 is evidence against "a"
 
     def test_matches_direct_product_oracle(self):
         rng = np.random.default_rng(23)
@@ -360,12 +357,12 @@ def assert_close(got, want, rel=1e-12):
 class TestRunningPosterior:
     def check_against_naive(self, running, stream, named, k):
         masses, virtual, best, top_log = naive_posterior(stream, named, k)
-        posterior = running.posterior()
+        posterior = running
         assert posterior.labels == tuple(named)
         for label in named:
             assert_close(posterior.masses[label], masses[label])
         assert_close(posterior.virtual_mass, virtual)
-        assert running.top_label() == best == top(posterior)[0]
+        assert running.top_label() == best == posterior.top()[0]
         assert_close(running.top_log_mass(), top_log)
         assert running.top_log_mass() == posterior.top_log_mass()
 
@@ -419,7 +416,7 @@ class TestRunningPosterior:
             scores = running.log_scores()
             assert scores["a"] == scores["b"]
             assert running.top_label() == "b"
-            assert top(running.posterior())[0] == "b"
+            assert running.top()[0] == "b"
 
     def test_fixed_k_overflow_rejected(self):
         running = RunningPosterior(fixed_k=2)
@@ -436,11 +433,13 @@ class TestRunningPosterior:
             running = RunningPosterior()
             for sample in samples:
                 running.add(sample.label, sample.confidence)
-            assert running.posterior() == score(samples, CandidateSet.from_samples(samples))
+            assert running == score(samples, CandidateSet.from_samples(samples))
 
     def test_posterior_needs_a_sample(self):
         with pytest.raises(EmptySamplesError):
-            RunningPosterior().posterior()
+            RunningPosterior().masses
+        with pytest.raises(EmptySamplesError):
+            RunningPosterior(fixed_k=3, labels=("x",)).top()
 
     def test_simulator_log_scores_share_the_formula(self):
         # the simulator's numpy cumsum and the running sums score alike under fixed K
