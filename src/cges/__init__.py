@@ -7,10 +7,8 @@ concentration behaviour, and a record/replay endpoint client.
 """
 
 from .confidence import (
-    ConfidenceConfig,
     Estimator,
     TokenizedResponse,
-    estimate,
     lns_arithmetic,
     lns_geometric,
     mars_step_weights,

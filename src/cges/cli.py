@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -51,7 +52,12 @@ def _parse_float_list(text: str) -> list[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cges", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no flag prefixes: `sweep --gamma` must fail, not bind to `--gamma-grid`
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     sim = sub.add_parser("simulate", help="generator concentration experiments")
     sim.add_argument("--mode", choices=["ideal", "realistic"], default="ideal")
@@ -72,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("run", help="compare methods over a dataset")
     _add_source_flags(cmp_)
+    cmp_.add_argument("--gamma", type=float, default=0.9)
+    cmp_.add_argument("--window", type=int, default=4)
     cmp_.add_argument(
         "--method",
         action="append",
@@ -112,10 +120,10 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--replay", type=Path, help="replay store path")
     source.add_argument("--endpoint-config", type=Path, help="endpoint JSON config")
-    parser.add_argument("--record", type=Path, help="record live samples to this store")
-    parser.add_argument("--gamma", type=float, default=0.9)
+    parser.add_argument(
+        "--record", type=Path, help="record live samples to this store; needs --endpoint-config"
+    )
     parser.add_argument("--budget", type=int, default=16)
-    parser.add_argument("--window", type=int, default=4)
     parser.add_argument("--estimator", choices=sorted(ESTIMATOR_FLAGS), default="lns-arith")
     parser.add_argument("--k-policy", type=_parse_k_policy, default=None)
     parser.add_argument(
@@ -128,6 +136,10 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> harness.ExperimentSpec:
+    if args.replay is not None and args.record is not None:
+        raise ConfigurationError(
+            "--record captures live samples and cannot be combined with --replay"
+        )
     questions = harness.load_dataset(args.dataset)
     store = endpoint = record_store = None
     if args.replay is not None:
@@ -239,11 +251,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = _method_config("cges", args)
+    base = ControllerConfig(
+        method=Method.CGES,
+        budget=args.budget,
+        fixed_k=args.k_policy,
+        max_parallel=args.max_parallel,
+    )
     spec = _build_spec(args, [base])
     if not args.gamma_grid:
         print("warning: empty gamma grid, emitting an empty curve", file=sys.stderr)
-    curve = harness.sweep_gamma(spec, base)
+    curve = harness.sweep_gamma(spec)
     harness.write_curve_csv(curve, args.out)
     for point in curve:
         print(f"gamma={point.gamma:<8g} avg_calls={point.avg_calls:.3f} accuracy={point.accuracy:.4f}")

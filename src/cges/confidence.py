@@ -27,20 +27,6 @@ class Estimator(Enum):
 
 
 @dataclass(frozen=True)
-class ConfidenceConfig:
-    estimator: Estimator = Estimator.LNS_ARITHMETIC
-    clamp_epsilon: float = DEFAULT_CLAMP_EPSILON
-    # restrict probability-based estimators to the answer span when one is known
-    answer_span_only: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.clamp_epsilon < 0.5:
-            raise ConfigurationError(
-                f"clamp epsilon must lie in (0, 0.5), got {self.clamp_epsilon!r}"
-            )
-
-
-@dataclass(frozen=True)
 class TokenizedResponse:
     """Per-token generation probabilities with optional step structure.
 
@@ -52,7 +38,6 @@ class TokenizedResponse:
     token_probs: tuple[float, ...]
     step_boundaries: Optional[tuple[tuple[int, int], ...]] = None
     step_importance: Optional[tuple[float, ...]] = None
-    answer_span: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if len(self.token_probs) == 0:
@@ -83,10 +68,6 @@ class TokenizedResponse:
             for u in self.step_importance:
                 if not (math.isfinite(u) and u >= 0.0):
                     raise ValueError(f"importance scores must be finite and >= 0, got {u!r}")
-        if self.answer_span is not None:
-            start, stop = self.answer_span
-            if not 0 <= start < stop <= length:
-                raise ValueError(f"answer span {self.answer_span!r} is out of range")
 
     @property
     def steps(self) -> tuple[tuple[int, int], ...]:
@@ -99,7 +80,6 @@ class TokenizedResponse:
         cls,
         step_probs: Sequence[Sequence[float]],
         step_importance: Optional[Sequence[float]] = None,
-        answer_span: Optional[tuple[int, int]] = None,
     ) -> "TokenizedResponse":
         """Build a response from per-step token probability lists."""
         flat: list[float] = []
@@ -112,56 +92,26 @@ class TokenizedResponse:
             token_probs=tuple(flat),
             step_boundaries=tuple(boundaries),
             step_importance=tuple(step_importance) if step_importance is not None else None,
-            answer_span=answer_span,
-        )
-
-    def restrict_to_answer_span(self) -> "TokenizedResponse":
-        """Slice the response down to its answer span (no-op when unset).
-
-        Steps are intersected with the span and empty ones dropped, along with
-        their importance scores.
-        """
-        if self.answer_span is None:
-            return self
-        lo, hi = self.answer_span
-        boundaries: list[tuple[int, int]] = []
-        kept: list[int] = []
-        for idx, (start, stop) in enumerate(self.steps):
-            start, stop = max(start, lo), min(stop, hi)
-            if start < stop:
-                boundaries.append((start - lo, stop - lo))
-                kept.append(idx)
-        importance = None
-        if self.step_importance is not None:
-            importance = tuple(self.step_importance[i] for i in kept)
-        return TokenizedResponse(
-            token_probs=self.token_probs[lo:hi],
-            step_boundaries=tuple(boundaries),
-            step_importance=importance,
         )
 
 
-def clamp(value: float, epsilon: float = DEFAULT_CLAMP_EPSILON) -> float:
-    """Clamp into [epsilon, 1 - epsilon]."""
-    return min(max(value, epsilon), 1.0 - epsilon)
+def clamp(value: float) -> float:
+    """Clamp into [DEFAULT_CLAMP_EPSILON, 1 - DEFAULT_CLAMP_EPSILON]."""
+    return min(max(value, DEFAULT_CLAMP_EPSILON), 1.0 - DEFAULT_CLAMP_EPSILON)
 
 
-def lns_geometric(
-    response: TokenizedResponse, clamp_epsilon: float = DEFAULT_CLAMP_EPSILON
-) -> float:
+def lns_geometric(response: TokenizedResponse) -> float:
     """Geometric mean of the token probabilities (length-normalized score)."""
     mean_log = math.fsum(math.log(p) for p in response.token_probs) / len(
         response.token_probs
     )
-    return clamp(math.exp(mean_log), clamp_epsilon)
+    return clamp(math.exp(mean_log))
 
 
-def lns_arithmetic(
-    response: TokenizedResponse, clamp_epsilon: float = DEFAULT_CLAMP_EPSILON
-) -> float:
+def lns_arithmetic(response: TokenizedResponse) -> float:
     """Arithmetic mean of the token probabilities."""
     mean = math.fsum(response.token_probs) / len(response.token_probs)
-    return clamp(mean, clamp_epsilon)
+    return clamp(mean)
 
 
 def mars_step_weights(step_importance: Sequence[float]) -> tuple[float, ...]:
@@ -184,9 +134,7 @@ def mars_step_weights(step_importance: Sequence[float]) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def mars_stepwise(
-    response: TokenizedResponse, clamp_epsilon: float = DEFAULT_CLAMP_EPSILON
-) -> float:
+def mars_stepwise(response: TokenizedResponse) -> float:
     """Importance-weighted geometric mean over reasoning steps.
 
     Each step's probability is the geometric mean of its token probabilities;
@@ -204,36 +152,11 @@ def mars_stepwise(
             math.log(p) for p in response.token_probs[start:stop]
         ) / (stop - start)
         log_score += weight * step_log
-    return clamp(math.exp(log_score), clamp_epsilon)
+    return clamp(math.exp(log_score))
 
 
-def reward_passthrough(
-    score: float, clamp_epsilon: float = DEFAULT_CLAMP_EPSILON
-) -> float:
+def reward_passthrough(score: float) -> float:
     """Use an external reward-model score directly as the confidence."""
     if not math.isfinite(score):
         raise InvalidScoreError(f"reward score must be finite, got {score!r}")
-    return clamp(score, clamp_epsilon)
-
-
-def estimate(
-    config: ConfidenceConfig,
-    response: Optional[TokenizedResponse] = None,
-    reward_score: Optional[float] = None,
-) -> float:
-    """Dispatch to the configured estimator."""
-    if config.estimator is Estimator.REWARD_PASSTHROUGH:
-        if reward_score is None:
-            raise ConfigurationError("reward passthrough needs a reward score")
-        return reward_passthrough(reward_score, config.clamp_epsilon)
-    if response is None:
-        raise ConfigurationError(
-            f"estimator {config.estimator.value} needs a tokenized response"
-        )
-    if config.answer_span_only:
-        response = response.restrict_to_answer_span()
-    if config.estimator is Estimator.LNS_GEOMETRIC:
-        return lns_geometric(response, config.clamp_epsilon)
-    if config.estimator is Estimator.LNS_ARITHMETIC:
-        return lns_arithmetic(response, config.clamp_epsilon)
-    return mars_stepwise(response, config.clamp_epsilon)
+    return clamp(score)

@@ -10,7 +10,6 @@ plain-text summary.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
@@ -28,8 +27,6 @@ from .llmclient import (
     replay_sampler,
 )
 
-logger = logging.getLogger(__name__)
-
 # stopping-threshold grid swept by default, ascending
 DEFAULT_GAMMA_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99, 0.999, 0.9999)
 DEFAULT_SEEDS = (0, 1, 2)
@@ -43,20 +40,36 @@ class Question:
     format: AnswerFormat
 
 
+def _label_field(raw: dict, key: str) -> str:
+    """A string or number field as text; null, booleans, lists and objects fail."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"{key!r} must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def load_dataset(path: Union[str, Path]) -> list[Question]:
     questions: list[Question] = []
+    first_line: dict[str, int] = {}
     for line_no, raw in read_jsonl(path):
         try:
-            questions.append(
-                Question(
-                    question_id=str(raw["id"]),
-                    prompt=raw["prompt"],
-                    gold=str(raw["gold"]),
-                    format=AnswerFormat(raw["format"]),
-                )
+            question = Question(
+                question_id=_label_field(raw, "id"),
+                prompt=raw["prompt"],
+                gold=_label_field(raw, "gold"),
+                format=AnswerFormat(raw["format"]),
             )
+            if not isinstance(question.prompt, str):
+                raise TypeError(f"'prompt' must be a string, got {question.prompt!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}:{line_no}: bad question record: {exc}") from exc
+        qid = question.question_id
+        if qid in first_line:
+            raise ConfigurationError(
+                f"{path}:{line_no}: question id {qid!r} already appears on line {first_line[qid]}"
+            )
+        first_line[qid] = line_no
+        questions.append(question)
     if not questions:
         raise ConfigurationError(f"dataset {path} holds no questions")
     return questions
@@ -215,19 +228,15 @@ def compare_methods(spec: ExperimentSpec) -> ComparisonReport:
     return ComparisonReport(rows=tuple(rows))
 
 
-def sweep_gamma(
-    spec: ExperimentSpec, base: Optional[ControllerConfig] = None
-) -> tuple[CurvePoint, ...]:
-    """One seed-averaged curve point per grid threshold, in grid order."""
+def sweep_gamma(spec: ExperimentSpec) -> tuple[CurvePoint, ...]:
+    """One seed-averaged curve point per grid threshold, in grid order.
+
+    Every point reruns the first CGES configuration in ``spec.methods`` with
+    its threshold replaced by the grid value.
+    """
+    base = next((config for config in spec.methods if config.method is Method.CGES), None)
     if base is None:
-        base = next(
-            (config for config in spec.methods if config.method is Method.CGES), None
-        )
-    if base is None or base.method is not Method.CGES:
         raise ConfigurationError("gamma sweep needs a CGES method configuration")
-    if not spec.gamma_grid:
-        logger.warning("gamma grid is empty; emitting an empty curve")
-        return ()
     points = []
     for gamma in spec.gamma_grid:
         calls, acc = run_method(spec, replace(base, gamma=gamma))

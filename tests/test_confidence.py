@@ -7,11 +7,8 @@ import pytest
 
 from cges.confidence import (
     DEFAULT_CLAMP_EPSILON,
-    ConfidenceConfig,
-    Estimator,
     TokenizedResponse,
     clamp,
-    estimate,
     lns_arithmetic,
     lns_geometric,
     mars_step_weights,
@@ -170,41 +167,9 @@ class TestTokenizedResponse:
                 (0.5, 0.5), step_boundaries=((0, 1), (1, 2)), step_importance=(1.0,)
             )
 
-    def test_answer_span_restriction(self):
-        response = TokenizedResponse.from_steps(
-            [[0.9, 0.8], [0.4, 0.3], [0.6]],
-            step_importance=[1.0, 2.0, 3.0],
-            answer_span=(2, 5),
-        )
-        restricted = response.restrict_to_answer_span()
-        assert restricted.token_probs == (0.4, 0.3, 0.6)
-        assert restricted.step_boundaries == ((0, 2), (2, 3))
-        assert restricted.step_importance == (2.0, 3.0)
 
-    def test_estimate_honours_answer_span_flag(self):
-        response = TokenizedResponse((0.9, 0.9, 0.4), answer_span=(2, 3))
-        config = ConfidenceConfig(estimator=Estimator.LNS_ARITHMETIC, answer_span_only=True)
-        assert estimate(config, response) == pytest.approx(0.4, rel=1e-12)
-        full = ConfidenceConfig(estimator=Estimator.LNS_ARITHMETIC)
-        assert estimate(full, response) == pytest.approx((0.9 + 0.9 + 0.4) / 3, rel=1e-12)
-
-
-class TestEstimateDispatch:
-    def test_reward_route(self):
-        config = ConfidenceConfig(estimator=Estimator.REWARD_PASSTHROUGH)
-        assert estimate(config, reward_score=0.4) == 0.4
-        with pytest.raises(ConfigurationError):
-            estimate(config)
-
-    def test_probability_routes_need_a_response(self):
-        with pytest.raises(ConfigurationError):
-            estimate(ConfidenceConfig(estimator=Estimator.LNS_GEOMETRIC))
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConfidenceConfig(clamp_epsilon=0.5)
-
+class TestClamp:
     def test_clamp_helper(self):
         assert clamp(0.5) == 0.5
-        assert clamp(2.0, 0.01) == 0.99
-        assert clamp(-1.0, 0.01) == 0.01
+        assert clamp(2.0) == 1.0 - EPS
+        assert clamp(-1.0) == EPS

@@ -1,6 +1,7 @@
 """Tests for experiment orchestration and the command-line interface."""
 
 import csv
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -96,6 +97,64 @@ class TestLoadDataset:
         )
         with pytest.raises(ConfigurationError, match="torn.jsonl:2"):
             load_dataset(path)
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"id": "q1", "prompt": "p", "gold": "1", "format": "boxed_math"}\n'
+            "\n"
+            '{"id": "q1", "prompt": "r", "gold": "2", "format": "boxed_math"}\n'
+        )
+        with pytest.raises(ConfigurationError, match=r"dup\.jsonl:3: .*'q1'.* line 1"):
+            load_dataset(path)
+
+    def test_repeated_id_fails_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "dup.jsonl"
+        line = '{"id": "q1", "prompt": "p", "gold": "42", "format": "boxed_math"}\n'
+        path.write_text(line * 2)
+        code = main(
+            [
+                "replay",
+                "--dataset", str(path),
+                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--budget", "4",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "dup.jsonl:2" in err and "'q1'" in err and "line 1" in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"prompt": 5},
+            {"prompt": None},
+            {"id": None},
+            {"id": True},
+            {"id": ["q1"]},
+            {"id": {"q": 1}},
+            {"gold": None},
+            {"gold": False},
+            {"gold": [42]},
+            {"gold": {"v": 42}},
+        ],
+    )
+    def test_field_types_are_checked(self, tmp_path, fields):
+        record = {"id": "q1", "prompt": "p", "gold": "42", "format": "boxed_math"}
+        record.update(fields)
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (key,) = fields
+        with pytest.raises(ConfigurationError, match=rf"typed\.jsonl:1: .*'{key}'"):
+            load_dataset(path)
+
+    def test_numeric_id_and_gold_load_as_text(self, tmp_path):
+        path = tmp_path / "numeric.jsonl"
+        path.write_text('{"id": 7, "prompt": "p", "gold": 42, "format": "boxed_math"}\n')
+        (question,) = load_dataset(path)
+        assert (question.question_id, question.gold) == ("7", "42")
 
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -457,7 +516,7 @@ class TestCli:
         calls = [float(row["avg_calls"]) for row in rows]
         assert calls == sorted(calls)
 
-    def test_sweep_command_empty_grid(self, tmp_path, capsys):
+    def test_sweep_command_empty_grid(self, tmp_path, capsys, caplog):
         out = tmp_path / "curve.csv"
         code = main(
             [
@@ -471,8 +530,52 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert "empty" in capsys.readouterr().err
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line for line in err_lines if "empty" in line] == [
+            "warning: empty gamma grid, emitting an empty curve"
+        ]
+        assert not [r for r in caplog.records if "empty" in r.getMessage()]
         assert out.read_bytes() == b"gamma,avg_calls,accuracy\r\n"
+
+    @pytest.mark.parametrize("flag", [["--gamma", "0.5"], ["--window", "3"]])
+    def test_sweep_command_rejects_ignored_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "sweep",
+                    "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+                    "--replay", str(FIXTURES / "mini_store.jsonl"),
+                    "--budget", "4",
+                    "--seeds", "0",
+                    *flag,
+                    "--out", str(out),
+                ]
+            )
+        assert exc.value.code != 0
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_record_beside_replay_is_rejected(self, tmp_path, capsys, command):
+        out, record = tmp_path / "out.csv", tmp_path / "record.jsonl"
+        code = main(
+            [
+                command,
+                "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--record", str(record),
+                "--budget", "4",
+                "--seeds", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--record" in err and "--replay" in err
+        assert not out.exists()
+        assert not record.exists()
 
     def test_replay_command_is_byte_stable(self, tmp_path):
         outs = []
@@ -527,7 +630,7 @@ class TestCli:
         write_comparison_csv(compare_methods(spec), second)
         assert first.read_bytes() == second.read_bytes()
 
-        curve = sweep_gamma(spec, ControllerConfig(method=Method.CGES, budget=2))
+        curve = sweep_gamma(spec)
         c1, c2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
         write_curve_csv(curve, c1)
         write_curve_csv(curve, c2)
