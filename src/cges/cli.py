@@ -288,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CGESError as exc:
+    except (CGESError, OSError) as exc:  # OSError: e.g. an unwritable --out path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

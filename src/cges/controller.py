@@ -118,23 +118,24 @@ def run(
     }
 
     active = qids
-    for round_idx in range(1, config.budget + 1):
-        if not active:
-            break
-        # one sampler call per active question, concurrently up to max_parallel;
-        # a sampler exception ends the run (HTTP retries live in the client)
-        if config.max_parallel > 1 and len(active) > 1:
-            with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
+    # one pool for the whole run; it starts no thread until the first map
+    with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
+        for round_idx in range(1, config.budget + 1):
+            if not active:
+                break
+            # one sampler call per active question, concurrently up to max_parallel;
+            # a sampler exception ends the run (HTTP retries live in the client)
+            if config.max_parallel > 1 and len(active) > 1:
                 draws = list(pool.map(sampler, active, repeat(round_idx)))
-        else:
-            draws = [sampler(qid, round_idx) for qid in active]
-        # applied in question order, so outcomes do not depend on scheduling
-        for qid, (label, confidence) in zip(active, draws):
-            states[qid].observe(label, confidence)
-        if stop is not None:
-            for qid in active:
-                states[qid].resolved = stop(states[qid], round_idx)
-            active = [qid for qid in active if not states[qid].resolved]
+            else:
+                draws = [sampler(qid, round_idx) for qid in active]
+            # applied in question order, so outcomes do not depend on scheduling
+            for qid, (label, confidence) in zip(active, draws):
+                states[qid].observe(label, confidence)
+            if stop is not None:
+                for qid in active:
+                    states[qid].resolved = stop(states[qid], round_idx)
+                active = [qid for qid in active if not states[qid].resolved]
 
     per_question_calls = {qid: state.calls for qid, state in states.items()}
     unresolved = () if stop is None else tuple(qid for qid in qids if not states[qid].resolved)

@@ -26,10 +26,6 @@ class EmptyResponseError(CGESError, ValueError):
     """A tokenized response carries no tokens."""
 
 
-class ContradictoryHypothesesError(CGESError, ValueError):
-    """A sample cannot match two distinct hypotheses at once."""
-
-
 class UnknownLabelError(CGESError, ValueError):
     """A sample label is missing from a fixed candidate set."""
 

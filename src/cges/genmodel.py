@@ -20,14 +20,12 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .posterior import Sample
 
 # keeps law draws inside (0, 1) so logs stay finite; interior laws are unaffected
 CONFIDENCE_FLOOR = 1e-12
@@ -205,11 +203,10 @@ GenConfig = Union[IdealGenConfig, RealisticGenConfig]
 
 @dataclass
 class TrialTrace:
-    """One simulated question: samples plus LLR and posterior trajectories.
+    """One simulated question: its draws plus LLR and posterior trajectories.
 
     ``responses[t]`` and ``confidences[t]`` are the answer index and the
-    confidence drawn at round t + 1; ``samples`` wraps them as ``Sample``
-    objects on first access.  ``llr_paths[j][t]`` is the cumulative
+    confidence drawn at round t + 1.  ``llr_paths[j][t]`` is the cumulative
     log-likelihood ratio between the true index and competitor j after t + 1
     rounds; ``posterior_path[t]`` is the normalized posterior row after t + 1
     rounds (fixed-K candidates are the integers 0..K-1).  The posterior ratio
@@ -224,19 +221,6 @@ class TrialTrace:
     llr_paths: dict[int, np.ndarray]
     posterior_path: np.ndarray
     log_score_path: np.ndarray
-
-    @cached_property
-    def samples(self) -> list[Sample]:
-        return [
-            Sample(label=label, confidence=confidence, round=t + 1)
-            for t, (label, confidence) in enumerate(
-                zip(self.responses.tolist(), self.confidences.tolist())
-            )
-        ]
-
-    @property
-    def final_posterior(self) -> np.ndarray:
-        return self.posterior_path[-1]
 
     @property
     def predicted_index(self) -> int:

@@ -181,7 +181,6 @@ class SampleRecord:
     raw_text: str
     extracted_label: str
     token_probs: Optional[tuple[float, ...]]
-    step_importance: Optional[tuple[float, ...]]
     confidence_by_estimator: dict[str, float]
     seed: int
     timestamp: str
@@ -193,9 +192,9 @@ class SampleRecord:
             raise InvalidSampleError("extracted_label must be non-empty (use the INVALID sentinel)")
         if type(self.round) is not int or self.round < 1:
             raise InvalidSampleError(f"round must be an integer >= 1, got {self.round!r}")
-        floats = [*(self.token_probs or ()), *(self.step_importance or ())]
-        if not {int, float}.issuperset(map(type, [*self.confidence_by_estimator.values(), *floats])):
-            raise InvalidSampleError("confidences, token_probs and step_importance must be numbers")
+        numbers = [*self.confidence_by_estimator.values(), *(self.token_probs or ())]
+        if not {int, float}.issuperset(map(type, numbers)):
+            raise InvalidSampleError("confidences and token_probs must be numbers")
         for name, confidence in self.confidence_by_estimator.items():
             if not 0.0 < confidence < 1.0:  # also False for NaN
                 raise InvalidSampleError(
@@ -209,12 +208,8 @@ class SampleRecord:
         return json.dumps(payload, ensure_ascii=False)
 
     @classmethod
-    def from_json_line(cls, line: str) -> "SampleRecord":
-        return cls.from_dict(json.loads(line))
-
-    @classmethod
     def from_dict(cls, raw: dict) -> "SampleRecord":
-        token_probs, step_importance = raw.get("token_probs"), raw.get("step_importance")
+        token_probs = raw.get("token_probs")
         return cls(
             question_id=raw["question_id"],
             round=raw["round"],
@@ -222,7 +217,6 @@ class SampleRecord:
             raw_text=raw.get("raw_text", ""),
             extracted_label=raw["extracted_label"],
             token_probs=None if token_probs is None else tuple(token_probs),
-            step_importance=None if step_importance is None else tuple(step_importance),
             confidence_by_estimator=dict(raw.get("confidence_by_estimator", {})),
             seed=raw.get("seed", 0),
             timestamp=raw.get("timestamp", ""),
@@ -233,9 +227,14 @@ def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
     """(line number, decoded value) for every non-blank line of a JSONL file.
 
     A line that is not valid UTF-8 JSON, such as a line torn by a crash
-    mid-append, raises ``ConfigurationError`` naming ``path:line``.
+    mid-append, raises ``ConfigurationError`` naming ``path:line``; a file
+    that cannot be opened raises it naming the path.
     """
-    with Path(path).open("rb") as handle:
+    try:
+        handle = Path(path).open("rb")
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    with handle:
         for line_no, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
@@ -408,7 +407,6 @@ def sample_once(
         raw_text=raw_text,
         extracted_label=extract_answer(raw_text, fmt),
         token_probs=token_probs,
-        step_importance=None,
         confidence_by_estimator=confidences,
         seed=seed,
         timestamp=datetime.now(timezone.utc).isoformat(),
@@ -501,11 +499,17 @@ def live_sampler(
     is served from the store instead of re-queried, so repeated runs (e.g.
     several methods compared in one session) draw from a single shared stream.
     A stored record made under another base seed or prompt raises
-    ``ConfigurationError`` naming the store and the key.
+    ``ConfigurationError`` naming the store and the key.  Only the estimators
+    ``sample_once`` computes are accepted, before any request is sent.
     """
     if store is not None and store.mode is not StoreMode.RECORD:
         raise ConfigurationError("live_sampler can only record into a record-mode store")
     key = _estimator_key(estimator)
+    served = (Estimator.LNS_ARITHMETIC.value, Estimator.LNS_GEOMETRIC.value)
+    if key not in served:
+        raise ConfigurationError(
+            f"a live endpoint serves only the {' and '.join(served)} confidences, not {key!r}"
+        )
     local = threading.local()  # sessions are not thread-safe; one per worker
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:

@@ -20,7 +20,6 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import (
     CandidateCountError,
-    ContradictoryHypothesesError,
     EmptySamplesError,
     InvalidSampleError,
     UnknownLabelError,
@@ -70,12 +69,6 @@ class CandidateSet:
             raise CandidateCountError(
                 "observed+virtual policy needs at least one observed label"
             )
-
-    @property
-    def effective_k(self) -> int:
-        if self.fixed_k is not None:
-            return self.fixed_k
-        return len(self.labels) + 1
 
     @classmethod
     def from_samples(
@@ -245,38 +238,6 @@ class RunningPosterior:
         )
 
     __hash__ = None  # mutable
-
-
-def log_likelihood(sample: Sample, hypothesis_matches: bool, effective_k: int) -> float:
-    """Log-likelihood of one sample under a single hypothesis.
-
-    Returns log C when the hypothesised answer equals the sample's label and
-    log((1 - C) / (K - 1)) otherwise.
-    """
-    if effective_k < 2:
-        raise CandidateCountError(
-            f"effective candidate count must be >= 2, got {effective_k}"
-        )
-    if hypothesis_matches:
-        return math.log(sample.confidence)
-    return math.log1p(-sample.confidence) - math.log(effective_k - 1)
-
-
-def llr_increment(
-    sample: Sample, i_matches: bool, k_matches: bool, effective_k: int
-) -> float:
-    """Log-likelihood ratio contribution of one sample between two hypotheses.
-
-    Positive values favour hypothesis i over hypothesis k; a sample matching
-    neither contributes exactly zero.
-    """
-    if i_matches and k_matches:
-        raise ContradictoryHypothesesError(
-            "a sample cannot match both hypotheses of a likelihood ratio"
-        )
-    return log_likelihood(sample, i_matches, effective_k) - log_likelihood(
-        sample, k_matches, effective_k
-    )
 
 
 def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosterior:

@@ -126,7 +126,6 @@ def build_replay_store(path, streams):
                     raw_text="",
                     extracted_label=label,
                     token_probs=None,
-                    step_importance=None,
                     confidence_by_estimator={"lns_arith": confidence},
                     seed=0,
                     timestamp="2026-08-01T00:00:00+00:00",

@@ -1,5 +1,7 @@
 """Tests for the adaptive controller and the fixed-budget baselines."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,18 @@ class TestCgesRun:
         second = run(list(streams), sampler, serial)
         third = run(list(streams), sampler, threaded)
         assert first == second == third
+
+    def test_one_pool_serves_every_round(self):
+        # a ThreadPoolExecutor names its threads "ThreadPoolExecutor-<pool>_<worker>"
+        pools = set()
+
+        def sampler(question_id, round_idx):
+            pools.add(threading.current_thread().name.rsplit("_", 1)[0])
+            return "a", 0.5
+
+        config = ControllerConfig(method=Method.SC, budget=5, max_parallel=2)
+        run(["q0", "q1", "q2"], sampler, config)
+        assert len(pools) == 1 and pools.pop().startswith("ThreadPoolExecutor-")
 
     def test_fixed_k_policy_reaches_threshold_faster(self):
         # under fixed K the reserve mass shrinks with K, not with observations

@@ -79,7 +79,8 @@ class TestSampleIdeal:
         a = sample_ideal(config, 50, np.random.default_rng(123))
         b = sample_ideal(config, 50, np.random.default_rng(123))
         assert a.true_index == b.true_index
-        assert a.samples == b.samples
+        assert np.array_equal(a.responses, b.responses)
+        assert np.array_equal(a.confidences, b.confidences)
         assert np.array_equal(a.posterior_path, b.posterior_path)
         for j in a.llr_paths:
             assert np.array_equal(a.llr_paths[j], b.llr_paths[j])
@@ -91,8 +92,8 @@ class TestSampleIdeal:
         hits = total = 0
         for _ in range(60):
             trace = sample_ideal(config, 100, rng)
-            hits += sum(s.label == trace.true_index for s in trace.samples)
-            total += len(trace.samples)
+            hits += int(np.sum(trace.responses == trace.true_index))
+            total += len(trace.responses)
         freq = hits / total
         # 6000 Bernoulli(0.7) draws: 5 sigma is ~0.030
         assert abs(freq - 0.7) < 0.03
@@ -144,8 +145,7 @@ class TestSampleRealistic:
         counts = np.zeros(3)
         for _ in range(40):
             trace = sample_realistic(config, 100, rng)
-            for sample in trace.samples:
-                counts[sample.label] += 1
+            counts += np.bincount(trace.responses, minlength=3)
         freqs = counts / counts.sum()
         assert np.allclose(freqs, [0.2, 0.5, 0.3], atol=0.03)
 
@@ -157,7 +157,7 @@ class TestSampleRealistic:
             k=2, answer_law=PointSimplex((0.6, 0.4)), confidence_noise=noise
         )
         trace = sample_realistic(config, 50, np.random.default_rng(5))
-        confidences = [s.confidence for s in trace.samples]
+        confidences = trace.confidences.tolist()
         assert all(0.0 < c < 1.0 for c in confidences)
         assert abs(np.mean(confidences) - 0.6) < 0.02
 

@@ -50,7 +50,6 @@ def build_store(tmp_path, streams, name="store.jsonl"):
                     raw_text="",
                     extracted_label=label,
                     token_probs=None,
-                    step_importance=None,
                     confidence_by_estimator={
                         "lns_arith": confidence,
                         "lns_geo": confidence,
@@ -612,6 +611,30 @@ class TestCli:
         )
         assert code == 1
         assert "no recorded sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["replay", "--dataset", "{tmp}/missing.jsonl", "--replay", "{store}",
+              "--budget", "4", "--out", "{tmp}/o.csv"], "{tmp}/missing.jsonl"),
+            (["replay", "--dataset", "{dataset}", "--replay", "{tmp}",
+              "--budget", "4", "--out", "{tmp}/o.csv"], "{tmp}"),
+            (["score", "--samples", "{tmp}/missing.jsonl"], "{tmp}/missing.jsonl"),
+            (["replay", "--dataset", "{dataset}", "--replay", "{store}",
+              "--budget", "4", "--out", "{tmp}/no_dir/o.csv"], "{tmp}/no_dir/o.csv"),
+        ],
+        ids=["missing-dataset", "store-is-a-directory", "missing-samples", "unwritable-out"],
+    )
+    def test_unreadable_paths_fail_closed(self, tmp_path, capsys, argv, named):
+        paths = dict(
+            tmp=tmp_path,
+            dataset=FIXTURES / "mini_dataset.jsonl",
+            store=FIXTURES / "mini_store.jsonl",
+        )
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        assert named.format(**paths) in err_lines[0]
 
     def test_csv_writers_are_deterministic(self, tmp_path):
         streams = {"q0": [("a", 0.9), ("a", 0.8)]}

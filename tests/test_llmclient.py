@@ -126,7 +126,6 @@ def make_record(question_id="q0", round_idx=1, label="42", **overrides):
         raw_text=r"\boxed{42}",
         extracted_label=label,
         token_probs=(0.9, 0.8),
-        step_importance=None,
         confidence_by_estimator={"lns_arith": 0.85, "lns_geo": 0.8485},
         seed=7,
         timestamp="2026-01-01T00:00:00+00:00",
@@ -139,7 +138,7 @@ class TestSampleRecord:
     def test_json_round_trip_is_byte_stable(self):
         record = make_record()
         line = record.to_json_line()
-        again = SampleRecord.from_json_line(line)
+        again = SampleRecord.from_dict(json.loads(line))
         assert again == record
         assert again.to_json_line() == line
 
@@ -162,7 +161,6 @@ class TestSampleRecord:
             raw_text=st.text(),
             extracted_label=st.text(min_size=1),
             token_probs=st.none() | st.lists(st.floats(allow_nan=False)).map(tuple),
-            step_importance=st.none() | st.lists(st.floats(allow_nan=False)).map(tuple),
             confidence_by_estimator=st.dictionaries(
                 st.text(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
             ),
@@ -173,7 +171,7 @@ class TestSampleRecord:
     def test_json_round_trip_property(self, record):
         line = record.to_json_line()
         assert "\n" not in line
-        again = SampleRecord.from_json_line(line)
+        again = SampleRecord.from_dict(json.loads(line))
         assert again == record
         assert again.to_json_line() == line
 
@@ -538,6 +536,29 @@ class TestLiveSampler:
                 {},
                 store=RecordStore.open_replay(path),
             )
+
+    @pytest.mark.parametrize("flag", ["mars", "rm"])
+    def test_cli_refuses_estimator_a_live_endpoint_cannot_serve(
+        self, stub_server, tmp_path, capsys, flag
+    ):
+        base_url, state = stub_server
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "q0", "prompt": "40+2?", "gold": "42", "format": "boxed_math"})
+            + "\n"
+        )
+        config = tmp_path / "endpoint.json"
+        config.write_text(json.dumps({"base_url": base_url, "model_name": "m"}))
+        record = tmp_path / "out.jsonl"
+        code = main(
+            ["run", "--dataset", str(dataset), "--endpoint-config", str(config),
+             "--estimator", flag, "--record", str(record), "--seeds", "0"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a live endpoint serves only the lns_arith and lns_geo")
+        assert state.requests == []
+        assert not record.exists()
 
 
 class TestOneRetryLayer:

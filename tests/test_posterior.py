@@ -1,14 +1,18 @@
 """Unit and property tests for the log-space answer-posterior kernel."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cges
 from cges.errors import (
     CandidateCountError,
     CGESError,
-    ContradictoryHypothesesError,
     EmptySamplesError,
     InvalidSampleError,
     UnknownLabelError,
@@ -25,8 +29,6 @@ from cges.posterior import (
     CandidateSet,
     RunningPosterior,
     Sample,
-    llr_increment,
-    log_likelihood,
     score,
 )
 
@@ -46,52 +48,7 @@ def direct_product_masses(labels, confidences, k):
     return [s / z for s in scores]
 
 
-class TestLogLikelihood:
-    def test_uninformative_at_one_over_k(self):
-        sample = Sample("a", 0.5)
-        match = log_likelihood(sample, True, 2)
-        miss = log_likelihood(sample, False, 2)
-        assert match == pytest.approx(math.log(0.5), rel=1e-15)
-        assert match == pytest.approx(miss, rel=1e-15)
-
-    def test_mismatch_shares_residual_uniformly(self):
-        sample = Sample("a", 0.9)
-        assert log_likelihood(sample, False, 3) == pytest.approx(
-            math.log((1.0 - 0.9) / (3 - 1)), rel=1e-12
-        )
-
-    def test_match_returns_log_confidence(self):
-        sample = Sample("a", 0.9)
-        assert log_likelihood(sample, True, 3) == pytest.approx(math.log(0.9), rel=1e-15)
-
-    def test_rejects_degenerate_candidate_count(self):
-        with pytest.raises(CandidateCountError):
-            log_likelihood(Sample("a", 0.5), True, 1)
-
-
-class TestLlrIncrement:
-    def test_matching_first_hypothesis(self):
-        value = llr_increment(Sample("a", 0.7), True, False, 2)
-        assert value == pytest.approx(math.log(0.7 / 0.3), rel=1e-12)
-
-    def test_matching_neither_is_exactly_zero(self):
-        assert llr_increment(Sample("a", 0.7), False, False, 2) == 0.0
-
-    def test_antisymmetry(self):
-        forward = llr_increment(Sample("a", 0.7), True, False, 2)
-        backward = llr_increment(Sample("a", 0.7), False, True, 2)
-        assert backward == -forward
-
-    def test_both_matching_rejected(self):
-        with pytest.raises(ContradictoryHypothesesError):
-            llr_increment(Sample("a", 0.7), True, True, 2)
-
-
 class TestCandidateSet:
-    def test_observed_plus_virtual_counts_one_reserve(self):
-        candidates = CandidateSet.from_samples([Sample("x", 0.5), Sample("y", 0.5)])
-        assert candidates.effective_k == 3
-
     def test_first_seen_order_preserved(self):
         candidates = CandidateSet.from_samples(
             [Sample("b", 0.5), Sample("a", 0.5), Sample("b", 0.5)]
@@ -321,17 +278,22 @@ class TestScoreProperties:
                 assert posterior.masses[j] == pytest.approx(expected[j], rel=1e-10)
 
 
+def log_likelihood(confidence, matches, k):
+    """One sample's log-likelihood under one hypothesis: log C on a match,
+    log((1 - C) / (K - 1)) otherwise."""
+    return math.log(confidence) if matches else math.log1p(-confidence) - math.log(k - 1)
+
+
 def naive_log_scores(stream, named, k):
     """Per-hypothesis log products built from ``log_likelihood``, no running sums.
 
     Returns the named labels' scores and the scores of the k - len(named)
     unnamed hypotheses, which no sample matches.
     """
-    samples = [Sample(label, c, t + 1) for t, (label, c) in enumerate(stream)]
     named_scores = {
-        h: math.fsum(log_likelihood(s, s.label == h, k) for s in samples) for h in named
+        h: math.fsum(log_likelihood(c, label == h, k) for label, c in stream) for h in named
     }
-    unnamed = [math.fsum(log_likelihood(s, False, k) for s in samples)] * (k - len(named))
+    unnamed = [math.fsum(log_likelihood(c, False, k) for _, c in stream)] * (k - len(named))
     return named_scores, unnamed
 
 
@@ -462,3 +424,17 @@ class TestRunningPosterior:
             scores = running.log_scores()
             for j in range(k):
                 assert_close(scores[j], float(trace.log_score_path[-1, j]))
+
+
+def test_kernel_imports_load_neither_numpy_nor_requests():
+    # a fresh interpreter: modules the test process imported already must not count
+    src = str(Path(cges.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, cges, cges.posterior, cges.controller; "
+        "print(sorted({'numpy', 'requests'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
