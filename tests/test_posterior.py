@@ -48,7 +48,70 @@ def direct_product_masses(labels, confidences, k):
     return [s / z for s in scores]
 
 
+def one_sample(label, confidence, k, named=("a", "b")):
+    """A fixed-K posterior naming ``named`` up front, after one sample."""
+    running = RunningPosterior(fixed_k=k, labels=named)
+    running.add(label, confidence)
+    return running
+
+
+class TestLogLikelihood:
+    """One sample's likelihood as the running posterior applies it: log C to
+    the matching hypothesis, log((1 - C) / (K - 1)) to every other."""
+
+    def test_uninformative_at_one_over_k(self):
+        running = one_sample("a", 0.5, 2)
+        scores = running.log_scores()
+        assert scores["a"] == pytest.approx(math.log(0.5), rel=1e-15)
+        assert scores["a"] == pytest.approx(scores["b"], rel=1e-15)
+
+    def test_mismatch_shares_residual_uniformly(self):
+        running = one_sample("a", 0.9, 3)
+        residual = math.log((1.0 - 0.9) / (3 - 1))
+        assert running.log_scores()["b"] == pytest.approx(residual, rel=1e-12)
+        assert running.reserve_log_score() == pytest.approx(residual, rel=1e-12)
+
+    def test_match_returns_log_confidence(self):
+        running = one_sample("a", 0.9, 3)
+        assert running.log_scores()["a"] == pytest.approx(math.log(0.9), rel=1e-15)
+
+    def test_rejects_degenerate_candidate_count(self):
+        with pytest.raises(CandidateCountError):
+            RunningPosterior(fixed_k=1)
+
+
+class TestLlrIncrement:
+    """One sample's log-likelihood ratio between two named hypotheses, read as
+    the change it makes to their log-score difference."""
+
+    @staticmethod
+    def gap(running):
+        scores = running.log_scores()
+        return scores["a"] - scores["b"]
+
+    def test_matching_first_hypothesis(self):
+        value = self.gap(one_sample("a", 0.7, 2))
+        assert value == pytest.approx(math.log(0.7 / 0.3), rel=1e-12)
+
+    def test_matching_neither_is_exactly_zero(self):
+        assert self.gap(one_sample("c", 0.7, 3)) == 0.0
+
+    def test_antisymmetry(self):
+        forward = self.gap(one_sample("a", 0.7, 2))
+        backward = self.gap(one_sample("b", 0.7, 2))
+        assert backward == -forward
+
+    def test_both_matching_rejected(self):
+        # a sample could match both hypotheses only if they named the same answer
+        with pytest.raises(InvalidSampleError):
+            RunningPosterior(fixed_k=2, labels=("a", "a"))
+
+
 class TestCandidateSet:
+    def test_observed_plus_virtual_counts_one_reserve(self):
+        samples = [Sample("x", 0.5), Sample("y", 0.5)]
+        assert score(samples, CandidateSet.from_samples(samples)).effective_k == 3
+
     def test_first_seen_order_preserved(self):
         candidates = CandidateSet.from_samples(
             [Sample("b", 0.5), Sample("a", 0.5), Sample("b", 0.5)]
