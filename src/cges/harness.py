@@ -16,7 +16,7 @@ from statistics import fmean
 from typing import Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
-from .controller import ControllerConfig, Method, RunResult, run
+from .controller import ControllerConfig, Method, RunResult, run_many
 from .errors import ConfigurationError, KeyMismatchError
 from .llmclient import (
     AnswerFormat,
@@ -185,27 +185,37 @@ def _make_sampler(spec: ExperimentSpec, seed: int):
     )
 
 
-def run_method(spec: ExperimentSpec, config: ControllerConfig) -> tuple[float, float]:
-    """Seed-averaged (avg_calls, accuracy) for one method configuration.
+def _measure(
+    spec: ExperimentSpec, configs: Sequence[ControllerConfig]
+) -> list[tuple[float, float]]:
+    """Seed-averaged (avg_calls, accuracy) of each configuration, in order.
 
-    Seeds apply to a live endpoint only: a replay store serves one fixed
-    stream whatever the seed, so it runs once.
+    Every configuration reads one stream per seed, so a (question, round) is
+    drawn once per seed however many configurations ask for it.  Seeds apply
+    to a live endpoint only: a replay store serves one fixed stream whatever
+    the seed, so it runs once.
     """
-    calls: list[float] = []
-    accs: list[float] = []
+    if not configs:
+        return []
     qids = [q.question_id for q in spec.questions]
+    gold, formats = spec.gold, spec.formats
+    per_seed = []
     for seed in spec.seeds if spec.store is None else spec.seeds[:1]:
-        sampler = _make_sampler(spec, seed)
-        result = run(qids, sampler, config)
-        calls.append(result.avg_calls)
-        accs.append(accuracy(result.predictions, spec.gold, spec.formats))
-    return fmean(calls), fmean(accs)
+        results = run_many(qids, _make_sampler(spec, seed), configs)
+        per_seed.append(
+            [(result.avg_calls, accuracy(result.predictions, gold, formats)) for result in results]
+        )
+    return [
+        (fmean(calls for calls, _ in column), fmean(acc for _, acc in column))
+        for column in zip(*per_seed)
+    ]
 
 
 def compare_methods(spec: ExperimentSpec) -> ComparisonReport:
     """Run every configured method and report deltas against the SC row."""
     measured = [
-        (config, *run_method(spec, config)) for config in spec.methods
+        (config, calls, acc)
+        for config, (calls, acc) in zip(spec.methods, _measure(spec, spec.methods))
     ]
     sc = next(
         ((calls, acc) for config, calls, acc in measured if config.method is Method.SC),
@@ -231,17 +241,17 @@ def compare_methods(spec: ExperimentSpec) -> ComparisonReport:
 def sweep_gamma(spec: ExperimentSpec) -> tuple[CurvePoint, ...]:
     """One seed-averaged curve point per grid threshold, in grid order.
 
-    Every point reruns the first CGES configuration in ``spec.methods`` with
+    Every point runs the first CGES configuration in ``spec.methods`` with
     its threshold replaced by the grid value.
     """
     base = next((config for config in spec.methods if config.method is Method.CGES), None)
     if base is None:
         raise ConfigurationError("gamma sweep needs a CGES method configuration")
-    points = []
-    for gamma in spec.gamma_grid:
-        calls, acc = run_method(spec, replace(base, gamma=gamma))
-        points.append(CurvePoint(gamma=gamma, avg_calls=calls, accuracy=acc))
-    return tuple(points)
+    configs = [replace(base, gamma=gamma) for gamma in spec.gamma_grid]
+    return tuple(
+        CurvePoint(gamma=config.gamma, avg_calls=calls, accuracy=acc)
+        for config, (calls, acc) in zip(configs, _measure(spec, configs))
+    )
 
 
 def select_operating_points(

@@ -282,6 +282,13 @@ class RecordStore:
 
     @classmethod
     def open_record(cls, path: Union[str, Path]) -> "RecordStore":
+        """Open a store to append to; the file itself is created by the first append."""
+        path = Path(path)
+        # checked now, so a run cannot pay for a request whose record it cannot write
+        if not path.parent.is_dir():
+            raise ConfigurationError(
+                f"cannot record to {path}: {path.parent} is not a directory"
+            )
         return cls(path, StoreMode.RECORD)
 
     @classmethod

@@ -116,6 +116,16 @@ class RunningPosterior:
         if fixed_k is not None:
             _check_fixed_k(fixed_k, len(self.counts))
 
+    def copy(self) -> "RunningPosterior":
+        """An independent posterior holding the same statistics."""
+        twin = RunningPosterior(self.fixed_k)
+        twin.n = self.n
+        twin.sum_log_miss = self.sum_log_miss
+        twin.counts = dict(self.counts)
+        twin._sum_log_hit = dict(self._sum_log_hit)
+        twin._sum_log_miss = dict(self._sum_log_miss)
+        return twin
+
     def _name(self, label: Label) -> None:
         self.counts[label] = 0
         self._sum_log_hit[label] = 0.0

@@ -52,6 +52,13 @@ from cges.llmclient import (
 from cges.posterior import CandidateSet, Sample, score
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def read_csv_rows(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 CONF_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
@@ -528,7 +535,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
                 "--out", str(sim_out),
             ]
         )
-        sim_rows = list(csv.DictReader(sim_out.open()))
+        sim_rows = read_csv_rows(sim_out)
         assert len(sim_rows) == 3
         assert set(sim_rows[0]) == {
             "m", "trials", "success_freq", "mean_mass_truth", "drift_1", "seed",
@@ -542,7 +549,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
                 "--out", str(score_out),
             ]
         )
-        score_rows = list(csv.DictReader(score_out.open()))
+        score_rows = read_csv_rows(score_out)
         assert set(score_rows[0]) == {"label", "mass"}
         assert len(score_rows) >= 2
 
@@ -557,7 +564,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
                 "--out", str(sweep_out),
             ]
         )
-        sweep_rows = list(csv.DictReader(sweep_out.open()))
+        sweep_rows = read_csv_rows(sweep_out)
         assert set(sweep_rows[0]) == {"gamma", "avg_calls", "accuracy"}
         assert len(sweep_rows) == len(DEFAULT_GAMMA_GRID)
 
@@ -572,7 +579,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
                 "--out", str(replay_out),
             ]
         )
-        replay_rows = list(csv.DictReader(replay_out.open()))
+        replay_rows = read_csv_rows(replay_out)
         assert set(replay_rows[0]) == {
             "question_id", "prediction", "calls", "top_mass", "resolved",
         }

@@ -1,11 +1,12 @@
 """Tests for the adaptive controller and the fixed-budget baselines."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cges.controller import ControllerConfig, Method, run
+from cges.controller import ControllerConfig, Method, run, run_many
 from cges.errors import ConfigurationError, SamplerError
 from cges.posterior import CandidateSet, Sample, score
 
@@ -300,6 +301,114 @@ class TestSamplerFailures:
         with pytest.raises(SamplerError, match="degraded"):
             run(["q"], refusing, config)
         assert attempts["count"] == 1
+
+
+def skewed_streams(rng, n_questions, budget, n_labels=3):
+    """Streams whose questions lean on one label by varying degrees, so that
+    stop rules fire at many different rounds."""
+    streams = {}
+    for i in range(n_questions):
+        lean = rng.uniform(0.3, 0.95)
+        streams[f"q{i}"] = [
+            (
+                "ans0" if rng.uniform() < lean else f"ans{int(rng.integers(1, n_labels))}",
+                float(rng.uniform(0.3, 0.95)),
+            )
+            for _ in range(budget)
+        ]
+    return streams
+
+
+def counting_sampler(streams):
+    reads = {}
+
+    def sample(question_id, round_idx):
+        reads[question_id, round_idx] = reads.get((question_id, round_idx), 0) + 1
+        return streams[question_id][round_idx - 1]
+
+    return sample, reads
+
+
+class TestRunMany:
+    """``run_many`` serves several configurations from one sample stream."""
+
+    @staticmethod
+    def mixed_configs(rng, fixed_k, max_parallel):
+        common = dict(fixed_k=fixed_k, max_parallel=max_parallel)
+        configs = [
+            ControllerConfig(method=Method.SC, budget=int(rng.integers(1, 13)), **common),
+            ControllerConfig(method=Method.ESC, budget=12, esc_window=2, **common),
+            ControllerConfig(method=Method.ESC, budget=8, esc_window=3, **common),
+        ]
+        for gamma in (0.7, 0.9, 0.99, 1.0):
+            budget = int(rng.integers(1, 13))
+            configs.append(
+                ControllerConfig(method=Method.CGES, gamma=gamma, budget=budget, **common)
+            )
+        return configs
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_result_equals_its_own_run(self, seed):
+        rng = np.random.default_rng(seed)
+        streams = skewed_streams(rng, 16, 12)
+        sampler = stream_sampler(streams)
+        configs = [
+            config
+            for fixed_k in (None, 3, 5)
+            for max_parallel in (1, 2)
+            for config in self.mixed_configs(rng, fixed_k, max_parallel)
+        ]
+        rng.shuffle(configs)
+        results = run_many(list(streams), sampler, configs)
+        assert len(results) == len(configs)
+        for config, result in zip(configs, results):
+            assert result == run(list(streams), sampler, config), config
+
+    def test_stops_spread_over_rounds(self):
+        # the mixture above exercises closings at many rounds, resolved and not
+        rng = np.random.default_rng(0)
+        streams = skewed_streams(rng, 16, 12)
+        config = ControllerConfig(method=Method.CGES, gamma=0.99, budget=12)
+        result = run(list(streams), stream_sampler(streams), config)
+        assert len(set(result.per_question_calls.values())) >= 4
+        assert 0 < len(result.unresolved) < len(streams)
+
+    def test_each_key_is_read_once_per_fixed_k(self):
+        rng = np.random.default_rng(3)
+        streams = skewed_streams(rng, 10, 12)
+        sampler, reads = counting_sampler(streams)
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=gamma, budget=12)
+            for gamma in (0.7, 0.8, 0.9, 0.99, 0.999)
+        ]
+        results = run_many(list(streams), sampler, configs)
+        assert set(reads.values()) == {1}
+        # each question is read as far as its most demanding configuration
+        for qid in streams:
+            deepest = max(result.per_question_calls[qid] for result in results)
+            assert {rnd for q, rnd in reads if q == qid} == set(range(1, deepest + 1))
+
+        # a second fixed_k keeps its own posterior, so it reads the stream again
+        sampler, reads = counting_sampler(streams)
+        fixed = [replace(config, fixed_k=3) for config in configs]
+        run_many(list(streams), sampler, fixed + configs)
+        assert set(reads.values()) == {1, 2}
+
+    def test_configurations_closing_together_share_a_snapshot(self):
+        streams = {"q0": [("a", 0.99)] * 4}
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=0.9, budget=4),
+            ControllerConfig(method=Method.CGES, gamma=0.95, budget=4),
+            ControllerConfig(method=Method.SC, budget=4),
+        ]
+        early, also_early, last = run_many(["q0"], stream_sampler(streams), configs)
+        assert early.per_question_posterior["q0"] is also_early.per_question_posterior["q0"]
+        assert early.per_question_posterior["q0"].n == 1
+        assert last.per_question_posterior["q0"].n == 4
+
+    def test_needs_a_configuration(self):
+        with pytest.raises(ConfigurationError):
+            run_many(["q0"], constant_sampler("a", 0.9), [])
 
 
 class TestConfigValidation:

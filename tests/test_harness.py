@@ -37,6 +37,11 @@ from cges.llmclient import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def read_csv_rows(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 def build_store(tmp_path, streams, name="store.jsonl"):
     """Write a replay store from {qid: [(label, confidence), ...]} streams."""
     store = RecordStore.open_record(tmp_path / name)
@@ -281,8 +286,8 @@ class TestCompareMethods:
         ]
         spec = spec_for(tmp_path, streams, {"q0": "a", "q1": "b"}, methods, seeds=(0, 1, 2))
         report = compare_methods(spec)
-        # both methods draw every round of both questions, once each
-        assert served == {(qid, rnd): 2 for qid in streams for rnd in (1, 2)}
+        # both methods read one stream: every round of both questions, once
+        assert served == {(qid, rnd): 1 for qid in streams for rnd in (1, 2)}
         assert [row.avg_calls for row in report.rows] == [2.0, 2.0]
 
     def test_no_sc_row_leaves_deltas_unset(self, tmp_path):
@@ -412,7 +417,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv_rows(out)
         assert len(rows) == 2
         assert {"m", "trials", "success_freq", "mean_mass_truth", "seed"} <= set(rows[0])
 
@@ -428,7 +433,7 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert "top: a1" in printed
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv_rows(out)
         labels = {row["label"] for row in rows}
         assert {"a1", "a2", "(virtual)"} == labels
 
@@ -485,7 +490,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv_rows(out)
         assert [row["method"] for row in rows] == ["sc", "esc_w4", "cges"]
         sc_row = rows[0]
         assert float(sc_row["avg_calls"]) == 4.0
@@ -510,7 +515,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv_rows(out)
         assert [row["gamma"] for row in rows] == ["0.7", "0.9", "0.99"]
         calls = [float(row["avg_calls"]) for row in rows]
         assert calls == sorted(calls)

@@ -291,6 +291,14 @@ class TestRecordStore:
         with pytest.raises(CGESError, match="store.jsonl:1: bad sample record"):
             RecordStore.open_replay(path)
 
+    def test_record_store_needs_an_existing_directory(self, tmp_path):
+        path = tmp_path / "missing_dir" / "out.jsonl"
+        with pytest.raises(ConfigurationError, match=r"missing_dir/out\.jsonl"):
+            RecordStore.open_record(path)
+        (tmp_path / "a_file").write_text("")
+        with pytest.raises(ConfigurationError, match="is not a directory"):
+            RecordStore.open_record(tmp_path / "a_file" / "out.jsonl")
+
     def test_replay_store_refuses_appends(self, tmp_path):
         path = tmp_path / "store.jsonl"
         RecordStore.open_record(path).append(make_record())
@@ -559,6 +567,74 @@ class TestLiveSampler:
         assert err.startswith("error: a live endpoint serves only the lns_arith and lns_geo")
         assert state.requests == []
         assert not record.exists()
+
+
+def write_live_inputs(tmp_path, base_url, n_questions=2):
+    """A dataset of boxed-math questions and an endpoint config for the stub."""
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"id": f"q{i}", "prompt": f"40+{i}?", "gold": "42",
+                        "format": "boxed_math"}) + "\n"
+            for i in range(n_questions)
+        )
+    )
+    config = tmp_path / "endpoint.json"
+    config.write_text(json.dumps({"base_url": base_url, "model_name": "m"}))
+    return dataset, config
+
+
+class TestRecordFlag:
+    def test_cli_refuses_a_record_path_in_a_missing_directory(
+        self, stub_server, tmp_path, capsys
+    ):
+        base_url, state = stub_server
+        dataset, config = write_live_inputs(tmp_path, base_url)
+        record = tmp_path / "missing_dir" / "out.jsonl"
+        code = main(
+            ["run", "--dataset", str(dataset), "--endpoint-config", str(config),
+             "--record", str(record), "--seeds", "0"]
+        )
+        assert code == 1
+        assert str(record) in capsys.readouterr().err
+        assert state.requests == []
+
+
+class TestOneStreamPerSource:
+    """Every method and curve point reads one stream per seed: one request
+    per (seed, question, round) read, however many configurations ask."""
+
+    @staticmethod
+    def requested_seeds(state):
+        return [request["payload"]["seed"] for request in state.requests]
+
+    def test_live_sweep_reads_each_key_once(self, stub_server, tmp_path, capsys):
+        base_url, state = stub_server
+        dataset, config = write_live_inputs(tmp_path, base_url)
+        code = main(
+            ["sweep", "--dataset", str(dataset), "--endpoint-config", str(config),
+             "--budget", "3", "--seeds", "0,1", "--gamma-grid", "0.7,0.9,1.0",
+             "--out", str(tmp_path / "curve.csv")]
+        )
+        assert code == 0
+        # gamma = 1.0 never stops, so every round of every question is read
+        keys = [derive_seed(seed, qid, rnd) for seed in (0, 1) for qid in ("q0", "q1")
+                for rnd in (1, 2, 3)]
+        assert sorted(self.requested_seeds(state)) == sorted(keys)
+
+    def test_live_run_reads_each_key_once(self, stub_server, tmp_path, capsys):
+        base_url, state = stub_server
+        dataset, config = write_live_inputs(tmp_path, base_url)
+        code = main(
+            ["run", "--dataset", str(dataset), "--endpoint-config", str(config),
+             "--budget", "4", "--window", "2", "--seeds", "0,1"]
+        )
+        assert code == 0
+        assert "esc_w2" in capsys.readouterr().out
+        # SC draws the full budget, so every round of every question is read
+        keys = [derive_seed(seed, qid, rnd) for seed in (0, 1) for qid in ("q0", "q1")
+                for rnd in (1, 2, 3, 4)]
+        assert sorted(self.requested_seeds(state)) == sorted(keys)
 
 
 class TestOneRetryLayer:
