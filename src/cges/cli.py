@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import genmodel, harness
+from . import harness
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, run as run_controller
 from .errors import CGESError, ConfigurationError
@@ -143,7 +143,7 @@ def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> ha
     questions = harness.load_dataset(args.dataset)
     store = endpoint = record_store = None
     if args.replay is not None:
-        store = RecordStore.open_replay(args.replay)
+        store = _open_replay(args, questions)
     else:
         endpoint = EndpointConfig.from_json_file(args.endpoint_config)
         if args.record is not None:
@@ -160,6 +160,14 @@ def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> ha
     )
 
 
+def _open_replay(args: argparse.Namespace, questions: list[harness.Question]) -> RecordStore:
+    """The replay store, refused before round 1 if a record of these questions
+    lacks the chosen estimator's confidence."""
+    store = RecordStore.open_replay(args.replay)
+    store.require_estimator([q.question_id for q in questions], ESTIMATOR_FLAGS[args.estimator])
+    return store
+
+
 def _method_config(name: str, args: argparse.Namespace) -> ControllerConfig:
     return ControllerConfig(
         method=Method(name),
@@ -172,6 +180,8 @@ def _method_config(name: str, args: argparse.Namespace) -> ControllerConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import genmodel  # numpy; no other command loads it
+
     if args.mode == "ideal":
         config: genmodel.GenConfig = genmodel.IdealGenConfig(
             k=args.k,
@@ -270,7 +280,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     questions = harness.load_dataset(args.dataset)
-    store = RecordStore.open_replay(args.replay)
+    store = _open_replay(args, questions)
     config = _method_config(args.method, args)
     sampler = replay_sampler(store, ESTIMATOR_FLAGS[args.estimator])
     result = run_controller([q.question_id for q in questions], sampler, config)

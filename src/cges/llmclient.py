@@ -23,9 +23,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Union
-
-import requests
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional, Union
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
 from .controller import Sampler
@@ -36,6 +34,9 @@ from .errors import (
     ReplayMissError,
     SamplerError,
 )
+
+if TYPE_CHECKING:  # the HTTP stack loads on the live path only
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -186,20 +187,7 @@ class SampleRecord:
     timestamp: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.question_id, str) or not isinstance(self.extracted_label, str):
-            raise InvalidSampleError("question_id and extracted_label must be strings")
-        if not self.extracted_label:
-            raise InvalidSampleError("extracted_label must be non-empty (use the INVALID sentinel)")
-        if type(self.round) is not int or self.round < 1:
-            raise InvalidSampleError(f"round must be an integer >= 1, got {self.round!r}")
-        numbers = [*self.confidence_by_estimator.values(), *(self.token_probs or ())]
-        if not {int, float}.issuperset(map(type, numbers)):
-            raise InvalidSampleError("confidences and token_probs must be numbers")
-        for name, confidence in self.confidence_by_estimator.items():
-            if not 0.0 < confidence < 1.0:  # also False for NaN
-                raise InvalidSampleError(
-                    f"{name!r} confidence must lie strictly inside (0, 1), got {confidence!r}"
-                )
+        _check_record(self)
 
     def to_json_line(self) -> str:
         # field order, then estimator names sorted; tuples serialize as lists
@@ -209,18 +197,53 @@ class SampleRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SampleRecord":
+        """The record a decoded JSON object describes; keys that are not fields
+        are ignored.  This is the record store's load path: it sets the fields
+        the way the dataclass ``__init__`` does, minus the keyword-call and
+        ``__post_init__`` overhead, and runs the same check."""
         token_probs = raw.get("token_probs")
-        return cls(
-            question_id=raw["question_id"],
-            round=raw["round"],
-            prompt=raw.get("prompt", ""),
-            raw_text=raw.get("raw_text", ""),
-            extracted_label=raw["extracted_label"],
-            token_probs=None if token_probs is None else tuple(token_probs),
-            confidence_by_estimator=dict(raw.get("confidence_by_estimator", {})),
-            seed=raw.get("seed", 0),
-            timestamp=raw.get("timestamp", ""),
-        )
+        record = object.__new__(cls)
+        set_field = object.__setattr__  # frozen: the instance's own setattr refuses
+        set_field(record, "question_id", raw["question_id"])
+        set_field(record, "round", raw["round"])
+        set_field(record, "prompt", raw.get("prompt", ""))
+        set_field(record, "raw_text", raw.get("raw_text", ""))
+        set_field(record, "extracted_label", raw["extracted_label"])
+        set_field(record, "token_probs", None if token_probs is None else tuple(token_probs))
+        set_field(record, "confidence_by_estimator", dict(raw.get("confidence_by_estimator", {})))
+        set_field(record, "seed", raw.get("seed", 0))
+        set_field(record, "timestamp", raw.get("timestamp", ""))
+        _check_record(record)
+        return record
+
+
+_NUMBER_TYPES = frozenset((int, float))  # exact types: bool is refused
+
+
+def _check_record(record: SampleRecord) -> None:
+    """The one validation of a record's fields, run by direct construction and
+    by ``SampleRecord.from_dict``; raises ``InvalidSampleError``."""
+    question_id, label = record.question_id, record.extracted_label
+    if not isinstance(question_id, str) or not isinstance(label, str):
+        raise InvalidSampleError("question_id and extracted_label must be strings")
+    if not label:
+        raise InvalidSampleError("extracted_label must be non-empty (use the INVALID sentinel)")
+    round_idx = record.round
+    if type(round_idx) is not int or round_idx < 1:
+        raise InvalidSampleError(f"round must be an integer >= 1, got {round_idx!r}")
+    confidences = record.confidence_by_estimator
+    if not _NUMBER_TYPES.issuperset(map(type, confidences.values())) or (
+        record.token_probs and not _NUMBER_TYPES.issuperset(map(type, record.token_probs))
+    ):
+        raise InvalidSampleError("confidences and token_probs must be numbers")
+    for name, confidence in confidences.items():
+        if not 0.0 < confidence < 1.0:  # also False for NaN
+            raise InvalidSampleError(
+                f"{name!r} confidence must lie strictly inside (0, 1), got {confidence!r}"
+            )
+
+
+_decoder = json.JSONDecoder()  # what json.loads calls, without its per-call checks
 
 
 def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
@@ -239,7 +262,7 @@ def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
             if line.isspace():
                 continue
             try:
-                value = json.loads(line.decode("utf-8"))
+                value = _decoder.decode(line.decode("utf-8"))
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ConfigurationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
             yield line_no, value
@@ -309,6 +332,32 @@ class RecordStore:
                 f"no recorded sample for question {question_id!r} round {round_idx}"
             ) from None
 
+    def require_estimator(
+        self, question_ids: Iterable[str], estimator: Union[Estimator, str]
+    ) -> None:
+        """Raise ``ConfigurationError`` naming ``path:line`` of the first stored
+        record of these questions that lacks the estimator's confidence.
+
+        The index keeps no line numbers; the file is read again to find the
+        line only when a record fails.
+        """
+        key = _estimator_key(estimator)
+        wanted = set(question_ids)
+        for (question_id, round_idx), record in self._index.items():  # in file order
+            if key not in record.confidence_by_estimator and question_id in wanted:
+                available = ", ".join(sorted(record.confidence_by_estimator)) or "none"
+                raise ConfigurationError(
+                    f"{self.path}:{self._line_of(question_id, round_idx)}: record for question "
+                    f"{question_id!r} round {round_idx} has no {key!r} confidence "
+                    f"(available: {available})"
+                )
+
+    def _line_of(self, question_id: str, round_idx: int) -> int:
+        for line_no, raw in read_jsonl(self.path):
+            if raw["question_id"] == question_id and raw["round"] == round_idx:
+                return line_no
+        raise ConfigurationError(f"{self.path} changed since it was loaded")
+
     def append(self, record: SampleRecord) -> None:
         if self.mode is not StoreMode.RECORD:
             raise ConfigurationError("store is in replay mode; appends are not allowed")
@@ -343,6 +392,8 @@ def sample_once(
     logged.  HTTP failures are retried up to the configured bound, then raise;
     this is the package's only retry layer.  A malformed reply is not retried.
     """
+    import requests  # the live path's own dependency; replay never loads it
+
     prompt = render_prompt(prompt_text, fmt)
     url = endpoint.base_url.rstrip("/") + endpoint.completions_path
     payload = {
@@ -517,6 +568,8 @@ def live_sampler(
         raise ConfigurationError(
             f"a live endpoint serves only the {' and '.join(served)} confidences, not {key!r}"
         )
+    import requests  # here, on the calling thread, not first inside a worker
+
     local = threading.local()  # sessions are not thread-safe; one per worker
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cges
 from cges.cli import main
 from cges.controller import ControllerConfig, Method
 from cges.errors import ConfigurationError, KeyMismatchError
@@ -602,6 +606,95 @@ class TestCli:
         assert outs[0] == outs[1] == outs[2]
         header = outs[0].split(b"\r\n")[0]
         assert header == b"question_id,prediction,calls,top_mass,resolved"
+
+    @pytest.mark.parametrize(
+        "command, golden",
+        [
+            (["replay"], "golden_replay.csv"),
+            (["run", "--seeds", "0"], "golden_run.csv"),
+            (["sweep", "--seeds", "0"], "golden_sweep.csv"),
+        ],
+        ids=["replay", "run", "sweep"],
+    )
+    def test_replay_outputs_match_golden_files(self, tmp_path, command, golden):
+        out = tmp_path / golden
+        code = main(
+            [
+                *command,
+                "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--budget", "4",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+
+    def test_replay_commands_load_neither_numpy_nor_requests(self, tmp_path):
+        source = [
+            "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+            "--replay", str(FIXTURES / "mini_store.jsonl"),
+            "--budget", "4",
+        ]
+        argvs = [
+            ["score", "--samples", str(FIXTURES / "minority_samples.jsonl")],
+            *(
+                [name, *source, "--out", str(tmp_path / f"{name}.csv")]
+                for name in ("replay", "run", "sweep")
+            ),
+        ]
+        code = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = sys.modules['requests'] = None  # importing either now fails\n"
+            "from cges.cli import main\n"
+            f"print([main(argv) for argv in json.loads({json.dumps(argvs)!r})])\n"
+        )
+        src = str(Path(cges.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+
+    @pytest.mark.parametrize("command", ["replay", "run", "sweep"])
+    def test_replay_store_lacking_the_estimator_fails_before_round_one(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        lines = (FIXTURES / "mini_store.jsonl").read_text().splitlines()
+        for line_no in (6, 14):  # q2 round 2 and q4 round 2
+            raw = json.loads(lines[line_no - 1])
+            del raw["confidence_by_estimator"]["mars"]
+            lines[line_no - 1] = json.dumps(raw)
+        store = tmp_path / "store.jsonl"
+        store.write_text("\n".join(lines) + "\n")
+        reads = []
+        get = RecordStore.get
+
+        def counting_get(store, *key):
+            reads.append(key)
+            return get(store, *key)
+
+        monkeypatch.setattr(RecordStore, "get", counting_get)
+        argv = [
+            command, "--replay", str(store), "--estimator", "mars", "--budget", "4",
+            "--out", str(tmp_path / "out.csv"),
+        ]
+        code = main([*argv, "--dataset", str(FIXTURES / "mini_dataset.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{store}:6: " in err and "'mars'" in err
+        assert reads == []  # no round ran
+        assert not (tmp_path / "out.csv").exists()
+
+        # only the records of the dataset's questions are checked
+        questions = (FIXTURES / "mini_dataset.jsonl").read_text().splitlines()
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(f"{line}\n" for line in questions if '"q2"' not in line))
+        assert main([*argv, "--dataset", str(dataset)]) == 1
+        assert f"{store}:14: " in capsys.readouterr().err
+        dataset.write_text("".join(f"{line}\n" for line in questions[::2]))  # q1 and q3
+        assert main([*argv, "--dataset", str(dataset)]) == 0
 
     def test_replay_missing_round_fails_cleanly(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,6 @@
 """Tests for answer extraction, the record store, and the endpoint client."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -16,6 +17,7 @@ from cges.errors import (
     CGESError,
     ConfigurationError,
     DuplicateRecordError,
+    InvalidSampleError,
     ReplayMissError,
     SamplerError,
 )
@@ -134,6 +136,29 @@ def make_record(question_id="q0", round_idx=1, label="42", **overrides):
     return SampleRecord(**fields)
 
 
+# one bad line's fault, made by editing a good record's JSON object
+BAD_RECORD_EDITS = pytest.mark.parametrize(
+    "edit",
+    [
+        lambda raw: raw.pop("question_id"),
+        lambda raw: raw.pop("round"),
+        lambda raw: raw.pop("extracted_label"),
+        lambda raw: raw.update(round=0),
+        lambda raw: raw.update(round="1"),
+        lambda raw: raw.update(extracted_label=""),
+        lambda raw: raw.update(question_id=["q0"]),
+        lambda raw: raw.update(token_probs="0.9"),
+        lambda raw: raw.update(confidence_by_estimator={"lns_arith": "0.8"}),
+        lambda raw: raw.clear(),
+    ],
+    ids=[
+        "no-question-id", "no-round", "no-label", "round-0", "round-string",
+        "empty-label", "list-question-id", "string-token-probs",
+        "string-confidence", "empty-object",
+    ],
+)
+
+
 class TestSampleRecord:
     def test_json_round_trip_is_byte_stable(self):
         record = make_record()
@@ -233,26 +258,7 @@ class TestRecordStore:
         with pytest.raises(CGESError, match="store.jsonl:3"):
             mode(path)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda raw: raw.pop("question_id"),
-            lambda raw: raw.pop("round"),
-            lambda raw: raw.pop("extracted_label"),
-            lambda raw: raw.update(round=0),
-            lambda raw: raw.update(round="1"),
-            lambda raw: raw.update(extracted_label=""),
-            lambda raw: raw.update(question_id=["q0"]),
-            lambda raw: raw.update(token_probs="0.9"),
-            lambda raw: raw.update(confidence_by_estimator={"lns_arith": "0.8"}),
-            lambda raw: raw.clear(),
-        ],
-        ids=[
-            "no-question-id", "no-round", "no-label", "round-0", "round-string",
-            "empty-label", "list-question-id", "string-token-probs",
-            "string-confidence", "empty-object",
-        ],
-    )
+    @BAD_RECORD_EDITS
     def test_bad_record_names_path_and_line(self, tmp_path, edit):
         raw = json.loads(make_record(round_idx=2).to_json_line())
         edit(raw)
@@ -261,6 +267,31 @@ class TestRecordStore:
         for mode in (RecordStore.open_record, RecordStore.open_replay):
             with pytest.raises(CGESError, match="store.jsonl:2"):
                 mode(path)
+
+    @BAD_RECORD_EDITS
+    def test_bad_record_fails_direct_construction(self, edit):
+        raw = json.loads(make_record(round_idx=2).to_json_line())
+        edit(raw)
+        # the constructor takes every field; one the edit removed is passed as None
+        values = {field.name: raw.get(field.name) for field in dataclasses.fields(SampleRecord)}
+        with pytest.raises(InvalidSampleError):
+            SampleRecord(**values)
+
+    @pytest.mark.parametrize(
+        "second_fault",
+        [{"token_probs": "0.9"}, {"confidence_by_estimator": {"lns_arith": 1.5, "rm": "0.8"}}],
+        ids=["string-token-probs", "string-confidence"],
+    )
+    def test_type_fault_is_named_before_range_fault(self, tmp_path, second_fault):
+        raw = json.loads(make_record(round_idx=2).to_json_line())
+        raw["confidence_by_estimator"] = {"lns_arith": 1.5}
+        raw.update(second_fault)
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(raw) + "\n")
+        with pytest.raises(ConfigurationError, match="store.jsonl:1: .*must be numbers"):
+            RecordStore.open_replay(path)
+        with pytest.raises(InvalidSampleError, match="must be numbers"):
+            SampleRecord(**raw)
 
     @pytest.mark.parametrize("confidence", ["NaN", "0.0", "1.0", "-0.1"])
     def test_confidence_outside_the_open_interval_names_path_and_line(
