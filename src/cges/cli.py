@@ -182,11 +182,13 @@ def _method_config(name: str, args: argparse.Namespace) -> ControllerConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import genmodel  # numpy; no other command loads it
 
+    # at least 1, so a bad schedule entry is named by the experiment, not as m_max
+    m_max = max([1, *args.m_schedule])
     if args.mode == "ideal":
         config: genmodel.GenConfig = genmodel.IdealGenConfig(
             k=args.k,
             confidence_law=genmodel.parse_scalar_law(args.confidence_law),
-            m_max=max(args.m_schedule, default=1),
+            m_max=m_max,
             seed=args.seed,
         )
     else:
@@ -194,7 +196,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             k=args.k,
             answer_law=genmodel.parse_simplex_law(args.answer_law),
             confidence_noise=genmodel.parse_scalar_law(args.confidence_law),
-            m_max=max(args.m_schedule, default=1),
+            m_max=m_max,
             seed=args.seed,
         )
     rows = genmodel.concentration_experiment(config, args.m_schedule, args.trials)

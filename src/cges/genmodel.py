@@ -8,10 +8,12 @@ Two regimes are simulated under a fixed candidate count K:
   candidates (index 0 is the true answer by convention) while the confidence
   is an independent, possibly miscalibrated, noise signal.
 
-Each trial records the per-round cumulative log-likelihood-ratio paths
-between the true answer and every competitor, together with the posterior
-trajectory, so concentration behaviour and expected LLR drift can be checked
-empirically against closed forms.
+Each trial keeps its draws and the final cumulative log-score of every
+candidate.  Its per-round paths (log-scores, the log-likelihood ratios between
+the true answer and every competitor, and the posterior trajectory) are
+computed on demand, so concentration experiments, which read only the final
+round, never build them; expected LLR drift and concentration can still be
+checked empirically against closed forms.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -201,31 +204,72 @@ class RealisticGenConfig:
 GenConfig = Union[IdealGenConfig, RealisticGenConfig]
 
 
+def _log_terms(responses: np.ndarray, confidences: np.ndarray, k: int) -> np.ndarray:
+    """Per-round log-likelihood of every candidate, shape (m, K).
+
+    Row t holds log C at the answer drawn at round t + 1 and
+    log((1 - C) / (K - 1)) at every other candidate: the fixed-K kernel.
+    """
+    log_hit = np.log(confidences)
+    log_miss = np.log1p(-confidences) - math.log(k - 1)
+    terms = np.repeat(log_miss[:, None], k, axis=1)
+    terms[np.arange(len(responses)), responses] = log_hit
+    return terms
+
+
+def _normalise(log_scores: np.ndarray) -> np.ndarray:
+    """Posterior rows from rows of log-scores: max shift, log-sum-exp, exp."""
+    shift = log_scores.max(axis=1, keepdims=True)
+    log_z = shift + np.log(np.exp(log_scores - shift).sum(axis=1, keepdims=True))
+    return np.exp(log_scores - log_z)
+
+
 @dataclass
 class TrialTrace:
-    """One simulated question: its draws plus LLR and posterior trajectories.
+    """One simulated question: its draws, final log-scores and, on demand, paths.
 
     ``responses[t]`` and ``confidences[t]`` are the answer index and the
-    confidence drawn at round t + 1.  ``llr_paths[j][t]`` is the cumulative
-    log-likelihood ratio between the true index and competitor j after t + 1
-    rounds; ``posterior_path[t]`` is the normalized posterior row after t + 1
-    rounds (fixed-K candidates are the integers 0..K-1).  The posterior ratio
-    mass[true]/mass[j] equals exp(llr_paths[j]) at every round, up to float
-    rounding.
+    confidence drawn at round t + 1; fixed-K candidates are the integers
+    0..K-1.  ``final_log_score[j]`` is candidate j's cumulative log-score
+    after the last round, and equals ``log_score_path[-1, j]`` bit for bit.
+
+    The paths are computed on first access and then kept:
+    ``log_score_path[t]`` is the cumulative log-score row after t + 1 rounds,
+    ``posterior_path[t]`` its normalized posterior row, and
+    ``llr_paths[j][t]`` the cumulative log-likelihood ratio between the true
+    index and competitor j.  The posterior ratio mass[true]/mass[j] equals
+    exp(llr_paths[j]) at every round, up to float rounding.
     """
 
     true_index: int
     k: int
     responses: np.ndarray
     confidences: np.ndarray
-    llr_paths: dict[int, np.ndarray]
-    posterior_path: np.ndarray
-    log_score_path: np.ndarray
+    final_log_score: np.ndarray
 
-    @property
-    def predicted_index(self) -> int:
-        # np.argmax takes the first maximum, matching earliest-label tie-breaking
-        return int(np.argmax(self.posterior_path[-1]))
+    @classmethod
+    def from_draws(
+        cls, true_index: int, responses: np.ndarray, confidences: np.ndarray, k: int
+    ) -> TrialTrace:
+        cumulative = np.cumsum(_log_terms(responses, confidences, k), axis=0)
+        # a copy, not a view: the trace must not keep the (m, K) cumsum alive
+        return cls(true_index, k, responses, confidences, cumulative[-1].copy())
+
+    @cached_property
+    def log_score_path(self) -> np.ndarray:
+        return np.cumsum(_log_terms(self.responses, self.confidences, self.k), axis=0)
+
+    @cached_property
+    def posterior_path(self) -> np.ndarray:
+        return _normalise(self.log_score_path)
+
+    @cached_property
+    def llr_paths(self) -> dict[int, np.ndarray]:
+        terms = _log_terms(self.responses, self.confidences, self.k)
+        truth = self.true_index
+        return {
+            j: np.cumsum(terms[:, truth] - terms[:, j]) for j in range(self.k) if j != truth
+        }
 
 
 def sample_ideal(
@@ -244,7 +288,7 @@ def sample_ideal(
     wrong = rng.integers(config.k - 1, size=m)
     wrong = wrong + (wrong >= true_index)  # uniform over the K-1 others
     responses = np.where(matches, true_index, wrong)
-    return _trace(true_index, responses, confidences, config.k)
+    return TrialTrace.from_draws(true_index, responses, confidences, config.k)
 
 
 def sample_realistic(
@@ -266,40 +310,12 @@ def sample_realistic(
         )
     else:
         confidences = sample_scalar(config.confidence_noise, m, rng)
-    return _trace(0, responses, confidences, config.k)
+    return TrialTrace.from_draws(0, responses, confidences, config.k)
 
 
 def _check_rounds(config: GenConfig, m: int) -> None:
     if not 1 <= m <= config.m_max:
         raise ConfigurationError(f"m must lie in [1, {config.m_max}], got {m}")
-
-
-def _trace(
-    true_index: int, responses: np.ndarray, confidences: np.ndarray, k: int
-) -> TrialTrace:
-    m = len(responses)
-    log_hit = np.log(confidences)
-    log_miss = np.log1p(-confidences) - math.log(k - 1)
-    terms = np.tile(log_miss[:, None], (1, k))
-    terms[np.arange(m), responses] = log_hit
-    cumulative = np.cumsum(terms, axis=0)
-    shift = cumulative.max(axis=1, keepdims=True)
-    log_z = shift + np.log(np.exp(cumulative - shift).sum(axis=1, keepdims=True))
-    posterior_path = np.exp(cumulative - log_z)
-    llr_paths = {
-        j: np.cumsum(terms[:, true_index] - terms[:, j])
-        for j in range(k)
-        if j != true_index
-    }
-    return TrialTrace(
-        true_index=true_index,
-        k=k,
-        responses=responses,
-        confidences=confidences,
-        llr_paths=llr_paths,
-        posterior_path=posterior_path,
-        log_score_path=cumulative,
-    )
 
 
 def simulate_trace(config: GenConfig, m: int, rng: np.random.Generator) -> TrialTrace:
@@ -450,8 +466,11 @@ def concentration_experiment(
     For each m in the schedule, runs ``trials`` independent traces and reports
     how often the final argmax hits the truth and the mean posterior mass it
     holds.  Trial i of row m uses the generator seeded with
-    (config.seed, m, i), so rows are independent and order-insensitive.
+    (config.seed, m, i), so rows are independent and order-insensitive.  Only
+    each trace's final log-scores are read; its per-round paths are never built.
     """
+    if not m_schedule:
+        raise ConfigurationError("m_schedule must name at least one round count")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     for m in m_schedule:
@@ -461,13 +480,19 @@ def concentration_experiment(
     )
     rows: list[ConcentrationRow] = []
     for m in m_schedule:
-        hits = 0
-        mass_sum = 0.0
+        final_log_scores = np.empty((trials, config.k))
+        truths = np.empty(trials, dtype=np.intp)
         for trial in range(trials):
             rng = np.random.default_rng([config.seed, m, trial])
             trace = simulate_trace(config, m, rng)
-            hits += int(trace.predicted_index == trace.true_index)
-            mass_sum += float(trace.posterior_path[-1, trace.true_index])
+            final_log_scores[trial] = trace.final_log_score
+            truths[trial] = trace.true_index
+        posterior = _normalise(final_log_scores)
+        # np.argmax takes the first maximum, matching earliest-label tie-breaking
+        hits = int(np.count_nonzero(posterior.argmax(axis=1) == truths))
+        mass_sum = 0.0  # summed in trial order; numpy's pairwise sum rounds differently
+        for mass in posterior[np.arange(trials), truths].tolist():
+            mass_sum += mass
         rows.append(
             ConcentrationRow(
                 m=m,

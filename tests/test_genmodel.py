@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cges import genmodel
 from cges.errors import ConfigurationError
 from cges.genmodel import (
     Beta,
@@ -22,12 +23,43 @@ from cges.genmodel import (
     parse_simplex_law,
     sample_ideal,
     sample_realistic,
+    simulate_trace,
     write_concentration_csv,
 )
 
 # closed-form drifts for the point-mass configurations used below
 IDEAL_DRIFT_07_K2 = (0.7 - 0.3) * math.log(0.7 / 0.3)  # 0.33891914415488136
 REALISTIC_DRIFT_MINORITY = (0.4 - 0.6) * math.log(0.3 / 0.7)  # +0.16945957207744068
+
+PATHS = {"log_score_path", "posterior_path", "llr_paths"}
+
+
+def _noisy_first_probability(probs, rng):
+    return float(np.clip(probs[0] + rng.normal(0, 0.2), 0.05, 0.95))
+
+
+# both regimes, every confidence law, a callable noise source and K from 2 to 5
+EXPERIMENT_CONFIGS = {
+    "ideal-point-k2": IdealGenConfig(k=2, confidence_law=PointMass(0.7), m_max=30, seed=1),
+    "ideal-uniform-k3": IdealGenConfig(k=3, confidence_law=Uniform(0.2, 0.9), m_max=30, seed=2),
+    "ideal-beta-k5": IdealGenConfig(k=5, confidence_law=Beta(2.0, 3.0), m_max=30, seed=3),
+    "realistic-point-k2": RealisticGenConfig(
+        k=2, answer_law=PointSimplex((0.4, 0.6)), confidence_noise=PointMass(0.3),
+        m_max=30, seed=4,
+    ),
+    "realistic-dirichlet-k3": RealisticGenConfig(
+        k=3, answer_law=Dirichlet((1.0, 1.0, 1.0)), confidence_noise=Beta(2.0, 3.0),
+        m_max=30, seed=5,
+    ),
+    "realistic-callable-k4": RealisticGenConfig(
+        k=4, answer_law=PointSimplex((0.4, 0.3, 0.2, 0.1)),
+        confidence_noise=_noisy_first_probability, m_max=30, seed=6,
+    ),
+    "realistic-uniform-k5": RealisticGenConfig(
+        k=5, answer_law=Dirichlet((2.0, 1.0, 1.0, 1.0, 1.0)),
+        confidence_noise=Uniform(0.1, 0.6), m_max=30, seed=7,
+    ),
+}
 
 
 class TestLaws:
@@ -175,6 +207,24 @@ class TestPathIdentity:
                 assert np.allclose(ratio, np.exp(path), rtol=1e-9)
 
 
+class TestLazyPaths:
+    def test_paths_are_computed_on_first_access_and_kept(self):
+        config = IdealGenConfig(k=4, confidence_law=Uniform(0.2, 0.9))
+        trace = sample_ideal(config, 25, np.random.default_rng(8))
+        assert not PATHS & vars(trace).keys()
+        assert trace.posterior_path is trace.posterior_path
+        assert trace.llr_paths is trace.llr_paths
+        assert PATHS <= vars(trace).keys()
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+    def test_final_log_score_is_the_last_path_row(self, name):
+        config = EXPERIMENT_CONFIGS[name]
+        rng = np.random.default_rng(9)
+        for m in (1, 2, 30):
+            trace = simulate_trace(config, m, rng)
+            assert trace.final_log_score.tolist() == trace.log_score_path[-1].tolist()
+
+
 class TestDrift:
     def test_ideal_closed_form(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7))
@@ -231,12 +281,49 @@ class TestConcentrationExperiment:
     def test_single_round_row_matches_direct_average(self):
         config = IdealGenConfig(k=2, confidence_law=Uniform(0.4, 0.8), seed=2)
         rows = concentration_experiment(config, [1], trials=64, drift_n_mc=100)
-        masses = []
+        mass_sum = 0.0
         for trial in range(64):
             rng = np.random.default_rng([config.seed, 1, trial])
             trace = sample_ideal(config, 1, rng)
-            masses.append(trace.posterior_path[-1, trace.true_index])
-        assert rows[0].mean_mass_truth == pytest.approx(float(np.mean(masses)), rel=1e-12)
+            mass_sum += float(trace.posterior_path[-1, trace.true_index])
+        assert rows[0].mean_mass_truth == mass_sum / 64
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+    def test_rows_equal_per_trial_posterior_paths(self, name):
+        # the reference reads each trial's full posterior path at its last round
+        config = EXPERIMENT_CONFIGS[name]
+        schedule, trials = [1, 2, 13, 30], 40
+        rows = concentration_experiment(config, schedule, trials=trials, drift_n_mc=100)
+        for row, m in zip(rows, schedule):
+            hits = 0
+            mass_sum = 0.0
+            for trial in range(trials):
+                rng = np.random.default_rng([config.seed, m, trial])
+                trace = simulate_trace(config, m, rng)
+                final = trace.posterior_path[-1]
+                hits += int(np.argmax(final) == trace.true_index)
+                mass_sum += float(final[trace.true_index])
+            assert (row.m, row.trials) == (m, trials)
+            assert row.success_freq == hits / trials
+            assert row.mean_mass_truth == mass_sum / trials
+
+    def test_experiment_builds_no_paths(self, monkeypatch):
+        traces = []
+
+        def recording(config, m, rng):
+            traces.append(simulate_trace(config, m, rng))
+            return traces[-1]
+
+        monkeypatch.setattr(genmodel, "simulate_trace", recording)
+        for config in EXPERIMENT_CONFIGS.values():
+            concentration_experiment(config, [1, 9], trials=6, drift_n_mc=100)
+        assert len(traces) == len(EXPERIMENT_CONFIGS) * 2 * 6
+        assert all(not PATHS & vars(trace).keys() for trace in traces)
+
+    def test_empty_schedule_fails_closed(self):
+        config = IdealGenConfig(k=2, confidence_law=PointMass(0.7))
+        with pytest.raises(ConfigurationError, match="m_schedule"):
+            concentration_experiment(config, [], trials=4)
 
     def test_rows_are_order_independent(self):
         config = IdealGenConfig(k=2, confidence_law=Uniform(0.4, 0.8), seed=3)

@@ -425,6 +425,48 @@ class TestCli:
         assert len(rows) == 2
         assert {"m", "trials", "success_freq", "mean_mass_truth", "seed"} <= set(rows[0])
 
+    @pytest.mark.parametrize(
+        "schedule, named",
+        [("", "m_schedule"), ("0", "got 0"), ("5,-1", "got -1")],
+        ids=["empty", "zero", "negative"],
+    )
+    def test_simulate_rejects_bad_schedule(self, tmp_path, capsys, schedule, named):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--m-schedule", schedule, "--trials", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "m_max" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, golden",
+        [
+            ([], "golden_simulate_ideal.csv"),
+            (
+                [
+                    "--mode", "realistic", "--k", "2",
+                    "--answer-law", "point:0.4,0.6", "--confidence-law", "point:0.3",
+                    "--m-schedule", "1,10,100,500", "--trials", "500",
+                ],
+                "golden_simulate_realistic.csv",
+            ),
+            (
+                [
+                    "--mode", "realistic", "--k", "3",
+                    "--answer-law", "dirichlet:1,1,1", "--confidence-law", "beta:2,3",
+                    "--m-schedule", "1,7,40", "--trials", "300", "--seed", "11",
+                ],
+                "golden_simulate_dirichlet.csv",
+            ),
+        ],
+        ids=["ideal", "realistic", "dirichlet"],
+    )
+    def test_simulate_outputs_match_golden_files(self, tmp_path, capsys, options, golden):
+        out = tmp_path / golden
+        assert main(["simulate", *options, "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+
     def test_score_command(self, tmp_path, capsys):
         out = tmp_path / "score.csv"
         code = main(
