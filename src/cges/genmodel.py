@@ -8,12 +8,16 @@ Two regimes are simulated under a fixed candidate count K:
   candidates (index 0 is the true answer by convention) while the confidence
   is an independent, possibly miscalibrated, noise signal.
 
-Each trial keeps its draws and the final cumulative log-score of every
-candidate.  Its per-round paths (log-scores, the log-likelihood ratios between
-the true answer and every competitor, and the posterior trajectory) are
-computed on demand, so concentration experiments, which read only the final
-round, never build them; expected LLR drift and concentration can still be
-checked empirically against closed forms.
+``draw_trials`` is the one draw path of each regime: it draws a block of n
+questions at once.  A single question is its n = 1 case, kept as a
+``TrialTrace``: the draws and the final cumulative log-score of every
+candidate, with the per-round paths (log-scores, the log-likelihood ratios
+between the true answer and every competitor, and the posterior trajectory)
+computed on demand.  Concentration experiments build no traces: each row
+(one round count m) draws from one generator seeded with (seed, m), in blocks
+of ``trials_per_block(m, K)`` questions, and scores only their final round.
+Expected LLR drift and concentration can be checked empirically against
+closed forms.
 """
 
 from __future__ import annotations
@@ -109,7 +113,9 @@ SimplexLaw = Union[PointSimplex, Dirichlet]
 ConfidenceNoise = Union[ScalarLaw, Callable[[np.ndarray, np.random.Generator], float]]
 
 
-def sample_scalar(law: ScalarLaw, size: int, rng: np.random.Generator) -> np.ndarray:
+def sample_scalar(
+    law: ScalarLaw, size: Union[int, tuple[int, ...]], rng: np.random.Generator
+) -> np.ndarray:
     if isinstance(law, PointMass):
         draws = np.full(size, law.value)
     elif isinstance(law, Uniform):
@@ -121,11 +127,12 @@ def sample_scalar(law: ScalarLaw, size: int, rng: np.random.Generator) -> np.nda
     return np.clip(draws, CONFIDENCE_FLOOR, 1.0 - CONFIDENCE_FLOOR)
 
 
-def sample_simplex(law: SimplexLaw, rng: np.random.Generator) -> np.ndarray:
+def sample_simplex(law: SimplexLaw, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` answer distributions, one per row: shape (size, K)."""
     if isinstance(law, PointSimplex):
-        return np.asarray(law.probs, dtype=float)
+        return np.tile(np.asarray(law.probs, dtype=float), (size, 1))
     if isinstance(law, Dirichlet):
-        return rng.dirichlet(law.alphas)
+        return rng.dirichlet(law.alphas, size=size)
     raise ConfigurationError(f"unknown simplex law {law!r}")
 
 
@@ -205,16 +212,15 @@ GenConfig = Union[IdealGenConfig, RealisticGenConfig]
 
 
 def _log_terms(responses: np.ndarray, confidences: np.ndarray, k: int) -> np.ndarray:
-    """Per-round log-likelihood of every candidate, shape (m, K).
+    """Per-round log-likelihood of every candidate, shape (..., m, K).
 
-    Row t holds log C at the answer drawn at round t + 1 and
+    Entry [..., t, j] is log C at the answer drawn at round t + 1 and
     log((1 - C) / (K - 1)) at every other candidate: the fixed-K kernel.
+    Leading axes, such as a block's trial axis, pass through.
     """
-    log_hit = np.log(confidences)
-    log_miss = np.log1p(-confidences) - math.log(k - 1)
-    terms = np.repeat(log_miss[:, None], k, axis=1)
-    terms[np.arange(len(responses)), responses] = log_hit
-    return terms
+    log_hit = np.log(confidences)[..., None]
+    log_miss = (np.log1p(-confidences) - math.log(k - 1))[..., None]
+    return np.where(responses[..., None] == np.arange(k), log_hit, log_miss)
 
 
 def _normalise(log_scores: np.ndarray) -> np.ndarray:
@@ -272,56 +278,86 @@ class TrialTrace:
         }
 
 
-def sample_ideal(
-    config: IdealGenConfig, m: int, rng: np.random.Generator
-) -> TrialTrace:
-    """Simulate one question under the calibrated-confidence model.
+Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _draw_ideal(config: IdealGenConfig, m: int, n: int, rng: np.random.Generator) -> Draws:
+    """n questions under the calibrated-confidence model.
 
     The true index is uniform over the K candidates; each round draws a
     confidence C from the configured law and emits the true answer with
     probability C, otherwise a uniformly random wrong one.
     """
+    truths = rng.integers(config.k, size=n)
+    confidences = sample_scalar(config.confidence_law, (n, m), rng)
+    matches = rng.random((n, m)) < confidences
+    wrong = rng.integers(config.k - 1, size=(n, m))
+    wrong += wrong >= truths[:, None]  # uniform over the K-1 others
+    return truths, np.where(matches, truths[:, None], wrong), confidences
+
+
+def _draw_realistic(
+    config: RealisticGenConfig, m: int, n: int, rng: np.random.Generator
+) -> Draws:
+    """n questions with mismatched answer and confidence laws.
+
+    Each question draws its answer distribution P from the answer law;
+    answers are then i.i.d. from P (index 0 is the true answer), and
+    confidences come from the configured noise source, which need not reflect
+    P at all.  A callable noise source is called once per round with
+    (P, rng), in question order.
+    """
+    probs = sample_simplex(config.answer_law, n, rng)
+    # inverse CDF: the index is the count of CDF steps at or below the uniform,
+    # as in Generator.choice; without the last step a sum rounding below 1
+    # cannot yield index K
+    steps = np.cumsum(probs, axis=1)[:, None, :-1]
+    responses = (steps <= rng.random((n, m, 1))).sum(axis=2)
+    if callable(config.confidence_noise):
+        noise = config.confidence_noise
+        called = [noise(p, rng) for p in probs for _ in range(m)]
+        confidences = np.clip(
+            np.array(called).reshape(n, m), CONFIDENCE_FLOOR, 1.0 - CONFIDENCE_FLOOR
+        )
+    else:
+        confidences = sample_scalar(config.confidence_noise, (n, m), rng)
+    return np.zeros(n, dtype=np.intp), responses, confidences
+
+
+def draw_trials(config: GenConfig, m: int, n: int, rng: np.random.Generator) -> Draws:
+    """Draw n independent questions of m rounds each from ``rng``.
+
+    Returns ``(truths[n], responses[n, m], confidences[n, m])``: each
+    question's true index, and the answer index and confidence of each of its
+    rounds.  This is the only place either regime's draws are made.
+    """
+    if isinstance(config, IdealGenConfig):
+        return _draw_ideal(config, m, n, rng)
+    return _draw_realistic(config, m, n, rng)
+
+
+def simulate_trace(config: GenConfig, m: int, rng: np.random.Generator) -> TrialTrace:
+    """One question of m rounds: ``draw_trials`` with n = 1, as a trace."""
     _check_rounds(config, m)
-    true_index = int(rng.integers(config.k))
-    confidences = sample_scalar(config.confidence_law, m, rng)
-    matches = rng.random(m) < confidences
-    wrong = rng.integers(config.k - 1, size=m)
-    wrong = wrong + (wrong >= true_index)  # uniform over the K-1 others
-    responses = np.where(matches, true_index, wrong)
-    return TrialTrace.from_draws(true_index, responses, confidences, config.k)
+    truths, responses, confidences = draw_trials(config, m, 1, rng)
+    return TrialTrace.from_draws(int(truths[0]), responses[0], confidences[0], config.k)
+
+
+def sample_ideal(config: IdealGenConfig, m: int, rng: np.random.Generator) -> TrialTrace:
+    """One question under the calibrated-confidence model (see ``_draw_ideal``)."""
+    return simulate_trace(config, m, rng)
 
 
 def sample_realistic(
     config: RealisticGenConfig, m: int, rng: np.random.Generator
 ) -> TrialTrace:
-    """Simulate one question with mismatched answer and confidence laws.
-
-    Answers are i.i.d. from P (index 0 is the true answer); confidences come
-    from the configured noise source and need not reflect P at all.
-    """
-    _check_rounds(config, m)
-    probs = sample_simplex(config.answer_law, rng)
-    responses = rng.choice(config.k, size=m, p=probs)
-    if callable(config.confidence_noise):
-        confidences = np.clip(
-            np.array([config.confidence_noise(probs, rng) for _ in range(m)]),
-            CONFIDENCE_FLOOR,
-            1.0 - CONFIDENCE_FLOOR,
-        )
-    else:
-        confidences = sample_scalar(config.confidence_noise, m, rng)
-    return TrialTrace.from_draws(0, responses, confidences, config.k)
+    """One question with mismatched answer and confidence laws (see ``_draw_realistic``)."""
+    return simulate_trace(config, m, rng)
 
 
 def _check_rounds(config: GenConfig, m: int) -> None:
     if not 1 <= m <= config.m_max:
         raise ConfigurationError(f"m must lie in [1, {config.m_max}], got {m}")
-
-
-def simulate_trace(config: GenConfig, m: int, rng: np.random.Generator) -> TrialTrace:
-    if isinstance(config, IdealGenConfig):
-        return sample_ideal(config, m, rng)
-    return sample_realistic(config, m, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +450,9 @@ def _drift_monte_carlo(
         wrong = 1 + rng.integers(k - 1, size=n_mc)  # truth relabeled to 0
         responses = np.where(matches, 0, wrong)
     else:
-        if isinstance(config.answer_law, PointSimplex):
-            probs = np.tile(np.asarray(config.answer_law.probs), (n_mc, 1))
-        else:
-            probs = rng.dirichlet(config.answer_law.alphas, size=n_mc)
-        responses = (rng.random((n_mc, 1)) > np.cumsum(probs, axis=1)).sum(axis=1)
-        if callable(config.confidence_noise):
-            confidences = np.clip(
-                np.array([config.confidence_noise(p, rng) for p in probs]),
-                CONFIDENCE_FLOOR,
-                1.0 - CONFIDENCE_FLOOR,
-            )
-        else:
-            confidences = sample_scalar(config.confidence_noise, n_mc, rng)
+        # one round each from n_mc questions; the truth is index 0 already
+        _, responses, confidences = _draw_realistic(config, 1, n_mc, rng)
+        responses, confidences = responses[:, 0], confidences[:, 0]
 
     log_ratio = np.log(confidences) - (np.log1p(-confidences) - math.log(k - 1))
     mu: dict[int, float] = {}
@@ -455,6 +481,15 @@ class ConcentrationRow:
     seed: int
 
 
+# a block's (trials, m, K) log terms hold at most this many float64s (256 KB)
+BLOCK_ELEMENTS = 2**15
+
+
+def trials_per_block(m: int, k: int) -> int:
+    """Trials drawn together by ``concentration_experiment`` at m rounds and K candidates."""
+    return max(1, BLOCK_ELEMENTS // (m * k))
+
+
 def concentration_experiment(
     config: GenConfig,
     m_schedule: Sequence[int],
@@ -463,11 +498,14 @@ def concentration_experiment(
 ) -> list[ConcentrationRow]:
     """Empirical concentration of the posterior on the true answer.
 
-    For each m in the schedule, runs ``trials`` independent traces and reports
-    how often the final argmax hits the truth and the mean posterior mass it
-    holds.  Trial i of row m uses the generator seeded with
-    (config.seed, m, i), so rows are independent and order-insensitive.  Only
-    each trace's final log-scores are read; its per-round paths are never built.
+    For each m in the schedule, runs ``trials`` independent questions and
+    reports how often the final argmax hits the truth and the mean posterior
+    mass it holds.  Row m draws from one generator seeded with
+    (config.seed, m), so rows are independent and order-insensitive.  Its
+    trials are drawn by ``draw_trials`` in consecutive blocks of
+    ``trials_per_block(m, K)``, the last block taking what is left, so memory
+    stays bounded whatever the trial count.  Only each block's final
+    log-scores are computed; no per-round path or ``TrialTrace`` is built.
     """
     if not m_schedule:
         raise ConfigurationError("m_schedule must name at least one round count")
@@ -480,19 +518,20 @@ def concentration_experiment(
     )
     rows: list[ConcentrationRow] = []
     for m in m_schedule:
-        final_log_scores = np.empty((trials, config.k))
-        truths = np.empty(trials, dtype=np.intp)
-        for trial in range(trials):
-            rng = np.random.default_rng([config.seed, m, trial])
-            trace = simulate_trace(config, m, rng)
-            final_log_scores[trial] = trace.final_log_score
-            truths[trial] = trace.true_index
-        posterior = _normalise(final_log_scores)
-        # np.argmax takes the first maximum, matching earliest-label tie-breaking
-        hits = int(np.count_nonzero(posterior.argmax(axis=1) == truths))
+        rng = np.random.default_rng([config.seed, m])
+        block = trials_per_block(m, config.k)
+        hits = 0
         mass_sum = 0.0  # summed in trial order; numpy's pairwise sum rounds differently
-        for mass in posterior[np.arange(trials), truths].tolist():
-            mass_sum += mass
+        for start in range(0, trials, block):
+            n = min(block, trials - start)
+            truths, responses, confidences = draw_trials(config, m, n, rng)
+            # a sum over rounds adds them in order, so it equals a trial's cumsum[-1]
+            final_log_scores = _log_terms(responses, confidences, config.k).sum(axis=1)
+            posterior = _normalise(final_log_scores)
+            # np.argmax takes the first maximum, matching earliest-label tie-breaking
+            hits += int(np.count_nonzero(posterior.argmax(axis=1) == truths))
+            for mass in posterior[np.arange(n), truths].tolist():
+                mass_sum += mass
         rows.append(
             ConcentrationRow(
                 m=m,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
 from .controller import Sampler
@@ -376,6 +376,21 @@ def derive_seed(base_seed: int, question_id: str, round_idx: int) -> int:
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
 
+def _bearer_auth(token: str) -> Callable[[requests.PreparedRequest], requests.PreparedRequest]:
+    """A requests auth hook that sends ``token`` as a bearer credential.
+
+    It goes in ``auth=``, not in ``headers=``: a request without an auth hook
+    has its Authorization header replaced by Basic auth whenever ~/.netrc (or
+    $NETRC) names the endpoint's host.
+    """
+
+    def attach(request: requests.PreparedRequest) -> requests.PreparedRequest:
+        request.headers["Authorization"] = f"Bearer {token}"
+        return request
+
+    return attach
+
+
 def sample_once(
     question_id: str,
     prompt_text: str,
@@ -405,10 +420,8 @@ def sample_once(
         "logprobs": True,
         "seed": seed,
     }
-    headers = {}
     api_key = os.environ.get(endpoint.api_key_env)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
+    auth = _bearer_auth(api_key) if api_key else None
 
     poster = session if session is not None else requests
     body = None
@@ -416,7 +429,7 @@ def sample_once(
     for attempt in range(endpoint.max_retries + 1):
         try:
             response = poster.post(
-                url, json=payload, headers=headers, timeout=endpoint.request_timeout
+                url, json=payload, auth=auth, timeout=endpoint.request_timeout
             )
             response.raise_for_status()
             body = response.json()

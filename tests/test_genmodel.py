@@ -1,7 +1,9 @@
 """Tests for the generative simulator, drift estimates, and experiments."""
 
 import csv
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cges.genmodel import (
     PointMass,
     PointSimplex,
     RealisticGenConfig,
+    TrialTrace,
     Uniform,
     concentration_experiment,
     drift,
@@ -32,6 +35,9 @@ IDEAL_DRIFT_07_K2 = (0.7 - 0.3) * math.log(0.7 / 0.3)  # 0.33891914415488136
 REALISTIC_DRIFT_MINORITY = (0.4 - 0.6) * math.log(0.3 / 0.7)  # +0.16945957207744068
 
 PATHS = {"log_score_path", "posterior_path", "llr_paths"}
+
+# long enough that every K in EXPERIMENT_CONFIGS splits 40 trials into several blocks
+LONG_M = 700
 
 
 def _noisy_first_probability(probs, rng):
@@ -60,6 +66,24 @@ EXPERIMENT_CONFIGS = {
         confidence_noise=Uniform(0.1, 0.6), m_max=30, seed=7,
     ),
 }
+
+
+def _reference_row(config, m, trials):
+    """Success frequency and mean truth mass of a row, one trace per trial.
+
+    Draws the experiment's blocks from the same generator, then scores each
+    trial through its own full posterior path and sums masses in trial order.
+    """
+    rng = np.random.default_rng([config.seed, m])
+    block = genmodel.trials_per_block(m, config.k)
+    hits, mass_sum = 0, 0.0
+    for start in range(0, trials, block):
+        draws = genmodel.draw_trials(config, m, min(block, trials - start), rng)
+        for truth, responses, confidences in zip(draws[0].tolist(), draws[1], draws[2]):
+            final = TrialTrace.from_draws(truth, responses, confidences, config.k).posterior_path[-1]
+            hits += int(np.argmax(final) == truth)
+            mass_sum += float(final[truth])
+    return hits / trials, mass_sum / trials
 
 
 class TestLaws:
@@ -278,47 +302,61 @@ class TestConcentrationExperiment:
         assert rows[-1].success_freq > 0.95
         assert all(row.trials == 150 for row in rows)
 
-    def test_single_round_row_matches_direct_average(self):
-        config = IdealGenConfig(k=2, confidence_law=Uniform(0.4, 0.8), seed=2)
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+    def test_single_round_row_matches_direct_average(self, name):
+        config = EXPERIMENT_CONFIGS[name]
         rows = concentration_experiment(config, [1], trials=64, drift_n_mc=100)
-        mass_sum = 0.0
-        for trial in range(64):
-            rng = np.random.default_rng([config.seed, 1, trial])
-            trace = sample_ideal(config, 1, rng)
-            mass_sum += float(trace.posterior_path[-1, trace.true_index])
-        assert rows[0].mean_mass_truth == mass_sum / 64
+        assert (rows[0].success_freq, rows[0].mean_mass_truth) == _reference_row(config, 1, 64)
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
     def test_rows_equal_per_trial_posterior_paths(self, name):
-        # the reference reads each trial's full posterior path at its last round
-        config = EXPERIMENT_CONFIGS[name]
-        schedule, trials = [1, 2, 13, 30], 40
-        rows = concentration_experiment(config, schedule, trials=trials, drift_n_mc=100)
-        for row, m in zip(rows, schedule):
-            hits = 0
-            mass_sum = 0.0
-            for trial in range(trials):
-                rng = np.random.default_rng([config.seed, m, trial])
-                trace = simulate_trace(config, m, rng)
-                final = trace.posterior_path[-1]
-                hits += int(np.argmax(final) == trace.true_index)
-                mass_sum += float(final[trace.true_index])
-            assert (row.m, row.trials) == (m, trials)
-            assert row.success_freq == hits / trials
-            assert row.mean_mass_truth == mass_sum / trials
+        config = dataclasses.replace(EXPERIMENT_CONFIGS[name], m_max=LONG_M)
+        schedule = [1, 2, 13, 30, LONG_M]
+        block = genmodel.trials_per_block(LONG_M, config.k)
+        assert block < 40 and 40 % block, "40 trials must end the long row in a partial block"
+        # one trial, one block exactly, one more or less, and several blocks
+        for trials in (1, block - 1, block, block + 1, 40):
+            rows = concentration_experiment(config, schedule, trials=trials, drift_n_mc=100)
+            for row, m in zip(rows, schedule):
+                assert (row.m, row.trials) == (m, trials)
+                expected = _reference_row(config, m, trials)
+                assert (row.success_freq, row.mean_mass_truth) == expected
 
-    def test_experiment_builds_no_paths(self, monkeypatch):
-        traces = []
+    def test_block_size_follows_m_and_k(self):
+        assert genmodel.trials_per_block(1, 2) == genmodel.BLOCK_ELEMENTS // 2
+        assert genmodel.trials_per_block(500, 4) == 16
+        assert genmodel.trials_per_block(genmodel.BLOCK_ELEMENTS, 3) == 1
 
-        def recording(config, m, rng):
-            traces.append(simulate_trace(config, m, rng))
-            return traces[-1]
+    def test_experiment_builds_no_trial_trace(self, monkeypatch):
+        built = []
+        init = TrialTrace.__init__
 
-        monkeypatch.setattr(genmodel, "simulate_trace", recording)
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrialTrace, "__init__", counting_init)
+        sample_ideal(EXPERIMENT_CONFIGS["ideal-point-k2"], 3, np.random.default_rng(0))
+        assert len(built) == 1, "the counter must see the traces that are built"
         for config in EXPERIMENT_CONFIGS.values():
             concentration_experiment(config, [1, 9], trials=6, drift_n_mc=100)
-        assert len(traces) == len(EXPERIMENT_CONFIGS) * 2 * 6
-        assert all(not PATHS & vars(trace).keys() for trace in traces)
+        assert len(built) == 1
+
+    def test_peak_memory_is_bounded_and_independent_of_trials(self):
+        config = IdealGenConfig(k=4, confidence_law=Uniform(0.55, 0.95), m_max=500, seed=12)
+        concentration_experiment(config, [500], trials=16, drift_n_mc=1000)  # first-call caches
+        peaks = {}
+        for trials in (500, 4000):
+            tracemalloc.start()
+            try:
+                concentration_experiment(config, [500], trials=trials, drift_n_mc=1000)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] < 1_000_000
+        # Python's small objects move the peak by some hundred bytes; keeping even
+        # one float64 per trial would add 3500 * 8 = 28 KB
+        assert abs(peaks[4000] - peaks[500]) < 8_000, peaks
 
     def test_empty_schedule_fails_closed(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7))

@@ -465,6 +465,15 @@ class TestSampleOnce:
         assert sent["payload"]["logprobs"] is True
         assert sent["auth"] == "Bearer sk-test"
 
+    def test_api_key_is_not_replaced_by_netrc(self, stub_server, monkeypatch, tmp_path):
+        base_url, state = stub_server
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login someone password hunter2\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("CGES_API_KEY", "sk-test")
+        sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), seed=0)
+        assert state.requests[-1]["auth"] == "Bearer sk-test"
+
     def test_transient_http_failure_is_retried(self, stub_server):
         base_url, state = stub_server
         state.fail_next = 2
