@@ -216,7 +216,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         try:
             samples.append(
                 Sample(
-                    label=str(raw["label"]),
+                    label=harness.label_field(raw, "label"),
                     confidence=float(raw["confidence"]),
                     round=int(raw.get("round", len(samples) + 1)),
                 )

@@ -343,18 +343,6 @@ def simulate_trace(config: GenConfig, m: int, rng: np.random.Generator) -> Trial
     return TrialTrace.from_draws(int(truths[0]), responses[0], confidences[0], config.k)
 
 
-def sample_ideal(config: IdealGenConfig, m: int, rng: np.random.Generator) -> TrialTrace:
-    """One question under the calibrated-confidence model (see ``_draw_ideal``)."""
-    return simulate_trace(config, m, rng)
-
-
-def sample_realistic(
-    config: RealisticGenConfig, m: int, rng: np.random.Generator
-) -> TrialTrace:
-    """One question with mismatched answer and confidence laws (see ``_draw_realistic``)."""
-    return simulate_trace(config, m, rng)
-
-
 def _check_rounds(config: GenConfig, m: int) -> None:
     if not 1 <= m <= config.m_max:
         raise ConfigurationError(f"m must lie in [1, {config.m_max}], got {m}")

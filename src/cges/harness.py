@@ -40,7 +40,7 @@ class Question:
     format: AnswerFormat
 
 
-def _label_field(raw: dict, key: str) -> str:
+def label_field(raw: dict, key: str) -> str:
     """A string or number field as text; null, booleans, lists and objects fail."""
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -54,9 +54,9 @@ def load_dataset(path: Union[str, Path]) -> list[Question]:
     for line_no, raw in read_jsonl(path):
         try:
             question = Question(
-                question_id=_label_field(raw, "id"),
+                question_id=label_field(raw, "id"),
                 prompt=raw["prompt"],
-                gold=_label_field(raw, "gold"),
+                gold=label_field(raw, "gold"),
                 format=AnswerFormat(raw["format"]),
             )
             if not isinstance(question.prompt, str):
@@ -163,7 +163,6 @@ class CurvePoint:
 @dataclass(frozen=True)
 class ComparisonReport:
     rows: tuple[MethodRow, ...]
-    curve: tuple[CurvePoint, ...] = ()
 
 
 def method_label(config: ControllerConfig) -> str:
@@ -252,23 +251,6 @@ def sweep_gamma(spec: ExperimentSpec) -> tuple[CurvePoint, ...]:
         CurvePoint(gamma=config.gamma, avg_calls=calls, accuracy=acc)
         for config, (calls, acc) in zip(configs, _measure(spec, configs))
     )
-
-
-def select_operating_points(
-    curve: Sequence[CurvePoint], sc_accuracy: float
-) -> tuple[CurvePoint, CurvePoint]:
-    """(efficient, conservative) curve points.
-
-    Efficient is the smallest threshold whose accuracy matches or beats the
-    fixed-budget baseline; conservative is the largest threshold considered.
-    When the baseline is never matched, both coincide at the largest threshold.
-    """
-    if not curve:
-        raise ConfigurationError("cannot select operating points from an empty curve")
-    ordered = sorted(curve, key=lambda p: p.gamma)
-    conservative = ordered[-1]
-    efficient = next((p for p in ordered if p.accuracy >= sc_accuracy), conservative)
-    return efficient, conservative
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ deterministic and byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -19,11 +20,13 @@ import re
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
+from urllib.parse import urlsplit
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
 from .controller import Sampler
@@ -34,9 +37,6 @@ from .errors import (
     ReplayMissError,
     SamplerError,
 )
-
-if TYPE_CHECKING:  # the HTTP stack loads on the live path only
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +145,11 @@ class EndpointConfig:
             raise ConfigurationError("max_tokens and request_timeout must be positive")
         if self.max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries!r}")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ConfigurationError(
+                f"base_url must be an http:// or https:// URL, got {self.base_url!r}"
+            )
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "EndpointConfig":
@@ -218,14 +223,20 @@ class SampleRecord:
 
 
 _NUMBER_TYPES = frozenset((int, float))  # exact types: bool is refused
+_TEXT_TYPES = frozenset((str,))
 
 
 def _check_record(record: SampleRecord) -> None:
     """The one validation of a record's fields, run by direct construction and
     by ``SampleRecord.from_dict``; raises ``InvalidSampleError``."""
-    question_id, label = record.question_id, record.extracted_label
-    if not isinstance(question_id, str) or not isinstance(label, str):
-        raise InvalidSampleError("question_id and extracted_label must be strings")
+    label = record.extracted_label
+    texts = (record.question_id, label, record.prompt, record.raw_text, record.timestamp)
+    if not _TEXT_TYPES.issuperset(map(type, texts)):
+        raise InvalidSampleError(
+            "question_id, extracted_label, prompt, raw_text and timestamp must be strings"
+        )
+    if type(record.seed) is not int:
+        raise InvalidSampleError(f"seed must be an integer, got {record.seed!r}")
     if not label:
         raise InvalidSampleError("extracted_label must be non-empty (use the INVALID sentinel)")
     round_idx = record.round
@@ -376,19 +387,31 @@ def derive_seed(base_seed: int, question_id: str, round_idx: int) -> int:
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
 
-def _bearer_auth(token: str) -> Callable[[requests.PreparedRequest], requests.PreparedRequest]:
-    """A requests auth hook that sends ``token`` as a bearer credential.
+def _connect(endpoint: EndpointConfig) -> Any:
+    """A keep-alive ``http.client`` connection to the endpoint's host, opened by
+    its first request; HTTPS verifies certificates with the default SSL context."""
+    import http.client  # the live path's own dependency; replay never loads it
 
-    It goes in ``auth=``, not in ``headers=``: a request without an auth hook
-    has its Authorization header replaced by Basic auth whenever ~/.netrc (or
-    $NETRC) names the endpoint's host.
-    """
+    url = urlsplit(endpoint.base_url)
+    kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    return kind(url.netloc, timeout=endpoint.request_timeout)
 
-    def attach(request: requests.PreparedRequest) -> requests.PreparedRequest:
-        request.headers["Authorization"] = f"Bearer {token}"
-        return request
 
-    return attach
+def _post(connection: Any, path: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    """Status and body of one POST.  A failure closes the connection, so the next
+    request opens a fresh one; a kept-alive connection that the server dropped
+    while it sat idle is reopened once, which is not a retry."""
+    reused = connection.sock is not None
+    try:
+        connection.request("POST", path, data, headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+    except BaseException as exc:
+        connection.close()
+        # http.client.RemoteDisconnected is a ConnectionResetError
+        if reused and isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+            return _post(connection, path, data, headers)
+        raise
 
 
 def sample_once(
@@ -398,7 +421,7 @@ def sample_once(
     round_idx: int,
     endpoint: EndpointConfig,
     seed: int,
-    session: Optional[requests.Session] = None,
+    connection: Any = None,
 ) -> SampleRecord:
     """Issue one generation request and package the outcome as a record.
 
@@ -406,11 +429,16 @@ def sample_once(
     record is degraded (no probability-based confidences) and a warning is
     logged.  HTTP failures are retried up to the configured bound, then raise;
     this is the package's only retry layer.  A malformed reply is not retried.
+    ``connection`` is a keep-alive connection from ``_connect``; without one,
+    the call opens its own and closes it.
     """
-    import requests  # the live path's own dependency; replay never loads it
+    if connection is None:
+        with contextlib.closing(_connect(endpoint)) as connection:
+            return sample_once(question_id, prompt_text, fmt, round_idx, endpoint, seed, connection)
+    from http.client import HTTPException
 
     prompt = render_prompt(prompt_text, fmt)
-    url = endpoint.base_url.rstrip("/") + endpoint.completions_path
+    path = urlsplit(endpoint.base_url).path.rstrip("/") + endpoint.completions_path
     payload = {
         "model": endpoint.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -420,21 +448,22 @@ def sample_once(
         "logprobs": True,
         "seed": seed,
     }
+    data = json.dumps(payload).encode()
+    headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env)
-    auth = _bearer_auth(api_key) if api_key else None
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
 
-    poster = session if session is not None else requests
     body = None
     failure: Optional[Exception] = None
     for attempt in range(endpoint.max_retries + 1):
         try:
-            response = poster.post(
-                url, json=payload, auth=auth, timeout=endpoint.request_timeout
-            )
-            response.raise_for_status()
-            body = response.json()
+            status, reply = _post(connection, path, data, headers)
+            if status >= 400:
+                raise HTTPException(f"HTTP {status}: {reply[:200]!r}")
+            body = json.loads(reply)
             break
-        except (requests.RequestException, ValueError) as exc:
+        except (OSError, HTTPException, ValueError) as exc:
             failure = exc
             logger.warning(
                 "request for question %r round %d failed (attempt %d/%d): %s",
@@ -581,9 +610,8 @@ def live_sampler(
         raise ConfigurationError(
             f"a live endpoint serves only the {' and '.join(served)} confidences, not {key!r}"
         )
-    import requests  # here, on the calling thread, not first inside a worker
-
-    local = threading.local()  # sessions are not thread-safe; one per worker
+    local = threading.local()  # a connection carries one request at a time: one per worker
+    opened = contextlib.ExitStack()  # closes every connection when the sampler is collected
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:
         prompt_text, fmt = prompts[question_id]
@@ -600,13 +628,14 @@ def live_sampler(
                 f"{store.path}: stored record for question {question_id!r} round "
                 f"{round_idx} has {mismatch}; record into a fresh store"
             )
-        if not hasattr(local, "session"):
-            local.session = requests.Session()
-        record = sample_once(
-            question_id, prompt_text, fmt, round_idx, endpoint, seed=seed, session=local.session
-        )
+        connection = getattr(local, "connection", None)
+        if connection is None:
+            connection = local.connection = _connect(endpoint)
+            opened.callback(connection.close)
+        record = sample_once(question_id, prompt_text, fmt, round_idx, endpoint, seed, connection)
         if store is not None:
             store.append(record)
         return record.extracted_label, _confidence_from_record(record, key)
 
+    weakref.finalize(sample, opened.close)
     return sample

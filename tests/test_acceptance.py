@@ -32,8 +32,7 @@ from cges.genmodel import (
     Uniform,
     concentration_experiment,
     drift,
-    sample_ideal,
-    sample_realistic,
+    simulate_trace,
 )
 from cges.harness import (
     DEFAULT_GAMMA_GRID,
@@ -277,7 +276,7 @@ def test_criterion_4_llr_posterior_path_identity():
             m = int(rng.integers(20, 61))
             if trial % 2 == 0:
                 config = IdealGenConfig(k=k, confidence_law=Uniform(0.2, 0.9), m_max=m)
-                trace = sample_ideal(config, m, rng)
+                trace = simulate_trace(config, m, rng)
             else:
                 probs = rng.dirichlet(np.ones(k))
                 config = RealisticGenConfig(
@@ -286,7 +285,7 @@ def test_criterion_4_llr_posterior_path_identity():
                     confidence_noise=Uniform(0.2, 0.9),
                     m_max=m,
                 )
-                trace = sample_realistic(config, m, rng)
+                trace = simulate_trace(config, m, rng)
             truth = trace.true_index
             for j, llr in trace.llr_paths.items():
                 ratio = trace.posterior_path[:, truth] / trace.posterior_path[:, j]

@@ -24,8 +24,6 @@ from cges.genmodel import (
     drift,
     parse_scalar_law,
     parse_simplex_law,
-    sample_ideal,
-    sample_realistic,
     simulate_trace,
     write_concentration_csv,
 )
@@ -132,8 +130,8 @@ class TestLaws:
 class TestSampleIdeal:
     def test_seed_determinism(self):
         config = IdealGenConfig(k=3, confidence_law=Uniform(0.3, 0.9), seed=5)
-        a = sample_ideal(config, 50, np.random.default_rng(123))
-        b = sample_ideal(config, 50, np.random.default_rng(123))
+        a = simulate_trace(config, 50, np.random.default_rng(123))
+        b = simulate_trace(config, 50, np.random.default_rng(123))
         assert a.true_index == b.true_index
         assert np.array_equal(a.responses, b.responses)
         assert np.array_equal(a.confidences, b.confidences)
@@ -147,7 +145,7 @@ class TestSampleIdeal:
         rng = np.random.default_rng(0)
         hits = total = 0
         for _ in range(60):
-            trace = sample_ideal(config, 100, rng)
+            trace = simulate_trace(config, 100, rng)
             hits += int(np.sum(trace.responses == trace.true_index))
             total += len(trace.responses)
         freq = hits / total
@@ -156,7 +154,7 @@ class TestSampleIdeal:
 
     def test_uninformative_point_mass_keeps_posterior_flat(self):
         config = IdealGenConfig(k=4, confidence_law=PointMass(0.25))
-        trace = sample_ideal(config, 30, np.random.default_rng(1))
+        trace = simulate_trace(config, 30, np.random.default_rng(1))
         assert np.allclose(trace.posterior_path, 0.25, atol=1e-9)
         for path in trace.llr_paths.values():
             assert np.allclose(path, 0.0, atol=1e-9)
@@ -167,7 +165,7 @@ class TestSampleIdeal:
         m, trials = 100, 400
         finals = []
         for _ in range(trials):
-            trace = sample_ideal(config, m, rng)
+            trace = simulate_trace(config, m, rng)
             competitor = next(iter(trace.llr_paths))
             finals.append(trace.llr_paths[competitor][-1])
         expected = m * IDEAL_DRIFT_07_K2  # ~33.89
@@ -177,9 +175,9 @@ class TestSampleIdeal:
     def test_m_bounds_enforced(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7), m_max=10)
         with pytest.raises(ConfigurationError):
-            sample_ideal(config, 11, np.random.default_rng(0))
+            simulate_trace(config, 11, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            sample_ideal(config, 0, np.random.default_rng(0))
+            simulate_trace(config, 0, np.random.default_rng(0))
 
 
 class TestSampleRealistic:
@@ -187,7 +185,7 @@ class TestSampleRealistic:
         config = RealisticGenConfig(
             k=2, answer_law=PointSimplex((0.4, 0.6)), confidence_noise=PointMass(0.3)
         )
-        trace = sample_realistic(config, 20, np.random.default_rng(3))
+        trace = simulate_trace(config, 20, np.random.default_rng(3))
         assert trace.true_index == 0
         assert set(trace.llr_paths) == {1}
 
@@ -200,7 +198,7 @@ class TestSampleRealistic:
         rng = np.random.default_rng(4)
         counts = np.zeros(3)
         for _ in range(40):
-            trace = sample_realistic(config, 100, rng)
+            trace = simulate_trace(config, 100, rng)
             counts += np.bincount(trace.responses, minlength=3)
         freqs = counts / counts.sum()
         assert np.allclose(freqs, [0.2, 0.5, 0.3], atol=0.03)
@@ -212,7 +210,7 @@ class TestSampleRealistic:
         config = RealisticGenConfig(
             k=2, answer_law=PointSimplex((0.6, 0.4)), confidence_noise=noise
         )
-        trace = sample_realistic(config, 50, np.random.default_rng(5))
+        trace = simulate_trace(config, 50, np.random.default_rng(5))
         confidences = trace.confidences.tolist()
         assert all(0.0 < c < 1.0 for c in confidences)
         assert abs(np.mean(confidences) - 0.6) < 0.02
@@ -224,7 +222,7 @@ class TestPathIdentity:
         for _ in range(10):
             k = int(rng.integers(2, 6))
             config = IdealGenConfig(k=k, confidence_law=Uniform(0.2, 0.9), seed=0)
-            trace = sample_ideal(config, 40, rng)
+            trace = simulate_trace(config, 40, rng)
             truth = trace.true_index
             for j, path in trace.llr_paths.items():
                 ratio = trace.posterior_path[:, truth] / trace.posterior_path[:, j]
@@ -234,7 +232,7 @@ class TestPathIdentity:
 class TestLazyPaths:
     def test_paths_are_computed_on_first_access_and_kept(self):
         config = IdealGenConfig(k=4, confidence_law=Uniform(0.2, 0.9))
-        trace = sample_ideal(config, 25, np.random.default_rng(8))
+        trace = simulate_trace(config, 25, np.random.default_rng(8))
         assert not PATHS & vars(trace).keys()
         assert trace.posterior_path is trace.posterior_path
         assert trace.llr_paths is trace.llr_paths
@@ -336,7 +334,7 @@ class TestConcentrationExperiment:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(TrialTrace, "__init__", counting_init)
-        sample_ideal(EXPERIMENT_CONFIGS["ideal-point-k2"], 3, np.random.default_rng(0))
+        simulate_trace(EXPERIMENT_CONFIGS["ideal-point-k2"], 3, np.random.default_rng(0))
         assert len(built) == 1, "the counter must see the traces that are built"
         for config in EXPERIMENT_CONFIGS.values():
             concentration_experiment(config, [1, 9], trials=6, drift_n_mc=100)

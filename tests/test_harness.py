@@ -17,14 +17,12 @@ from cges.controller import ControllerConfig, Method
 from cges.errors import ConfigurationError, KeyMismatchError
 from cges.harness import (
     DEFAULT_GAMMA_GRID,
-    CurvePoint,
     ExperimentSpec,
     Question,
     accuracy,
     compare_methods,
     load_dataset,
     normalize_answer,
-    select_operating_points,
     summarize_report,
     sweep_gamma,
     write_comparison_csv,
@@ -366,23 +364,6 @@ class TestSweepGamma:
             sweep_gamma(spec)
 
 
-class TestSelectOperatingPoints:
-    def test_efficient_is_smallest_matching_threshold(self):
-        curve = (
-            CurvePoint(0.7, 2.0, 0.80),
-            CurvePoint(0.9, 4.0, 0.90),
-            CurvePoint(0.99, 8.0, 0.92),
-        )
-        efficient, conservative = select_operating_points(curve, sc_accuracy=0.90)
-        assert efficient.gamma == 0.9
-        assert conservative.gamma == 0.99
-
-    def test_never_matching_coincides_at_largest(self):
-        curve = (CurvePoint(0.7, 2.0, 0.5), CurvePoint(0.9, 4.0, 0.6))
-        efficient, conservative = select_operating_points(curve, sc_accuracy=0.95)
-        assert efficient == conservative == curve[-1]
-
-
 class TestExperimentSpecValidation:
     def test_requires_exactly_one_source(self, tmp_path):
         questions = [Question("q0", "p", "a", AnswerFormat.BOXED_MATH)]
@@ -521,6 +502,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "samples.jsonl:1" in err
+
+    @pytest.mark.parametrize("label", ["null", "true", '["a"]', '{"a": 1}'])
+    def test_score_command_rejects_non_scalar_label(self, tmp_path, capsys, label):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(
+            '{"label": "None", "confidence": 0.6}\n'
+            f'{{"label": {label}, "confidence": 0.7}}\n'
+        )
+        code = main(["score", "--samples", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "samples.jsonl:2" in err
+        assert "'label' must be a string or a number" in err
+
+    def test_score_command_accepts_numeric_labels(self, tmp_path, capsys):
+        path = tmp_path / "samples.jsonl"
+        path.write_text('{"label": 3, "confidence": 0.6}\n{"label": "3", "confidence": 0.7}\n')
+        assert main(["score", "--samples", str(path)]) == 0
+        assert "top: 3 " in capsys.readouterr().out
 
     def test_run_command(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
@@ -688,6 +689,7 @@ class TestCli:
         code = (
             "import json, sys\n"
             "sys.modules['numpy'] = sys.modules['requests'] = None  # importing either now fails\n"
+            "sys.modules['http.client'] = None  # nor may replay load the live client's HTTP stack\n"
             "from cges.cli import main\n"
             f"print([main(argv) for argv in json.loads({json.dumps(argvs)!r})])\n"
         )

@@ -1,15 +1,24 @@
 """Tests for answer extraction, the record store, and the endpoint client."""
 
+import contextlib
 import dataclasses
+import gc
 import json
+import logging
 import math
+import os
+import ssl
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cges
 from cges.cli import main
 from cges.confidence import Estimator
 from cges.controller import ControllerConfig, Method, run
@@ -150,11 +159,17 @@ BAD_RECORD_EDITS = pytest.mark.parametrize(
         lambda raw: raw.update(token_probs="0.9"),
         lambda raw: raw.update(confidence_by_estimator={"lns_arith": "0.8"}),
         lambda raw: raw.clear(),
+        lambda raw: raw.update(seed="x"),
+        lambda raw: raw.update(seed=True),
+        lambda raw: raw.update(prompt=5),
+        lambda raw: raw.update(raw_text=[1]),
+        lambda raw: raw.update(timestamp=None),
     ],
     ids=[
         "no-question-id", "no-round", "no-label", "round-0", "round-string",
         "empty-label", "list-question-id", "string-token-probs",
-        "string-confidence", "empty-object",
+        "string-confidence", "empty-object", "string-seed", "bool-seed",
+        "number-prompt", "list-raw-text", "null-timestamp",
     ],
 )
 
@@ -387,7 +402,8 @@ def make_stub_handler(state):
             length = int(self.headers["Content-Length"])
             payload = json.loads(self.rfile.read(length))
             state.requests.append(
-                {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization")}
+                {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization"),
+                 "headers": dict(self.headers), "port": self.client_address[1]}
             )
             if state.fail_next > 0:
                 state.fail_next -= 1
@@ -413,19 +429,26 @@ def make_stub_handler(state):
     return Handler
 
 
-@pytest.fixture()
-def stub_server():
-    state = StubState()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), make_stub_handler(state))
+@contextlib.contextmanager
+def serving(handler):
+    """The base URL of a local server running ``handler`` until the block exits."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}", state
+        yield f"http://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def stub_server():
+    state = StubState()
+    with serving(make_stub_handler(state)) as base_url:
+        yield base_url, state
 
 
 def endpoint_for(base_url, **overrides):
@@ -725,6 +748,110 @@ class TestOneRetryLayer:
         assert len(state.requests) == 1
 
 
+def keep_alive_handler(state, drop_after_reply):
+    """The stub over HTTP/1.1, which keeps connections open unless it drops
+    them after each reply, without announcing it with ``Connection: close``."""
+
+    class Handler(make_stub_handler(state)):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            super().do_POST()
+            self.close_connection = drop_after_reply
+
+    return Handler
+
+
+class TestHttpClient:
+    """The client speaks HTTP through the standard library's ``http.client``."""
+
+    def test_sample_once_needs_no_third_party_http_stack(self, stub_server):
+        base_url, state = stub_server
+        code = (
+            "import sys\n"
+            "sys.modules['requests'] = None  # importing it now fails\n"
+            "from cges.llmclient import AnswerFormat, EndpointConfig, sample_once\n"
+            f"endpoint = EndpointConfig(base_url={base_url!r}, model_name='m')\n"
+            "print(sample_once('q0', 'x', AnswerFormat.BOXED_MATH, 1, endpoint, 0).extracted_label)\n"
+        )
+        src = str(Path(cges.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "42"
+        assert len(state.requests) == 1
+
+    def test_worker_keeps_one_connection_alive(self):
+        state = StubState()
+        with serving(keep_alive_handler(state, drop_after_reply=False)) as base_url:
+            sampler = live_sampler(endpoint_for(base_url), {"q0": ("x", AnswerFormat.BOXED_MATH)})
+            assert [sampler("q0", r)[0] for r in (1, 2, 3)] == ["42"] * 3
+            del sampler  # closes its connection before the server stops
+        assert len({request["port"] for request in state.requests}) == 1
+        headers = state.requests[0]["headers"]
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Accept-Encoding"] == "identity"
+
+    def test_concurrent_workers_share_no_connection_and_close_them_all(self):
+        state = StubState()
+        questions = [f"q{i}" for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serving(keep_alive_handler(state, drop_after_reply=False)) as base_url:
+                prompts = {qid: ("x", AnswerFormat.BOXED_MATH) for qid in questions}
+                sampler = live_sampler(endpoint_for(base_url), prompts)
+                config = ControllerConfig(method=Method.SC, budget=3, max_parallel=8)
+                result = run(questions, sampler, config)
+                del sampler
+                gc.collect()  # a connection lost from the sampler would leak here
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.predictions == dict.fromkeys(questions, "42")
+        assert len(state.requests) == 3 * len(questions)
+        assert len({request["port"] for request in state.requests}) <= 8
+
+    def test_connection_dropped_while_idle_is_reopened_not_retried(self, caplog):
+        state = StubState()
+        with serving(keep_alive_handler(state, drop_after_reply=True)) as base_url:
+            sampler = live_sampler(endpoint_for(base_url), {"q0": ("x", AnswerFormat.BOXED_MATH)})
+            with caplog.at_level(logging.WARNING, logger="cges.llmclient"):
+                assert sampler("q0", 1)[0] == sampler("q0", 2)[0] == "42"
+            del sampler
+        assert len(state.requests) == 2
+        assert len({request["port"] for request in state.requests}) == 2
+        assert caplog.records == []
+
+    def test_fresh_connection_closed_without_reply_is_a_retry(self):
+        state = StubState()
+
+        class Handler(make_stub_handler(state)):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                state.requests.append(self.path)  # and close without a reply
+
+        with serving(Handler) as base_url:
+            with pytest.raises(SamplerError, match="3 attempts"):
+                sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), 0)
+        assert len(state.requests) == 3
+
+    def test_https_is_not_downgraded_to_http(self, stub_server):
+        base_url, state = stub_server
+        endpoint = endpoint_for(base_url.replace("http://", "https://"))
+        with pytest.raises(SamplerError, match="3 attempts") as info:
+            sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint, seed=0)
+        assert isinstance(info.value.__cause__, ssl.SSLError)
+        assert state.requests == []
+
+    def test_base_url_path_prefixes_the_completions_path(self, stub_server):
+        base_url, state = stub_server
+        endpoint = endpoint_for(base_url + "/proxy/")
+        sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint, seed=0)
+        assert state.requests[-1]["path"] == "/proxy/v1/chat/completions"
+
+
 CHOICE_BASE = {"message": {"content": "Answer: A"}}
 
 JSON_VALUES = st.recursive(
@@ -863,6 +990,10 @@ class TestEndpointConfig:
 
         with pytest.raises(ConfigurationError):
             endpoint_for("http://x", max_retries=-1)
+        for url in ("localhost:8000", "ftp://x", "http://", "127.0.0.1"):
+            with pytest.raises(ConfigurationError, match="base_url must be an http"):
+                endpoint_for(url)
+        assert endpoint_for("HTTPS://x/prefix").base_url == "HTTPS://x/prefix"
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "endpoint.json"
@@ -885,6 +1016,7 @@ class TestEndpointConfig:
             ('{"base_url": "http://h", "model_name": "m", "max_retries": true}',
              "key 'max_retries' must be int"),
             ('{"base_url": "http://h", "model_name": "m", "top_p": 0}', "top_p"),
+            ('{"base_url": "localhost:8000", "model_name": "m"}', "base_url must be an http"),
         ],
     )
     def test_from_json_file_fails_closed(self, tmp_path, capsys, text, match):

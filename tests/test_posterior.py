@@ -22,8 +22,7 @@ from cges.genmodel import (
     PointSimplex,
     RealisticGenConfig,
     Uniform,
-    sample_ideal,
-    sample_realistic,
+    simulate_trace,
 )
 from cges.posterior import (
     CandidateSet,
@@ -473,14 +472,14 @@ class TestRunningPosterior:
             k = int(rng.integers(2, 6))
             if trial % 2:
                 config = IdealGenConfig(k=k, confidence_law=Uniform(0.05, 0.95))
-                trace = sample_ideal(config, int(rng.integers(1, 200)), rng)
+                trace = simulate_trace(config, int(rng.integers(1, 200)), rng)
             else:
                 config = RealisticGenConfig(
                     k=k,
                     answer_law=PointSimplex((1.0 / k,) * k),
                     confidence_noise=Uniform(0.05, 0.95),
                 )
-                trace = sample_realistic(config, int(rng.integers(1, 200)), rng)
+                trace = simulate_trace(config, int(rng.integers(1, 200)), rng)
             running = RunningPosterior(fixed_k=k, labels=range(k))
             for label, confidence in zip(trace.responses.tolist(), trace.confidences.tolist()):
                 running.add(label, confidence)
@@ -495,7 +494,7 @@ def test_kernel_imports_load_neither_numpy_nor_requests():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, cges, cges.posterior, cges.controller; "
-        "print(sorted({'numpy', 'requests'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'requests', 'http.client'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
