@@ -214,13 +214,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     samples = []
     for line_no, raw in read_jsonl(args.samples):
         try:
-            samples.append(
-                Sample(
-                    label=harness.label_field(raw, "label"),
-                    confidence=float(raw["confidence"]),
-                    round=int(raw.get("round", len(samples) + 1)),
-                )
-            )
+            label = harness.label_field(raw, "label")
+            confidence, round_idx = raw["confidence"], raw.get("round", len(samples) + 1)
+            # the record store's type rule: exact numbers, so a string or a bool fails
+            if type(confidence) not in (int, float):
+                raise TypeError(f"'confidence' must be a number, got {confidence!r}")
+            if type(round_idx) is not int or round_idx < 1:
+                raise TypeError(f"'round' must be an integer >= 1, got {round_idx!r}")
+            samples.append(Sample(label=label, confidence=confidence, round=round_idx))
         except KeyError as exc:
             raise ConfigurationError(
                 f"{args.samples}:{line_no}: sample record lacks field {exc}"

@@ -25,7 +25,17 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    TextIO,
+    Union,
+)
 from urllib.parse import urlsplit
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
@@ -192,7 +202,17 @@ class SampleRecord:
     timestamp: str
 
     def __post_init__(self) -> None:
-        _check_record(self)
+        _check_record(
+            self.question_id,
+            self.round,
+            self.prompt,
+            self.raw_text,
+            self.extracted_label,
+            self.token_probs,
+            self.confidence_by_estimator,
+            self.seed,
+            self.timestamp,
+        )
 
     def to_json_line(self) -> str:
         # field order, then estimator names sorted; tuples serialize as lists
@@ -200,51 +220,45 @@ class SampleRecord:
         payload["confidence_by_estimator"] = dict(sorted(self.confidence_by_estimator.items()))
         return json.dumps(payload, ensure_ascii=False)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SampleRecord":
-        """The record a decoded JSON object describes; keys that are not fields
-        are ignored.  This is the record store's load path: it sets the fields
-        the way the dataclass ``__init__`` does, minus the keyword-call and
-        ``__post_init__`` overhead, and runs the same check."""
-        token_probs = raw.get("token_probs")
-        record = object.__new__(cls)
-        set_field = object.__setattr__  # frozen: the instance's own setattr refuses
-        set_field(record, "question_id", raw["question_id"])
-        set_field(record, "round", raw["round"])
-        set_field(record, "prompt", raw.get("prompt", ""))
-        set_field(record, "raw_text", raw.get("raw_text", ""))
-        set_field(record, "extracted_label", raw["extracted_label"])
-        set_field(record, "token_probs", None if token_probs is None else tuple(token_probs))
-        set_field(record, "confidence_by_estimator", dict(raw.get("confidence_by_estimator", {})))
-        set_field(record, "seed", raw.get("seed", 0))
-        set_field(record, "timestamp", raw.get("timestamp", ""))
-        _check_record(record)
-        return record
-
 
 _NUMBER_TYPES = frozenset((int, float))  # exact types: bool is refused
-_TEXT_TYPES = frozenset((str,))
+_SEQUENCE_TYPES = frozenset((list, tuple, type(None)))
 
 
-def _check_record(record: SampleRecord) -> None:
+def _check_record(
+    question_id: Any,
+    round_idx: Any,
+    prompt: Any,
+    raw_text: Any,
+    label: Any,
+    token_probs: Any,
+    confidences: Any,
+    seed: Any,
+    timestamp: Any,
+) -> None:
     """The one validation of a record's fields, run by direct construction and
-    by ``SampleRecord.from_dict``; raises ``InvalidSampleError``."""
-    label = record.extracted_label
-    texts = (record.question_id, label, record.prompt, record.raw_text, record.timestamp)
-    if not _TEXT_TYPES.issuperset(map(type, texts)):
+    by the record store's loader; raises ``InvalidSampleError``.  Type faults
+    are named before range faults."""
+    if not (
+        type(question_id) is type(label) is type(prompt) is type(raw_text) is type(timestamp) is str
+    ):
         raise InvalidSampleError(
             "question_id, extracted_label, prompt, raw_text and timestamp must be strings"
         )
-    if type(record.seed) is not int:
-        raise InvalidSampleError(f"seed must be an integer, got {record.seed!r}")
+    if type(seed) is not int:
+        raise InvalidSampleError(f"seed must be an integer, got {seed!r}")
     if not label:
         raise InvalidSampleError("extracted_label must be non-empty (use the INVALID sentinel)")
-    round_idx = record.round
     if type(round_idx) is not int or round_idx < 1:
         raise InvalidSampleError(f"round must be an integer >= 1, got {round_idx!r}")
-    confidences = record.confidence_by_estimator
-    if not _NUMBER_TYPES.issuperset(map(type, confidences.values())) or (
-        record.token_probs and not _NUMBER_TYPES.issuperset(map(type, record.token_probs))
+    if type(confidences) is not dict:
+        raise InvalidSampleError(
+            f"confidence_by_estimator must be an object, got {confidences!r:.200}"
+        )
+    if (
+        not _NUMBER_TYPES.issuperset(map(type, confidences.values()))
+        or type(token_probs) not in _SEQUENCE_TYPES
+        or (token_probs and not _NUMBER_TYPES.issuperset(map(type, token_probs)))
     ):
         raise InvalidSampleError("confidences and token_probs must be numbers")
     for name, confidence in confidences.items():
@@ -257,6 +271,20 @@ def _check_record(record: SampleRecord) -> None:
 _decoder = json.JSONDecoder()  # what json.loads calls, without its per-call checks
 
 
+def _open_lines(path: Union[str, Path]) -> BinaryIO:
+    try:
+        return Path(path).open("rb")
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def _decode_line(path: Union[str, Path], line_no: int, line: bytes) -> Any:
+    try:
+        return _decoder.decode(line.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
+
+
 def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
     """(line number, decoded value) for every non-blank line of a JSONL file.
 
@@ -264,19 +292,10 @@ def read_jsonl(path: Union[str, Path]) -> Iterator[tuple[int, Any]]:
     mid-append, raises ``ConfigurationError`` naming ``path:line``; a file
     that cannot be opened raises it naming the path.
     """
-    try:
-        handle = Path(path).open("rb")
-    except OSError as exc:
-        raise ConfigurationError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    with handle:
+    with _open_lines(path) as handle:
         for line_no, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            try:
-                value = _decoder.decode(line.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise ConfigurationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
-            yield line_no, value
+            if not line.isspace():
+                yield line_no, _decode_line(path, line_no, line)
 
 
 class StoreMode(Enum):
@@ -284,35 +303,107 @@ class StoreMode(Enum):
     REPLAY = "replay"
 
 
+class StoreEntry(NamedTuple):
+    """What the store keeps of one record: what the samplers read, and the
+    line that holds it.  ``raw_text``, ``token_probs`` and ``timestamp`` are
+    checked when the record is loaded, then dropped."""
+
+    label: str
+    confidences: dict[str, float]
+    seed: int
+    prompt: str
+    line: int
+
+
 class RecordStore:
     """Append-only JSONL store of sample records, indexed by (question, round).
 
     Record mode loads any existing file and appends new records (duplicates
     raise); replay mode requires the file to exist and refuses to sample.
-    Appends are serialized; reads are safe from any thread once loaded.
+    Appends are serialized and go through one handle, flushed after each
+    line; reads are safe from any thread once loaded.
     """
 
     def __init__(self, path: Union[str, Path], mode: StoreMode) -> None:
         self.path = Path(path)
         self.mode = mode
         self._lock = threading.Lock()
-        self._index: dict[tuple[str, int], SampleRecord] = {}
+        self._index: dict[tuple[str, int], StoreEntry] = {}
+        self._lines = 0  # lines in the file, blank ones included
+        self._separator = ""  # written before the next line: a newline the file lacks
+        self._handle: Optional[TextIO] = None
+        self._closer: Optional[weakref.finalize] = None
         if mode is StoreMode.REPLAY and not self.path.exists():
             raise ConfigurationError(f"replay store {self.path} does not exist")
         if self.path.exists():
-            for line_no, raw in read_jsonl(self.path):
+            self._load()
+
+    def _load(self) -> None:
+        """Check every line by the record rules and index what it keeps.
+
+        In record mode a last line that lacks its newline and does not decode
+        is what a crash mid-append leaves: it is logged, cut off, and the store
+        resumes.  Any other bad line raises naming ``path:line``.
+        """
+        index = self._index
+        shared = {}.setdefault  # ids, labels and prompts: one string object per value
+        line_no, line, offset = 0, b"\n", 0  # offset: bytes before the current line
+        with _open_lines(self.path) as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if line.isspace():
+                    offset += len(line)
+                    continue
                 try:
-                    record = SampleRecord.from_dict(raw)
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raw = _decode_line(self.path, line_no, line)
+                except ConfigurationError:
+                    if self.mode is StoreMode.REPLAY or line.endswith(b"\n"):
+                        raise
+                    break
+                try:
+                    question_id = raw["question_id"]
+                    round_idx = raw["round"]
+                    label = raw["extracted_label"]
+                    prompt = raw.get("prompt", "")
+                    confidences = raw.get("confidence_by_estimator", {})
+                    seed = raw.get("seed", 0)
+                    _check_record(
+                        question_id,
+                        round_idx,
+                        prompt,
+                        raw.get("raw_text", ""),
+                        label,
+                        raw.get("token_probs"),
+                        confidences,
+                        seed,
+                        raw.get("timestamp", ""),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigurationError(
                         f"{self.path}:{line_no}: bad sample record: {exc!r}"
                     ) from exc
-                key = (record.question_id, record.round)
-                if key in self._index:
+                key = (shared(question_id, question_id), round_idx)
+                if key in index:
                     raise DuplicateRecordError(
                         f"{self.path}:{line_no}: duplicate record for {key!r}"
                     )
-                self._index[key] = record
+                index[key] = StoreEntry(
+                    shared(label, label), confidences, seed, shared(prompt, prompt), line_no
+                )
+                offset += len(line)
+            else:  # every line was read
+                self._lines = line_no
+                self._separator = "" if line.endswith(b"\n") else "\n"
+                return
+        # the loop stopped at a torn final line; the lines before it are indexed
+        logger.warning(
+            "%s:%d: torn final line (%d bytes, left by a crash mid-append); "
+            "truncating it and resuming",
+            self.path,
+            line_no,
+            len(line),
+        )
+        os.truncate(self.path, offset)
+        self._lines = line_no - 1
 
     @classmethod
     def open_record(cls, path: Union[str, Path]) -> "RecordStore":
@@ -335,7 +426,7 @@ class RecordStore:
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._index
 
-    def get(self, question_id: str, round_idx: int) -> SampleRecord:
+    def get(self, question_id: str, round_idx: int) -> StoreEntry:
         try:
             return self._index[(question_id, round_idx)]
         except KeyError:
@@ -347,27 +438,17 @@ class RecordStore:
         self, question_ids: Iterable[str], estimator: Union[Estimator, str]
     ) -> None:
         """Raise ``ConfigurationError`` naming ``path:line`` of the first stored
-        record of these questions that lacks the estimator's confidence.
-
-        The index keeps no line numbers; the file is read again to find the
-        line only when a record fails.
-        """
+        record of these questions that lacks the estimator's confidence."""
         key = _estimator_key(estimator)
         wanted = set(question_ids)
-        for (question_id, round_idx), record in self._index.items():  # in file order
-            if key not in record.confidence_by_estimator and question_id in wanted:
-                available = ", ".join(sorted(record.confidence_by_estimator)) or "none"
+        for (question_id, round_idx), entry in self._index.items():  # in file order
+            if key not in entry.confidences and question_id in wanted:
+                available = ", ".join(sorted(entry.confidences)) or "none"
                 raise ConfigurationError(
-                    f"{self.path}:{self._line_of(question_id, round_idx)}: record for question "
+                    f"{self.path}:{entry.line}: record for question "
                     f"{question_id!r} round {round_idx} has no {key!r} confidence "
                     f"(available: {available})"
                 )
-
-    def _line_of(self, question_id: str, round_idx: int) -> int:
-        for line_no, raw in read_jsonl(self.path):
-            if raw["question_id"] == question_id and raw["round"] == round_idx:
-                return line_no
-        raise ConfigurationError(f"{self.path} changed since it was loaded")
 
     def append(self, record: SampleRecord) -> None:
         if self.mode is not StoreMode.RECORD:
@@ -376,9 +457,28 @@ class RecordStore:
         with self._lock:
             if key in self._index:
                 raise DuplicateRecordError(f"duplicate record for {key!r}")
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(record.to_json_line() + "\n")
-            self._index[key] = record
+            if self._handle is None:
+                self._handle = self.path.open("a", encoding="utf-8")
+                # closed with the store, if close() is never called
+                self._closer = weakref.finalize(self, self._handle.close)
+            self._handle.write(self._separator + record.to_json_line() + "\n")
+            self._handle.flush()
+            self._separator = ""
+            self._lines += 1
+            self._index[key] = StoreEntry(
+                record.extracted_label,
+                record.confidence_by_estimator,
+                record.seed,
+                record.prompt,
+                self._lines,
+            )
+
+    def close(self) -> None:
+        """Close the append handle, if one is open; a later append reopens it."""
+        with self._lock:
+            if self._closer is not None:
+                self._closer()
+            self._handle = None
 
 
 def derive_seed(base_seed: int, question_id: str, round_idx: int) -> int:
@@ -559,13 +659,15 @@ def _estimator_key(estimator: Union[Estimator, str]) -> str:
     return estimator.value if isinstance(estimator, Estimator) else str(estimator)
 
 
-def _confidence_from_record(record: SampleRecord, key: str) -> float:
+def _confidence(
+    confidences: Mapping[str, float], key: str, question_id: str, round_idx: int
+) -> float:
     try:
-        return record.confidence_by_estimator[key]
+        return confidences[key]
     except KeyError:
-        available = sorted(record.confidence_by_estimator) or ["none"]
+        available = sorted(confidences) or ["none"]
         raise SamplerError(
-            f"record for question {record.question_id!r} round {record.round} has no "
+            f"record for question {question_id!r} round {round_idx} has no "
             f"{key!r} confidence (available: {', '.join(available)}); the record may "
             "be degraded (missing token log-probabilities)"
         ) from None
@@ -580,8 +682,8 @@ def replay_sampler(
     key = _estimator_key(estimator)
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:
-        record = store.get(question_id, round_idx)
-        return record.extracted_label, _confidence_from_record(record, key)
+        entry = store.get(question_id, round_idx)
+        return entry.label, _confidence(entry.confidences, key, question_id, round_idx)
 
     return sample
 
@@ -617,13 +719,13 @@ def live_sampler(
         prompt_text, fmt = prompts[question_id]
         seed = derive_seed(base_seed, question_id, round_idx)
         if store is not None and (question_id, round_idx) in store:
-            record = store.get(question_id, round_idx)
-            if record.seed != seed:
-                mismatch = f"seed {record.seed}, this run's is {seed}"
-            elif record.prompt != render_prompt(prompt_text, fmt):
+            entry = store.get(question_id, round_idx)
+            if entry.seed != seed:
+                mismatch = f"seed {entry.seed}, this run's is {seed}"
+            elif entry.prompt != render_prompt(prompt_text, fmt):
                 mismatch = "a different prompt"
             else:
-                return record.extracted_label, _confidence_from_record(record, key)
+                return entry.label, _confidence(entry.confidences, key, question_id, round_idx)
             raise ConfigurationError(
                 f"{store.path}: stored record for question {question_id!r} round "
                 f"{round_idx} has {mismatch}; record into a fresh store"
@@ -635,7 +737,8 @@ def live_sampler(
         record = sample_once(question_id, prompt_text, fmt, round_idx, endpoint, seed, connection)
         if store is not None:
             store.append(record)
-        return record.extracted_label, _confidence_from_record(record, key)
+        confidences = record.confidence_by_estimator
+        return record.extracted_label, _confidence(confidences, key, question_id, round_idx)
 
     weakref.finalize(sample, opened.close)
     return sample

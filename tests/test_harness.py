@@ -517,6 +517,23 @@ class TestCli:
         assert "samples.jsonl:2" in err
         assert "'label' must be a string or a number" in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"confidence": "0.6"', "'confidence' must be a number"),
+            ('"confidence": 0.6, "round": 2.7', "'round' must be an integer >= 1"),
+            ('"confidence": 0.6, "round": true', "'round' must be an integer >= 1"),
+        ],
+        ids=["string-confidence", "float-round", "bool-round"],
+    )
+    def test_score_command_refuses_coerced_field_types(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(f'{{"label": "a", "confidence": 0.6}}\n{{"label": "a", {fields}}}\n')
+        assert main(["score", "--samples", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "samples.jsonl:2" in err and message in err
+
     def test_score_command_accepts_numeric_labels(self, tmp_path, capsys):
         path = tmp_path / "samples.jsonl"
         path.write_text('{"label": 3, "confidence": 0.6}\n{"label": "3", "confidence": 0.7}\n')

@@ -10,6 +10,7 @@ import os
 import ssl
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -36,6 +37,7 @@ from cges.llmclient import (
     EndpointConfig,
     RecordStore,
     SampleRecord,
+    StoreEntry,
     _parse_completion,
     derive_seed,
     extract_answer,
@@ -164,23 +166,46 @@ BAD_RECORD_EDITS = pytest.mark.parametrize(
         lambda raw: raw.update(prompt=5),
         lambda raw: raw.update(raw_text=[1]),
         lambda raw: raw.update(timestamp=None),
+        lambda raw: raw.update(confidence_by_estimator=[["lns_arith", 0.8]]),
+        lambda raw: raw.update(token_probs=5),
+        lambda raw: raw.update(confidence_by_estimator={"lns_arith": True}),
     ],
     ids=[
         "no-question-id", "no-round", "no-label", "round-0", "round-string",
         "empty-label", "list-question-id", "string-token-probs",
         "string-confidence", "empty-object", "string-seed", "bool-seed",
-        "number-prompt", "list-raw-text", "null-timestamp",
+        "number-prompt", "list-raw-text", "null-timestamp", "pairs-confidences",
+        "number-token-probs", "bool-confidence",
     ],
 )
 
 
+def stored_entries(record, path):
+    """The store's entry of ``record`` appended to a fresh store at ``path``:
+    as the append indexed it, and as a record-mode and a replay-mode load do."""
+    store = RecordStore.open_record(path)
+    store.append(record)
+    store.close()
+    key = (record.question_id, record.round)
+    return [
+        store.get(*key),
+        RecordStore.open_record(path).get(*key),
+        RecordStore.open_replay(path).get(*key),
+    ]
+
+
+def entry_of(record, line):
+    return StoreEntry(
+        record.extracted_label, record.confidence_by_estimator, record.seed, record.prompt, line
+    )
+
+
 class TestSampleRecord:
-    def test_json_round_trip_is_byte_stable(self):
+    def test_store_round_trip_is_byte_stable(self, tmp_path):
         record = make_record()
-        line = record.to_json_line()
-        again = SampleRecord.from_dict(json.loads(line))
-        assert again == record
-        assert again.to_json_line() == line
+        path = tmp_path / "store.jsonl"
+        assert stored_entries(record, path) == [entry_of(record, 1)] * 3
+        assert path.read_text(encoding="utf-8") == record.to_json_line() + "\n"
 
     def test_estimator_keys_serialized_sorted(self):
         record = make_record(confidence_by_estimator={"rm": 0.5, "lns_arith": 0.6})
@@ -208,12 +233,13 @@ class TestSampleRecord:
             timestamp=st.text(),
         )
     )
-    def test_json_round_trip_property(self, record):
+    def test_store_round_trip_property(self, record):
         line = record.to_json_line()
         assert "\n" not in line
-        again = SampleRecord.from_dict(json.loads(line))
-        assert again == record
-        assert again.to_json_line() == line
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "store.jsonl"
+            assert stored_entries(record, path) == [entry_of(record, 1)] * 3
+            assert path.read_text(encoding="utf-8") == line + "\n"
 
 
 class TestRecordStore:
@@ -225,8 +251,10 @@ class TestRecordStore:
         assert len(store) == 2
 
         replay = RecordStore.open_replay(path)
-        assert replay.get("q0", 1) == make_record(round_idx=1)
+        assert replay.get("q0", 1) == entry_of(make_record(round_idx=1), 1)
+        assert replay.get("q0", 2) == store.get("q0", 2) == entry_of(make_record(round_idx=2), 2)
         assert ("q0", 2) in replay
+        store.close()
 
     def test_duplicate_append_rejected(self, tmp_path):
         store = RecordStore.open_record(tmp_path / "store.jsonl")
@@ -254,8 +282,7 @@ class TestRecordStore:
         with pytest.raises(ReplayMissError, match="'q0' round 9"):
             replay.get("q0", 9)
 
-    @pytest.mark.parametrize("mode", [RecordStore.open_record, RecordStore.open_replay])
-    @pytest.mark.parametrize(
+    TORN_TAILS = pytest.mark.parametrize(
         "tail",
         [
             b'{"question_id": "q0", "round": 3, "extracted_la',
@@ -263,15 +290,125 @@ class TestRecordStore:
         ],
         ids=["mid-key", "mid-utf8-character"],
     )
-    def test_torn_final_line_names_path_and_line(self, tmp_path, mode, tail):
-        path = tmp_path / "store.jsonl"
+
+    @staticmethod
+    def write_two_records(path):
         store = RecordStore.open_record(path)
         store.append(make_record(round_idx=1))
         store.append(make_record(round_idx=2))
+        store.close()
+
+    @TORN_TAILS
+    def test_torn_final_line_names_path_and_line(self, tmp_path, tail):
+        path = tmp_path / "store.jsonl"
+        self.write_two_records(path)
         with path.open("ab") as handle:
             handle.write(tail)
         with pytest.raises(CGESError, match="store.jsonl:3"):
-            mode(path)
+            RecordStore.open_replay(path)
+
+    @TORN_TAILS
+    def test_record_mode_cuts_a_torn_final_line_and_resumes(self, tmp_path, caplog, tail):
+        path = tmp_path / "store.jsonl"
+        self.write_two_records(path)
+        intact = path.read_bytes()
+        with path.open("ab") as handle:
+            handle.write(tail)
+        with caplog.at_level(logging.WARNING, logger="cges.llmclient"):
+            store = RecordStore.open_record(path)
+        assert "store.jsonl:3: torn final line" in caplog.text
+        assert path.read_bytes() == intact  # the file keeps its 2 lines
+        store.append(make_record(round_idx=3))
+        store.close()
+        replay = RecordStore.open_replay(path)
+        assert len(replay) == 3 and replay.get("q0", 3).line == 3
+
+    def test_torn_line_before_the_last_fails_closed_in_record_mode(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        self.write_two_records(path)
+        with path.open("ab") as handle:
+            handle.write(b'{"question_id": "q0", "round": 3, "extracted_la\n')
+            handle.write(make_record(round_idx=4).to_json_line().encode())
+        torn = path.read_bytes()
+        for mode in (RecordStore.open_record, RecordStore.open_replay):
+            with pytest.raises(CGESError, match="store.jsonl:3"):
+                mode(path)
+        assert path.read_bytes() == torn
+
+    def test_append_after_a_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(make_record().to_json_line())
+        store = RecordStore.open_record(path)
+        store.append(make_record(round_idx=2))
+        store.close()
+        assert RecordStore.open_replay(path).get("q0", 2).line == 2
+
+    def test_appends_share_one_handle_closed_with_the_store(self, tmp_path, monkeypatch):
+        appending = []
+        path_open = Path.open
+
+        def spy(self, mode="r", *args, **kwargs):
+            handle = path_open(self, mode, *args, **kwargs)
+            if mode.startswith("a"):
+                appending.append(handle)
+            return handle
+
+        monkeypatch.setattr(Path, "open", spy)
+        path = tmp_path / "store.jsonl"
+        store = RecordStore.open_record(path)
+        assert not path.exists()  # created by the first append
+        for round_idx in (1, 2, 3):
+            store.append(make_record(round_idx=round_idx))
+            assert path.read_text().count("\n") == round_idx  # flushed per line
+        assert len(appending) == 1
+        store.close()
+        assert appending[0].closed
+        store.append(make_record(round_idx=4))  # reopens
+        assert len(appending) == 2
+        del store  # an unclosed store closes its handle when collected
+        assert all(handle.closed for handle in appending)
+        assert len(RecordStore.open_replay(path)) == 4
+
+    def test_concurrent_appends_keep_every_line_and_its_number(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = RecordStore.open_record(path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda q=q: [
+                        store.append(make_record(question_id=q, round_idx=r)) for r in range(1, 26)
+                    ]
+                )
+                for q in (f"q{i}" for i in range(8))
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        store.close()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 8 * 25
+        replay = RecordStore.open_replay(path)
+        for line_no, line in enumerate(lines, start=1):
+            raw = json.loads(line)
+            key = (raw["question_id"], raw["round"])
+            assert replay.get(*key).line == store.get(*key).line == line_no
+
+    def test_require_estimator_names_the_line_without_reading_the_file(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        degraded = make_record(round_idx=2, token_probs=None, confidence_by_estimator={})
+        lines = [make_record().to_json_line(), "", degraded.to_json_line()]
+        path.write_text("\n".join(lines) + "\n")
+        store = RecordStore.open_replay(path)
+        path.unlink()
+        store.require_estimator(["q1"], Estimator.LNS_GEOMETRIC)  # q0 is not asked for
+        with pytest.raises(ConfigurationError, match=r"store.jsonl:3: .*'q0' round 2 .*none"):
+            store.require_estimator(["q0"], Estimator.LNS_GEOMETRIC)
 
     @BAD_RECORD_EDITS
     def test_bad_record_names_path_and_line(self, tmp_path, edit):
