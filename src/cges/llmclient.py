@@ -203,15 +203,8 @@ class SampleRecord:
 
     def __post_init__(self) -> None:
         _check_record(
-            self.question_id,
-            self.round,
-            self.prompt,
-            self.raw_text,
-            self.extracted_label,
-            self.token_probs,
-            self.confidence_by_estimator,
-            self.seed,
-            self.timestamp,
+            self.question_id, self.round, self.prompt, self.raw_text, self.extracted_label,
+            self.token_probs, self.confidence_by_estimator, self.seed, self.timestamp,
         )
 
     def to_json_line(self) -> str:
@@ -226,19 +219,11 @@ _SEQUENCE_TYPES = frozenset((list, tuple, type(None)))
 
 
 def _check_record(
-    question_id: Any,
-    round_idx: Any,
-    prompt: Any,
-    raw_text: Any,
-    label: Any,
-    token_probs: Any,
-    confidences: Any,
-    seed: Any,
-    timestamp: Any,
+    question_id, round_idx, prompt, raw_text, label, token_probs, confidences, seed, timestamp
 ) -> None:
-    """The one validation of a record's fields, run by direct construction and
-    by the record store's loader; raises ``InvalidSampleError``.  Type faults
-    are named before range faults."""
+    """The one validation of a record's fields, of whatever type they arrive,
+    run by direct construction and by the record store's loader; raises
+    ``InvalidSampleError``.  Type faults are named before range faults."""
     if not (
         type(question_id) is type(label) is type(prompt) is type(raw_text) is type(timestamp) is str
     ):
@@ -367,15 +352,8 @@ class RecordStore:
                     confidences = raw.get("confidence_by_estimator", {})
                     seed = raw.get("seed", 0)
                     _check_record(
-                        question_id,
-                        round_idx,
-                        prompt,
-                        raw.get("raw_text", ""),
-                        label,
-                        raw.get("token_probs"),
-                        confidences,
-                        seed,
-                        raw.get("timestamp", ""),
+                        question_id, round_idx, prompt, raw.get("raw_text", ""), label,
+                        raw.get("token_probs"), confidences, seed, raw.get("timestamp", ""),
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigurationError(
