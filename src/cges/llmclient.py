@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import json.scanner
 import logging
 import math
 import os
@@ -25,17 +26,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import (
-    Any,
-    BinaryIO,
-    Iterable,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Optional,
-    TextIO,
-    Union,
-)
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO, Union
 from urllib.parse import urlsplit
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
@@ -215,7 +206,7 @@ class SampleRecord:
 
 
 _NUMBER_TYPES = frozenset((int, float))  # exact types: bool is refused
-_SEQUENCE_TYPES = frozenset((list, tuple, type(None)))
+_TOKEN_PROBS_TYPES = frozenset((list, tuple, type(None)))
 
 
 def _check_record(
@@ -242,7 +233,7 @@ def _check_record(
         )
     if (
         not _NUMBER_TYPES.issuperset(map(type, confidences.values()))
-        or type(token_probs) not in _SEQUENCE_TYPES
+        or type(token_probs) not in _TOKEN_PROBS_TYPES
         or (token_probs and not _NUMBER_TYPES.issuperset(map(type, token_probs)))
     ):
         raise InvalidSampleError("confidences and token_probs must be numbers")
@@ -254,6 +245,7 @@ def _check_record(
 
 
 _decoder = json.JSONDecoder()  # what json.loads calls, without its per-call checks
+_scan = json.scanner.make_scanner(_decoder)  # _decoder.decode minus its whitespace regexes
 
 
 def _open_lines(path: Union[str, Path]) -> BinaryIO:
@@ -265,7 +257,15 @@ def _open_lines(path: Union[str, Path]) -> BinaryIO:
 
 def _decode_line(path: Union[str, Path], line_no: int, line: bytes) -> Any:
     try:
-        return _decoder.decode(line.decode("utf-8"))
+        text = line.decode("utf-8")
+        try:
+            value, end = _scan(text, 0)
+        except StopIteration:  # no value at 0: decode() skips whitespace or names the fault
+            pass
+        else:
+            if end == len(text) or text[end:] == "\n":
+                return value
+        return _decoder.decode(text)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigurationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
 
@@ -432,6 +432,7 @@ class RecordStore:
         if self.mode is not StoreMode.RECORD:
             raise ConfigurationError("store is in replay mode; appends are not allowed")
         key = (record.question_id, record.round)
+        line = record.to_json_line() + "\n"  # serialized outside the lock: most of an append
         with self._lock:
             if key in self._index:
                 raise DuplicateRecordError(f"duplicate record for {key!r}")
@@ -439,7 +440,7 @@ class RecordStore:
                 self._handle = self.path.open("a", encoding="utf-8")
                 # closed with the store, if close() is never called
                 self._closer = weakref.finalize(self, self._handle.close)
-            self._handle.write(self._separator + record.to_json_line() + "\n")
+            self._handle.write(self._separator + line)
             self._handle.flush()
             self._separator = ""
             self._lines += 1

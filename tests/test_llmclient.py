@@ -474,6 +474,15 @@ class TestRecordStore:
         with pytest.raises(CGESError, match="store.jsonl:1: bad sample record"):
             RecordStore.open_replay(path)
 
+    def test_whitespace_around_a_line_is_allowed_and_trailing_data_is_not(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        line = make_record().to_json_line()
+        path.write_bytes(f"  {line}\r\n{make_record(round_idx=2).to_json_line()} \n".encode())
+        assert len(RecordStore.open_replay(path)) == 2
+        path.write_text(f"{line}\n{line} x\n")
+        with pytest.raises(CGESError, match="store.jsonl:2: malformed JSON: Extra data"):
+            RecordStore.open_replay(path)
+
     def test_record_store_needs_an_existing_directory(self, tmp_path):
         path = tmp_path / "missing_dir" / "out.jsonl"
         with pytest.raises(ConfigurationError, match=r"missing_dir/out\.jsonl"):
