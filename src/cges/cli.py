@@ -160,6 +160,12 @@ def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> ha
     )
 
 
+def _close_record_store(spec: harness.ExperimentSpec) -> None:
+    """Close the ``--record`` store's append handle once sampling has ended."""
+    if spec.record_store is not None:
+        spec.record_store.close()
+
+
 def _open_replay(args: argparse.Namespace, questions: list[harness.Question]) -> RecordStore:
     """The replay store, refused before round 1 if a record of these questions
     lacks the chosen estimator's confidence."""
@@ -255,7 +261,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     names = args.method or ["sc", "esc", "cges"]
     methods = [_method_config(name, args) for name in names]
     spec = _build_spec(args, methods)
-    report = harness.compare_methods(spec)
+    try:
+        report = harness.compare_methods(spec)
+    finally:
+        _close_record_store(spec)
     print(harness.summarize_report(report))
     if args.out is not None:
         harness.write_comparison_csv(report, args.out)
@@ -273,7 +282,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_spec(args, [base])
     if not args.gamma_grid:
         print("warning: empty gamma grid, emitting an empty curve", file=sys.stderr)
-    curve = harness.sweep_gamma(spec)
+    try:
+        curve = harness.sweep_gamma(spec)
+    finally:
+        _close_record_store(spec)
     harness.write_curve_csv(curve, args.out)
     for point in curve:
         print(f"gamma={point.gamma:<8g} avg_calls={point.avg_calls:.3f} accuracy={point.accuracy:.4f}")

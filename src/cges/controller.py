@@ -3,8 +3,9 @@
 Three methods share one sampler interface, a callable
 ``sampler(question_id, round) -> (label, confidence)``, and one loop,
 ``run_many``, which serves several configurations from one sample stream;
-``run`` is its one-configuration form.  Each round samples every still-active
-question once; a method is a stop rule and a predict rule:
+``run`` is its one-configuration form.  Each question is one chain of rounds,
+drawn until no configuration is open on it; a method is a stop rule and a
+predict rule:
 
 * ``cges`` - stop once the top posterior mass reaches the threshold gamma,
   predict the posterior argmax;
@@ -16,10 +17,10 @@ question once; a method is a stop rule and a predict rule:
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError
@@ -103,13 +104,12 @@ PredictRule = Callable[[QuestionState], Label]
 def run(
     questions: Sequence[str], sampler: Sampler, config: ControllerConfig
 ) -> RunResult:
-    """Sample every question round by round until its stop rule fires or the
+    """Sample each question round by round until its stop rule fires or the
     budget runs out, then predict.
 
-    Round 1 samples every question once; each later round resamples exactly
-    the questions whose stop rule has not fired.  For CGES stopping is
-    inclusive (mass >= gamma stops) and the comparison runs in log space, so a
-    threshold of 1.0 stays unreachable while any competing mass is positive.
+    For CGES stopping is inclusive (mass >= gamma stops) and the comparison
+    runs in log space, so a threshold of 1.0 stays unreachable while any
+    competing mass is positive.
     """
     return run_many(questions, sampler, (config,))[0]
 
@@ -126,7 +126,10 @@ def run_many(
     keeps the calls, prediction, posterior and resolved flag of the round it
     closes at.  Result ``i`` equals ``run(questions, sampler, configs[i])``
     whenever the sampler serves the same draw each time a (question, round) is
-    asked for.  The rounds run up to the largest ``max_parallel``.
+    asked for.  Up to the largest ``max_parallel`` chains run at once, and a
+    worker takes the next question as soon as its chain ends.  Once a draw
+    raises, no chain starts another; the draws in flight finish, and the error
+    of the earliest question (in question order) whose chain raised propagates.
     """
     qids = list(questions)
     if not qids:
@@ -152,62 +155,62 @@ def _run_group(
     fixed_k: Optional[int],
 ) -> list[RunResult]:
     """The loop of ``run_many`` for configurations sharing one ``fixed_k``."""
-    rules = [_rules(config) for config in configs]
-    budgets = [config.budget for config in configs]
+    # per configuration: (index, stop rule, predict rule, budget)
+    every_config = [(c, *_rules(config), config.budget) for c, config in enumerate(configs)]
     max_parallel = max(config.max_parallel for config in configs)
-    states = [QuestionState(qid, RunningPosterior(fixed_k=fixed_k)) for qid in qids]
-    # per question, the configurations still open on it
-    open_on = [list(range(len(configs))) for _ in qids]
-    # per configuration and question: (prediction, posterior, resolved) at closing
-    closed: list[list] = [[None] * len(qids) for _ in configs]
+    failed = threading.Event()  # set once a chain raises or the caller's wait ends early
 
-    active = list(range(len(qids)))
-    # one pool for the whole run; it starts no thread until the first map
-    with ThreadPoolExecutor(max_workers=max_parallel) as pool:
-        for round_idx in range(1, max(budgets) + 1):
-            if not active:
-                break
-            # one sampler call per active question, concurrently up to max_parallel;
-            # a sampler exception ends the run (HTTP retries live in the client)
-            active_ids = [qids[q] for q in active]
-            if max_parallel > 1 and len(active) > 1:
-                draws = list(pool.map(sampler, active_ids, repeat(round_idx)))
-            else:
-                draws = [sampler(qid, round_idx) for qid in active_ids]
-            # applied in question order, so outcomes do not depend on scheduling
-            for q, (label, confidence) in zip(active, draws):
-                states[q].observe(label, confidence)
-            still_active = []
-            for q in active:
-                state = states[q]
-                closing, staying = [], []
-                for c in open_on[q]:
-                    stop = rules[c][0]
+    def chain(qid: str) -> Optional[list]:
+        """Per configuration, (prediction, posterior, resolved) at the round it
+        closes on ``qid``; None once a chain has failed, before the next draw."""
+        state = QuestionState(qid, RunningPosterior(fixed_k=fixed_k))
+        outcomes: list = [None] * len(configs)
+        open_configs = every_config
+        round_idx = 0
+        try:
+            while open_configs:
+                if failed.is_set():
+                    return None
+                round_idx += 1
+                label, confidence = sampler(qid, round_idx)
+                state.observe(label, confidence)
+                closing = []
+                for c, stop, predict, budget in open_configs:
                     fired = stop is not None and stop(state, round_idx)
-                    if fired or round_idx == budgets[c]:
-                        closing.append((c, fired or stop is None))
-                    else:
-                        staying.append(c)
+                    if fired or round_idx == budget:
+                        closing.append((c, predict, fired or stop is None))
                 if closing:
                     # one snapshot per round; the last to close takes the live posterior
-                    posterior = state.posterior.copy() if staying else state.posterior
-                    for c, resolved in closing:
-                        closed[c][q] = (rules[c][1](state), posterior, resolved)
-                    open_on[q] = staying
-                if staying:
-                    still_active.append(q)
-            active = still_active
+                    live = len(closing) == len(open_configs)
+                    posterior = state.posterior if live else state.posterior.copy()
+                    for c, predict, resolved in closing:
+                        outcomes[c] = (predict(state), posterior, resolved)
+                    open_configs = [entry for entry in open_configs if outcomes[entry[0]] is None]
+        except BaseException:
+            failed.set()
+            raise
+        return outcomes
+
+    # a worker takes the next question as soon as its chain ends; a chain reads
+    # only its own (question, round) draws, so outcomes do not depend on scheduling
+    with ThreadPoolExecutor(max_workers=max_parallel) as pool:
+        schedule = pool.map if max_parallel > 1 and len(qids) > 1 else map
+        try:
+            # raises the error of the earliest question whose chain raised
+            per_question = list(schedule(chain, qids))
+        finally:
+            failed.set()  # on an early exit, the pool waits only for the draws in flight
 
     results = []
-    for outcomes in closed:
-        per_question_calls = {qid: outcomes[q][1].n for q, qid in enumerate(qids)}
+    for closed in zip(*per_question):  # per configuration, its outcome on each question
+        per_question_calls = {qid: post.n for qid, (_, post, _) in zip(qids, closed)}
         results.append(
             RunResult(
-                predictions={qid: outcomes[q][0] for q, qid in enumerate(qids)},
+                predictions={qid: prediction for qid, (prediction, _, _) in zip(qids, closed)},
                 avg_calls=sum(per_question_calls.values()) / len(qids),
                 per_question_calls=per_question_calls,
-                per_question_posterior={qid: outcomes[q][1] for q, qid in enumerate(qids)},
-                unresolved=tuple(qid for q, qid in enumerate(qids) if not outcomes[q][2]),
+                per_question_posterior={qid: post for qid, (_, post, _) in zip(qids, closed)},
+                unresolved=tuple(qid for qid, (_, _, ok) in zip(qids, closed) if not ok),
             )
         )
     return results
@@ -217,7 +220,9 @@ def _rules(config: ControllerConfig) -> tuple[StopRule, PredictRule]:
     """The (stop, predict) pair of the configured method."""
 
     def majority(state: QuestionState) -> Label:
-        return _majority(state.posterior.counts)
+        # max returns the first maximum; insertion order = first-seen order
+        counts = state.posterior.counts
+        return max(counts, key=counts.__getitem__)
 
     if config.method is Method.CGES:
         log_gamma = math.log(config.gamma)
@@ -233,8 +238,3 @@ def _rules(config: ControllerConfig) -> tuple[StopRule, PredictRule]:
             majority,
         )
     return None, majority
-
-
-def _majority(counts: dict[Label, int]) -> Label:
-    # max returns the first maximum; insertion order = first-seen order
-    return max(counts, key=counts.__getitem__)

@@ -659,8 +659,15 @@ def replay_sampler(
     if store.mode is not StoreMode.REPLAY:
         raise ConfigurationError("replay_sampler needs a store opened in replay mode")
     key = _estimator_key(estimator)
+    index = store._index  # a replay store never changes once loaded
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:
+        try:
+            entry = index[question_id, round_idx]
+            return entry.label, entry.confidences[key]
+        except KeyError:
+            pass
+        # a miss: the store and the estimator lookup raise their own messages
         entry = store.get(question_id, round_idx)
         return entry.label, _confidence(entry.confidences, key, question_id, round_idx)
 
@@ -713,7 +720,9 @@ def live_sampler(
         if connection is None:
             connection = local.connection = _connect(endpoint)
             opened.callback(connection.close)
-        record = sample_once(question_id, prompt_text, fmt, round_idx, endpoint, seed, connection)
+        record = sample_once(
+            question_id, prompt_text, fmt, round_idx, endpoint, seed=seed, connection=connection
+        )
         if store is not None:
             store.append(record)
         confidences = record.confidence_by_estimator

@@ -139,7 +139,8 @@ class RunningPosterior:
 
     def add(self, label: Label, confidence: float) -> None:
         """Fold one (label, confidence) observation into the statistics."""
-        _check_confidence(confidence)
+        if not 0.0 < confidence < 1.0:
+            _check_confidence(confidence)  # raises
         if label not in self.counts:
             if self.fixed_k is not None:
                 _check_fixed_k(self.fixed_k, len(self.counts) + 1)
@@ -153,26 +154,35 @@ class RunningPosterior:
 
     def log_scores(self) -> dict[Label, float]:
         """Unnormalized log score of every named label, in first-seen order."""
-        log_k_minus_1 = math.log(self.effective_k - 1)
-        n, total_miss = self.n, self.sum_log_miss
-        hit, miss = self._sum_log_hit, self._sum_log_miss
-        return {
-            label: hit[label] + (total_miss - miss[label]) - (n - n_label) * log_k_minus_1
-            for label, n_label in self.counts.items()
-        }
+        return dict(zip(self.counts, self._scores()[0]))
 
     def reserve_log_score(self) -> Optional[float]:
         """Aggregate log score of the unnamed candidates, or None if all are named."""
+        return self._scores()[1]
+
+    def _scores(self) -> tuple[list[float], Optional[float]]:
+        """The named labels' log scores in first-seen order, and the unnamed
+        candidates' aggregate (None if all are named): the one place the
+        score formula lives."""
         k = self.effective_k
+        log_k_minus_1 = math.log(k - 1)
+        n, total_miss = self.n, self.sum_log_miss
+        # the three per-label dicts are filled together, so they share one order
+        scores = [
+            hit + (total_miss - miss) - (n - n_label) * log_k_minus_1
+            for n_label, hit, miss in zip(
+                self.counts.values(), self._sum_log_hit.values(), self._sum_log_miss.values()
+            )
+        ]
         n_unnamed = k - len(self.counts)
         if n_unnamed <= 0:
-            return None
+            return scores, None
         # every unnamed candidate has the all-mismatch score
-        return self.sum_log_miss - self.n * math.log(k - 1) + math.log(n_unnamed)
+        return scores, total_miss - n * log_k_minus_1 + math.log(n_unnamed)
 
     def top_label(self) -> Label:
         """The named label with the highest score; ties go to the earliest."""
-        return _argmax(self.log_scores())
+        return list(self.counts)[_first_max(self._scores()[0])]
 
     def top_log_mass(self) -> float:
         """log of the top label's posterior mass.
@@ -181,11 +191,10 @@ class RunningPosterior:
         one), so it is exactly < 0 whenever any competing mass is positive and
         a threshold of 1.0 stays unreachable (robust at thresholds near 1).
         """
-        scores = self.log_scores()
-        best = _argmax(scores)
-        top_log = scores[best]
-        tail = math.fsum(math.exp(v - top_log) for label, v in scores.items() if label != best)
-        reserve_log = self.reserve_log_score()
+        scores, reserve_log = self._scores()
+        # the top label's score; the rest are the competitors
+        top_log = scores.pop(_first_max(scores))
+        tail = math.fsum([math.exp(v - top_log) for v in scores])
         if reserve_log is not None:
             tail += math.exp(reserve_log - top_log)
         return -math.log1p(tail)
@@ -199,7 +208,7 @@ class RunningPosterior:
     def masses(self) -> dict[Label, float]:
         """Normalized posterior mass of every named candidate, in first-seen order."""
         scores, _, log_z = self._normalized()
-        return {label: math.exp(v - log_z) for label, v in scores.items()}
+        return {label: math.exp(v - log_z) for label, v in zip(self.counts, scores)}
 
     @property
     def virtual_mass(self) -> float:
@@ -220,18 +229,15 @@ class RunningPosterior:
         order the masses monotonically.
         """
         scores, _, log_z = self._normalized()
-        best = _argmax(scores)
-        return best, math.exp(scores[best] - log_z)
+        best = _first_max(scores)
+        return list(self.counts)[best], math.exp(scores[best] - log_z)
 
-    def _normalized(self) -> tuple[dict[Label, float], Optional[float], float]:
+    def _normalized(self) -> tuple[list[float], Optional[float], float]:
         """(log scores, reserve log score, log normalizer) via a max-shifted log-sum-exp."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
-        scores = self.log_scores()
-        reserve_log = self.reserve_log_score()
-        entries = list(scores.values())
-        if reserve_log is not None:
-            entries.append(reserve_log)
+        scores, reserve_log = self._scores()
+        entries = scores if reserve_log is None else [*scores, reserve_log]
         return scores, reserve_log, _logsumexp(entries)
 
     def __eq__(self, other: object) -> bool:
@@ -272,11 +278,11 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
     return running
 
 
-def _argmax(scores: dict[Label, float]) -> Label:
-    """The first key holding the maximal value."""
+def _first_max(scores: list[float]) -> int:
+    """The index of the first maximal score: ties go to the earliest label."""
     if not scores:
         raise EmptySamplesError("posterior has no real candidates")
-    return max(scores, key=scores.__getitem__)
+    return scores.index(max(scores))
 
 
 def _check_confidence(confidence: float) -> None:

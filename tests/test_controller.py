@@ -1,5 +1,6 @@
 """Tests for the adaptive controller and the fixed-budget baselines."""
 
+import sys
 import threading
 from dataclasses import replace
 
@@ -117,6 +118,22 @@ class TestCgesRun:
         second = run(list(streams), sampler, serial)
         third = run(list(streams), sampler, threaded)
         assert first == second == third
+
+    def test_no_round_barrier(self):
+        # q_slow's first draw waits until q_fast has drawn round 3; under a
+        # round barrier q_fast could not start round 2, and the wait times out
+        fast_round_3 = threading.Event()
+
+        def sampler(question_id, round_idx):
+            if question_id == "q_fast" and round_idx == 3:
+                fast_round_3.set()
+            elif question_id == "q_slow" and round_idx == 1:
+                assert fast_round_3.wait(5), "q_fast waited on q_slow's round 1"
+            return "a", 0.5
+
+        config = ControllerConfig(method=Method.SC, budget=4, max_parallel=2)
+        result = run(["q_slow", "q_fast"], sampler, config)
+        assert result.per_question_calls == {"q_slow": 4, "q_fast": 4}
 
     def test_one_pool_serves_every_round(self):
         # a ThreadPoolExecutor names its threads "ThreadPoolExecutor-<pool>_<worker>"
@@ -277,18 +294,63 @@ class TestSamplerFailures:
         assert attempts["count"] == 1
 
     def test_pooled_sampler_exception_propagates(self):
+        # q1's first draw fails while q0's first draw is in flight; q0's chain
+        # finishes that draw and starts no other
         attempts = {"q0": 0, "q1": 0}
+        q0_drawing, q1_failed = threading.Event(), threading.Event()
 
         def half_broken(question_id, round_idx):
             attempts[question_id] += 1
             if question_id == "q1":
+                assert q0_drawing.wait(5), "q0's first draw never started"
+                q1_failed.set()
                 raise OSError("down")
+            q0_drawing.set()
+            assert q1_failed.wait(5), "q1's first draw never failed"
             return "a", 0.5
 
         config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, max_parallel=2)
         with pytest.raises(OSError, match="down"):
             run(["q0", "q1"], half_broken, config)
         assert attempts == {"q0": 1, "q1": 1}
+
+    def test_no_queued_question_is_drawn_after_a_failure(self):
+        qids = [f"q{i}" for i in range(8)]
+        attempts = dict.fromkeys(qids, 0)
+        q0_drawing, q1_failed = threading.Event(), threading.Event()
+
+        def half_broken(question_id, round_idx):
+            attempts[question_id] += 1
+            if question_id == "q1":
+                assert q0_drawing.wait(5), "q0's first draw never started"
+                q1_failed.set()
+                raise OSError("down")
+            if question_id == "q0":
+                q0_drawing.set()
+                assert q1_failed.wait(5), "q1's first draw never failed"
+            return "a", 0.5
+
+        config = ControllerConfig(method=Method.SC, budget=4, max_parallel=2)
+        with pytest.raises(OSError, match="down"):
+            run(qids, half_broken, config)
+        assert attempts == {"q0": 1, "q1": 1, **dict.fromkeys(qids[2:], 0)}
+
+    def test_earliest_failing_question_wins(self):
+        # both chains raise, q1 first; the error is that of the first question in order
+        q0_drawing, q1_failed = threading.Event(), threading.Event()
+
+        def broken(question_id, round_idx):
+            if question_id == "q0":
+                q0_drawing.set()
+                assert q1_failed.wait(5), "q1's first draw never failed"
+                raise OSError("q0 down")
+            assert q0_drawing.wait(5), "q0's first draw never started"
+            q1_failed.set()
+            raise OSError("q1 down")
+
+        config = ControllerConfig(method=Method.CGES, budget=4, max_parallel=2)
+        with pytest.raises(OSError, match="q0 down"):
+            run(["q0", "q1"], broken, config)
 
     def test_definitive_sampler_error_is_not_retried(self):
         attempts = {"count": 0}
@@ -355,7 +417,7 @@ class TestRunMany:
         configs = [
             config
             for fixed_k in (None, 3, 5)
-            for max_parallel in (1, 2)
+            for max_parallel in (1, 2, 8)
             for config in self.mixed_configs(rng, fixed_k, max_parallel)
         ]
         rng.shuffle(configs)
@@ -363,6 +425,34 @@ class TestRunMany:
         assert len(results) == len(configs)
         for config, result in zip(configs, results):
             assert result == run(list(streams), sampler, config), config
+            # serial and pooled runs agree
+            assert result == run(list(streams), sampler, replace(config, max_parallel=1))
+
+    def test_pooled_chains_under_frequent_thread_switches(self):
+        # more workers than cores, switching threads every few bytecodes: each
+        # chain still reads each of its keys once and closes as the serial run does
+        rng = np.random.default_rng(5)
+        streams = skewed_streams(rng, 64, 12)
+        configs = [
+            ControllerConfig(method=Method.SC, budget=12, max_parallel=8),
+            ControllerConfig(method=Method.ESC, budget=12, esc_window=3, max_parallel=8),
+            *(
+                ControllerConfig(method=Method.CGES, gamma=gamma, budget=12, max_parallel=8)
+                for gamma in (0.7, 0.9, 0.99)
+            ),
+        ]
+        serial = run_many(
+            list(streams), stream_sampler(streams), [replace(c, max_parallel=1) for c in configs]
+        )
+        sampler, reads = counting_sampler(streams)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_many(list(streams), sampler, configs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+        assert len(reads) == 64 * 12 and set(reads.values()) == {1}
 
     def test_stops_spread_over_rounds(self):
         # the mixture above exercises closings at many rounds, resolved and not

@@ -703,6 +703,21 @@ class TestLiveSampler:
         )
         assert [replay("q0", r) for r in (1, 2, 3)] == live
 
+    def test_passes_seed_and_connection_by_keyword(self, stub_server, monkeypatch):
+        base_url, _ = stub_server
+        calls = []
+        original = cges.llmclient.sample_once
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cges.llmclient, "sample_once", spy)
+        prompts = {"q0": ("What is 40+2?", AnswerFormat.BOXED_MATH)}
+        live_sampler(endpoint_for(base_url), prompts, base_seed=3)("q0", 2)
+        assert calls[0]["seed"] == derive_seed(3, "q0", 2)
+        assert calls[0]["connection"] is not None
+
     def test_recorded_rounds_are_reused_not_requeried(self, stub_server, tmp_path):
         base_url, state = stub_server
         store = RecordStore.open_record(tmp_path / "shared.jsonl")
@@ -807,6 +822,43 @@ class TestRecordFlag:
         assert code == 1
         assert str(record) in capsys.readouterr().err
         assert state.requests == []
+
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_cli_closes_the_record_store(
+        self, stub_server, tmp_path, monkeypatch, capsys, command, fails
+    ):
+        base_url, state = stub_server
+        if fails:
+            state.body = {"choices": [{"message": None}]}
+        dataset, config = write_live_inputs(tmp_path, base_url)
+        opened, closes = [], []
+        open_record, close = RecordStore.open_record.__func__, RecordStore.close
+
+        def spy_open(cls, path):
+            opened.append(open_record(cls, path))
+            return opened[-1]
+
+        def spy_close(store):
+            closes.append(store)
+            close(store)
+
+        monkeypatch.setattr(RecordStore, "open_record", classmethod(spy_open))
+        monkeypatch.setattr(RecordStore, "close", spy_close)
+        record = tmp_path / "out.jsonl"
+        window = ["--window", "2"] if command == "run" else []
+        code = main(
+            [command, "--dataset", str(dataset), "--endpoint-config", str(config),
+             "--record", str(record), "--seeds", "0", "--budget", "2",
+             "--out", str(tmp_path / "out.csv"), *window]
+        )
+        assert code == (1 if fails else 0)
+        assert closes == opened and len(opened) == 1
+        if not fails:
+            # the append handle was opened by the run and closed when it ended
+            assert len(record.read_text().splitlines()) >= 2
+            assert not opened[0]._closer.alive
 
 
 class TestOneStreamPerSource:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cges
 from cges.errors import (
@@ -486,6 +488,42 @@ class TestRunningPosterior:
             scores = running.log_scores()
             for j in range(k):
                 assert_close(scores[j], float(trace.log_score_path[-1, j]))
+
+
+def dict_top_log_mass(running):
+    """The top log mass read off ``log_scores`` as a dict: argmax by key lookup,
+    then ``fsum`` over a generator of the other masses, then the reserve."""
+    scores = running.log_scores()
+    best = max(scores, key=scores.__getitem__)
+    top_log = scores[best]
+    tail = math.fsum(math.exp(v - top_log) for label, v in scores.items() if label != best)
+    reserve_log = running.reserve_log_score()
+    if reserve_log is not None:
+        tail += math.exp(reserve_log - top_log)
+    return -math.log1p(tail)
+
+
+# a few repeated confidences, so that exact ties between labels are common
+confidences = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.sampled_from("abcde"), confidences), min_size=1, max_size=30),
+    fixed_k=st.sampled_from([None, 3, 5]),
+)
+@example(stream=[("b", 0.5), ("a", 0.5)], fixed_k=None)
+@example(stream=[("b", 0.5), ("a", 0.5), ("c", 0.5)], fixed_k=3)
+def test_kernel_reads_are_bit_identical_to_the_dict_reading(stream, fixed_k):
+    running = RunningPosterior(fixed_k=fixed_k)
+    for label, confidence in stream:
+        if fixed_k is not None and label not in running.counts and len(running.counts) == fixed_k:
+            continue  # a label past K is refused; tested elsewhere
+        running.add(label, confidence)
+        assert running.top_log_mass() == dict_top_log_mass(running)
+        scores = running.log_scores()
+        # the first label holding the maximal score: ties go to the earliest
+        assert running.top_label() == max(scores, key=scores.__getitem__)
 
 
 def test_kernel_imports_load_neither_numpy_nor_requests():
