@@ -11,7 +11,6 @@ deterministic and byte-reproducible.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import json.scanner
 import logging
@@ -23,7 +22,6 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO, Union
@@ -289,8 +287,10 @@ class StoreMode(Enum):
 
 
 class StoreEntry(NamedTuple):
-    """What the store keeps of one record: what the samplers read, and the
-    line that holds it.  ``raw_text``, ``token_probs`` and ``timestamp`` are
+    """One stored record as ``RecordStore.get`` returns it: what the samplers
+    read, and the line that holds it.  The store does not keep entries; it
+    builds one on demand from its per-question rounds and its per-estimator
+    confidence columns.  ``raw_text``, ``token_probs`` and ``timestamp`` are
     checked when the record is loaded, then dropped."""
 
     label: str
@@ -301,19 +301,24 @@ class StoreEntry(NamedTuple):
 
 
 class RecordStore:
-    """Append-only JSONL store of sample records, indexed by (question, round).
+    """Append-only JSONL store of sample records, keyed by (question, round).
 
-    Record mode loads any existing file and appends new records (duplicates
-    raise); replay mode requires the file to exist and refuses to sample.
-    Appends are serialized and go through one handle, flushed after each
-    line; reads are safe from any thread once loaded.
+    What a load or an append keeps sits in two maps: ``_rounds`` maps a
+    question id to its rounds, each a ``(label, seed, prompt, line)`` tuple,
+    and ``_columns`` maps each estimator name, held once per store, to its
+    confidences by question and round.  Record mode loads any existing file
+    and appends new records (duplicates raise); replay mode requires the file
+    to exist and refuses to sample.  Appends are serialized and go through one
+    handle, flushed after each line; reads are safe from any thread once
+    loaded.
     """
 
     def __init__(self, path: Union[str, Path], mode: StoreMode) -> None:
         self.path = Path(path)
         self.mode = mode
         self._lock = threading.Lock()
-        self._index: dict[tuple[str, int], StoreEntry] = {}
+        self._rounds: dict[str, dict[int, tuple[str, int, str, int]]] = {}
+        self._columns: dict[str, dict[str, dict[int, float]]] = {}
         self._lines = 0  # lines in the file, blank ones included
         self._separator = ""  # written before the next line: a newline the file lacks
         self._handle: Optional[TextIO] = None
@@ -323,14 +328,28 @@ class RecordStore:
         if self.path.exists():
             self._load()
 
+    def _keep(
+        self, question_id: str, round_idx: int, label: str,
+        confidences: Mapping[str, float], seed: int, prompt: str, line: int,
+    ) -> bool:
+        """File one checked record under its question and its estimators;
+        False, keeping nothing, if its (question, round) is already kept."""
+        rounds = self._rounds.setdefault(question_id, {})
+        if round_idx in rounds:
+            return False
+        for name, confidence in confidences.items():
+            self._columns.setdefault(name, {}).setdefault(question_id, {})[round_idx] = confidence
+        rounds[round_idx] = (label, seed, prompt, line)  # last: once found, it is whole
+        return True
+
     def _load(self) -> None:
-        """Check every line by the record rules and index what it keeps.
+        """Check every line by the record rules and keep what sampling reads.
 
         In record mode a last line that lacks its newline and does not decode
         is what a crash mid-append leaves: it is logged, cut off, and the store
         resumes.  Any other bad line raises naming ``path:line``.
         """
-        index = self._index
+        keep = self._keep
         shared = {}.setdefault  # ids, labels and prompts: one string object per value
         line_no, line, offset = 0, b"\n", 0  # offset: bytes before the current line
         with _open_lines(self.path) as handle:
@@ -359,20 +378,19 @@ class RecordStore:
                     raise ConfigurationError(
                         f"{self.path}:{line_no}: bad sample record: {exc!r}"
                     ) from exc
-                key = (shared(question_id, question_id), round_idx)
-                if key in index:
+                if not keep(
+                    shared(question_id, question_id), round_idx, shared(label, label),
+                    confidences, seed, shared(prompt, prompt), line_no,
+                ):
                     raise DuplicateRecordError(
-                        f"{self.path}:{line_no}: duplicate record for {key!r}"
+                        f"{self.path}:{line_no}: duplicate record for {(question_id, round_idx)!r}"
                     )
-                index[key] = StoreEntry(
-                    shared(label, label), confidences, seed, shared(prompt, prompt), line_no
-                )
                 offset += len(line)
             else:  # every line was read
                 self._lines = line_no
                 self._separator = "" if line.endswith(b"\n") else "\n"
                 return
-        # the loop stopped at a torn final line; the lines before it are indexed
+        # the loop stopped at a torn final line; the lines before it are kept
         logger.warning(
             "%s:%d: torn final line (%d bytes, left by a crash mid-append); "
             "truncating it and resuming",
@@ -399,18 +417,28 @@ class RecordStore:
         return cls(path, StoreMode.REPLAY)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return sum(map(len, self._rounds.values()))
 
     def __contains__(self, key: tuple[str, int]) -> bool:
-        return key in self._index
+        question_id, round_idx = key
+        return round_idx in self._rounds.get(question_id, ())
+
+    def _confidences(self, question_id: str, round_idx: int) -> dict[str, float]:
+        """The confidences of one kept record, keyed by the store's names."""
+        return {
+            name: column[question_id][round_idx]
+            for name, column in list(self._columns.items())  # an append may add a name meanwhile
+            if round_idx in column.get(question_id, ())
+        }
 
     def get(self, question_id: str, round_idx: int) -> StoreEntry:
         try:
-            return self._index[(question_id, round_idx)]
+            label, seed, prompt, line = self._rounds[question_id][round_idx]
         except KeyError:
             raise ReplayMissError(
                 f"no recorded sample for question {question_id!r} round {round_idx}"
             ) from None
+        return StoreEntry(label, self._confidences(question_id, round_idx), seed, prompt, line)
 
     def require_estimator(
         self, question_ids: Iterable[str], estimator: Union[Estimator, str]
@@ -418,15 +446,24 @@ class RecordStore:
         """Raise ``ConfigurationError`` naming ``path:line`` of the first stored
         record of these questions that lacks the estimator's confidence."""
         key = _estimator_key(estimator)
-        wanted = set(question_ids)
-        for (question_id, round_idx), entry in self._index.items():  # in file order
-            if key not in entry.confidences and question_id in wanted:
-                available = ", ".join(sorted(entry.confidences)) or "none"
-                raise ConfigurationError(
-                    f"{self.path}:{entry.line}: record for question "
-                    f"{question_id!r} round {round_idx} has no {key!r} confidence "
-                    f"(available: {available})"
-                )
+        column = self._columns.get(key, {})
+        first = min(  # the lowest line: the rounds of questions interleave in the file
+            (
+                (line, question_id, round_idx)
+                for question_id in set(question_ids)
+                for round_idx, (_, _, _, line) in self._rounds.get(question_id, {}).items()
+                if round_idx not in column.get(question_id, ())
+            ),
+            default=None,
+        )
+        if first is not None:
+            line, question_id, round_idx = first
+            available = ", ".join(sorted(self._confidences(question_id, round_idx))) or "none"
+            raise ConfigurationError(
+                f"{self.path}:{line}: record for question "
+                f"{question_id!r} round {round_idx} has no {key!r} confidence "
+                f"(available: {available})"
+            )
 
     def append(self, record: SampleRecord) -> None:
         if self.mode is not StoreMode.RECORD:
@@ -434,7 +471,7 @@ class RecordStore:
         key = (record.question_id, record.round)
         line = record.to_json_line() + "\n"  # serialized outside the lock: most of an append
         with self._lock:
-            if key in self._index:
+            if key in self:
                 raise DuplicateRecordError(f"duplicate record for {key!r}")
             if self._handle is None:
                 self._handle = self.path.open("a", encoding="utf-8")
@@ -444,12 +481,9 @@ class RecordStore:
             self._handle.flush()
             self._separator = ""
             self._lines += 1
-            self._index[key] = StoreEntry(
-                record.extracted_label,
-                record.confidence_by_estimator,
-                record.seed,
-                record.prompt,
-                self._lines,
+            self._keep(
+                record.question_id, record.round, record.extracted_label,
+                record.confidence_by_estimator, record.seed, record.prompt, self._lines,
             )
 
     def close(self) -> None:
@@ -462,6 +496,8 @@ class RecordStore:
 
 def derive_seed(base_seed: int, question_id: str, round_idx: int) -> int:
     """Stable per-request seed from (base seed, question, round)."""
+    import hashlib  # only the live path derives seeds; replay never loads it
+
     digest = hashlib.sha256(f"{base_seed}:{question_id}:{round_idx}".encode()).digest()
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
 
@@ -514,6 +550,7 @@ def sample_once(
     if connection is None:
         with contextlib.closing(_connect(endpoint)) as connection:
             return sample_once(question_id, prompt_text, fmt, round_idx, endpoint, seed, connection)
+    from datetime import datetime, timezone
     from http.client import HTTPException
 
     prompt = render_prompt(prompt_text, fmt)
@@ -659,12 +696,12 @@ def replay_sampler(
     if store.mode is not StoreMode.REPLAY:
         raise ConfigurationError("replay_sampler needs a store opened in replay mode")
     key = _estimator_key(estimator)
-    index = store._index  # a replay store never changes once loaded
+    rounds = store._rounds  # a replay store never changes once loaded
+    column = store._columns.get(key, {})
 
     def sample(question_id: str, round_idx: int) -> tuple[str, float]:
         try:
-            entry = index[question_id, round_idx]
-            return entry.label, entry.confidences[key]
+            return rounds[question_id][round_idx][0], column[question_id][round_idx]
         except KeyError:
             pass
         # a miss: the store and the estimator lookup raise their own messages

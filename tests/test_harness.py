@@ -707,6 +707,7 @@ class TestCli:
             "import json, sys\n"
             "sys.modules['numpy'] = sys.modules['requests'] = None  # importing either now fails\n"
             "sys.modules['http.client'] = None  # nor may replay load the live client's HTTP stack\n"
+            "sys.modules['hashlib'] = sys.modules['datetime'] = None  # nor its seeds and timestamps\n"
             "from cges.cli import main\n"
             f"print([main(argv) for argv in json.loads({json.dumps(argvs)!r})])\n"
         )

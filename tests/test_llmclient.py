@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -207,6 +208,12 @@ class TestSampleRecord:
         assert stored_entries(record, path) == [entry_of(record, 1)] * 3
         assert path.read_text(encoding="utf-8") == record.to_json_line() + "\n"
 
+    def test_degraded_record_reads_back_with_no_confidences(self, tmp_path):
+        record = make_record(token_probs=None, confidence_by_estimator={})
+        entries = stored_entries(record, tmp_path / "store.jsonl")
+        assert entries == [entry_of(record, 1)] * 3
+        assert entries[0].confidences == {}
+
     def test_estimator_keys_serialized_sorted(self):
         record = make_record(confidence_by_estimator={"rm": 0.5, "lns_arith": 0.6})
         parsed = json.loads(record.to_json_line())
@@ -399,6 +406,42 @@ class TestRecordStore:
             key = (raw["question_id"], raw["round"])
             assert replay.get(*key).line == store.get(*key).line == line_no
 
+    @pytest.mark.parametrize("mode", [RecordStore.open_record, RecordStore.open_replay])
+    def test_require_estimator_names_the_earliest_line_of_interleaved_questions(
+        self, tmp_path, mode
+    ):
+        # a pooled --record run writes the rounds of its questions interleaved
+        degraded = dict(token_probs=None, confidence_by_estimator={})
+        records = [
+            make_record(question_id="q1", round_idx=1),
+            make_record(question_id="q0", round_idx=1),
+            make_record(question_id="q0", round_idx=2, **degraded),
+            make_record(question_id="q1", round_idx=2, **degraded),
+        ]
+        path = tmp_path / "store.jsonl"
+        path.write_text("".join(record.to_json_line() + "\n" for record in records))
+        store = mode(path)
+        with pytest.raises(ConfigurationError, match=r"store.jsonl:3: .*'q0' round 2 .*none"):
+            store.require_estimator(["q1", "q0"], Estimator.LNS_ARITHMETIC)
+        with pytest.raises(ConfigurationError, match=r"store.jsonl:4: .*'q1' round 2 .*none"):
+            store.require_estimator(["q1"], Estimator.LNS_ARITHMETIC)
+        store.close()
+
+    def test_two_estimators_in_either_key_order_round_trip(self, tmp_path):
+        records = [
+            make_record(round_idx=1, confidence_by_estimator={"lns_geo": 0.3, "lns_arith": 0.4}),
+            make_record(round_idx=2, confidence_by_estimator={"lns_arith": 0.6, "lns_geo": 0.5}),
+            make_record(round_idx=3, confidence_by_estimator={"lns_geo": 0.7}),
+        ]
+        path = tmp_path / "store.jsonl"
+        store = RecordStore.open_record(path)
+        for record in records:
+            store.append(record)
+        store.close()
+        for view in (store, RecordStore.open_record(path), RecordStore.open_replay(path)):
+            for line, record in enumerate(records, start=1):
+                assert view.get("q0", record.round) == entry_of(record, line)
+
     def test_require_estimator_names_the_line_without_reading_the_file(self, tmp_path):
         path = tmp_path / "store.jsonl"
         degraded = make_record(round_idx=2, token_probs=None, confidence_by_estimator={})
@@ -498,6 +541,51 @@ class TestRecordStore:
             RecordStore.open_replay(path).append(make_record(round_idx=2))
 
 
+@pytest.fixture(scope="module")
+def wide_store(tmp_path_factory):
+    """A 300-question by 64-round store with one estimator, as a live run
+    records it: derived seeds, one prompt per question, a few labels."""
+    path = tmp_path_factory.mktemp("wide") / "store.jsonl"
+    with path.open("w", encoding="utf-8") as handle:
+        for q in range(300):
+            for round_idx in range(1, 65):
+                record = make_record(
+                    question_id=f"q{q}",
+                    round_idx=round_idx,
+                    label=str(round_idx % 4),
+                    prompt=f"question {q}",
+                    confidence_by_estimator={"lns_arith": round_idx / 100},
+                    seed=derive_seed(0, f"q{q}", round_idx),
+                )
+                handle.write(record.to_json_line() + "\n")
+    return path
+
+
+class TestStoreLayout:
+    def test_retained_bytes_per_record(self, wide_store):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            store = RecordStore.open_replay(wide_store)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 300 * 64
+        assert retained / len(store) < 260  # 472 B when each record kept its own dict
+
+    def test_an_estimator_name_is_one_object_per_store(self, wide_store):
+        store = RecordStore.open_replay(wide_store)
+        names = [
+            name
+            for q in range(300)
+            for round_idx in range(1, 65)
+            for name in store.get(f"q{q}", round_idx).confidences
+        ]
+        assert len(names) == 300 * 64
+        assert len({id(name) for name in names}) == 1
+
+
 class TestReplaySampler:
     def test_serves_label_and_confidence(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -518,8 +606,12 @@ class TestReplaySampler:
             make_record(token_probs=None, confidence_by_estimator={})
         )
         sampler = replay_sampler(RecordStore.open_replay(path), Estimator.LNS_ARITHMETIC)
-        with pytest.raises(SamplerError, match="lns_arith"):
+        with pytest.raises(SamplerError) as caught:
             sampler("q0", 1)
+        assert str(caught.value) == (
+            "record for question 'q0' round 1 has no 'lns_arith' confidence (available: none); "
+            "the record may be degraded (missing token log-probabilities)"
+        )
 
     def test_requires_replay_mode(self, tmp_path):
         store = RecordStore.open_record(tmp_path / "store.jsonl")
