@@ -300,9 +300,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     sampler = replay_sampler(store, ESTIMATOR_FLAGS[args.estimator])
     result = run_controller([q.question_id for q in questions], sampler, config)
     harness.write_predictions_csv(result, questions, args.out)
-    gold = {q.question_id: q.gold for q in questions}
-    formats = {q.question_id: q.format for q in questions}
-    acc = harness.accuracy(result.predictions, gold, formats)
+    acc = harness.accuracy(result.predictions, questions)
     print(f"avg_calls={result.avg_calls:.3f} accuracy={acc:.4f} unresolved={len(result.unresolved)}")
     print(f"wrote {args.out}")
     return 0

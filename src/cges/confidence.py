@@ -1,8 +1,9 @@
 """Scalar confidence estimators over token-level generation probabilities.
 
-Each estimator maps a tokenized response (or an external reward score) to a
-single confidence in the open interval (0, 1), clamped away from the
-boundaries so downstream log-likelihoods stay finite.
+Each estimator maps a tokenized response (one per reasoning step for the
+step-wise score, or an external reward score) to a single confidence in the
+open interval (0, 1), clamped away from the boundaries so downstream
+log-likelihoods stay finite.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigurationError, EmptyResponseError, InvalidScoreError
 
@@ -28,16 +29,9 @@ class Estimator(Enum):
 
 @dataclass(frozen=True)
 class TokenizedResponse:
-    """Per-token generation probabilities with optional step structure.
-
-    ``step_boundaries`` are half-open (start, stop) token index ranges that
-    partition [0, L); when omitted the whole response is a single step.
-    ``step_importance`` holds one non-negative weight per step.
-    """
+    """Per-token generation probabilities of a response, or of one reasoning step."""
 
     token_probs: tuple[float, ...]
-    step_boundaries: Optional[tuple[tuple[int, int], ...]] = None
-    step_importance: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if len(self.token_probs) == 0:
@@ -45,54 +39,6 @@ class TokenizedResponse:
         for p in self.token_probs:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"token probability must lie in (0, 1], got {p!r}")
-        length = len(self.token_probs)
-        if self.step_boundaries is not None:
-            cursor = 0
-            for start, stop in self.step_boundaries:
-                if start != cursor or stop <= start:
-                    raise ValueError(
-                        "step boundaries must be contiguous non-empty ranges "
-                        f"covering [0, {length}), got {self.step_boundaries!r}"
-                    )
-                cursor = stop
-            if cursor != length:
-                raise ValueError(
-                    f"step boundaries cover [0, {cursor}) but the response has {length} tokens"
-                )
-        if self.step_importance is not None:
-            if len(self.step_importance) != len(self.steps):
-                raise ValueError(
-                    f"got {len(self.step_importance)} importance scores for "
-                    f"{len(self.steps)} steps"
-                )
-            for u in self.step_importance:
-                if not (math.isfinite(u) and u >= 0.0):
-                    raise ValueError(f"importance scores must be finite and >= 0, got {u!r}")
-
-    @property
-    def steps(self) -> tuple[tuple[int, int], ...]:
-        if self.step_boundaries is not None:
-            return self.step_boundaries
-        return ((0, len(self.token_probs)),)
-
-    @classmethod
-    def from_steps(
-        cls,
-        step_probs: Sequence[Sequence[float]],
-        step_importance: Optional[Sequence[float]] = None,
-    ) -> "TokenizedResponse":
-        """Build a response from per-step token probability lists."""
-        flat: list[float] = []
-        boundaries: list[tuple[int, int]] = []
-        for probs in step_probs:
-            start = len(flat)
-            flat.extend(probs)
-            boundaries.append((start, len(flat)))
-        return cls(
-            token_probs=tuple(flat),
-            step_boundaries=tuple(boundaries),
-            step_importance=tuple(step_importance) if step_importance is not None else None,
-        )
 
 
 def clamp(value: float) -> float:
@@ -134,24 +80,26 @@ def mars_step_weights(step_importance: Sequence[float]) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def mars_stepwise(response: TokenizedResponse) -> float:
+def mars_stepwise(
+    steps: Sequence[TokenizedResponse], step_importance: Sequence[float]
+) -> float:
     """Importance-weighted geometric mean over reasoning steps.
 
     Each step's probability is the geometric mean of its token probabilities;
-    the step weights come from :func:`mars_step_weights`.
+    ``step_importance`` holds one finite score >= 0 per step, turned into step
+    weights by :func:`mars_step_weights`.
     """
-    if response.step_importance is None:
-        raise ConfigurationError(
-            "step importance scores are required for the step-weighted estimator; "
-            "attach them to the response or pick another estimator"
+    if len(step_importance) != len(steps):
+        raise ValueError(
+            f"got {len(step_importance)} importance scores for {len(steps)} steps"
         )
-    weights = mars_step_weights(response.step_importance)
+    for u in step_importance:
+        if not (math.isfinite(u) and u >= 0.0):
+            raise ValueError(f"importance scores must be finite and >= 0, got {u!r}")
     log_score = 0.0
-    for (start, stop), weight in zip(response.steps, weights):
-        step_log = math.fsum(
-            math.log(p) for p in response.token_probs[start:stop]
-        ) / (stop - start)
-        log_score += weight * step_log
+    for step, weight in zip(steps, mars_step_weights(step_importance)):
+        probs = step.token_probs
+        log_score += weight * (math.fsum(math.log(p) for p in probs) / len(probs))
     return clamp(math.exp(log_score))
 
 

@@ -64,7 +64,6 @@ class ControllerConfig:
 class QuestionState:
     """Mutable per-question bookkeeping owned by the controller."""
 
-    question_id: str
     posterior: RunningPosterior
     # trailing run of identical labels, for the ESC stop rule
     last_label: Optional[Label] = None
@@ -163,7 +162,7 @@ def _run_group(
     def chain(qid: str) -> Optional[list]:
         """Per configuration, (prediction, posterior, resolved) at the round it
         closes on ``qid``; None once a chain has failed, before the next draw."""
-        state = QuestionState(qid, RunningPosterior(fixed_k=fixed_k))
+        state = QuestionState(RunningPosterior(fixed_k=fixed_k))
         outcomes: list = [None] * len(configs)
         open_configs = every_config
         round_idx = 0

@@ -48,4 +48,4 @@ class DuplicateRecordError(CGESError, ValueError):
 
 
 class KeyMismatchError(CGESError, ValueError):
-    """Prediction and gold maps do not cover the same question ids."""
+    """Predictions and questions do not cover the same question ids."""

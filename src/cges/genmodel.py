@@ -10,12 +10,12 @@ Two regimes are simulated under a fixed candidate count K:
 
 ``draw_trials`` is the one draw path of each regime: it draws a block of n
 questions at once.  A single question is its n = 1 case, kept as a
-``TrialTrace``: the draws and the final cumulative log-score of every
-candidate, with the per-round paths (log-scores, the log-likelihood ratios
-between the true answer and every competitor, and the posterior trajectory)
-computed on demand.  Concentration experiments build no traces: each row
-(one round count m) draws from one generator seeded with (seed, m), in blocks
-of ``trials_per_block(m, K)`` questions, and scores only their final round.
+``TrialTrace``: only the draws, with the per-round paths (cumulative
+log-scores, the log-likelihood ratios between the true answer and every
+competitor, and the posterior trajectory) computed on demand.  Concentration
+experiments build no traces: each row (one round count m) draws from one
+generator seeded with (seed, m), in blocks of ``trials_per_block(m, K)``
+questions, and scores only their final round.
 Expected LLR drift and concentration can be checked empirically against
 closed forms.
 """
@@ -41,6 +41,12 @@ CONFIDENCE_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # distribution descriptors
 # ---------------------------------------------------------------------------
+
+
+def _check_finite(law: str, params: Sequence[float]) -> None:
+    """Refuse NaN and infinite parameters, which the range checks below let through."""
+    if not all(math.isfinite(v) for v in params):
+        raise ConfigurationError(f"{law} law parameters must be finite, got {tuple(params)!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,7 @@ class Beta:
     beta: float
 
     def __post_init__(self) -> None:
+        _check_finite("beta", (self.alpha, self.beta))
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ConfigurationError(
                 f"beta law needs positive shape parameters, got ({self.alpha!r}, {self.beta!r})"
@@ -90,6 +97,7 @@ class PointSimplex:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_finite("point", self.probs)
         if any(p < 0.0 for p in self.probs):
             raise ConfigurationError("answer probabilities must be >= 0")
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
@@ -103,6 +111,7 @@ class Dirichlet:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_finite("dirichlet", self.alphas)
         if any(a <= 0.0 for a in self.alphas):
             raise ConfigurationError("Dirichlet concentrations must be > 0")
 
@@ -136,13 +145,18 @@ def sample_simplex(law: SimplexLaw, size: int, rng: np.random.Generator) -> np.n
     raise ConfigurationError(f"unknown simplex law {law!r}")
 
 
-def parse_scalar_law(text: str) -> ScalarLaw:
-    """Parse CLI law descriptors: ``point:0.7``, ``uniform:0.55,0.95``, ``beta:2,5``."""
+def _parse_law(text: str) -> tuple[str, list[float]]:
+    """Split a CLI law descriptor ``kind:v1,v2,...`` into its kind and values."""
     kind, _, args = text.partition(":")
     try:
-        values = [float(v) for v in args.split(",")] if args else []
+        return kind, [float(v) for v in args.split(",")] if args else []
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse law {text!r}") from exc
+
+
+def parse_scalar_law(text: str) -> ScalarLaw:
+    """Parse CLI law descriptors: ``point:0.7``, ``uniform:0.55,0.95``, ``beta:2,5``."""
+    kind, values = _parse_law(text)
     if kind == "point" and len(values) == 1:
         return PointMass(values[0])
     if kind == "uniform" and len(values) == 2:
@@ -154,11 +168,7 @@ def parse_scalar_law(text: str) -> ScalarLaw:
 
 def parse_simplex_law(text: str) -> SimplexLaw:
     """Parse CLI descriptors: ``point:0.4,0.6`` or ``dirichlet:1,1,1``."""
-    kind, _, args = text.partition(":")
-    try:
-        values = [float(v) for v in args.split(",")] if args else []
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse law {text!r}") from exc
+    kind, values = _parse_law(text)
     if kind == "point" and len(values) >= 2:
         return PointSimplex(tuple(values))
     if kind == "dirichlet" and len(values) >= 2:
@@ -232,12 +242,11 @@ def _normalise(log_scores: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrialTrace:
-    """One simulated question: its draws, final log-scores and, on demand, paths.
+    """One simulated question: its draws and, on demand, its per-round paths.
 
     ``responses[t]`` and ``confidences[t]`` are the answer index and the
     confidence drawn at round t + 1; fixed-K candidates are the integers
-    0..K-1.  ``final_log_score[j]`` is candidate j's cumulative log-score
-    after the last round, and equals ``log_score_path[-1, j]`` bit for bit.
+    0..K-1.
 
     The paths are computed on first access and then kept:
     ``log_score_path[t]`` is the cumulative log-score row after t + 1 rounds,
@@ -251,15 +260,6 @@ class TrialTrace:
     k: int
     responses: np.ndarray
     confidences: np.ndarray
-    final_log_score: np.ndarray
-
-    @classmethod
-    def from_draws(
-        cls, true_index: int, responses: np.ndarray, confidences: np.ndarray, k: int
-    ) -> TrialTrace:
-        cumulative = np.cumsum(_log_terms(responses, confidences, k), axis=0)
-        # a copy, not a view: the trace must not keep the (m, K) cumsum alive
-        return cls(true_index, k, responses, confidences, cumulative[-1].copy())
 
     @cached_property
     def log_score_path(self) -> np.ndarray:
@@ -340,7 +340,7 @@ def simulate_trace(config: GenConfig, m: int, rng: np.random.Generator) -> Trial
     """One question of m rounds: ``draw_trials`` with n = 1, as a trace."""
     _check_rounds(config, m)
     truths, responses, confidences = draw_trials(config, m, 1, rng)
-    return TrialTrace.from_draws(int(truths[0]), responses[0], confidences[0], config.k)
+    return TrialTrace(int(truths[0]), config.k, responses[0], confidences[0])
 
 
 def _check_rounds(config: GenConfig, m: int) -> None:

@@ -83,26 +83,23 @@ def normalize_answer(label: str, fmt: Optional[AnswerFormat] = None) -> str:
     return normalized
 
 
-def accuracy(
-    predictions: Mapping[str, str],
-    gold: Mapping[str, str],
-    formats: Union[Mapping[str, AnswerFormat], AnswerFormat, None] = None,
-) -> float:
-    """Fraction of questions whose normalized prediction matches the gold label."""
-    missing = sorted(set(gold) - set(predictions))
-    extra = sorted(set(predictions) - set(gold))
+def accuracy(predictions: Mapping[str, str], questions: Sequence[Question]) -> float:
+    """Fraction of questions whose normalized prediction matches their gold
+    label, both normalized under the question's answer format."""
+    qids = {q.question_id for q in questions}
+    missing = sorted(qids - set(predictions))
+    extra = sorted(set(predictions) - qids)
     if missing or extra:
         raise KeyMismatchError(
             f"prediction/gold key mismatch; missing={missing!r} extra={extra!r}"
         )
-    if not gold:
-        raise KeyMismatchError("gold map is empty")
-    hits = 0
-    for qid, answer in gold.items():
-        fmt = formats.get(qid) if isinstance(formats, Mapping) else formats
-        if normalize_answer(predictions[qid], fmt) == normalize_answer(answer, fmt):
-            hits += 1
-    return hits / len(gold)
+    if not questions:
+        raise KeyMismatchError("no questions to score")
+    hits = sum(
+        normalize_answer(predictions[q.question_id], q.format) == normalize_answer(q.gold, q.format)
+        for q in questions
+    )
+    return hits / len(questions)
 
 
 @dataclass
@@ -127,20 +124,14 @@ class ExperimentSpec:
             raise ConfigurationError(
                 "provide exactly one sample source: a replay store or an endpoint"
             )
+        if self.record_store is not None and self.endpoint is None:
+            raise ConfigurationError("a record store keeps live samples and needs an endpoint")
         if self.record_store is not None and len(self.seeds) > 1:
             # records are keyed (question, round); a second seed would collide
             raise ConfigurationError("recording a live run requires a single seed")
         for gamma in self.gamma_grid:
             if not 0.0 < gamma <= 1.0:
                 raise ConfigurationError(f"gamma grid values must lie in (0, 1], got {gamma!r}")
-
-    @property
-    def gold(self) -> dict[str, str]:
-        return {q.question_id: q.gold for q in self.questions}
-
-    @property
-    def formats(self) -> dict[str, AnswerFormat]:
-        return {q.question_id: q.format for q in self.questions}
 
 
 @dataclass(frozen=True)
@@ -197,12 +188,11 @@ def _measure(
     if not configs:
         return []
     qids = [q.question_id for q in spec.questions]
-    gold, formats = spec.gold, spec.formats
     per_seed = []
     for seed in spec.seeds if spec.store is None else spec.seeds[:1]:
         results = run_many(qids, _make_sampler(spec, seed), configs)
         per_seed.append(
-            [(result.avg_calls, accuracy(result.predictions, gold, formats)) for result in results]
+            [(result.avg_calls, accuracy(result.predictions, spec.questions)) for result in results]
         )
     return [
         (fmean(calls for calls, _ in column), fmean(acc for _, acc in column))

@@ -136,6 +136,9 @@ class EndpointConfig:
     api_key_env: str = "CGES_API_KEY"
 
     def __post_init__(self) -> None:
+        for name in ("temperature", "request_timeout"):  # JSON admits NaN and Infinity
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.temperature < 0.0:
             raise ConfigurationError(f"temperature must be >= 0, got {self.temperature!r}")
         if not 0.0 < self.top_p <= 1.0:
@@ -721,8 +724,8 @@ def live_sampler(
     """Sampler that queries the endpoint, optionally recording every sample.
 
     With a store attached, a (question, round) pair that is already recorded
-    is served from the store instead of re-queried, so repeated runs (e.g.
-    several methods compared in one session) draw from a single shared stream.
+    is served from the store instead of re-queried, so a run resumed on the
+    store of an interrupted one sends no request twice.
     A stored record made under another base seed or prompt raises
     ``ConfigurationError`` naming the store and the key.  Only the estimators
     ``sample_once`` computes are accepted, before any request is sent.

@@ -61,11 +61,8 @@ class CandidateSet:
     fixed_k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidSampleError("candidate labels must be pairwise distinct")
-        if self.fixed_k is not None:
-            _check_fixed_k(self.fixed_k, len(self.labels))
-        elif len(self.labels) < 1:
+        RunningPosterior(self.fixed_k, self.labels)  # distinct labels, a valid fixed K
+        if self.fixed_k is None and len(self.labels) < 1:
             raise CandidateCountError(
                 "observed+virtual policy needs at least one observed label"
             )

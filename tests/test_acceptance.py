@@ -401,18 +401,14 @@ def test_criterion_7_confidence_estimators():
             importance = [float(u) for u in rng.uniform(0.0, 4.0, size=n_steps)]
             assert math.fsum(mars_step_weights(importance)) == 1.0
 
-        single_step = TokenizedResponse(
-            tuple(float(p) for p in rng.uniform(0.1, 1.0, size=12)),
-            step_boundaries=((0, 12),),
-            step_importance=(3.0,),
-        )
-        assert abs(mars_stepwise(single_step) - lns_geometric(single_step)) <= 1e-12
+        single_step = TokenizedResponse(tuple(float(p) for p in rng.uniform(0.1, 1.0, size=12)))
+        assert abs(mars_stepwise([single_step], [3.0]) - lns_geometric(single_step)) <= 1e-12
 
         # hand-derived values
         assert abs(lns_geometric(TokenizedResponse((0.9, 0.4))) - 0.6) <= 1e-9
         assert abs(lns_arithmetic(TokenizedResponse((0.9, 0.4))) - 0.65) <= 1e-9
-        skewed = TokenizedResponse.from_steps([[0.9], [0.4]], step_importance=[1.0, 0.0])
-        assert abs(mars_stepwise(skewed) - 0.9**0.75 * 0.4**0.25) <= 1e-9
+        skewed = mars_stepwise([TokenizedResponse((0.9,)), TokenizedResponse((0.4,))], [1.0, 0.0])
+        assert abs(skewed - 0.9**0.75 * 0.4**0.25) <= 1e-9
 
     _verdict("criterion 7: estimator inequalities, weights, and hand values", body)
 

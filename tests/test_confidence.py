@@ -15,7 +15,7 @@ from cges.confidence import (
     mars_stepwise,
     reward_passthrough,
 )
-from cges.errors import ConfigurationError, EmptyResponseError, InvalidScoreError
+from cges.errors import EmptyResponseError, InvalidScoreError
 
 EPS = DEFAULT_CLAMP_EPSILON
 
@@ -59,21 +59,24 @@ class TestLns:
                 assert arith - geo > 0.0
 
 
+def _steps(*step_probs):
+    """One ``TokenizedResponse`` per reasoning step."""
+    return [TokenizedResponse(tuple(probs)) for probs in step_probs]
+
+
 class TestMars:
     def test_single_step_collapses_to_geometric(self):
-        response = TokenizedResponse(
-            (0.9, 0.4, 0.7), step_boundaries=((0, 3),), step_importance=(2.5,)
-        )
-        assert mars_stepwise(response) == pytest.approx(lns_geometric(response), abs=1e-12)
+        response = TokenizedResponse((0.9, 0.4, 0.7))
+        assert mars_stepwise([response], [2.5]) == pytest.approx(lns_geometric(response), abs=1e-12)
 
     def test_uniform_importance_hand_value(self):
-        response = TokenizedResponse.from_steps([[0.9], [0.4]], step_importance=[1.0, 1.0])
-        assert mars_stepwise(response) == pytest.approx(0.6, abs=1e-9)
+        assert mars_stepwise(_steps([0.9], [0.4]), [1.0, 1.0]) == pytest.approx(0.6, abs=1e-9)
 
     def test_skewed_importance_hand_value(self):
         # weights (0.75, 0.25) -> 0.9**0.75 * 0.4**0.25
-        response = TokenizedResponse.from_steps([[0.9], [0.4]], step_importance=[1.0, 0.0])
-        assert mars_stepwise(response) == pytest.approx(0.9**0.75 * 0.4**0.25, abs=1e-9)
+        assert mars_stepwise(_steps([0.9], [0.4]), [1.0, 0.0]) == pytest.approx(
+            0.9**0.75 * 0.4**0.25, abs=1e-9
+        )
 
     def test_weights_sum_to_exactly_one(self):
         rng = np.random.default_rng(5)
@@ -87,28 +90,23 @@ class TestMars:
         assert mars_step_weights([0.0, 0.0]) == (0.5, 0.5)
 
     def test_importance_scaling_invariance(self):
-        response = TokenizedResponse.from_steps(
-            [[0.9, 0.8], [0.4], [0.6, 0.5, 0.7]], step_importance=[1.0, 3.0, 0.5]
-        )
-        doubled = TokenizedResponse.from_steps(
-            [[0.9, 0.8], [0.4], [0.6, 0.5, 0.7]], step_importance=[2.0, 6.0, 1.0]
-        )
-        scaled = TokenizedResponse.from_steps(
-            [[0.9, 0.8], [0.4], [0.6, 0.5, 0.7]], step_importance=[3.7, 11.1, 1.85]
-        )
-        assert mars_stepwise(doubled) == mars_stepwise(response)
-        assert mars_stepwise(scaled) == pytest.approx(mars_stepwise(response), rel=1e-12)
+        steps = _steps([0.9, 0.8], [0.4], [0.6, 0.5, 0.7])
+        base = mars_stepwise(steps, [1.0, 3.0, 0.5])
+        doubled = mars_stepwise(steps, [2.0, 6.0, 1.0])
+        scaled = mars_stepwise(steps, [3.7, 11.1, 1.85])
+        assert doubled == base
+        assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_equal_steps_uniform_importance_matches_geometric(self):
-        response = TokenizedResponse.from_steps(
-            [[0.9, 0.8], [0.4, 0.3]], step_importance=[1.0, 1.0]
+        whole = TokenizedResponse((0.9, 0.8, 0.4, 0.3))
+        assert mars_stepwise(_steps([0.9, 0.8], [0.4, 0.3]), [1.0, 1.0]) == pytest.approx(
+            lns_geometric(whole), rel=1e-12
         )
-        assert mars_stepwise(response) == pytest.approx(lns_geometric(response), rel=1e-12)
 
-    def test_missing_importance_rejected(self):
-        response = TokenizedResponse((0.9, 0.4), step_boundaries=((0, 1), (1, 2)))
-        with pytest.raises(ConfigurationError):
-            mars_stepwise(response)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_importance_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="importance scores must be finite and >= 0"):
+            mars_stepwise(_steps([0.9], [0.4]), [1.0, bad])
 
 
 class TestRewardPassthrough:
@@ -138,11 +136,12 @@ class TestRangeInvariant:
                 boundaries.append((cursor, cursor + step))
                 cursor += step
             importance = tuple(float(u) for u in rng.uniform(0, 2, size=len(boundaries)))
-            response = TokenizedResponse(probs, tuple(boundaries), importance)
+            response = TokenizedResponse(probs)
+            steps = [TokenizedResponse(probs[start:stop]) for start, stop in boundaries]
             for value in (
                 lns_geometric(response),
                 lns_arithmetic(response),
-                mars_stepwise(response),
+                mars_stepwise(steps, importance),
                 reward_passthrough(float(rng.normal())),
             ):
                 assert EPS <= value <= 1.0 - EPS
@@ -155,17 +154,9 @@ class TestTokenizedResponse:
         with pytest.raises(ValueError):
             TokenizedResponse((1.5,))
 
-    def test_non_partition_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            TokenizedResponse((0.5, 0.5), step_boundaries=((0, 1),))
-        with pytest.raises(ValueError):
-            TokenizedResponse((0.5, 0.5), step_boundaries=((0, 1), (0, 2)))
-
     def test_importance_length_must_match_steps(self):
         with pytest.raises(ValueError):
-            TokenizedResponse(
-                (0.5, 0.5), step_boundaries=((0, 1), (1, 2)), step_importance=(1.0,)
-            )
+            mars_stepwise(_steps([0.5], [0.5]), (1.0,))
 
 
 class TestClamp:

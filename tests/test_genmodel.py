@@ -78,7 +78,7 @@ def _reference_row(config, m, trials):
     for start in range(0, trials, block):
         draws = genmodel.draw_trials(config, m, min(block, trials - start), rng)
         for truth, responses, confidences in zip(draws[0].tolist(), draws[1], draws[2]):
-            final = TrialTrace.from_draws(truth, responses, confidences, config.k).posterior_path[-1]
+            final = TrialTrace(truth, config.k, responses, confidences).posterior_path[-1]
             hits += int(np.argmax(final) == truth)
             mass_sum += float(final[truth])
     return hits / trials, mass_sum / trials
@@ -237,14 +237,6 @@ class TestLazyPaths:
         assert trace.posterior_path is trace.posterior_path
         assert trace.llr_paths is trace.llr_paths
         assert PATHS <= vars(trace).keys()
-
-    @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
-    def test_final_log_score_is_the_last_path_row(self, name):
-        config = EXPERIMENT_CONFIGS[name]
-        rng = np.random.default_rng(9)
-        for m in (1, 2, 30):
-            trace = simulate_trace(config, m, rng)
-            assert trace.final_log_score.tolist() == trace.log_score_path[-1].tolist()
 
 
 class TestDrift:

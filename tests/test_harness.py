@@ -169,24 +169,40 @@ class TestLoadDataset:
             load_dataset(path)
 
 
+def _questions(gold, fmt=AnswerFormat.BOXED_MATH):
+    """One question per {id: gold} entry, all in one answer format."""
+    return [Question(qid, "p", answer, fmt) for qid, answer in gold.items()]
+
+
 class TestAccuracy:
     def test_all_and_none(self):
-        assert accuracy({"a": "1", "b": "2"}, {"a": "1", "b": "2"}) == 1.0
-        assert accuracy({"a": "x", "b": "y"}, {"a": "1", "b": "2"}) == 0.0
+        assert accuracy({"a": "1", "b": "2"}, _questions({"a": "1", "b": "2"})) == 1.0
+        assert accuracy({"a": "x", "b": "y"}, _questions({"a": "1", "b": "2"})) == 0.0
 
     def test_whitespace_normalization(self):
-        assert accuracy({"a": "3/4 "}, {"a": "3/4"}) == 1.0
-        assert accuracy({"a": " 1  2 "}, {"a": "1 2"}) == 1.0
+        assert accuracy({"a": "3/4 "}, _questions({"a": "3/4"})) == 1.0
+        assert accuracy({"a": " 1  2 "}, _questions({"a": "1 2"})) == 1.0
 
     def test_letter_case_folding(self):
-        assert accuracy({"a": "b"}, {"a": "B"}, AnswerFormat.LETTER_CHOICE) == 1.0
-        assert accuracy({"a": "b"}, {"a": "B"}, AnswerFormat.BOXED_MATH) == 0.0
+        assert accuracy({"a": "b"}, _questions({"a": "B"}, AnswerFormat.LETTER_CHOICE)) == 1.0
+        assert accuracy({"a": "b"}, _questions({"a": "B"}, AnswerFormat.BOXED_MATH)) == 0.0
+
+    def test_each_question_scores_under_its_own_format(self):
+        questions = [
+            Question("a", "p", "B", AnswerFormat.LETTER_CHOICE),
+            Question("b", "p", "B", AnswerFormat.BOXED_MATH),
+        ]
+        assert accuracy({"a": "b", "b": "b"}, questions) == 0.5
 
     def test_key_mismatch_lists_ids(self):
         with pytest.raises(KeyMismatchError, match="q2"):
-            accuracy({"q1": "x"}, {"q1": "x", "q2": "y"})
+            accuracy({"q1": "x"}, _questions({"q1": "x", "q2": "y"}))
         with pytest.raises(KeyMismatchError, match="q3"):
-            accuracy({"q1": "x", "q3": "z"}, {"q1": "x"})
+            accuracy({"q1": "x", "q3": "z"}, _questions({"q1": "x"}))
+
+    def test_nothing_to_score(self):
+        with pytest.raises(KeyMismatchError, match="no questions to score"):
+            accuracy({}, [])
 
     def test_normalize_answer(self):
         assert normalize_answer("  3 /  4\n") == "3 / 4"
@@ -370,6 +386,18 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(questions=questions, methods=[ControllerConfig()])
 
+    def test_record_store_needs_an_endpoint(self, tmp_path):
+        record_store = RecordStore.open_record(tmp_path / "out.jsonl")
+        with pytest.raises(ConfigurationError, match="needs an endpoint"):
+            spec_for(
+                tmp_path,
+                {"q0": [("a", 0.9)]},
+                {"q0": "a"},
+                methods=[ControllerConfig()],
+                record_store=record_store,
+            )
+        record_store.close()
+
     def test_gamma_grid_bounds(self, tmp_path):
         streams = {"q0": [("a", 0.9)]}
         with pytest.raises(ConfigurationError):
@@ -405,6 +433,23 @@ class TestCli:
         rows = read_csv_rows(out)
         assert len(rows) == 2
         assert {"m", "trials", "success_freq", "mean_mass_truth", "seed"} <= set(rows[0])
+
+    @pytest.mark.parametrize(
+        "law_flags",
+        [
+            ["--confidence-law", "beta:nan,2"],
+            ["--confidence-law", "beta:inf,2"],
+            ["--mode", "realistic", "--answer-law", "point:nan,1"],
+            ["--mode", "realistic", "--answer-law", "dirichlet:nan,1"],
+        ],
+        ids=["beta-nan", "beta-inf", "point-nan", "dirichlet-nan"],
+    )
+    def test_simulate_rejects_non_finite_law_parameters(self, tmp_path, capsys, law_flags):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", *law_flags, "--trials", "5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "schedule, named",

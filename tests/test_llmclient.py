@@ -1306,6 +1306,14 @@ class TestEndpointConfig:
             ('{"base_url": "http://h", "model_name": "m", "max_retries": true}',
              "key 'max_retries' must be int"),
             ('{"base_url": "http://h", "model_name": "m", "top_p": 0}', "top_p"),
+            ('{"base_url": "http://h", "model_name": "m", "temperature": NaN}',
+             "temperature must be finite, got nan"),
+            ('{"base_url": "http://h", "model_name": "m", "temperature": Infinity}',
+             "temperature must be finite, got inf"),
+            ('{"base_url": "http://h", "model_name": "m", "request_timeout": NaN}',
+             "request_timeout must be finite, got nan"),
+            ('{"base_url": "http://h", "model_name": "m", "request_timeout": Infinity}',
+             "request_timeout must be finite, got inf"),
             ('{"base_url": "localhost:8000", "model_name": "m"}', "base_url must be an http"),
         ],
     )
