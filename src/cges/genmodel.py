@@ -8,16 +8,14 @@ Two regimes are simulated under a fixed candidate count K:
   candidates (index 0 is the true answer by convention) while the confidence
   is an independent, possibly miscalibrated, noise signal.
 
-``draw_trials`` is the one draw path of each regime: it draws a block of n
-questions at once.  A single question is its n = 1 case, kept as a
-``TrialTrace``: only the draws, with the per-round paths (cumulative
-log-scores, the log-likelihood ratios between the true answer and every
-competitor, and the posterior trajectory) computed on demand.  Concentration
-experiments build no traces: each row (one round count m) draws from one
-generator seeded with (seed, m), in blocks of ``trials_per_block(m, K)``
-questions, and scores only their final round.
-Expected LLR drift and concentration can be checked empirically against
-closed forms.
+The API:
+
+* ``draw_trials`` draws a block of n questions of m rounds at once, in either
+  regime;
+* ``drift`` is the expected per-round log-likelihood-ratio increment, in
+  closed form for point-mass laws and by Monte Carlo otherwise;
+* ``concentration_experiment`` scores blocks of ``draw_trials`` at each round
+  count m of a schedule, and ``write_concentration_csv`` writes its rows.
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -118,9 +115,6 @@ class Dirichlet:
 
 SimplexLaw = Union[PointSimplex, Dirichlet]
 
-# a callable receives (P, rng) and returns one confidence in (0, 1)
-ConfidenceNoise = Union[ScalarLaw, Callable[[np.ndarray, np.random.Generator], float]]
-
 
 def sample_scalar(
     law: ScalarLaw, size: Union[int, tuple[int, ...]], rng: np.random.Generator
@@ -177,7 +171,7 @@ def parse_simplex_law(text: str) -> SimplexLaw:
 
 
 # ---------------------------------------------------------------------------
-# generator configs and traces
+# generator configs and draws
 # ---------------------------------------------------------------------------
 
 
@@ -199,7 +193,7 @@ class IdealGenConfig:
 class RealisticGenConfig:
     k: int
     answer_law: SimplexLaw
-    confidence_noise: ConfidenceNoise
+    confidence_noise: ScalarLaw
     m_max: int = 10_000
     seed: int = 0
 
@@ -240,44 +234,6 @@ def _normalise(log_scores: np.ndarray) -> np.ndarray:
     return np.exp(log_scores - log_z)
 
 
-@dataclass
-class TrialTrace:
-    """One simulated question: its draws and, on demand, its per-round paths.
-
-    ``responses[t]`` and ``confidences[t]`` are the answer index and the
-    confidence drawn at round t + 1; fixed-K candidates are the integers
-    0..K-1.
-
-    The paths are computed on first access and then kept:
-    ``log_score_path[t]`` is the cumulative log-score row after t + 1 rounds,
-    ``posterior_path[t]`` its normalized posterior row, and
-    ``llr_paths[j][t]`` the cumulative log-likelihood ratio between the true
-    index and competitor j.  The posterior ratio mass[true]/mass[j] equals
-    exp(llr_paths[j]) at every round, up to float rounding.
-    """
-
-    true_index: int
-    k: int
-    responses: np.ndarray
-    confidences: np.ndarray
-
-    @cached_property
-    def log_score_path(self) -> np.ndarray:
-        return np.cumsum(_log_terms(self.responses, self.confidences, self.k), axis=0)
-
-    @cached_property
-    def posterior_path(self) -> np.ndarray:
-        return _normalise(self.log_score_path)
-
-    @cached_property
-    def llr_paths(self) -> dict[int, np.ndarray]:
-        terms = _log_terms(self.responses, self.confidences, self.k)
-        truth = self.true_index
-        return {
-            j: np.cumsum(terms[:, truth] - terms[:, j]) for j in range(self.k) if j != truth
-        }
-
-
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -303,9 +259,8 @@ def _draw_realistic(
 
     Each question draws its answer distribution P from the answer law;
     answers are then i.i.d. from P (index 0 is the true answer), and
-    confidences come from the configured noise source, which need not reflect
-    P at all.  A callable noise source is called once per round with
-    (P, rng), in question order.
+    confidences come from the configured noise law, which need not reflect P
+    at all.
     """
     probs = sample_simplex(config.answer_law, n, rng)
     # inverse CDF: the index is the count of CDF steps at or below the uniform,
@@ -313,14 +268,7 @@ def _draw_realistic(
     # cannot yield index K
     steps = np.cumsum(probs, axis=1)[:, None, :-1]
     responses = (steps <= rng.random((n, m, 1))).sum(axis=2)
-    if callable(config.confidence_noise):
-        noise = config.confidence_noise
-        called = [noise(p, rng) for p in probs for _ in range(m)]
-        confidences = np.clip(
-            np.array(called).reshape(n, m), CONFIDENCE_FLOOR, 1.0 - CONFIDENCE_FLOOR
-        )
-    else:
-        confidences = sample_scalar(config.confidence_noise, (n, m), rng)
+    confidences = sample_scalar(config.confidence_noise, (n, m), rng)
     return np.zeros(n, dtype=np.intp), responses, confidences
 
 
@@ -329,18 +277,11 @@ def draw_trials(config: GenConfig, m: int, n: int, rng: np.random.Generator) -> 
 
     Returns ``(truths[n], responses[n, m], confidences[n, m])``: each
     question's true index, and the answer index and confidence of each of its
-    rounds.  This is the only place either regime's draws are made.
+    rounds.  Every question the experiment scores is drawn here.
     """
     if isinstance(config, IdealGenConfig):
         return _draw_ideal(config, m, n, rng)
     return _draw_realistic(config, m, n, rng)
-
-
-def simulate_trace(config: GenConfig, m: int, rng: np.random.Generator) -> TrialTrace:
-    """One question of m rounds: ``draw_trials`` with n = 1, as a trace."""
-    _check_rounds(config, m)
-    truths, responses, confidences = draw_trials(config, m, 1, rng)
-    return TrialTrace(int(truths[0]), config.k, responses[0], confidences[0])
 
 
 def _check_rounds(config: GenConfig, m: int) -> None:
@@ -372,34 +313,25 @@ class DriftEstimate:
     method: DriftMethod
 
 
-def drift(
-    config: GenConfig,
-    n_mc: int = 20_000,
-    rng: Optional[np.random.Generator] = None,
-    method: Optional[DriftMethod] = None,
-) -> DriftEstimate:
-    """Expected LLR drift, in closed form for point-mass laws or by Monte Carlo.
+# one-round draws behind a Monte Carlo drift estimate
+DRIFT_N_MC = 20_000
+
+
+def drift(config: GenConfig, rng: Optional[np.random.Generator] = None) -> DriftEstimate:
+    """Expected LLR drift: in closed form when the laws are point masses,
+    otherwise by Monte Carlo over ``DRIFT_N_MC`` rounds drawn from ``rng``
+    (seeded with ``config.seed`` when not given).
 
     The closed forms: ideal with constant confidence c has drift
     (c - theta) * log(c / theta) against every competitor, with
     theta = (1 - c)/(K - 1); realistic with constant P and c has drift
     (P_0 - P_j) * log(c / theta) against competitor j.
     """
-    closed_form_ok = _closed_form_available(config)
-    if method is DriftMethod.CLOSED_FORM and not closed_form_ok:
-        raise ConfigurationError(
-            "closed-form drift needs point-mass confidence (and answer) laws"
-        )
-    if method is None:
-        method = DriftMethod.CLOSED_FORM if closed_form_ok else DriftMethod.MONTE_CARLO
-
-    if method is DriftMethod.CLOSED_FORM:
+    if _closed_form_available(config):
         return _drift_closed_form(config)
-    if n_mc < 1:
-        raise ConfigurationError("Monte Carlo drift needs n_mc >= 1")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _drift_monte_carlo(config, n_mc, rng)
+    return _drift_monte_carlo(config, DRIFT_N_MC, rng)
 
 
 def _closed_form_available(config: GenConfig) -> bool:
@@ -423,9 +355,7 @@ def _drift_closed_form(config: GenConfig) -> DriftEstimate:
         log_ratio = math.log(c) - math.log(theta)
         probs = config.answer_law.probs
         mu = {j: (probs[0] - probs[j]) * log_ratio for j in range(1, k)}
-    return DriftEstimate(
-        mu=mu, std_err={j: 0.0 for j in mu}, method=DriftMethod.CLOSED_FORM
-    )
+    return DriftEstimate(mu, {j: 0.0 for j in mu}, DriftMethod.CLOSED_FORM)
 
 
 def _drift_monte_carlo(
@@ -450,8 +380,8 @@ def _drift_monte_carlo(
             responses == 0, log_ratio, np.where(responses == j, -log_ratio, 0.0)
         )
         mu[j] = float(increments.mean())
-        std_err[j] = float(increments.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else float("inf")
-    return DriftEstimate(mu=mu, std_err=std_err, method=DriftMethod.MONTE_CARLO)
+        std_err[j] = float(increments.std(ddof=1) / math.sqrt(n_mc))
+    return DriftEstimate(mu, std_err, DriftMethod.MONTE_CARLO)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +412,6 @@ def concentration_experiment(
     config: GenConfig,
     m_schedule: Sequence[int],
     trials: int,
-    drift_n_mc: int = 20_000,
 ) -> list[ConcentrationRow]:
     """Empirical concentration of the posterior on the true answer.
 
@@ -493,7 +422,7 @@ def concentration_experiment(
     trials are drawn by ``draw_trials`` in consecutive blocks of
     ``trials_per_block(m, K)``, the last block taking what is left, so memory
     stays bounded whatever the trial count.  Only each block's final
-    log-scores are computed; no per-round path or ``TrialTrace`` is built.
+    log-scores are computed.
     """
     if not m_schedule:
         raise ConfigurationError("m_schedule must name at least one round count")
@@ -501,9 +430,7 @@ def concentration_experiment(
         raise ConfigurationError("trials must be >= 1")
     for m in m_schedule:
         _check_rounds(config, m)
-    drift_estimate = drift(
-        config, n_mc=drift_n_mc, rng=np.random.default_rng([config.seed, 0x5EED])
-    )
+    drift_estimate = drift(config, rng=np.random.default_rng([config.seed, 0x5EED]))
     rows: list[ConcentrationRow] = []
     for m in m_schedule:
         rng = np.random.default_rng([config.seed, m])

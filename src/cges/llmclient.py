@@ -152,6 +152,10 @@ class EndpointConfig:
             raise ConfigurationError(
                 f"base_url must be an http:// or https:// URL, got {self.base_url!r}"
             )
+        if not self.completions_path.startswith("/"):  # it is appended to base_url's path
+            raise ConfigurationError(
+                f"completions_path must start with '/', got {self.completions_path!r}"
+            )
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "EndpointConfig":

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cges import genmodel
 from cges.cli import main
 from cges.confidence import (
     TokenizedResponse,
@@ -24,15 +25,14 @@ from cges.confidence import (
 )
 from cges.controller import ControllerConfig, Method, run
 from cges.genmodel import (
-    DriftMethod,
     IdealGenConfig,
     PointMass,
     PointSimplex,
     RealisticGenConfig,
     Uniform,
     concentration_experiment,
+    draw_trials,
     drift,
-    simulate_trace,
 )
 from cges.harness import (
     DEFAULT_GAMMA_GRID,
@@ -48,7 +48,7 @@ from cges.llmclient import (
     live_sampler,
     replay_sampler,
 )
-from cges.posterior import CandidateSet, Sample, score
+from cges.posterior import CandidateSet, RunningPosterior, Sample, score
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -212,14 +212,14 @@ def test_criterion_2_ideal_concentration():
         informative = IdealGenConfig(
             k=5, confidence_law=Uniform(0.55, 0.95), m_max=100, seed=101
         )
-        rows = concentration_experiment(informative, [100], trials=2000, drift_n_mc=5000)
+        rows = concentration_experiment(informative, [100], trials=2000)
         assert rows[0].success_freq >= 0.995, rows[0]
         assert rows[0].mean_mass_truth >= 0.98, rows[0]
 
         control = IdealGenConfig(
             k=5, confidence_law=PointMass(0.2), m_max=100, seed=102
         )
-        control_rows = concentration_experiment(control, [100], trials=2000, drift_n_mc=5000)
+        control_rows = concentration_experiment(control, [100], trials=2000)
         assert abs(control_rows[0].success_freq - 0.2) <= 0.05, control_rows[0]
 
         elapsed = time.perf_counter() - start
@@ -247,19 +247,19 @@ def test_criterion_3_realistic_drift_and_converse():
         )
 
         expected_drift = (0.4 - 0.6) * math.log(0.3 / 0.7)  # +0.169459572...
-        closed_minority = drift(minority, method=DriftMethod.CLOSED_FORM)
-        closed_converse = drift(converse, method=DriftMethod.CLOSED_FORM)
+        closed_minority = drift(minority)
+        closed_converse = drift(converse)
         assert abs(closed_minority.mu[1] - expected_drift) <= 1e-12
         assert abs(closed_converse.mu[1] + expected_drift) <= 1e-12
 
         for config, closed in ((minority, closed_minority), (converse, closed_converse)):
-            mc = drift(config, n_mc=40_000, method=DriftMethod.MONTE_CARLO)
+            mc = genmodel._drift_monte_carlo(config, 40_000, np.random.default_rng(config.seed))
             assert abs(mc.mu[1] - closed.mu[1]) < 3 * mc.std_err[1], (mc, closed)
 
-        minority_rows = concentration_experiment(minority, [500], trials=1000, drift_n_mc=1000)
+        minority_rows = concentration_experiment(minority, [500], trials=1000)
         assert minority_rows[0].success_freq >= 0.99, minority_rows[0]
 
-        converse_rows = concentration_experiment(converse, [500], trials=1000, drift_n_mc=1000)
+        converse_rows = concentration_experiment(converse, [500], trials=1000)
         assert converse_rows[0].mean_mass_truth <= 0.05, converse_rows[0]
 
         elapsed = time.perf_counter() - start
@@ -270,13 +270,13 @@ def test_criterion_3_realistic_drift_and_converse():
 
 def test_criterion_4_llr_posterior_path_identity():
     def body():
+        # each simulated question goes round by round through the controller's kernel
         rng = np.random.default_rng(105)
         for trial in range(100):
             k = int(rng.integers(2, 6))
             m = int(rng.integers(20, 61))
             if trial % 2 == 0:
                 config = IdealGenConfig(k=k, confidence_law=Uniform(0.2, 0.9), m_max=m)
-                trace = simulate_trace(config, m, rng)
             else:
                 probs = rng.dirichlet(np.ones(k))
                 config = RealisticGenConfig(
@@ -285,11 +285,21 @@ def test_criterion_4_llr_posterior_path_identity():
                     confidence_noise=Uniform(0.2, 0.9),
                     m_max=m,
                 )
-                trace = simulate_trace(config, m, rng)
-            truth = trace.true_index
-            for j, llr in trace.llr_paths.items():
-                ratio = trace.posterior_path[:, truth] / trace.posterior_path[:, j]
-                assert np.allclose(ratio, np.exp(llr), rtol=1e-9), (trial, j)
+            truths, responses, confidences = draw_trials(config, m, 1, rng)
+            truth = int(truths[0])
+            others = [j for j in range(k) if j != truth]
+            running = RunningPosterior(fixed_k=k, labels=range(k))
+            llr = np.zeros(len(others))  # cumulative LLR of the truth over each competitor
+            ratios, llrs = [], []
+            for label, c in zip(responses[0].tolist(), confidences[0].tolist()):
+                running.add(label, c)
+                # log(C / theta): a round naming the truth adds it, one naming j subtracts it
+                step = math.log(c) - math.log((1.0 - c) / (k - 1))
+                llr += [step * ((label == truth) - (label == j)) for j in others]
+                masses = running.masses
+                ratios.append([masses[truth] / masses[j] for j in others])
+                llrs.append(llr.copy())
+            assert np.allclose(ratios, np.exp(llrs), rtol=1e-9), trial
 
     _verdict("criterion 4: posterior ratios equal exp(cumulative LLR) every round", body)
 

@@ -18,13 +18,12 @@ from cges.genmodel import (
     PointMass,
     PointSimplex,
     RealisticGenConfig,
-    TrialTrace,
     Uniform,
     concentration_experiment,
+    draw_trials,
     drift,
     parse_scalar_law,
     parse_simplex_law,
-    simulate_trace,
     write_concentration_csv,
 )
 
@@ -32,17 +31,11 @@ from cges.genmodel import (
 IDEAL_DRIFT_07_K2 = (0.7 - 0.3) * math.log(0.7 / 0.3)  # 0.33891914415488136
 REALISTIC_DRIFT_MINORITY = (0.4 - 0.6) * math.log(0.3 / 0.7)  # +0.16945957207744068
 
-PATHS = {"log_score_path", "posterior_path", "llr_paths"}
-
 # long enough that every K in EXPERIMENT_CONFIGS splits 40 trials into several blocks
 LONG_M = 700
 
 
-def _noisy_first_probability(probs, rng):
-    return float(np.clip(probs[0] + rng.normal(0, 0.2), 0.05, 0.95))
-
-
-# both regimes, every confidence law, a callable noise source and K from 2 to 5
+# both regimes, every confidence law and K from 2 to 5
 EXPERIMENT_CONFIGS = {
     "ideal-point-k2": IdealGenConfig(k=2, confidence_law=PointMass(0.7), m_max=30, seed=1),
     "ideal-uniform-k3": IdealGenConfig(k=3, confidence_law=Uniform(0.2, 0.9), m_max=30, seed=2),
@@ -55,9 +48,9 @@ EXPERIMENT_CONFIGS = {
         k=3, answer_law=Dirichlet((1.0, 1.0, 1.0)), confidence_noise=Beta(2.0, 3.0),
         m_max=30, seed=5,
     ),
-    "realistic-callable-k4": RealisticGenConfig(
+    "realistic-beta-k4": RealisticGenConfig(
         k=4, answer_law=PointSimplex((0.4, 0.3, 0.2, 0.1)),
-        confidence_noise=_noisy_first_probability, m_max=30, seed=6,
+        confidence_noise=Beta(2.0, 3.0), m_max=30, seed=6,
     ),
     "realistic-uniform-k5": RealisticGenConfig(
         k=5, answer_law=Dirichlet((2.0, 1.0, 1.0, 1.0, 1.0)),
@@ -66,8 +59,19 @@ EXPERIMENT_CONFIGS = {
 }
 
 
+def _posterior_path(responses, confidences, k):
+    """The posterior row after each round of one question."""
+    return genmodel._normalise(np.cumsum(genmodel._log_terms(responses, confidences, k), axis=0))
+
+
+def _llr_paths(truth, responses, confidences, k):
+    """Per competitor j, the cumulative log-likelihood ratio of truth over j after each round."""
+    terms = genmodel._log_terms(responses, confidences, k)
+    return {j: np.cumsum(terms[:, truth] - terms[:, j]) for j in range(k) if j != truth}
+
+
 def _reference_row(config, m, trials):
-    """Success frequency and mean truth mass of a row, one trace per trial.
+    """Success frequency and mean truth mass of a row, one posterior path per trial.
 
     Draws the experiment's blocks from the same generator, then scores each
     trial through its own full posterior path and sums masses in trial order.
@@ -78,7 +82,7 @@ def _reference_row(config, m, trials):
     for start in range(0, trials, block):
         draws = genmodel.draw_trials(config, m, min(block, trials - start), rng)
         for truth, responses, confidences in zip(draws[0].tolist(), draws[1], draws[2]):
-            final = TrialTrace(truth, config.k, responses, confidences).posterior_path[-1]
+            final = _posterior_path(responses, confidences, config.k)[-1]
             hits += int(np.argmax(final) == truth)
             mass_sum += float(final[truth])
     return hits / trials, mass_sum / trials
@@ -130,44 +134,34 @@ class TestLaws:
 class TestSampleIdeal:
     def test_seed_determinism(self):
         config = IdealGenConfig(k=3, confidence_law=Uniform(0.3, 0.9), seed=5)
-        a = simulate_trace(config, 50, np.random.default_rng(123))
-        b = simulate_trace(config, 50, np.random.default_rng(123))
-        assert a.true_index == b.true_index
-        assert np.array_equal(a.responses, b.responses)
-        assert np.array_equal(a.confidences, b.confidences)
-        assert np.array_equal(a.posterior_path, b.posterior_path)
-        for j in a.llr_paths:
-            assert np.array_equal(a.llr_paths[j], b.llr_paths[j])
+        a = draw_trials(config, 50, 4, np.random.default_rng(123))
+        b = draw_trials(config, 50, 4, np.random.default_rng(123))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_emission_calibration_at_point_mass(self):
         # responses equal the true answer with frequency close to c
         config = IdealGenConfig(k=4, confidence_law=PointMass(0.7))
-        rng = np.random.default_rng(0)
-        hits = total = 0
-        for _ in range(60):
-            trace = simulate_trace(config, 100, rng)
-            hits += int(np.sum(trace.responses == trace.true_index))
-            total += len(trace.responses)
-        freq = hits / total
+        truths, responses, _ = draw_trials(config, 100, 60, np.random.default_rng(0))
+        freq = float(np.mean(responses == truths[:, None]))
         # 6000 Bernoulli(0.7) draws: 5 sigma is ~0.030
         assert abs(freq - 0.7) < 0.03
 
     def test_uninformative_point_mass_keeps_posterior_flat(self):
         config = IdealGenConfig(k=4, confidence_law=PointMass(0.25))
-        trace = simulate_trace(config, 30, np.random.default_rng(1))
-        assert np.allclose(trace.posterior_path, 0.25, atol=1e-9)
-        for path in trace.llr_paths.values():
+        truths, responses, confidences = draw_trials(config, 30, 1, np.random.default_rng(1))
+        assert np.allclose(_posterior_path(responses[0], confidences[0], 4), 0.25, atol=1e-9)
+        for path in _llr_paths(int(truths[0]), responses[0], confidences[0], 4).values():
             assert np.allclose(path, 0.0, atol=1e-9)
 
     def test_cumulative_llr_mean_matches_drift(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7))
-        rng = np.random.default_rng(2)
         m, trials = 100, 400
+        truths, responses, confidences = draw_trials(config, m, trials, np.random.default_rng(2))
         finals = []
-        for _ in range(trials):
-            trace = simulate_trace(config, m, rng)
-            competitor = next(iter(trace.llr_paths))
-            finals.append(trace.llr_paths[competitor][-1])
+        for truth, trial_responses, trial_confidences in zip(truths, responses, confidences):
+            (llr,) = _llr_paths(int(truth), trial_responses, trial_confidences, 2).values()
+            finals.append(llr[-1])
         expected = m * IDEAL_DRIFT_07_K2  # ~33.89
         std_err = np.std(finals, ddof=1) / math.sqrt(trials)
         assert abs(np.mean(finals) - expected) < 4 * std_err
@@ -175,9 +169,9 @@ class TestSampleIdeal:
     def test_m_bounds_enforced(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7), m_max=10)
         with pytest.raises(ConfigurationError):
-            simulate_trace(config, 11, np.random.default_rng(0))
+            concentration_experiment(config, [11], trials=1)
         with pytest.raises(ConfigurationError):
-            simulate_trace(config, 0, np.random.default_rng(0))
+            concentration_experiment(config, [0], trials=1)
 
 
 class TestSampleRealistic:
@@ -185,9 +179,9 @@ class TestSampleRealistic:
         config = RealisticGenConfig(
             k=2, answer_law=PointSimplex((0.4, 0.6)), confidence_noise=PointMass(0.3)
         )
-        trace = simulate_trace(config, 20, np.random.default_rng(3))
-        assert trace.true_index == 0
-        assert set(trace.llr_paths) == {1}
+        truths, responses, _ = draw_trials(config, 20, 4, np.random.default_rng(3))
+        assert truths.tolist() == [0, 0, 0, 0]
+        assert responses.shape == (4, 20)
 
     def test_answer_frequencies_follow_p(self):
         config = RealisticGenConfig(
@@ -195,25 +189,9 @@ class TestSampleRealistic:
             answer_law=PointSimplex((0.2, 0.5, 0.3)),
             confidence_noise=Uniform(0.4, 0.6),
         )
-        rng = np.random.default_rng(4)
-        counts = np.zeros(3)
-        for _ in range(40):
-            trace = simulate_trace(config, 100, rng)
-            counts += np.bincount(trace.responses, minlength=3)
-        freqs = counts / counts.sum()
+        _, responses, _ = draw_trials(config, 100, 40, np.random.default_rng(4))
+        freqs = np.bincount(responses.ravel(), minlength=3) / responses.size
         assert np.allclose(freqs, [0.2, 0.5, 0.3], atol=0.03)
-
-    def test_callable_confidence_noise(self):
-        def noise(probs, rng):
-            return float(np.clip(probs[0] + rng.normal(0, 0.01), 0.05, 0.95))
-
-        config = RealisticGenConfig(
-            k=2, answer_law=PointSimplex((0.6, 0.4)), confidence_noise=noise
-        )
-        trace = simulate_trace(config, 50, np.random.default_rng(5))
-        confidences = trace.confidences.tolist()
-        assert all(0.0 < c < 1.0 for c in confidences)
-        assert abs(np.mean(confidences) - 0.6) < 0.02
 
 
 class TestPathIdentity:
@@ -222,21 +200,12 @@ class TestPathIdentity:
         for _ in range(10):
             k = int(rng.integers(2, 6))
             config = IdealGenConfig(k=k, confidence_law=Uniform(0.2, 0.9), seed=0)
-            trace = simulate_trace(config, 40, rng)
-            truth = trace.true_index
-            for j, path in trace.llr_paths.items():
-                ratio = trace.posterior_path[:, truth] / trace.posterior_path[:, j]
+            truths, responses, confidences = draw_trials(config, 40, 1, rng)
+            truth = int(truths[0])
+            posterior = _posterior_path(responses[0], confidences[0], k)
+            for j, path in _llr_paths(truth, responses[0], confidences[0], k).items():
+                ratio = posterior[:, truth] / posterior[:, j]
                 assert np.allclose(ratio, np.exp(path), rtol=1e-9)
-
-
-class TestLazyPaths:
-    def test_paths_are_computed_on_first_access_and_kept(self):
-        config = IdealGenConfig(k=4, confidence_law=Uniform(0.2, 0.9))
-        trace = simulate_trace(config, 25, np.random.default_rng(8))
-        assert not PATHS & vars(trace).keys()
-        assert trace.posterior_path is trace.posterior_path
-        assert trace.llr_paths is trace.llr_paths
-        assert PATHS <= vars(trace).keys()
 
 
 class TestDrift:
@@ -262,7 +231,7 @@ class TestDrift:
 
     def test_monte_carlo_agrees_with_closed_form(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7), seed=9)
-        mc = drift(config, n_mc=40_000, method=DriftMethod.MONTE_CARLO)
+        mc = genmodel._drift_monte_carlo(config, 40_000, np.random.default_rng(config.seed))
         assert mc.method is DriftMethod.MONTE_CARLO
         assert abs(mc.mu[1] - IDEAL_DRIFT_07_K2) < 3 * mc.std_err[1]
 
@@ -273,20 +242,27 @@ class TestDrift:
             confidence_noise=PointMass(0.3),
             seed=10,
         )
-        mc = drift(config, n_mc=40_000, method=DriftMethod.MONTE_CARLO)
+        mc = genmodel._drift_monte_carlo(config, 40_000, np.random.default_rng(config.seed))
         assert abs(mc.mu[1] - REALISTIC_DRIFT_MINORITY) < 3 * mc.std_err[1]
 
     def test_closed_form_requires_point_laws(self):
         config = IdealGenConfig(k=2, confidence_law=Uniform(0.5, 0.9))
-        with pytest.raises(ConfigurationError):
-            drift(config, method=DriftMethod.CLOSED_FORM)
-        assert drift(config, n_mc=100).method is DriftMethod.MONTE_CARLO
+        assert drift(config).method is DriftMethod.MONTE_CARLO
+
+    def test_monte_carlo_uses_the_module_draw_count(self):
+        config = RealisticGenConfig(
+            k=3, answer_law=Dirichlet((1.0, 1.0, 1.0)), confidence_noise=Beta(2.0, 3.0), seed=11
+        )
+        expected = genmodel._drift_monte_carlo(
+            config, genmodel.DRIFT_N_MC, np.random.default_rng(config.seed)
+        )
+        assert drift(config) == expected
 
 
 class TestConcentrationExperiment:
     def test_success_grows_with_m_for_informative_law(self):
         config = IdealGenConfig(k=3, confidence_law=Uniform(0.5, 0.9), seed=1)
-        rows = concentration_experiment(config, [1, 8, 40], trials=150, drift_n_mc=2000)
+        rows = concentration_experiment(config, [1, 8, 40], trials=150)
         assert [row.m for row in rows] == [1, 8, 40]
         assert rows[-1].success_freq >= rows[0].success_freq
         assert rows[-1].success_freq > 0.95
@@ -295,7 +271,7 @@ class TestConcentrationExperiment:
     @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
     def test_single_round_row_matches_direct_average(self, name):
         config = EXPERIMENT_CONFIGS[name]
-        rows = concentration_experiment(config, [1], trials=64, drift_n_mc=100)
+        rows = concentration_experiment(config, [1], trials=64)
         assert (rows[0].success_freq, rows[0].mean_mass_truth) == _reference_row(config, 1, 64)
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
@@ -306,7 +282,7 @@ class TestConcentrationExperiment:
         assert block < 40 and 40 % block, "40 trials must end the long row in a partial block"
         # one trial, one block exactly, one more or less, and several blocks
         for trials in (1, block - 1, block, block + 1, 40):
-            rows = concentration_experiment(config, schedule, trials=trials, drift_n_mc=100)
+            rows = concentration_experiment(config, schedule, trials=trials)
             for row, m in zip(rows, schedule):
                 assert (row.m, row.trials) == (m, trials)
                 expected = _reference_row(config, m, trials)
@@ -317,29 +293,16 @@ class TestConcentrationExperiment:
         assert genmodel.trials_per_block(500, 4) == 16
         assert genmodel.trials_per_block(genmodel.BLOCK_ELEMENTS, 3) == 1
 
-    def test_experiment_builds_no_trial_trace(self, monkeypatch):
-        built = []
-        init = TrialTrace.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TrialTrace, "__init__", counting_init)
-        simulate_trace(EXPERIMENT_CONFIGS["ideal-point-k2"], 3, np.random.default_rng(0))
-        assert len(built) == 1, "the counter must see the traces that are built"
-        for config in EXPERIMENT_CONFIGS.values():
-            concentration_experiment(config, [1, 9], trials=6, drift_n_mc=100)
-        assert len(built) == 1
-
-    def test_peak_memory_is_bounded_and_independent_of_trials(self):
+    def test_peak_memory_is_bounded_and_independent_of_trials(self, monkeypatch):
+        # the drift estimate's draws do not grow with trials; keep them small here
+        monkeypatch.setattr(genmodel, "DRIFT_N_MC", 1000)
         config = IdealGenConfig(k=4, confidence_law=Uniform(0.55, 0.95), m_max=500, seed=12)
-        concentration_experiment(config, [500], trials=16, drift_n_mc=1000)  # first-call caches
+        concentration_experiment(config, [500], trials=16)  # first-call caches
         peaks = {}
         for trials in (500, 4000):
             tracemalloc.start()
             try:
-                concentration_experiment(config, [500], trials=trials, drift_n_mc=1000)
+                concentration_experiment(config, [500], trials=trials)
                 peaks[trials] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -355,8 +318,8 @@ class TestConcentrationExperiment:
 
     def test_rows_are_order_independent(self):
         config = IdealGenConfig(k=2, confidence_law=Uniform(0.4, 0.8), seed=3)
-        forward = concentration_experiment(config, [1, 5], trials=32, drift_n_mc=100)
-        backward = concentration_experiment(config, [5, 1], trials=32, drift_n_mc=100)
+        forward = concentration_experiment(config, [1, 5], trials=32)
+        backward = concentration_experiment(config, [5, 1], trials=32)
         assert forward[0] == backward[1]
         assert forward[1] == backward[0]
 
@@ -367,7 +330,7 @@ class TestConcentrationExperiment:
             confidence_noise=PointMass(0.6),
             seed=4,
         )
-        rows = concentration_experiment(config, [2, 4], trials=10, drift_n_mc=100)
+        rows = concentration_experiment(config, [2, 4], trials=10)
         out = tmp_path / "conc.csv"
         write_concentration_csv(rows, out)
         with out.open() as handle:

@@ -510,15 +510,18 @@ class TestCli:
         assert {"a1", "a2", "(virtual)"} == labels
 
     def test_score_command_fixed_k(self, tmp_path, capsys):
+        out = tmp_path / "score.csv"
         code = main(
             [
                 "score",
                 "--samples", str(FIXTURES / "minority_samples.jsonl"),
                 "--k-policy", "fixed:3",
+                "--out", str(out),
             ]
         )
         assert code == 0
         assert "top: a1 (0.935065)" in capsys.readouterr().out
+        assert out.read_bytes() == (FIXTURES / "golden_score.csv").read_bytes()
 
     def test_score_command_rejects_confidence_of_one(self, tmp_path, capsys):
         path = tmp_path / "samples.jsonl"

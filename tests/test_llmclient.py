@@ -1315,6 +1315,9 @@ class TestEndpointConfig:
             ('{"base_url": "http://h", "model_name": "m", "request_timeout": Infinity}',
              "request_timeout must be finite, got inf"),
             ('{"base_url": "localhost:8000", "model_name": "m"}', "base_url must be an http"),
+            ('{"base_url": "http://h/v1", "model_name": "m", '
+             '"completions_path": "chat/completions"}',
+             "completions_path must start with '/', got 'chat/completions'"),
         ],
     )
     def test_from_json_file_fails_closed(self, tmp_path, capsys, text, match):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cges
+from cges import genmodel
 from cges.errors import (
     CandidateCountError,
     CGESError,
@@ -24,7 +25,7 @@ from cges.genmodel import (
     PointSimplex,
     RealisticGenConfig,
     Uniform,
-    simulate_trace,
+    draw_trials,
 )
 from cges.posterior import (
     CandidateSet,
@@ -468,26 +469,26 @@ class TestRunningPosterior:
             RunningPosterior(fixed_k=3, labels=("x",)).top()
 
     def test_simulator_log_scores_share_the_formula(self):
-        # the simulator's numpy cumsum and the running sums score alike under fixed K
+        # the simulator's numpy sum over rounds and the running sums score alike under fixed K
         rng = np.random.default_rng(41)
         for trial in range(40):
             k = int(rng.integers(2, 6))
             if trial % 2:
                 config = IdealGenConfig(k=k, confidence_law=Uniform(0.05, 0.95))
-                trace = simulate_trace(config, int(rng.integers(1, 200)), rng)
             else:
                 config = RealisticGenConfig(
                     k=k,
                     answer_law=PointSimplex((1.0 / k,) * k),
                     confidence_noise=Uniform(0.05, 0.95),
                 )
-                trace = simulate_trace(config, int(rng.integers(1, 200)), rng)
+            _, responses, confidences = draw_trials(config, int(rng.integers(1, 200)), 1, rng)
             running = RunningPosterior(fixed_k=k, labels=range(k))
-            for label, confidence in zip(trace.responses.tolist(), trace.confidences.tolist()):
+            for label, confidence in zip(responses[0].tolist(), confidences[0].tolist()):
                 running.add(label, confidence)
             scores = running.log_scores()
+            final = genmodel._log_terms(responses[0], confidences[0], k).sum(axis=0)
             for j in range(k):
-                assert_close(scores[j], float(trace.log_score_path[-1, j]))
+                assert_close(scores[j], float(final[j]))
 
 
 def dict_top_log_mass(running):
