@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -116,6 +116,13 @@ class Dirichlet:
 SimplexLaw = Union[PointSimplex, Dirichlet]
 
 
+def _check_law(role: str, law: object, kind: object) -> None:
+    """Refuse at config time a law the samplers would only refuse at draw time."""
+    if not isinstance(law, get_args(kind)):
+        names = ", ".join(t.__name__ for t in get_args(kind))
+        raise ConfigurationError(f"{role} must be one of {names}, got {law!r}")
+
+
 def sample_scalar(
     law: ScalarLaw, size: Union[int, tuple[int, ...]], rng: np.random.Generator
 ) -> np.ndarray:
@@ -187,6 +194,7 @@ class IdealGenConfig:
             raise ConfigurationError(f"candidate count must be >= 2, got {self.k!r}")
         if self.m_max < 1:
             raise ConfigurationError("m_max must be >= 1")
+        _check_law("confidence law", self.confidence_law, ScalarLaw)
 
 
 @dataclass(frozen=True)
@@ -202,6 +210,8 @@ class RealisticGenConfig:
             raise ConfigurationError(f"candidate count must be >= 2, got {self.k!r}")
         if self.m_max < 1:
             raise ConfigurationError("m_max must be >= 1")
+        _check_law("answer law", self.answer_law, SimplexLaw)
+        _check_law("confidence noise", self.confidence_noise, ScalarLaw)
         if isinstance(self.answer_law, PointSimplex) and len(self.answer_law.probs) != self.k:
             raise ConfigurationError(
                 f"answer law has {len(self.answer_law.probs)} entries for k={self.k}"

@@ -130,6 +130,24 @@ class TestLaws:
                 k=3, answer_law=PointSimplex((0.4, 0.6)), confidence_noise=PointMass(0.5)
             )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: IdealGenConfig(k=2, confidence_law=0.7),
+            lambda: IdealGenConfig(k=2, confidence_law=PointSimplex((0.4, 0.6))),
+            lambda: RealisticGenConfig(
+                k=2, answer_law=PointMass(0.4), confidence_noise=PointMass(0.3)
+            ),
+            lambda: RealisticGenConfig(
+                k=2, answer_law=(0.4, 0.6), confidence_noise=PointMass(0.3)
+            ),
+        ],
+        ids=["ideal-float", "ideal-simplex", "realistic-scalar-answers", "realistic-tuple-answers"],
+    )
+    def test_config_refuses_a_value_that_is_not_a_law(self, make):
+        with pytest.raises(ConfigurationError, match="must be one of"):
+            make()
+
 
 class TestSampleIdeal:
     def test_seed_determinism(self):
@@ -192,6 +210,15 @@ class TestSampleRealistic:
         _, responses, _ = draw_trials(config, 100, 40, np.random.default_rng(4))
         freqs = np.bincount(responses.ravel(), minlength=3) / responses.size
         assert np.allclose(freqs, [0.2, 0.5, 0.3], atol=0.03)
+
+    def test_callable_confidence_noise(self):
+        # confidence noise is a scalar law; a per-round callable is refused at
+        # config time rather than when the first block is drawn
+        def noise(probs, rng):
+            return float(np.clip(probs[0] + rng.normal(0, 0.01), 0.05, 0.95))
+
+        with pytest.raises(ConfigurationError, match="confidence noise must be one of"):
+            RealisticGenConfig(k=2, answer_law=PointSimplex((0.6, 0.4)), confidence_noise=noise)
 
 
 class TestPathIdentity:
