@@ -12,6 +12,10 @@ predict rule:
 * ``sc``   - never stop (draw the full budget), predict the majority label;
 * ``esc``  - stop at a window boundary once the last ``esc_window`` samples
   agree, predict the majority label over everything drawn.
+
+The posterior's top (label, log mass) is read once per round.  The open CGES
+configurations of a chain form a threshold ladder sorted by log gamma, and a
+round closes the prefix at or below its top log mass with one comparison.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ class ControllerConfig:
     max_parallel: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("budget", "esc_window", "fixed_k", "max_parallel"):
+            value = getattr(self, name)
+            if name == "fixed_k" and value is None:
+                continue  # the observed+virtual policy
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if self.budget < 1:
@@ -68,19 +78,19 @@ class QuestionState:
     # trailing run of identical labels, for the ESC stop rule
     last_label: Optional[Label] = None
     run_length: int = 0
-    # the posterior's top log mass, computed at most once per round
-    _top_log_mass: Optional[float] = None
+    # the posterior's (top label index, top log mass), read at most once per round
+    _top: Optional[tuple[int, float]] = None
 
     def observe(self, label: Label, confidence: float) -> None:
         self.posterior.add(label, confidence)
         self.run_length = self.run_length + 1 if label == self.last_label else 1
         self.last_label = label
-        self._top_log_mass = None
+        self._top = None
 
-    def top_log_mass(self) -> float:
-        if self._top_log_mass is None:
-            self._top_log_mass = self.posterior.top_log_mass()
-        return self._top_log_mass
+    def top_index_and_log_mass(self) -> tuple[int, float]:
+        if self._top is None:
+            self._top = self.posterior.top_index_and_log_mass()
+        return self._top
 
 
 @dataclass(frozen=True)
@@ -94,9 +104,6 @@ class RunResult:
     unresolved: tuple[str, ...] = ()
 
 
-# stop(state, round) -> bool, evaluated after each of the question's rounds;
-# None draws the full budget and counts every question as resolved
-StopRule = Optional[Callable[[QuestionState, int], bool]]
 PredictRule = Callable[[QuestionState], Label]
 
 
@@ -154,8 +161,19 @@ def _run_group(
     fixed_k: Optional[int],
 ) -> list[RunResult]:
     """The loop of ``run_many`` for configurations sharing one ``fixed_k``."""
-    # per configuration: (index, stop rule, predict rule, budget)
-    every_config = [(c, *_rules(config), config.budget) for c, config in enumerate(configs)]
+    predicts = [_predict_rule(config) for config in configs]
+    # the threshold ladder: (log gamma, index) of each CGES configuration, ascending
+    ladder = sorted(
+        (math.log(config.gamma), c)
+        for c, config in enumerate(configs)
+        if config.method is Method.CGES
+    )
+    windows = [
+        (c, config.esc_window) for c, config in enumerate(configs) if config.method is Method.ESC
+    ]
+    at_budget: dict[int, list[int]] = {}  # round -> the configurations whose budget it spends
+    for c, config in enumerate(configs):
+        at_budget.setdefault(config.budget, []).append(c)
     max_parallel = max(config.max_parallel for config in configs)
     failed = threading.Event()  # set once a chain raises or the caller's wait ends early
 
@@ -164,27 +182,39 @@ def _run_group(
         closes on ``qid``; None once a chain has failed, before the next draw."""
         state = QuestionState(RunningPosterior(fixed_k=fixed_k))
         outcomes: list = [None] * len(configs)
-        open_configs = every_config
+        rungs, esc, n_open = ladder, windows, len(configs)
         round_idx = 0
         try:
-            while open_configs:
+            while n_open:
                 if failed.is_set():
                     return None
                 round_idx += 1
                 label, confidence = sampler(qid, round_idx)
                 state.observe(label, confidence)
-                closing = []
-                for c, stop, predict, budget in open_configs:
-                    fired = stop is not None and stop(state, round_idx)
-                    if fired or round_idx == budget:
-                        closing.append((c, predict, fired or stop is None))
+                closing: dict[int, bool] = {}  # index -> resolved, of those closing this round
+                if rungs:
+                    top = state.top_index_and_log_mass()[1]
+                    for log_gamma, c in rungs:
+                        if log_gamma > top:
+                            break  # top < log gamma_j implies top < log gamma_i for i above j
+                        closing[c] = True
+                for c, window in esc:
+                    # a trailing partial window never stops a question
+                    if round_idx % window == 0 and state.run_length >= window:
+                        closing[c] = True
+                for c in at_budget.get(round_idx, ()):
+                    if outcomes[c] is None:
+                        # SC has no stop rule, so its budget close counts as resolved
+                        closing.setdefault(c, configs[c].method is Method.SC)
                 if closing:
                     # one snapshot per round; the last to close takes the live posterior
-                    live = len(closing) == len(open_configs)
+                    live = len(closing) == n_open
                     posterior = state.posterior if live else state.posterior.copy()
-                    for c, predict, resolved in closing:
-                        outcomes[c] = (predict(state), posterior, resolved)
-                    open_configs = [entry for entry in open_configs if outcomes[entry[0]] is None]
+                    for c, resolved in closing.items():
+                        outcomes[c] = (predicts[c](state), posterior, resolved)
+                    n_open -= len(closing)
+                    rungs = [rung for rung in rungs if outcomes[rung[1]] is None]
+                    esc = [entry for entry in esc if outcomes[entry[0]] is None]
         except BaseException:
             failed.set()
             raise
@@ -215,25 +245,14 @@ def _run_group(
     return results
 
 
-def _rules(config: ControllerConfig) -> tuple[StopRule, PredictRule]:
-    """The (stop, predict) pair of the configured method."""
-
-    def majority(state: QuestionState) -> Label:
-        # max returns the first maximum; insertion order = first-seen order
-        counts = state.posterior.counts
-        return max(counts, key=counts.__getitem__)
-
+def _predict_rule(config: ControllerConfig) -> PredictRule:
+    """CGES predicts the posterior argmax, read off the round's top; SC and ESC the majority."""
     if config.method is Method.CGES:
-        log_gamma = math.log(config.gamma)
-        return (
-            lambda state, _round: state.top_log_mass() >= log_gamma,
-            lambda state: state.posterior.top_label(),
-        )
-    if config.method is Method.ESC:
-        window = config.esc_window
-        # a trailing partial window never stops a question
-        return (
-            lambda state, round_idx: round_idx % window == 0 and state.run_length >= window,
-            majority,
-        )
-    return None, majority
+        return lambda state: state.posterior.labels[state.top_index_and_log_mass()[0]]
+    return _majority
+
+
+def _majority(state: QuestionState) -> Label:
+    # max returns the first maximum; insertion order = first-seen order
+    counts = state.posterior.counts
+    return max(counts, key=counts.__getitem__)

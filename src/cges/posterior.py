@@ -84,9 +84,9 @@ class RunningPosterior:
     """The posterior over candidate answers, kept as the sufficient statistics
     of a sample stream and updated in O(1) per sample.
 
-    Per label it keeps the count n_L, S_L = sum of log C and A_L = sum of
-    log(1 - C) over the label's samples; globally the count n and
-    A = sum of log(1 - C).  The unnormalized log score of label L is
+    Per label it keeps one record [n_L, S_L, A_L]: the count, S_L = sum of
+    log C and A_L = sum of log(1 - C) over the label's samples; globally the
+    count n and A = sum of log(1 - C).  The unnormalized log score of label L is
 
         score_L = S_L + (A - A_L) - (n - n_L) * log(K - 1)
 
@@ -96,62 +96,59 @@ class RunningPosterior:
     up front, with no samples; the rest are named as they are first seen.
     """
 
-    __slots__ = ("fixed_k", "n", "sum_log_miss", "counts", "_sum_log_hit", "_sum_log_miss")
+    __slots__ = ("fixed_k", "n", "sum_log_miss", "_records")
 
     def __init__(self, fixed_k: Optional[int] = None, labels: Iterable[Label] = ()) -> None:
         self.fixed_k = fixed_k
         self.n = 0
         self.sum_log_miss = 0.0
-        # per-label sample counts; insertion order = first-seen order
-        self.counts: dict[Label, int] = {}
-        self._sum_log_hit: dict[Label, float] = {}
-        self._sum_log_miss: dict[Label, float] = {}
+        # label -> [n_L, S_L, A_L]; insertion order = first-seen order
+        self._records: dict[Label, list] = {}
         for label in labels:
-            if label in self.counts:
+            if label in self._records:
                 raise InvalidSampleError("candidate labels must be pairwise distinct")
-            self._name(label)
+            self._records[label] = [0, 0.0, 0.0]
         if fixed_k is not None:
-            _check_fixed_k(fixed_k, len(self.counts))
+            _check_fixed_k(fixed_k, len(self._records))
 
     def copy(self) -> "RunningPosterior":
         """An independent posterior holding the same statistics."""
         twin = RunningPosterior(self.fixed_k)
         twin.n = self.n
         twin.sum_log_miss = self.sum_log_miss
-        twin.counts = dict(self.counts)
-        twin._sum_log_hit = dict(self._sum_log_hit)
-        twin._sum_log_miss = dict(self._sum_log_miss)
+        twin._records = {label: record.copy() for label, record in self._records.items()}
         return twin
 
-    def _name(self, label: Label) -> None:
-        self.counts[label] = 0
-        self._sum_log_hit[label] = 0.0
-        self._sum_log_miss[label] = 0.0
+    @property
+    def counts(self) -> dict[Label, int]:
+        """Per-label sample counts in first-seen order, as a fresh dict."""
+        return {label: record[0] for label, record in self._records.items()}
 
     @property
     def effective_k(self) -> int:
         if self.fixed_k is not None:
             return self.fixed_k
-        return len(self.counts) + 1
+        return len(self._records) + 1
 
     def add(self, label: Label, confidence: float) -> None:
         """Fold one (label, confidence) observation into the statistics."""
         if not 0.0 < confidence < 1.0:
             _check_confidence(confidence)  # raises
-        if label not in self.counts:
+        record = self._records.get(label)
+        if record is None:
             if self.fixed_k is not None:
-                _check_fixed_k(self.fixed_k, len(self.counts) + 1)
-            self._name(label)
+                _check_fixed_k(self.fixed_k, len(self._records) + 1)
+            record = self._records[label] = [0, 0.0, 0.0]
         log_miss = math.log1p(-confidence)
         self.n += 1
         self.sum_log_miss += log_miss
-        self.counts[label] += 1
-        self._sum_log_hit[label] += math.log(confidence)
-        self._sum_log_miss[label] += log_miss
+        record[0] += 1
+        record[1] += math.log(confidence)
+        record[2] += log_miss
 
     def log_scores(self) -> dict[Label, float]:
         """Unnormalized log score of every named label, in first-seen order."""
-        return dict(zip(self.counts, self._scores()[0]))
+        return dict(zip(self._records, self._scores()[0]))
 
     def reserve_log_score(self) -> Optional[float]:
         """Aggregate log score of the unnamed candidates, or None if all are named."""
@@ -164,14 +161,11 @@ class RunningPosterior:
         k = self.effective_k
         log_k_minus_1 = math.log(k - 1)
         n, total_miss = self.n, self.sum_log_miss
-        # the three per-label dicts are filled together, so they share one order
         scores = [
             hit + (total_miss - miss) - (n - n_label) * log_k_minus_1
-            for n_label, hit, miss in zip(
-                self.counts.values(), self._sum_log_hit.values(), self._sum_log_miss.values()
-            )
+            for n_label, hit, miss in self._records.values()
         ]
-        n_unnamed = k - len(self.counts)
+        n_unnamed = k - len(self._records)
         if n_unnamed <= 0:
             return scores, None
         # every unnamed candidate has the all-mismatch score
@@ -179,33 +173,39 @@ class RunningPosterior:
 
     def top_label(self) -> Label:
         """The named label with the highest score; ties go to the earliest."""
-        return list(self.counts)[_first_max(self._scores()[0])]
+        return list(self._records)[_first_max(self._scores()[0])]
 
     def top_log_mass(self) -> float:
-        """log of the top label's posterior mass.
+        """log of the top label's posterior mass (see ``top_index_and_log_mass``)."""
+        return self.top_index_and_log_mass()[1]
 
-        It is computed as -log1p(sum of the other masses relative to the top
+    def top_index_and_log_mass(self) -> tuple[int, float]:
+        """(first-seen index of the top label, log of its posterior mass), read
+        in one pass over the scores; ties go to the earliest label.
+
+        The log mass is -log1p(sum of the other masses relative to the top
         one), so it is exactly < 0 whenever any competing mass is positive and
         a threshold of 1.0 stays unreachable (robust at thresholds near 1).
         """
         scores, reserve_log = self._scores()
+        best = _first_max(scores)
         # the top label's score; the rest are the competitors
-        top_log = scores.pop(_first_max(scores))
+        top_log = scores.pop(best)
         tail = math.fsum([math.exp(v - top_log) for v in scores])
         if reserve_log is not None:
             tail += math.exp(reserve_log - top_log)
-        return -math.log1p(tail)
+        return best, -math.log1p(tail)
 
     @property
     def labels(self) -> tuple[Label, ...]:
         """The named candidates, in first-seen order."""
-        return tuple(self.counts)
+        return tuple(self._records)
 
     @property
     def masses(self) -> dict[Label, float]:
         """Normalized posterior mass of every named candidate, in first-seen order."""
         scores, _, log_z = self._normalized()
-        return {label: math.exp(v - log_z) for label, v in zip(self.counts, scores)}
+        return {label: math.exp(v - log_z) for label, v in zip(self._records, scores)}
 
     @property
     def virtual_mass(self) -> float:
@@ -227,7 +227,7 @@ class RunningPosterior:
         """
         scores, _, log_z = self._normalized()
         best = _first_max(scores)
-        return list(self.counts)[best], math.exp(scores[best] - log_z)
+        return list(self._records)[best], math.exp(scores[best] - log_z)
 
     def _normalized(self) -> tuple[list[float], Optional[float], float]:
         """(log scores, reserve log score, log normalizer) via a max-shifted log-sum-exp."""
@@ -245,9 +245,7 @@ class RunningPosterior:
             self.fixed_k == other.fixed_k
             and self.n == other.n
             and self.sum_log_miss == other.sum_log_miss
-            and list(self.counts.items()) == list(other.counts.items())
-            and self._sum_log_hit == other._sum_log_hit
-            and self._sum_log_miss == other._sum_log_miss
+            and list(self._records.items()) == list(other._records.items())
         )
 
     __hash__ = None  # mutable
@@ -267,7 +265,7 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
         raise EmptySamplesError("score() requires at least one sample")
     running = RunningPosterior(candidates.fixed_k, candidates.labels)
     for sample in samples:
-        if sample.label not in running.counts:
+        if sample.label not in running._records:
             raise UnknownLabelError(
                 f"sample label {sample.label!r} is not in the fixed candidate set"
             )
@@ -290,6 +288,8 @@ def _check_confidence(confidence: float) -> None:
 
 
 def _check_fixed_k(fixed_k: int, n_labels: int) -> None:
+    if isinstance(fixed_k, bool) or not isinstance(fixed_k, int):
+        raise CandidateCountError(f"fixed candidate count must be an int, got {fixed_k!r}")
     if fixed_k < 2:
         raise CandidateCountError(f"fixed candidate count must be >= 2, got {fixed_k}")
     if fixed_k < n_labels:

@@ -1,15 +1,18 @@
 """Tests for the adaptive controller and the fixed-budget baselines."""
 
+import math
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cges import controller
 from cges.controller import ControllerConfig, Method, run, run_many
 from cges.errors import ConfigurationError, SamplerError
-from cges.posterior import CandidateSet, Sample, score
+from cges.posterior import CandidateSet, RunningPosterior, Sample, score
 
 
 def stream_sampler(streams):
@@ -46,6 +49,40 @@ class TestCgesRun:
         assert result.predictions["q0"] == "a1"
         assert result.avg_calls == 1.0
         assert result.unresolved == ()
+
+    def test_stop_is_inclusive_at_the_threshold(self):
+        # a gamma whose log equals the first round's top log mass stops there;
+        # the next gamma up does not
+        for confidence in np.linspace(0.6, 0.95, 36):
+            posterior = RunningPosterior()
+            posterior.add("a", float(confidence))
+            top = posterior.top_log_mass()
+            if math.log(math.exp(top)) == top:
+                break
+        else:
+            pytest.fail("no confidence gives a gamma at the exact top log mass")
+        gamma = math.exp(top)
+        above = math.nextafter(gamma, 1.0)
+        assert math.log(above) > top
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=g, budget=3) for g in (above, gamma, 0.5)
+        ]
+        sampler = constant_sampler("a", float(confidence))
+        not_yet, at, below = run_many(["q0"], sampler, configs)
+        assert (at.avg_calls, below.avg_calls) == (1.0, 1.0)
+        assert not_yet.avg_calls > 1.0
+
+    def test_a_stop_on_the_budget_round_counts_as_resolved(self):
+        streams = {"q0": [("a", 0.6), ("a", 0.99)], "q1": [("a", 0.6), ("b", 0.6)]}
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=0.9, budget=2),
+            ControllerConfig(method=Method.ESC, esc_window=2, budget=2),
+            ControllerConfig(method=Method.SC, budget=2),
+        ]
+        cges, esc, sc = run_many(list(streams), stream_sampler(streams), configs)
+        assert cges.per_question_calls == esc.per_question_calls == {"q0": 2, "q1": 2}
+        assert cges.unresolved == esc.unresolved == ("q1",)
+        assert sc.unresolved == ()
 
     def test_gamma_one_exhausts_the_budget(self):
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=5)
@@ -402,17 +439,19 @@ class TestRunMany:
             ControllerConfig(method=Method.ESC, budget=12, esc_window=2, **common),
             ControllerConfig(method=Method.ESC, budget=8, esc_window=3, **common),
         ]
-        for gamma in (0.7, 0.9, 0.99, 1.0):
+        # 0.9 twice; the other configurations' budgets are at most 12
+        for gamma in (0.7, 0.9, 0.9, 0.99, 1.0):
             budget = int(rng.integers(1, 13))
             configs.append(
                 ControllerConfig(method=Method.CGES, gamma=gamma, budget=budget, **common)
             )
+        configs.append(ControllerConfig(method=Method.CGES, gamma=0.95, budget=16, **common))
         return configs
 
     @pytest.mark.parametrize("seed", range(8))
     def test_each_result_equals_its_own_run(self, seed):
         rng = np.random.default_rng(seed)
-        streams = skewed_streams(rng, 16, 12)
+        streams = skewed_streams(rng, 16, 16)
         sampler = stream_sampler(streams)
         configs = [
             config
@@ -484,6 +523,33 @@ class TestRunMany:
         run_many(list(streams), sampler, fixed + configs)
         assert set(reads.values()) == {1, 2}
 
+    def test_top_is_read_at_most_once_per_draw(self, monkeypatch):
+        # the thresholds share one top read per round, and the CGES predict
+        # rule reuses it at close
+        tops = Counter()
+
+        class CountingPosterior(RunningPosterior):
+            def top_index_and_log_mass(self):
+                tops[id(self), self.n] += 1
+                return super().top_index_and_log_mass()
+
+            def top_label(self):
+                tops[id(self), self.n] += 1
+                return super().top_label()
+
+        monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
+        rng = np.random.default_rng(11)
+        streams = skewed_streams(rng, 32, 16)
+        sampler, reads = counting_sampler(streams)
+        gammas = (0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999, 0.9999)
+        configs = [ControllerConfig(method=Method.CGES, gamma=g, budget=16) for g in gammas]
+        results = run_many(list(streams), sampler, configs)
+        monkeypatch.undo()
+        assert set(tops.values()) == {1}
+        assert sum(tops.values()) == sum(reads.values())
+        for config, result in zip(configs, results):
+            assert result == run(list(streams), stream_sampler(streams), config)
+
     def test_configurations_closing_together_share_a_snapshot(self):
         streams = {"q0": [("a", 0.99)] * 4}
         configs = [
@@ -519,3 +585,21 @@ class TestConfigValidation:
     def test_fixed_k_bound(self):
         with pytest.raises(ConfigurationError):
             ControllerConfig(fixed_k=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", 2.5),
+            ("budget", True),
+            ("budget", "4"),
+            ("esc_window", 2.0),
+            ("fixed_k", 2.5),
+            ("fixed_k", True),
+            ("max_parallel", 1.5),
+            ("max_parallel", False),
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, field, value):
+        for method in Method:
+            with pytest.raises(ConfigurationError, match=f"{field} must be an int"):
+                ControllerConfig(method=method, **{field: value})

@@ -81,6 +81,11 @@ class TestLogLikelihood:
         with pytest.raises(CandidateCountError):
             RunningPosterior(fixed_k=1)
 
+    @pytest.mark.parametrize("fixed_k", [2.5, 3.0, True, "3"])
+    def test_rejects_a_candidate_count_that_is_not_an_int(self, fixed_k):
+        with pytest.raises(CandidateCountError, match="must be an int"):
+            RunningPosterior(fixed_k=fixed_k)
+
 
 class TestLlrIncrement:
     """One sample's log-likelihood ratio between two named hypotheses, read as
@@ -444,6 +449,35 @@ class TestRunningPosterior:
             assert scores["a"] == scores["b"]
             assert running.top_label() == "b"
             assert running.top()[0] == "b"
+
+    def test_copy_keeps_its_own_records(self):
+        original = RunningPosterior()
+        for label, confidence in [("a", 0.7), ("b", 0.6), ("a", 0.8)]:
+            original.add(label, confidence)
+        twin = original.copy()
+        assert twin == original
+        before = (original.counts, original.log_scores(), original.top_log_mass())
+        twin.add("a", 0.9)
+        twin.add("c", 0.5)
+        assert (original.counts, original.log_scores(), original.top_log_mass()) == before
+        after = (twin.counts, twin.log_scores(), twin.top_log_mass())
+        original.add("b", 0.9)
+        assert (twin.counts, twin.log_scores(), twin.top_log_mass()) == after
+        assert twin.counts == {"a": 3, "b": 1, "c": 1}
+        assert original.counts == {"a": 2, "b": 2}
+
+    def test_counts_is_a_snapshot(self):
+        running = RunningPosterior(fixed_k=3)
+        running.add("a", 0.7)
+        running.add("b", 0.6)
+        scores = running.log_scores()
+        counts = running.counts
+        counts["a"] = 5
+        counts["c"] = 1
+        del counts["b"]
+        assert running.counts == {"a": 1, "b": 1}
+        assert running.labels == ("a", "b")
+        assert running.log_scores() == scores
 
     def test_fixed_k_overflow_rejected(self):
         running = RunningPosterior(fixed_k=2)
