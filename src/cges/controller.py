@@ -2,10 +2,10 @@
 
 Three methods share one sampler interface, a callable
 ``sampler(question_id, round) -> (label, confidence)``, and one loop,
-``run_many``, which serves several configurations from one sample stream;
-``run`` is its one-configuration form.  Each question is one chain of rounds,
-drawn until no configuration is open on it; a method is a stop rule and a
-predict rule:
+``run_many``, which serves several configurations sharing one ``fixed_k``
+from one sample stream; ``run`` is its one-configuration form.  Each question
+is one chain of rounds, drawn until no configuration is open on it; a method
+is a stop rule and a predict rule:
 
 * ``cges`` - stop once the top posterior mass reaches the threshold gamma,
   predict the posterior argmax;
@@ -13,14 +13,16 @@ predict rule:
 * ``esc``  - stop at a window boundary once the last ``esc_window`` samples
   agree, predict the majority label over everything drawn.
 
-The posterior's top (label, log mass) is read once per round.  The open CGES
-configurations of a chain form a threshold ladder sorted by log gamma, and a
-round closes the prefix at or below its top log mass with one comparison.
+A chain keeps the question's posterior, its last label and that label's run
+length.  While a CGES configuration is open it reads the posterior's top
+(label index, log mass) once per round: the open CGES configurations form a
+threshold ladder sorted by log gamma, closed up to that top in one comparison.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +51,10 @@ class ControllerConfig:
     max_parallel: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.method, Method):
+            raise ConfigurationError(f"method must be a Method, got {self.method!r}")
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
+            raise ConfigurationError(f"gamma must be a real number, got {self.gamma!r}")
         for name in ("budget", "esc_window", "fixed_k", "max_parallel"):
             value = getattr(self, name)
             if name == "fixed_k" and value is None:
@@ -70,29 +76,6 @@ class ControllerConfig:
             raise ConfigurationError("max_parallel must be >= 1")
 
 
-@dataclass
-class QuestionState:
-    """Mutable per-question bookkeeping owned by the controller."""
-
-    posterior: RunningPosterior
-    # trailing run of identical labels, for the ESC stop rule
-    last_label: Optional[Label] = None
-    run_length: int = 0
-    # the posterior's (top label index, top log mass), read at most once per round
-    _top: Optional[tuple[int, float]] = None
-
-    def observe(self, label: Label, confidence: float) -> None:
-        self.posterior.add(label, confidence)
-        self.run_length = self.run_length + 1 if label == self.last_label else 1
-        self.last_label = label
-        self._top = None
-
-    def top_index_and_log_mass(self) -> tuple[int, float]:
-        if self._top is None:
-            self._top = self.posterior.top_index_and_log_mass()
-        return self._top
-
-
 @dataclass(frozen=True)
 class RunResult:
     predictions: dict[str, Label]
@@ -102,9 +85,6 @@ class RunResult:
     # diagnostics: questions that exhausted the budget without their stop rule
     # firing (for CGES, without reaching gamma); always empty for SC
     unresolved: tuple[str, ...] = ()
-
-
-PredictRule = Callable[[QuestionState], Label]
 
 
 def run(
@@ -125,10 +105,11 @@ def run_many(
 ) -> tuple[RunResult, ...]:
     """``run`` for several configurations over one shared sample stream.
 
-    Configurations with the same ``fixed_k`` share each question's posterior.
-    A question is resampled while any of them is open, i.e. its stop rule has
-    not fired and its budget is not spent, so each (question, round) is drawn
-    once per ``fixed_k`` rather than once per configuration.  A configuration
+    The configurations must share ``fixed_k``, and so each question's
+    posterior; run configurations with another ``fixed_k`` in another call.  A
+    question is resampled while any configuration is open, i.e. its stop rule
+    has not fired and its budget is not spent, so each (question, round) is
+    drawn once per call rather than once per configuration.  A configuration
     keeps the calls, prediction, posterior and resolved flag of the round it
     closes at.  Result ``i`` equals ``run(questions, sampler, configs[i])``
     whenever the sampler serves the same draw each time a (question, round) is
@@ -144,30 +125,13 @@ def run_many(
         raise ConfigurationError("question ids must be unique")
     if not configs:
         raise ConfigurationError("at least one configuration is required")
-    groups: dict[Optional[int], list[int]] = {}
-    for index, config in enumerate(configs):
-        groups.setdefault(config.fixed_k, []).append(index)
-    results: dict[int, RunResult] = {}
-    for fixed_k, indices in groups.items():
-        group = _run_group(qids, sampler, [configs[i] for i in indices], fixed_k)
-        results.update(zip(indices, group))
-    return tuple(results[index] for index in range(len(configs)))
-
-
-def _run_group(
-    qids: list[str],
-    sampler: Sampler,
-    configs: list[ControllerConfig],
-    fixed_k: Optional[int],
-) -> list[RunResult]:
-    """The loop of ``run_many`` for configurations sharing one ``fixed_k``."""
-    predicts = [_predict_rule(config) for config in configs]
+    fixed_ks = {config.fixed_k for config in configs}
+    if len(fixed_ks) > 1:
+        raise ConfigurationError(f"configurations run together must share fixed_k, got {fixed_ks}")
+    (fixed_k,) = fixed_ks
+    is_cges = [config.method is Method.CGES for config in configs]
     # the threshold ladder: (log gamma, index) of each CGES configuration, ascending
-    ladder = sorted(
-        (math.log(config.gamma), c)
-        for c, config in enumerate(configs)
-        if config.method is Method.CGES
-    )
+    ladder = sorted((math.log(config.gamma), c) for c, config in enumerate(configs) if is_cges[c])
     windows = [
         (c, config.esc_window) for c, config in enumerate(configs) if config.method is Method.ESC
     ]
@@ -180,7 +144,8 @@ def _run_group(
     def chain(qid: str) -> Optional[list]:
         """Per configuration, (prediction, posterior, resolved) at the round it
         closes on ``qid``; None once a chain has failed, before the next draw."""
-        state = QuestionState(RunningPosterior(fixed_k=fixed_k))
+        posterior = RunningPosterior(fixed_k=fixed_k)
+        last_label, run_length = None, 0  # the trailing run of one label, for ESC
         outcomes: list = [None] * len(configs)
         rungs, esc, n_open = ladder, windows, len(configs)
         round_idx = 0
@@ -190,17 +155,21 @@ def _run_group(
                     return None
                 round_idx += 1
                 label, confidence = sampler(qid, round_idx)
-                state.observe(label, confidence)
+                posterior.add(label, confidence)
+                run_length = run_length + 1 if label == last_label else 1
+                last_label = label
                 closing: dict[int, bool] = {}  # index -> resolved, of those closing this round
+                # a CGES configuration closes only while on the ladder, so a
+                # round that closes one has read its top
                 if rungs:
-                    top = state.top_index_and_log_mass()[1]
+                    top_index, top = posterior.top_index_and_log_mass()
                     for log_gamma, c in rungs:
                         if log_gamma > top:
                             break  # top < log gamma_j implies top < log gamma_i for i above j
                         closing[c] = True
                 for c, window in esc:
                     # a trailing partial window never stops a question
-                    if round_idx % window == 0 and state.run_length >= window:
+                    if round_idx % window == 0 and run_length >= window:
                         closing[c] = True
                 for c in at_budget.get(round_idx, ()):
                     if outcomes[c] is None:
@@ -209,9 +178,14 @@ def _run_group(
                 if closing:
                     # one snapshot per round; the last to close takes the live posterior
                     live = len(closing) == n_open
-                    posterior = state.posterior if live else state.posterior.copy()
+                    snapshot = posterior if live else posterior.copy()
                     for c, resolved in closing.items():
-                        outcomes[c] = (predicts[c](state), posterior, resolved)
+                        if is_cges[c]:
+                            prediction = posterior.labels[top_index]
+                        else:  # the majority; max keeps the first maximum, the earliest label
+                            counts = posterior.counts
+                            prediction = max(counts, key=counts.__getitem__)
+                        outcomes[c] = (prediction, snapshot, resolved)
                     n_open -= len(closing)
                     rungs = [rung for rung in rungs if outcomes[rung[1]] is None]
                     esc = [entry for entry in esc if outcomes[entry[0]] is None]
@@ -242,17 +216,4 @@ def _run_group(
                 unresolved=tuple(qid for qid, (_, _, ok) in zip(qids, closed) if not ok),
             )
         )
-    return results
-
-
-def _predict_rule(config: ControllerConfig) -> PredictRule:
-    """CGES predicts the posterior argmax, read off the round's top; SC and ESC the majority."""
-    if config.method is Method.CGES:
-        return lambda state: state.posterior.labels[state.top_index_and_log_mass()[0]]
-    return _majority
-
-
-def _majority(state: QuestionState) -> Label:
-    # max returns the first maximum; insertion order = first-seen order
-    counts = state.posterior.counts
-    return max(counts, key=counts.__getitem__)
+    return tuple(results)

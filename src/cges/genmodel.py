@@ -372,15 +372,9 @@ def _drift_monte_carlo(
     config: GenConfig, n_mc: int, rng: np.random.Generator
 ) -> DriftEstimate:
     k = config.k
-    if isinstance(config, IdealGenConfig):
-        confidences = sample_scalar(config.confidence_law, n_mc, rng)
-        matches = rng.random(n_mc) < confidences
-        wrong = 1 + rng.integers(k - 1, size=n_mc)  # truth relabeled to 0
-        responses = np.where(matches, 0, wrong)
-    else:
-        # one round each from n_mc questions; the truth is index 0 already
-        _, responses, confidences = _draw_realistic(config, 1, n_mc, rng)
-        responses, confidences = responses[:, 0], confidences[:, 0]
+    # one round each from n_mc questions, each truth relabeled to index 0
+    truths, responses, confidences = draw_trials(config, 1, n_mc, rng)
+    responses, confidences = (responses[:, 0] - truths) % k, confidences[:, 0]
 
     log_ratio = np.log(confidences) - (np.log1p(-confidences) - math.log(k - 1))
     mu: dict[int, float] = {}

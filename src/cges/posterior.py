@@ -171,10 +171,6 @@ class RunningPosterior:
         # every unnamed candidate has the all-mismatch score
         return scores, total_miss - n * log_k_minus_1 + math.log(n_unnamed)
 
-    def top_label(self) -> Label:
-        """The named label with the highest score; ties go to the earliest."""
-        return list(self._records)[_first_max(self._scores()[0])]
-
     def top_log_mass(self) -> float:
         """log of the top label's posterior mass (see ``top_index_and_log_mass``)."""
         return self.top_index_and_log_mass()[1]

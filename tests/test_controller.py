@@ -453,19 +453,19 @@ class TestRunMany:
         rng = np.random.default_rng(seed)
         streams = skewed_streams(rng, 16, 16)
         sampler = stream_sampler(streams)
-        configs = [
-            config
-            for fixed_k in (None, 3, 5)
-            for max_parallel in (1, 2, 8)
-            for config in self.mixed_configs(rng, fixed_k, max_parallel)
-        ]
-        rng.shuffle(configs)
-        results = run_many(list(streams), sampler, configs)
-        assert len(results) == len(configs)
-        for config, result in zip(configs, results):
-            assert result == run(list(streams), sampler, config), config
-            # serial and pooled runs agree
-            assert result == run(list(streams), sampler, replace(config, max_parallel=1))
+        for fixed_k in (None, 3, 5):
+            configs = [
+                config
+                for max_parallel in (1, 2, 8)
+                for config in self.mixed_configs(rng, fixed_k, max_parallel)
+            ]
+            rng.shuffle(configs)
+            results = run_many(list(streams), sampler, configs)
+            assert len(results) == len(configs)
+            for config, result in zip(configs, results):
+                assert result == run(list(streams), sampler, config), config
+                # serial and pooled runs agree
+                assert result == run(list(streams), sampler, replace(config, max_parallel=1))
 
     def test_pooled_chains_under_frequent_thread_switches(self):
         # more workers than cores, switching threads every few bytecodes: each
@@ -517,11 +517,12 @@ class TestRunMany:
             deepest = max(result.per_question_calls[qid] for result in results)
             assert {rnd for q, rnd in reads if q == qid} == set(range(1, deepest + 1))
 
-        # a second fixed_k keeps its own posterior, so it reads the stream again
+        # configurations with another fixed_k need their own posterior: another call
         sampler, reads = counting_sampler(streams)
         fixed = [replace(config, fixed_k=3) for config in configs]
-        run_many(list(streams), sampler, fixed + configs)
-        assert set(reads.values()) == {1, 2}
+        with pytest.raises(ConfigurationError, match="fixed_k"):
+            run_many(list(streams), sampler, fixed + configs)
+        assert reads == {}
 
     def test_top_is_read_at_most_once_per_draw(self, monkeypatch):
         # the thresholds share one top read per round, and the CGES predict
@@ -532,10 +533,6 @@ class TestRunMany:
             def top_index_and_log_mass(self):
                 tops[id(self), self.n] += 1
                 return super().top_index_and_log_mass()
-
-            def top_label(self):
-                tops[id(self), self.n] += 1
-                return super().top_label()
 
         monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
         rng = np.random.default_rng(11)
@@ -597,9 +594,15 @@ class TestConfigValidation:
             ("fixed_k", True),
             ("max_parallel", 1.5),
             ("max_parallel", False),
+            ("method", "cges"),
+            ("method", None),
+            ("gamma", True),
+            ("gamma", "0.9"),
+            ("gamma", None),
         ],
     )
     def test_integer_fields_must_be_ints(self, field, value):
+        # and a method must be a Method and gamma a real number, named in the error
         for method in Method:
-            with pytest.raises(ConfigurationError, match=f"{field} must be an int"):
-                ControllerConfig(method=method, **{field: value})
+            with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+                ControllerConfig(**{"method": method, field: value})

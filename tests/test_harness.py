@@ -719,10 +719,14 @@ class TestCli:
         "command, golden",
         [
             (["replay"], "golden_replay.csv"),
+            (["replay", "--method", "sc"], "golden_replay_sc.csv"),
+            (["replay", "--method", "esc", "--window", "2"], "golden_replay_esc.csv"),
+            # q2 closes unresolved at the budget on 3/4, where SC predicts 1/2
+            (["replay", "--k-policy", "fixed:3", "--gamma", "0.95"], "golden_replay_fixed_k.csv"),
             (["run", "--seeds", "0"], "golden_run.csv"),
             (["sweep", "--seeds", "0"], "golden_sweep.csv"),
         ],
-        ids=["replay", "run", "sweep"],
+        ids=["replay", "replay_sc", "replay_esc", "replay_fixed_k", "run", "sweep"],
     )
     def test_replay_outputs_match_golden_files(self, tmp_path, command, golden):
         out = tmp_path / golden

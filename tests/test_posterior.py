@@ -394,7 +394,7 @@ class TestRunningPosterior:
         for label in named:
             assert_close(posterior.masses[label], masses[label])
         assert_close(posterior.virtual_mass, virtual)
-        assert running.top_label() == best == posterior.top()[0]
+        assert running.labels[running.top_index_and_log_mass()[0]] == best == posterior.top()[0]
         assert_close(running.top_log_mass(), top_log)
         assert running.top_log_mass() == posterior.top_log_mass()
 
@@ -447,7 +447,7 @@ class TestRunningPosterior:
                 running.add(label, confidence)
             scores = running.log_scores()
             assert scores["a"] == scores["b"]
-            assert running.top_label() == "b"
+            assert running.labels[running.top_index_and_log_mass()[0]] == "b"
             assert running.top()[0] == "b"
 
     def test_copy_keeps_its_own_records(self):
@@ -558,7 +558,9 @@ def test_kernel_reads_are_bit_identical_to_the_dict_reading(stream, fixed_k):
         assert running.top_log_mass() == dict_top_log_mass(running)
         scores = running.log_scores()
         # the first label holding the maximal score: ties go to the earliest
-        assert running.top_label() == max(scores, key=scores.__getitem__)
+        assert running.labels[running.top_index_and_log_mass()[0]] == max(
+            scores, key=scores.__getitem__
+        )
 
 
 def test_kernel_imports_load_neither_numpy_nor_requests():
