@@ -129,9 +129,12 @@ def run_many(
     if len(fixed_ks) > 1:
         raise ConfigurationError(f"configurations run together must share fixed_k, got {fixed_ks}")
     (fixed_k,) = fixed_ks
-    is_cges = [config.method is Method.CGES for config in configs]
     # the threshold ladder: (log gamma, index) of each CGES configuration, ascending
-    ladder = sorted((math.log(config.gamma), c) for c, config in enumerate(configs) if is_cges[c])
+    ladder = sorted(
+        (math.log(config.gamma), c)
+        for c, config in enumerate(configs)
+        if config.method is Method.CGES
+    )
     windows = [
         (c, config.esc_window) for c, config in enumerate(configs) if config.method is Method.ESC
     ]
@@ -141,18 +144,16 @@ def run_many(
     max_parallel = max(config.max_parallel for config in configs)
     failed = threading.Event()  # set once a chain raises or the caller's wait ends early
 
-    def chain(qid: str) -> Optional[list]:
+    def chain(qid: str) -> list:
         """Per configuration, (prediction, posterior, resolved) at the round it
-        closes on ``qid``; None once a chain has failed, before the next draw."""
+        closes on ``qid``; once a chain has failed, no chain makes another draw."""
         posterior = RunningPosterior(fixed_k=fixed_k)
         last_label, run_length = None, 0  # the trailing run of one label, for ESC
         outcomes: list = [None] * len(configs)
-        rungs, esc, n_open = ladder, windows, len(configs)
+        rungs, n_open = ladder, len(configs)
         round_idx = 0
         try:
-            while n_open:
-                if failed.is_set():
-                    return None
+            while n_open and not failed.is_set():
                 round_idx += 1
                 label, confidence = sampler(qid, round_idx)
                 posterior.add(label, confidence)
@@ -167,9 +168,9 @@ def run_many(
                         if log_gamma > top:
                             break  # top < log gamma_j implies top < log gamma_i for i above j
                         closing[c] = True
-                for c, window in esc:
+                for c, window in windows:
                     # a trailing partial window never stops a question
-                    if round_idx % window == 0 and run_length >= window:
+                    if outcomes[c] is None and round_idx % window == 0 and run_length >= window:
                         closing[c] = True
                 for c in at_budget.get(round_idx, ()):
                     if outcomes[c] is None:
@@ -180,7 +181,7 @@ def run_many(
                     live = len(closing) == n_open
                     snapshot = posterior if live else posterior.copy()
                     for c, resolved in closing.items():
-                        if is_cges[c]:
+                        if configs[c].method is Method.CGES:
                             prediction = posterior.labels[top_index]
                         else:  # the majority; max keeps the first maximum, the earliest label
                             counts = posterior.counts
@@ -188,7 +189,6 @@ def run_many(
                         outcomes[c] = (prediction, snapshot, resolved)
                     n_open -= len(closing)
                     rungs = [rung for rung in rungs if outcomes[rung[1]] is None]
-                    esc = [entry for entry in esc if outcomes[entry[0]] is None]
         except BaseException:
             failed.set()
             raise

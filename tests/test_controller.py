@@ -1,6 +1,7 @@
 """Tests for the adaptive controller and the fixed-budget baselines."""
 
 import math
+import re
 import sys
 import threading
 from collections import Counter
@@ -594,15 +595,27 @@ class TestConfigValidation:
             ("fixed_k", True),
             ("max_parallel", 1.5),
             ("max_parallel", False),
-            ("method", "cges"),
-            ("method", None),
-            ("gamma", True),
-            ("gamma", "0.9"),
-            ("gamma", None),
         ],
     )
     def test_integer_fields_must_be_ints(self, field, value):
-        # and a method must be a Method and gamma a real number, named in the error
         for method in Method:
-            with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+            with pytest.raises(ConfigurationError, match=f"{field} must be an int"):
+                ControllerConfig(method=method, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("method", "cges", "a Method"),
+            ("method", None, "a Method"),
+            ("gamma", True, "a real number"),
+            ("gamma", "0.9", "a real number"),
+            ("gamma", None, "a real number"),
+        ],
+    )
+    def test_method_and_gamma_types_are_checked(self, field, value, kind):
+        # method="cges" used to run with no stop rule; gamma=True ran as 1.0
+        # and gamma="0.9" raised a bare TypeError
+        message = re.escape(f"{field} must be {kind}, got {value!r}")
+        for method in Method:
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
                 ControllerConfig(**{"method": method, field: value})
