@@ -16,12 +16,17 @@ The API:
   closed form for point-mass laws and by Monte Carlo otherwise;
 * ``concentration_experiment`` scores blocks of ``draw_trials`` at each round
   count m of a schedule, and ``write_concentration_csv`` writes its rows.
+
+The fixed-K log-likelihood is written once, in ``_round_terms``, which takes
+its draws rounds first.  The experiment sums its output over rounds and the
+Monte Carlo drift differences its candidate columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -116,6 +121,24 @@ class Dirichlet:
 SimplexLaw = Union[PointSimplex, Dirichlet]
 
 
+def _check_int(name: str, value: object) -> None:
+    """Refuse a bool, float or other non-integer where a count or seed belongs."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an int, got {value!r}")
+
+
+def _check_counts(config: GenConfig) -> None:
+    """The integer fields both generator configs share: k, m_max and seed."""
+    for name in ("k", "m_max", "seed"):
+        _check_int(name, getattr(config, name))
+    if config.k < 2:
+        raise ConfigurationError(f"candidate count must be >= 2, got {config.k!r}")
+    if config.m_max < 1:
+        raise ConfigurationError("m_max must be >= 1")
+    if config.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {config.seed!r}")
+
+
 def _check_law(role: str, law: object, kind: object) -> None:
     """Refuse at config time a law the samplers would only refuse at draw time."""
     if not isinstance(law, get_args(kind)):
@@ -190,10 +213,7 @@ class IdealGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ConfigurationError(f"candidate count must be >= 2, got {self.k!r}")
-        if self.m_max < 1:
-            raise ConfigurationError("m_max must be >= 1")
+        _check_counts(self)
         _check_law("confidence law", self.confidence_law, ScalarLaw)
 
 
@@ -206,10 +226,7 @@ class RealisticGenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ConfigurationError(f"candidate count must be >= 2, got {self.k!r}")
-        if self.m_max < 1:
-            raise ConfigurationError("m_max must be >= 1")
+        _check_counts(self)
         _check_law("answer law", self.answer_law, SimplexLaw)
         _check_law("confidence noise", self.confidence_noise, ScalarLaw)
         if isinstance(self.answer_law, PointSimplex) and len(self.answer_law.probs) != self.k:
@@ -225,16 +242,20 @@ class RealisticGenConfig:
 GenConfig = Union[IdealGenConfig, RealisticGenConfig]
 
 
-def _log_terms(responses: np.ndarray, confidences: np.ndarray, k: int) -> np.ndarray:
-    """Per-round log-likelihood of every candidate, shape (..., m, K).
+def _round_terms(responses: np.ndarray, confidences: np.ndarray, k: int) -> np.ndarray:
+    """Per-round log-likelihood of every candidate, rounds first: shape (m, n, K).
 
-    Entry [..., t, j] is log C at the answer drawn at round t + 1 and
-    log((1 - C) / (K - 1)) at every other candidate: the fixed-K kernel.
-    Leading axes, such as a block's trial axis, pass through.
+    Takes the answers and confidences of n questions as (m, n) arrays, round
+    t + 1 in row t.  Entry [t, i, j] is log C at the answer question i drew at
+    round t + 1 and log((1 - C) / (K - 1)) at every other candidate: the
+    fixed-K kernel.  ``.sum(axis=0)`` adds the rounds one at a time in round
+    order, so it equals the last row of each question's cumsum bit for bit;
+    a sum over a contiguous last axis would sum pairwise and round differently.
     """
-    log_hit = np.log(confidences)[..., None]
-    log_miss = (np.log1p(-confidences) - math.log(k - 1))[..., None]
-    return np.where(responses[..., None] == np.arange(k), log_hit, log_miss)
+    m, n = responses.shape
+    terms = np.repeat(np.log1p(-confidences) - math.log(k - 1), k).reshape(m, n, k)
+    terms.reshape(m * n, k)[np.arange(m * n), responses.ravel()] = np.log(confidences).ravel()
+    return terms
 
 
 def _normalise(log_scores: np.ndarray) -> np.ndarray:
@@ -295,6 +316,7 @@ def draw_trials(config: GenConfig, m: int, n: int, rng: np.random.Generator) -> 
 
 
 def _check_rounds(config: GenConfig, m: int) -> None:
+    _check_int("m", m)
     if not 1 <= m <= config.m_max:
         raise ConfigurationError(f"m must lie in [1, {config.m_max}], got {m}")
 
@@ -374,15 +396,12 @@ def _drift_monte_carlo(
     k = config.k
     # one round each from n_mc questions, each truth relabeled to index 0
     truths, responses, confidences = draw_trials(config, 1, n_mc, rng)
-    responses, confidences = (responses[:, 0] - truths) % k, confidences[:, 0]
-
-    log_ratio = np.log(confidences) - (np.log1p(-confidences) - math.log(k - 1))
+    relabeled = (responses - truths[:, None]) % k
+    terms = _round_terms(relabeled.T, confidences.T, k)[0]
     mu: dict[int, float] = {}
     std_err: dict[int, float] = {}
     for j in range(1, k):
-        increments = np.where(
-            responses == 0, log_ratio, np.where(responses == j, -log_ratio, 0.0)
-        )
+        increments = terms[:, 0] - terms[:, j]
         mu[j] = float(increments.mean())
         std_err[j] = float(increments.std(ddof=1) / math.sqrt(n_mc))
     return DriftEstimate(mu, std_err, DriftMethod.MONTE_CARLO)
@@ -403,7 +422,7 @@ class ConcentrationRow:
     seed: int
 
 
-# a block's (trials, m, K) log terms hold at most this many float64s (256 KB)
+# a block's (m, trials, K) log terms hold at most this many float64s (256 KB)
 BLOCK_ELEMENTS = 2**15
 
 
@@ -426,10 +445,13 @@ def concentration_experiment(
     trials are drawn by ``draw_trials`` in consecutive blocks of
     ``trials_per_block(m, K)``, the last block taking what is left, so memory
     stays bounded whatever the trial count.  Only each block's final
-    log-scores are computed.
+    log-scores are computed: ``_round_terms`` scores the block rounds first
+    and the sum adds the rounds in round order, so each trial's scores equal
+    the last row of its own cumulative sum.
     """
     if not m_schedule:
         raise ConfigurationError("m_schedule must name at least one round count")
+    _check_int("trials", trials)
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     for m in m_schedule:
@@ -444,8 +466,7 @@ def concentration_experiment(
         for start in range(0, trials, block):
             n = min(block, trials - start)
             truths, responses, confidences = draw_trials(config, m, n, rng)
-            # a sum over rounds adds them in order, so it equals a trial's cumsum[-1]
-            final_log_scores = _log_terms(responses, confidences, config.k).sum(axis=1)
+            final_log_scores = _round_terms(responses.T, confidences.T, config.k).sum(axis=0)
             posterior = _normalise(final_log_scores)
             # np.argmax takes the first maximum, matching earliest-label tie-breaking
             hits += int(np.count_nonzero(posterior.argmax(axis=1) == truths))

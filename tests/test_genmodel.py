@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,14 +60,37 @@ EXPERIMENT_CONFIGS = {
 }
 
 
+def _log_terms(responses, confidences, k):
+    """Reference fixed-K kernel: per-round log-likelihood of every candidate, shape (..., m, K).
+
+    Entry [..., t, j] is log C at the answer drawn at round t + 1 and
+    log((1 - C) / (K - 1)) at every other candidate.  Leading axes, such as a
+    block's trial axis, pass through.
+    """
+    log_hit = np.log(confidences)[..., None]
+    log_miss = (np.log1p(-confidences) - math.log(k - 1))[..., None]
+    return np.where(responses[..., None] == np.arange(k), log_hit, log_miss)
+
+
+def _ideal(**fields):
+    """A small ideal-regime config; ``fields`` override its defaults."""
+    return IdealGenConfig(**{"k": 2, "confidence_law": PointMass(0.7), **fields})
+
+
+def _realistic(**fields):
+    """A small realistic-regime config; ``fields`` override its defaults."""
+    defaults = {"k": 2, "answer_law": PointSimplex((0.4, 0.6)), "confidence_noise": PointMass(0.3)}
+    return RealisticGenConfig(**{**defaults, **fields})
+
+
 def _posterior_path(responses, confidences, k):
     """The posterior row after each round of one question."""
-    return genmodel._normalise(np.cumsum(genmodel._log_terms(responses, confidences, k), axis=0))
+    return genmodel._normalise(np.cumsum(_log_terms(responses, confidences, k), axis=0))
 
 
 def _llr_paths(truth, responses, confidences, k):
     """Per competitor j, the cumulative log-likelihood ratio of truth over j after each round."""
-    terms = genmodel._log_terms(responses, confidences, k)
+    terms = _log_terms(responses, confidences, k)
     return {j: np.cumsum(terms[:, truth] - terms[:, j]) for j in range(k) if j != truth}
 
 
@@ -147,6 +171,51 @@ class TestLaws:
     def test_config_refuses_a_value_that_is_not_a_law(self, make):
         with pytest.raises(ConfigurationError, match="must be one of"):
             make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: _ideal(k=3.0), "k must be an int, got 3.0"),
+            (lambda: _realistic(k=3.0), "k must be an int, got 3.0"),
+            (lambda: _ideal(k=True), "k must be an int, got True"),
+            (lambda: _ideal(m_max=2.5), "m_max must be an int, got 2.5"),
+            (lambda: _realistic(m_max=2.5), "m_max must be an int, got 2.5"),
+            (lambda: _ideal(seed=1.0), "seed must be an int, got 1.0"),
+            (lambda: _ideal(seed=-1), "seed must be >= 0, got -1"),
+            (lambda: _realistic(seed=-1), "seed must be >= 0, got -1"),
+            (
+                lambda: concentration_experiment(_ideal(), [1], trials=True),
+                "trials must be an int, got True",
+            ),
+            (
+                lambda: concentration_experiment(_ideal(), [1], trials=2.5),
+                "trials must be an int, got 2.5",
+            ),
+            (
+                lambda: concentration_experiment(_ideal(), [1, 2.5], trials=4),
+                "m must be an int, got 2.5",
+            ),
+            (
+                lambda: concentration_experiment(_ideal(), [True], trials=4),
+                "m must be an int, got True",
+            ),
+        ],
+        ids=[
+            "ideal-k-float", "realistic-k-float", "k-bool", "ideal-m_max-float",
+            "realistic-m_max-float", "seed-float", "ideal-seed-negative",
+            "realistic-seed-negative", "trials-bool", "trials-float", "m-float", "m-bool",
+        ],
+    )
+    def test_integer_fields_are_checked(self, make, message):
+        # k=3.0 and trials=2.5 used to raise a bare TypeError mid-draw; m_max=2.5
+        # and trials=True ran; seed=-1 raised numpy's ValueError
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_numpy_integers_are_accepted(self):
+        config = _ideal(k=np.int64(2), m_max=np.int32(5), seed=np.int64(3))
+        rows = concentration_experiment(config, [np.int64(5)], trials=np.int64(4))
+        assert rows == concentration_experiment(_ideal(m_max=5, seed=3), [5], trials=4)
 
 
 class TestSampleIdeal:
@@ -233,6 +302,43 @@ class TestPathIdentity:
             for j, path in _llr_paths(truth, responses[0], confidences[0], k).items():
                 ratio = posterior[:, truth] / posterior[:, j]
                 assert np.allclose(ratio, np.exp(path), rtol=1e-9)
+
+
+class TestRoundTerms:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 7, 40, 500])
+    def test_round_sum_equals_the_reference_cumsum(self, k, m):
+        config = IdealGenConfig(k=k, confidence_law=Uniform(0.05, 0.95), m_max=m, seed=k)
+        rng = np.random.default_rng([k, m])
+        for n in (1, genmodel.trials_per_block(m, k)):
+            _, responses, confidences = draw_trials(config, m, n, rng)
+            final = genmodel._round_terms(responses.T, confidences.T, k).sum(axis=0)
+            reference = np.cumsum(_log_terms(responses, confidences, k), axis=1)[:, -1]
+            assert final.shape == (n, k)
+            assert final.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("regime", ["ideal", "realistic"])
+    def test_drift_increments_equal_the_log_ratio_form(self, k, regime):
+        if regime == "ideal":
+            config = IdealGenConfig(k=k, confidence_law=Uniform(0.0, 1.0))
+        else:
+            config = RealisticGenConfig(
+                k=k, answer_law=Dirichlet((1.0,) * k), confidence_noise=Uniform(0.0, 1.0)
+            )
+        n_mc = 5000
+        truths, responses, confidences = draw_trials(config, 1, n_mc, np.random.default_rng(k))
+        responses, confidences = (responses[:, 0] - truths) % k, confidences[:, 0]
+        terms = genmodel._round_terms(responses[None], confidences[None], k)[0]
+        estimate = genmodel._drift_monte_carlo(config, n_mc, np.random.default_rng(k))
+        log_ratio = np.log(confidences) - (np.log1p(-confidences) - math.log(k - 1))
+        for j in range(1, k):
+            expected = np.where(
+                responses == 0, log_ratio, np.where(responses == j, -log_ratio, 0.0)
+            )
+            assert (terms[:, 0] - terms[:, j]).tobytes() == expected.tobytes()
+            assert estimate.mu[j] == float(expected.mean())
+            assert estimate.std_err[j] == float(expected.std(ddof=1) / math.sqrt(n_mc))
 
 
 class TestDrift:

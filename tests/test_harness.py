@@ -451,6 +451,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
+        # numpy's seeding used to raise a ValueError that reached the user
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--seed", "-1", "--trials", "5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "schedule, named",
         [("", "m_schedule"), ("0", "got 0"), ("5,-1", "got -1")],
@@ -485,8 +493,15 @@ class TestCli:
                 ],
                 "golden_simulate_dirichlet.csv",
             ),
+            (
+                [
+                    "--k", "4", "--confidence-law", "uniform:0.55,0.95",
+                    "--m-schedule", "1,10,100,500", "--trials", "500", "--seed", "7",
+                ],
+                "golden_simulate_ideal_k4.csv",
+            ),
         ],
-        ids=["ideal", "realistic", "dirichlet"],
+        ids=["ideal", "realistic", "dirichlet", "ideal-k4"],
     )
     def test_simulate_outputs_match_golden_files(self, tmp_path, capsys, options, golden):
         out = tmp_path / golden

@@ -520,7 +520,7 @@ class TestRunningPosterior:
             for label, confidence in zip(responses[0].tolist(), confidences[0].tolist()):
                 running.add(label, confidence)
             scores = running.log_scores()
-            final = genmodel._log_terms(responses[0], confidences[0], k).sum(axis=0)
+            final = genmodel._round_terms(responses.T, confidences.T, k).sum(axis=0)[0]
             for j in range(k):
                 assert_close(scores[j], float(final[j]))
 
