@@ -21,7 +21,7 @@ from .confidence import Estimator
 from .controller import ControllerConfig, Method, run as run_controller
 from .errors import CGESError, ConfigurationError
 from .llmclient import EndpointConfig, RecordStore, read_jsonl, replay_sampler
-from .posterior import CandidateSet, Sample, score
+from .posterior import RunningPosterior
 
 ESTIMATOR_FLAGS = {
     "lns-arith": Estimator.LNS_ARITHMETIC,
@@ -160,12 +160,6 @@ def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> ha
     )
 
 
-def _close_record_store(spec: harness.ExperimentSpec) -> None:
-    """Close the ``--record`` store's append handle once sampling has ended."""
-    if spec.record_store is not None:
-        spec.record_store.close()
-
-
 def _open_replay(args: argparse.Namespace, questions: list[harness.Question]) -> RecordStore:
     """The replay store, refused before round 1 if a record of these questions
     lacks the chosen estimator's confidence."""
@@ -217,17 +211,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    samples = []
+    posterior = RunningPosterior(args.k_policy)
     for line_no, raw in read_jsonl(args.samples):
         try:
             label = harness.label_field(raw, "label")
-            confidence, round_idx = raw["confidence"], raw.get("round", len(samples) + 1)
+            # round is checked, not read: the posterior does not depend on it
+            confidence, round_idx = raw["confidence"], raw.get("round", 1)
             # the record store's type rule: exact numbers, so a string or a bool fails
             if type(confidence) not in (int, float):
                 raise TypeError(f"'confidence' must be a number, got {confidence!r}")
             if type(round_idx) is not int or round_idx < 1:
                 raise TypeError(f"'round' must be an integer >= 1, got {round_idx!r}")
-            samples.append(Sample(label=label, confidence=confidence, round=round_idx))
+            posterior.add(label, confidence)  # a fixed K too small fails on this line
         except KeyError as exc:
             raise ConfigurationError(
                 f"{args.samples}:{line_no}: sample record lacks field {exc}"
@@ -236,8 +231,6 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"{args.samples}:{line_no}: bad sample record: {exc}"
             ) from exc
-    candidates = CandidateSet.from_samples(samples, fixed_k=args.k_policy)
-    posterior = score(samples, candidates)
     label, mass = posterior.top()
     masses, virtual_mass = posterior.masses, posterior.virtual_mass
     for candidate, candidate_mass in masses.items():
@@ -261,10 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     names = args.method or ["sc", "esc", "cges"]
     methods = [_method_config(name, args) for name in names]
     spec = _build_spec(args, methods)
-    try:
-        report = harness.compare_methods(spec)
-    finally:
-        _close_record_store(spec)
+    report = harness.compare_methods(spec)
     print(harness.summarize_report(report))
     if args.out is not None:
         harness.write_comparison_csv(report, args.out)
@@ -282,10 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _build_spec(args, [base])
     if not args.gamma_grid:
         print("warning: empty gamma grid, emitting an empty curve", file=sys.stderr)
-    try:
-        curve = harness.sweep_gamma(spec)
-    finally:
-        _close_record_store(spec)
+    curve = harness.sweep_gamma(spec)
     harness.write_curve_csv(curve, args.out)
     for point in curve:
         print(f"gamma={point.gamma:<8g} avg_calls={point.avg_calls:.3f} accuracy={point.accuracy:.4f}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import ConfigurationError, EmptyResponseError, InvalidScoreError
+from .errors import ConfigurationError, EmptyResponseError, InvalidSampleError, InvalidScoreError
 
 DEFAULT_CLAMP_EPSILON = 1e-6
 
@@ -38,7 +38,7 @@ class TokenizedResponse:
             raise EmptyResponseError("a tokenized response needs at least one token")
         for p in self.token_probs:
             if not 0.0 < p <= 1.0:
-                raise ValueError(f"token probability must lie in (0, 1], got {p!r}")
+                raise InvalidSampleError(f"token probability must lie in (0, 1], got {p!r}")
 
 
 def clamp(value: float) -> float:
@@ -90,12 +90,12 @@ def mars_stepwise(
     weights by :func:`mars_step_weights`.
     """
     if len(step_importance) != len(steps):
-        raise ValueError(
+        raise InvalidSampleError(
             f"got {len(step_importance)} importance scores for {len(steps)} steps"
         )
     for u in step_importance:
         if not (math.isfinite(u) and u >= 0.0):
-            raise ValueError(f"importance scores must be finite and >= 0, got {u!r}")
+            raise InvalidSampleError(f"importance scores must be finite and >= 0, got {u!r}")
     log_score = 0.0
     for step, weight in zip(steps, mars_step_weights(step_importance)):
         probs = step.token_probs

@@ -18,8 +18,8 @@ class EmptySamplesError(CGESError, ValueError):
 
 
 class InvalidSampleError(CGESError, ValueError):
-    """A sample or candidate set is malformed: a confidence outside (0, 1),
-    a round below 1, or repeated candidate labels."""
+    """A sample, record or token list is malformed: a confidence outside (0, 1),
+    a round below 1, repeated candidate labels, or a token probability outside (0, 1]."""
 
 
 class EmptyResponseError(CGESError, ValueError):

@@ -15,6 +15,7 @@ import json
 import json.scanner
 import logging
 import math
+import operator
 import os
 import re
 import sys
@@ -24,7 +25,7 @@ import weakref
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, TextIO, Union
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 from urllib.parse import urlsplit
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
@@ -136,6 +137,11 @@ class EndpointConfig:
     api_key_env: str = "CGES_API_KEY"
 
     def __post_init__(self) -> None:
+        types = {"str": (str,), "int": (int,), "float": (int, float)}  # by annotation; no bool
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) not in types[field.type]:
+                raise ConfigurationError(f"{field.name} must be {field.type}, got {value!r}")
         for name in ("temperature", "request_timeout"):  # JSON admits NaN and Infinity
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -168,15 +174,12 @@ class EndpointConfig:
             raise ConfigurationError(f"{path}: cannot read endpoint config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: endpoint config must be a JSON object")
-        accepted = {field.name: field.type for field in fields(cls)}
-        json_types = {"str": (str,), "int": (int,), "float": (int, float)}  # by annotation
-        for key, value in raw.items():
+        accepted = [field.name for field in fields(cls)]
+        for key in raw:
             if key not in accepted:
                 raise ConfigurationError(
                     f"{path}: unknown key {key!r}; accepted keys: {', '.join(accepted)}"
                 )
-            if type(value) not in json_types[accepted[key]]:
-                raise ConfigurationError(f"{path}: key {key!r} must be {accepted[key]}")
         try:
             return cls(**raw)
         except (TypeError, ConfigurationError) as exc:  # TypeError: a required key is missing
@@ -198,10 +201,7 @@ class SampleRecord:
     timestamp: str
 
     def __post_init__(self) -> None:
-        _check_record(
-            self.question_id, self.round, self.prompt, self.raw_text, self.extracted_label,
-            self.token_probs, self.confidence_by_estimator, self.seed, self.timestamp,
-        )
+        _check_record(vars(self))
 
     def to_json_line(self) -> str:
         # field order, then estimator names sorted; tuples serialize as lists
@@ -212,14 +212,18 @@ class SampleRecord:
 
 _NUMBER_TYPES = frozenset((int, float))  # exact types: bool is refused
 _TOKEN_PROBS_TYPES = frozenset((list, tuple, type(None)))
+_record_fields = operator.itemgetter(*(field.name for field in fields(SampleRecord)))
 
 
-def _check_record(
-    question_id, round_idx, prompt, raw_text, label, token_probs, confidences, seed, timestamp
-) -> None:
+def _check_record(record: Mapping[str, Any]) -> tuple:
     """The one validation of a record's fields, of whatever type they arrive,
-    run by direct construction and by the record store's loader; raises
+    run by direct construction and by the record store's loader: every field
+    ``SampleRecord`` declares, in its order, checked and returned; other keys
+    are ignored.  A missing field raises ``KeyError``, any other fault
     ``InvalidSampleError``.  Type faults are named before range faults."""
+    values = _record_fields(record)
+    (question_id, round_idx, prompt, raw_text, label,
+     token_probs, confidences, seed, timestamp) = values
     if not (
         type(question_id) is type(label) is type(prompt) is type(raw_text) is type(timestamp) is str
     ):
@@ -247,6 +251,7 @@ def _check_record(
             raise InvalidSampleError(
                 f"{name!r} confidence must lie strictly inside (0, 1), got {confidence!r}"
             )
+    return values
 
 
 _decoder = json.JSONDecoder()  # what json.loads calls, without its per-call checks
@@ -315,8 +320,8 @@ class RecordStore:
     and ``_columns`` maps each estimator name, held once per store, to its
     confidences by question and round.  Record mode loads any existing file
     and appends new records (duplicates raise); replay mode requires the file
-    to exist and refuses to sample.  Appends are serialized and go through one
-    handle, flushed after each line; reads are safe from any thread once
+    to exist and refuses to sample.  Appends are serialized, and each opens the
+    file, writes its line and closes it; reads are safe from any thread once
     loaded.
     """
 
@@ -328,8 +333,6 @@ class RecordStore:
         self._columns: dict[str, dict[str, dict[int, float]]] = {}
         self._lines = 0  # lines in the file, blank ones included
         self._separator = ""  # written before the next line: a newline the file lacks
-        self._handle: Optional[TextIO] = None
-        self._closer: Optional[weakref.finalize] = None
         if mode is StoreMode.REPLAY and not self.path.exists():
             raise ConfigurationError(f"replay store {self.path} does not exist")
         if self.path.exists():
@@ -358,28 +361,21 @@ class RecordStore:
         """
         keep = self._keep
         shared = {}.setdefault  # ids, labels and prompts: one string object per value
-        line_no, line, offset = 0, b"\n", 0  # offset: bytes before the current line
+        line_no, line = 0, b"\n"
         with _open_lines(self.path) as handle:
             for line_no, line in enumerate(handle, start=1):
                 if line.isspace():
-                    offset += len(line)
                     continue
                 try:
                     raw = _decode_line(self.path, line_no, line)
                 except ConfigurationError:
                     if self.mode is StoreMode.REPLAY or line.endswith(b"\n"):
                         raise
+                    cut = handle.tell() - len(line)  # the torn line's first byte
                     break
                 try:
-                    question_id = raw["question_id"]
-                    round_idx = raw["round"]
-                    label = raw["extracted_label"]
-                    prompt = raw.get("prompt", "")
-                    confidences = raw.get("confidence_by_estimator", {})
-                    seed = raw.get("seed", 0)
-                    _check_record(
-                        question_id, round_idx, prompt, raw.get("raw_text", ""), label,
-                        raw.get("token_probs"), confidences, seed, raw.get("timestamp", ""),
+                    question_id, round_idx, prompt, _, label, _, confidences, seed, _ = (
+                        _check_record(raw)
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigurationError(
@@ -392,7 +388,6 @@ class RecordStore:
                     raise DuplicateRecordError(
                         f"{self.path}:{line_no}: duplicate record for {(question_id, round_idx)!r}"
                     )
-                offset += len(line)
             else:  # every line was read
                 self._lines = line_no
                 self._separator = "" if line.endswith(b"\n") else "\n"
@@ -405,7 +400,7 @@ class RecordStore:
             line_no,
             len(line),
         )
-        os.truncate(self.path, offset)
+        os.truncate(self.path, cut)
         self._lines = line_no - 1
 
     @classmethod
@@ -480,25 +475,14 @@ class RecordStore:
         with self._lock:
             if key in self:
                 raise DuplicateRecordError(f"duplicate record for {key!r}")
-            if self._handle is None:
-                self._handle = self.path.open("a", encoding="utf-8")
-                # closed with the store, if close() is never called
-                self._closer = weakref.finalize(self, self._handle.close)
-            self._handle.write(self._separator + line)
-            self._handle.flush()
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write(self._separator + line)
             self._separator = ""
             self._lines += 1
             self._keep(
                 record.question_id, record.round, record.extracted_label,
                 record.confidence_by_estimator, record.seed, record.prompt, self._lines,
             )
-
-    def close(self) -> None:
-        """Close the append handle, if one is open; a later append reopens it."""
-        with self._lock:
-            if self._closer is not None:
-                self._closer()
-            self._handle = None
 
 
 def derive_seed(base_seed: int, question_id: str, round_idx: int) -> int:
@@ -637,7 +621,8 @@ def sample_once(
 
 
 def _parse_completion(body: Any) -> tuple[str, Optional[list[float]]]:
-    """Text and per-token logprobs from a chat- or legacy-completions payload.
+    """Text and per-token logprobs from a chat-completions payload, the shape
+    ``sample_once`` asks for.
 
     Any other shape raises ``SamplerError``. Null text and null logprobs are
     skipped, as servers send them for empty completions and unscored tokens.
@@ -646,13 +631,10 @@ def _parse_completion(body: Any) -> tuple[str, Optional[list[float]]]:
     if not isinstance(choices, list) or not choices or not isinstance(choices[0], dict):
         raise SamplerError(f"malformed completion payload: {body!r:.200}")
     choice = choices[0]
-    if "message" in choice:
-        message = choice["message"]
-        if not isinstance(message, dict):
-            raise SamplerError(f"malformed completion message: {message!r:.200}")
-        text = message.get("content")
-    else:
-        text = choice.get("text")
+    message = choice.get("message")
+    if not isinstance(message, dict):
+        raise SamplerError(f"malformed completion message: {message!r:.200}")
+    text = message.get("content")
     if not isinstance(text, (str, type(None))):
         raise SamplerError(f"completion text is not a string: {text!r:.200}")
     raw = choice.get("logprobs")
@@ -661,8 +643,6 @@ def _parse_completion(body: Any) -> tuple[str, Optional[list[float]]]:
         if not all(isinstance(entry, dict) for entry in raw["content"]):
             raise SamplerError("malformed completion payload: a logprob entry is not an object")
         values = [entry.get("logprob") for entry in raw["content"]]
-    elif isinstance(raw, dict) and isinstance(raw.get("token_logprobs"), list):
-        values = raw["token_logprobs"]
     logprobs = [_finite_logprob(value) for value in values if value is not None]
     return text or "", logprobs or None
 

@@ -15,7 +15,7 @@ from cges.confidence import (
     mars_stepwise,
     reward_passthrough,
 )
-from cges.errors import EmptyResponseError, InvalidScoreError
+from cges.errors import CGESError, EmptyResponseError, InvalidScoreError
 
 EPS = DEFAULT_CLAMP_EPSILON
 
@@ -105,8 +105,9 @@ class TestMars:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_importance_must_be_finite_and_non_negative(self, bad):
-        with pytest.raises(ValueError, match="importance scores must be finite and >= 0"):
+        with pytest.raises(ValueError, match="importance scores must be finite and >= 0") as info:
             mars_stepwise(_steps([0.9], [0.4]), [1.0, bad])
+        assert isinstance(info.value, CGESError)
 
 
 class TestRewardPassthrough:
@@ -149,14 +150,17 @@ class TestRangeInvariant:
 
 class TestTokenizedResponse:
     def test_bad_probabilities_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             TokenizedResponse((0.5, 0.0))
-        with pytest.raises(ValueError):
+        assert isinstance(info.value, CGESError)
+        with pytest.raises(ValueError) as info:
             TokenizedResponse((1.5,))
+        assert isinstance(info.value, CGESError)
 
     def test_importance_length_must_match_steps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             mars_stepwise(_steps([0.5], [0.5]), (1.0,))
+        assert isinstance(info.value, CGESError)
 
 
 class TestClamp:

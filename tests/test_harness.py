@@ -396,7 +396,6 @@ class TestExperimentSpecValidation:
                 methods=[ControllerConfig()],
                 record_store=record_store,
             )
-        record_store.close()
 
     def test_gamma_grid_bounds(self, tmp_path):
         streams = {"q0": [("a", 0.9)]}
@@ -596,6 +595,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "samples.jsonl:2" in err and message in err
+
+    def test_score_command_names_the_line_of_a_fixed_k_overflow(self, tmp_path, capsys):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(
+            '{"label": "a", "confidence": 0.6}\n{"label": "b", "confidence": 0.7}\n'
+            '{"label": "a", "confidence": 0.8}\n{"label": "c", "confidence": 0.9}\n'
+        )
+        assert main(["score", "--samples", str(path), "--k-policy", "fixed:2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:4: bad sample record: ")
+        assert "fixed candidate count 2 is smaller than the 3 distinct labels" in err
 
     def test_score_command_accepts_numeric_labels(self, tmp_path, capsys):
         path = tmp_path / "samples.jsonl"

@@ -170,13 +170,20 @@ BAD_RECORD_EDITS = pytest.mark.parametrize(
         lambda raw: raw.update(confidence_by_estimator=[["lns_arith", 0.8]]),
         lambda raw: raw.update(token_probs=5),
         lambda raw: raw.update(confidence_by_estimator={"lns_arith": True}),
+        lambda raw: raw.pop("prompt"),
+        lambda raw: raw.pop("raw_text"),
+        lambda raw: raw.pop("token_probs"),
+        lambda raw: raw.pop("confidence_by_estimator"),
+        lambda raw: raw.pop("seed"),
+        lambda raw: raw.pop("timestamp"),
     ],
     ids=[
         "no-question-id", "no-round", "no-label", "round-0", "round-string",
         "empty-label", "list-question-id", "string-token-probs",
         "string-confidence", "empty-object", "string-seed", "bool-seed",
         "number-prompt", "list-raw-text", "null-timestamp", "pairs-confidences",
-        "number-token-probs", "bool-confidence",
+        "number-token-probs", "bool-confidence", "no-prompt", "no-raw-text",
+        "no-token-probs", "no-confidences", "no-seed", "no-timestamp",
     ],
 )
 
@@ -186,7 +193,6 @@ def stored_entries(record, path):
     as the append indexed it, and as a record-mode and a replay-mode load do."""
     store = RecordStore.open_record(path)
     store.append(record)
-    store.close()
     key = (record.question_id, record.round)
     return [
         store.get(*key),
@@ -261,7 +267,6 @@ class TestRecordStore:
         assert replay.get("q0", 1) == entry_of(make_record(round_idx=1), 1)
         assert replay.get("q0", 2) == store.get("q0", 2) == entry_of(make_record(round_idx=2), 2)
         assert ("q0", 2) in replay
-        store.close()
 
     def test_duplicate_append_rejected(self, tmp_path):
         store = RecordStore.open_record(tmp_path / "store.jsonl")
@@ -303,7 +308,6 @@ class TestRecordStore:
         store = RecordStore.open_record(path)
         store.append(make_record(round_idx=1))
         store.append(make_record(round_idx=2))
-        store.close()
 
     @TORN_TAILS
     def test_torn_final_line_names_path_and_line(self, tmp_path, tail):
@@ -326,7 +330,6 @@ class TestRecordStore:
         assert "store.jsonl:3: torn final line" in caplog.text
         assert path.read_bytes() == intact  # the file keeps its 2 lines
         store.append(make_record(round_idx=3))
-        store.close()
         replay = RecordStore.open_replay(path)
         assert len(replay) == 3 and replay.get("q0", 3).line == 3
 
@@ -347,10 +350,9 @@ class TestRecordStore:
         path.write_text(make_record().to_json_line())
         store = RecordStore.open_record(path)
         store.append(make_record(round_idx=2))
-        store.close()
         assert RecordStore.open_replay(path).get("q0", 2).line == 2
 
-    def test_appends_share_one_handle_closed_with_the_store(self, tmp_path, monkeypatch):
+    def test_each_append_opens_writes_and_closes_the_file(self, tmp_path, monkeypatch):
         appending = []
         path_open = Path.open
 
@@ -366,15 +368,10 @@ class TestRecordStore:
         assert not path.exists()  # created by the first append
         for round_idx in (1, 2, 3):
             store.append(make_record(round_idx=round_idx))
-            assert path.read_text().count("\n") == round_idx  # flushed per line
-        assert len(appending) == 1
-        store.close()
-        assert appending[0].closed
-        store.append(make_record(round_idx=4))  # reopens
-        assert len(appending) == 2
-        del store  # an unclosed store closes its handle when collected
-        assert all(handle.closed for handle in appending)
-        assert len(RecordStore.open_replay(path)) == 4
+            assert path.read_text().count("\n") == round_idx  # the line is on disk
+            assert len(appending) == round_idx
+            assert all(handle.closed for handle in appending)
+        assert len(RecordStore.open_replay(path)) == 3
 
     def test_concurrent_appends_keep_every_line_and_its_number(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -397,7 +394,6 @@ class TestRecordStore:
                 assert not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        store.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 8 * 25
         replay = RecordStore.open_replay(path)
@@ -425,7 +421,6 @@ class TestRecordStore:
             store.require_estimator(["q1", "q0"], Estimator.LNS_ARITHMETIC)
         with pytest.raises(ConfigurationError, match=r"store.jsonl:4: .*'q1' round 2 .*none"):
             store.require_estimator(["q1"], Estimator.LNS_ARITHMETIC)
-        store.close()
 
     def test_two_estimators_in_either_key_order_round_trip(self, tmp_path):
         records = [
@@ -437,7 +432,6 @@ class TestRecordStore:
         store = RecordStore.open_record(path)
         for record in records:
             store.append(record)
-        store.close()
         for view in (store, RecordStore.open_record(path), RecordStore.open_replay(path)):
             for line, record in enumerate(records, start=1):
                 assert view.get("q0", record.round) == entry_of(record, line)
@@ -463,12 +457,28 @@ class TestRecordStore:
             with pytest.raises(CGESError, match="store.jsonl:2"):
                 mode(path)
 
+    def test_a_missing_field_is_named_and_other_keys_are_ignored(self, tmp_path):
+        raw = json.loads(make_record().to_json_line())
+        raw["step_importance"] = [1.0, 2.0]  # a key cges does not write
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(raw) + "\n")
+        assert RecordStore.open_replay(path).get("q0", 1) == entry_of(make_record(), 1)
+        del raw["seed"]
+        path.write_text(json.dumps(raw) + "\n")
+        with pytest.raises(
+            ConfigurationError, match=r"store.jsonl:1: bad sample record: KeyError\('seed'\)"
+        ):
+            RecordStore.open_replay(path)
+
     @BAD_RECORD_EDITS
     def test_bad_record_fails_direct_construction(self, edit):
         raw = json.loads(make_record(round_idx=2).to_json_line())
         edit(raw)
-        # the constructor takes every field; one the edit removed is passed as None
-        values = {field.name: raw.get(field.name) for field in dataclasses.fields(SampleRecord)}
+        # the constructor takes every field; one the edit removed is passed as a
+        # value of no field's type (None is a valid token_probs)
+        values = {
+            field.name: raw.get(field.name, object()) for field in dataclasses.fields(SampleRecord)
+        }
         with pytest.raises(InvalidSampleError):
             SampleRecord(**values)
 
@@ -916,43 +926,6 @@ class TestRecordFlag:
         assert state.requests == []
 
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_cli_closes_the_record_store(
-        self, stub_server, tmp_path, monkeypatch, capsys, command, fails
-    ):
-        base_url, state = stub_server
-        if fails:
-            state.body = {"choices": [{"message": None}]}
-        dataset, config = write_live_inputs(tmp_path, base_url)
-        opened, closes = [], []
-        open_record, close = RecordStore.open_record.__func__, RecordStore.close
-
-        def spy_open(cls, path):
-            opened.append(open_record(cls, path))
-            return opened[-1]
-
-        def spy_close(store):
-            closes.append(store)
-            close(store)
-
-        monkeypatch.setattr(RecordStore, "open_record", classmethod(spy_open))
-        monkeypatch.setattr(RecordStore, "close", spy_close)
-        record = tmp_path / "out.jsonl"
-        window = ["--window", "2"] if command == "run" else []
-        code = main(
-            [command, "--dataset", str(dataset), "--endpoint-config", str(config),
-             "--record", str(record), "--seeds", "0", "--budget", "2",
-             "--out", str(tmp_path / "out.csv"), *window]
-        )
-        assert code == (1 if fails else 0)
-        assert closes == opened and len(opened) == 1
-        if not fails:
-            # the append handle was opened by the run and closed when it ended
-            assert len(record.read_text().splitlines()) >= 2
-            assert not opened[0]._closer.alive
-
-
 class TestOneStreamPerSource:
     """Every method and curve point reads one stream per seed: one request
     per (seed, question, round) read, however many configurations ask."""
@@ -1206,8 +1179,10 @@ class TestParseCompletion:
             ]
         }
         assert _parse_completion(chat) == ("hi", [-0.5])
+        # the legacy completions shape answers a payload sample_once never sends
         legacy = {"choices": [{"text": "yo", "logprobs": {"token_logprobs": [None, -1]}}]}
-        assert _parse_completion(legacy) == ("yo", [-1.0])
+        with pytest.raises(SamplerError, match="malformed completion message: None"):
+            _parse_completion(legacy)
         assert _parse_completion({"choices": [{"message": {"content": None}}]}) == ("", None)
 
     @pytest.mark.parametrize(
@@ -1231,8 +1206,6 @@ class TestParseCompletion:
             {"choices": [dict(CHOICE_BASE, logprobs={"content": [{"logprob": "x"}]})]},
             {"choices": [dict(CHOICE_BASE, logprobs={"content": [{"logprob": True}]})]},
             {"choices": [dict(CHOICE_BASE, logprobs={"content": [{"logprob": math.nan}]})]},
-            {"choices": [dict(CHOICE_BASE, logprobs={"token_logprobs": [-math.inf]})]},
-            {"choices": [dict(CHOICE_BASE, logprobs={"token_logprobs": [10**400]})]},
         ],
     )
     def test_malformed_payload_raises_sampler_error(self, body):
@@ -1285,6 +1258,20 @@ class TestEndpointConfig:
                 endpoint_for(url)
         assert endpoint_for("HTTPS://x/prefix").base_url == "HTTPS://x/prefix"
 
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"max_retries": 1.5}, "max_retries must be int, got 1.5"),
+            ({"max_tokens": 2.5}, "max_tokens must be int, got 2.5"),
+            ({"max_retries": True}, "max_retries must be int, got True"),
+            ({"request_timeout": True}, "request_timeout must be float, got True"),
+            ({"temperature": "0.5"}, "temperature must be float, got '0.5'"),
+        ],
+    )
+    def test_direct_construction_checks_types(self, override, match):
+        with pytest.raises(ConfigurationError, match=match):
+            endpoint_for("http://x", **override)
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "endpoint.json"
         path.write_text(json.dumps({"base_url": "http://h", "model_name": "m"}))
@@ -1302,9 +1289,9 @@ class TestEndpointConfig:
             ('{"model_name": "m"}', "missing .*'base_url'"),
             ('{"base_url": "http://h"}', "missing .*'model_name'"),
             ('{"base_url": "http://h", "model_name": "m", "temperature": "0.5"}',
-             "key 'temperature' must be float"),
+             "temperature must be float, got '0.5'"),
             ('{"base_url": "http://h", "model_name": "m", "max_retries": true}',
-             "key 'max_retries' must be int"),
+             "max_retries must be int, got True"),
             ('{"base_url": "http://h", "model_name": "m", "top_p": 0}', "top_p"),
             ('{"base_url": "http://h", "model_name": "m", "temperature": NaN}',
              "temperature must be finite, got nan"),
