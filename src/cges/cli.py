@@ -231,6 +231,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"{args.samples}:{line_no}: bad sample record: {exc}"
             ) from exc
+    if not posterior.n:
+        raise ConfigurationError(f"{args.samples}: holds no samples")
     label, mass = posterior.top()
     masses, virtual_mass = posterior.masses, posterior.virtual_mass
     for candidate, candidate_mass in masses.items():

@@ -22,6 +22,7 @@ import sys
 import threading
 import time
 import weakref
+import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -312,6 +313,24 @@ class StoreEntry(NamedTuple):
     line: int
 
 
+# A replay index's format, part of its key: bump it whenever what a load checks
+# or keeps changes (``_check_record``, ``RecordStore._keep``, ``RecordStore._load``),
+# or the index's own layout does, so that no index written before is read.
+INDEX_FORMAT = "cges-index/1"
+INDEX_SUFFIX = ".cges-index"
+_BLOCK = 1 << 16  # bytes per read when hashing a store
+
+
+def _store_key(path: Path) -> tuple[int, int]:
+    """(byte length, CRC-32) of a file, read in ``_BLOCK``-byte pieces."""
+    size, crc = 0, 0
+    with path.open("rb") as handle:
+        while block := handle.read(_BLOCK):
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+    return size, crc
+
+
 class RecordStore:
     """Append-only JSONL store of sample records, keyed by (question, round).
 
@@ -323,6 +342,15 @@ class RecordStore:
     to exist and refuses to sample.  Appends are serialized, and each opens the
     file, writes its line and closes it; reads are safe from any thread once
     loaded.
+
+    A replay open that has loaded and checked every line writes the two maps
+    to a replay index beside the store (``<store>.cges-index``), keyed by the
+    store's byte length, its CRC-32 and ``INDEX_FORMAT``.  A later replay open
+    whose key matches rebuilds the maps from the index and decodes no store
+    line; any miss (no index, a torn, garbled or foreign one, a key that does
+    not match) loads the store in full and writes the index anew.  An index
+    that cannot be written is skipped.  Record mode neither reads nor writes
+    an index.
     """
 
     def __init__(self, path: Union[str, Path], mode: StoreMode) -> None:
@@ -333,9 +361,13 @@ class RecordStore:
         self._columns: dict[str, dict[str, dict[int, float]]] = {}
         self._lines = 0  # lines in the file, blank ones included
         self._separator = ""  # written before the next line: a newline the file lacks
-        if mode is StoreMode.REPLAY and not self.path.exists():
-            raise ConfigurationError(f"replay store {self.path} does not exist")
-        if self.path.exists():
+        if mode is StoreMode.REPLAY:
+            if not self.path.exists():
+                raise ConfigurationError(f"replay store {self.path} does not exist")
+            index = self.path.with_name(self.path.name + INDEX_SUFFIX)
+            if not self._load_index(index):
+                self._write_index(index, *self._load())
+        elif self.path.exists():
             self._load()
 
     def _keep(
@@ -352,8 +384,10 @@ class RecordStore:
         rounds[round_idx] = (label, seed, prompt, line)  # last: once found, it is whole
         return True
 
-    def _load(self) -> None:
-        """Check every line by the record rules and keep what sampling reads.
+    def _load(self) -> Optional[tuple[int, int]]:
+        """Check every line by the record rules and keep what sampling reads;
+        return the byte length and CRC-32 of the bytes read, the replay index's
+        key, or None once a torn final line was cut.
 
         In record mode a last line that lacks its newline and does not decode
         is what a crash mid-append leaves: it is logged, cut off, and the store
@@ -361,9 +395,10 @@ class RecordStore:
         """
         keep = self._keep
         shared = {}.setdefault  # ids, labels and prompts: one string object per value
-        line_no, line = 0, b"\n"
+        line_no, line, crc = 0, b"\n", 0
         with _open_lines(self.path) as handle:
             for line_no, line in enumerate(handle, start=1):
+                crc = zlib.crc32(line, crc)
                 if line.isspace():
                     continue
                 try:
@@ -391,7 +426,7 @@ class RecordStore:
             else:  # every line was read
                 self._lines = line_no
                 self._separator = "" if line.endswith(b"\n") else "\n"
-                return
+                return handle.tell(), crc
         # the loop stopped at a torn final line; the lines before it are kept
         logger.warning(
             "%s:%d: torn final line (%d bytes, left by a crash mid-append); "
@@ -402,6 +437,105 @@ class RecordStore:
         )
         os.truncate(self.path, cut)
         self._lines = line_no - 1
+        return None
+
+    def _write_index(self, index: Path, size: int, crc: int) -> None:
+        """Write the replay index of the maps loaded from ``size`` store bytes of
+        CRC-32 ``crc``: a header line, one line per question, and a last line
+        holding the CRC-32 of the lines before it.  It is written to a temporary
+        file beside the index and renamed over it; if that fails, the store has
+        no index and no temporary file is left."""
+        labels: dict[str, int] = {}  # value -> its place in the header's table
+        prompts: dict[str, int] = {}
+        for rounds in self._rounds.values():
+            for label, _, prompt, _ in rounds.values():
+                labels.setdefault(label, len(labels))
+                prompts.setdefault(prompt, len(prompts))
+        header = {
+            "format": INDEX_FORMAT, "store_bytes": size, "store_crc32": crc,
+            "lines": self._lines, "separator": self._separator,
+            "questions": len(self._rounds), "names": list(self._columns),
+            "labels": list(labels), "prompts": list(prompts),
+        }
+        columns = list(self._columns.values())
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        temp = index.with_name(f"{index.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            with temp.open("wb") as handle:
+                index_crc = zlib.crc32(head := (encode(header) + "\n").encode())
+                handle.write(head)
+                for question_id, rounds in self._rounds.items():
+                    round_labels, seeds, round_prompts, lines = zip(*rounds.values())
+                    entry = [
+                        question_id, list(rounds), [labels[label] for label in round_labels],
+                        seeds, [prompts[prompt] for prompt in round_prompts], lines,
+                        [  # per estimator with this question: its confidence in each round
+                            [j, [confidences.get(round_idx) for round_idx in rounds]]
+                            for j, column in enumerate(columns)
+                            if (confidences := column.get(question_id)) is not None
+                        ],
+                    ]
+                    line = (encode(entry) + "\n").encode()
+                    index_crc = zlib.crc32(line, index_crc)
+                    handle.write(line)
+                handle.write(f'{{"index_crc32": {index_crc}}}\n'.encode())
+            os.replace(temp, index)
+        except OSError as exc:
+            logger.debug("%s: replay index not written: %s", index, exc)
+        finally:
+            with contextlib.suppress(OSError):  # gone once renamed
+                temp.unlink()
+
+    def _load_index(self, index: Path) -> bool:
+        """Rebuild the maps from the replay index, insertion order included, if
+        its format and key match the store; False, keeping nothing, on any
+        miss.  ``_columns`` lists each estimator's questions in the order of
+        their first record that carries it, as ``_load`` does."""
+        try:
+            with index.open("rb") as handle:
+                head = handle.readline()
+                header = json.loads(head)
+                if header["format"] != INDEX_FORMAT or (
+                    header["store_bytes"], header["store_crc32"]
+                ) != _store_key(self.path):
+                    return False
+                labels, prompts = header["labels"], header["prompts"]
+                rounds_by_question: dict[str, dict[int, tuple[str, int, str, int]]] = {}
+                # per estimator: (first line, question id, column) of each question it has
+                orders: list[list] = [[] for _ in header["names"]]
+                index_crc = zlib.crc32(head)
+                for _ in range(header["questions"]):
+                    line = handle.readline()
+                    index_crc = zlib.crc32(line, index_crc)
+                    question_id, keys, label_ids, seeds, prompt_ids, lines, columns = (
+                        json.loads(line)
+                    )
+                    rounds = rounds_by_question[question_id] = dict(zip(keys, zip(
+                        map(labels.__getitem__, label_ids), seeds,
+                        map(prompts.__getitem__, prompt_ids), lines, strict=True,
+                    ), strict=True))
+                    for j, confidences in columns:
+                        column = dict(zip(keys, confidences, strict=True))
+                        if None in confidences:  # rounds whose record lacks this estimator
+                            column = {key: c for key, c in column.items() if c is not None}
+                        # rounds are in file order, so the first is the earliest line
+                        first = rounds[next(iter(column), None)][3]
+                        orders[j].append((first, question_id, column))
+                if json.loads(handle.readline()) != {"index_crc32": index_crc} or handle.read(1):
+                    return False
+            columns_by_name = {
+                name: {
+                    question_id: column
+                    for _, question_id, column in sorted(order, key=operator.itemgetter(0))
+                }
+                for name, order in zip(header["names"], orders, strict=True)
+            }
+            line_count, separator = header["lines"], header["separator"]
+        except (OSError, ValueError, LookupError, TypeError):
+            return False
+        self._rounds, self._columns = rounds_by_question, columns_by_name
+        self._lines, self._separator = line_count, separator
+        return True
 
     @classmethod
     def open_record(cls, path: Union[str, Path]) -> "RecordStore":
@@ -438,7 +572,7 @@ class RecordStore:
             label, seed, prompt, line = self._rounds[question_id][round_idx]
         except KeyError:
             raise ReplayMissError(
-                f"no recorded sample for question {question_id!r} round {round_idx}"
+                f"{self.path}: no recorded sample for question {question_id!r} round {round_idx}"
             ) from None
         return StoreEntry(label, self._confidences(question_id, round_idx), seed, prompt, line)
 

@@ -23,8 +23,9 @@ from cges.confidence import (
     mars_step_weights,
     mars_stepwise,
 )
-from cges.controller import ControllerConfig, Method, run
+from cges.controller import ControllerConfig, Method, run, run_many
 from cges.genmodel import (
+    Beta,
     IdealGenConfig,
     PointMass,
     PointSimplex,
@@ -592,3 +593,62 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
         capsys.readouterr()  # swallow the subcommand chatter
 
     _verdict("criterion 9: CLI subcommands succeed on the bundled fixtures", body)
+
+
+# (K, confidence law, seed) of each ideal-model case of criterion 10
+IDEAL_CASES = (
+    (2, Uniform(0.55, 0.95), 1001),
+    (4, Uniform(0.3, 0.9), 1002),
+    (5, Beta(2.0, 3.0), 1003),
+)
+IDEAL_GAMMAS = (0.7, 0.8, 0.9, 0.95, 0.99)
+IDEAL_QUESTIONS = 4000
+IDEAL_BUDGET = 64
+IDEAL_MAX_ABS_Z = 4.0
+
+
+def ideal_calibration_z(k, law, seed):
+    """Per gamma, the z statistic of the mean of (1{prediction correct} - top
+    mass at close) over ideal-model questions run through the controller."""
+    rng = np.random.default_rng(seed)
+    truths, responses, confidences = draw_trials(
+        IdealGenConfig(k=k, confidence_law=law), IDEAL_BUDGET, IDEAL_QUESTIONS, rng
+    )
+    qids = [f"q{i}" for i in range(IDEAL_QUESTIONS)]
+    streams = dict(zip(qids, zip(responses.tolist(), confidences.tolist())))
+
+    def sampler(qid, round_idx):
+        labels, confs = streams[qid]
+        return labels[round_idx - 1], confs[round_idx - 1]
+
+    configs = [
+        ControllerConfig(method=Method.CGES, gamma=gamma, budget=IDEAL_BUDGET, fixed_k=k)
+        for gamma in IDEAL_GAMMAS
+    ]
+    z = {}
+    for gamma, result in zip(IDEAL_GAMMAS, run_many(qids, sampler, configs)):
+        gaps = np.array(
+            [
+                (result.predictions[qid] == truth) - result.per_question_posterior[qid].top()[1]
+                for qid, truth in zip(qids, truths.tolist())
+            ]
+        )
+        z[gamma] = gaps.mean() / (gaps.std(ddof=1) / math.sqrt(len(gaps)))
+    return z
+
+
+def test_criterion_10_ideal_case_top_mass_is_calibrated_through_the_controller():
+    """In the ideal model the fixed-K kernel is the exact likelihood and the
+    truth is uniform, so the top mass at any close is the probability that the
+    prediction is right: E[1{correct} - top mass] = 0 at every gamma."""
+
+    def body():
+        failures = []
+        for k, law, seed in IDEAL_CASES:
+            for gamma, z in ideal_calibration_z(k, law, seed).items():
+                print(f"  K={k} {law} gamma={gamma}: z={z:+.2f}")
+                if not abs(z) <= IDEAL_MAX_ABS_Z:
+                    failures.append((k, gamma, round(z, 2)))
+        assert not failures, f"|z| > {IDEAL_MAX_ABS_Z} at (K, gamma, z): {failures}"
+
+    _verdict("criterion 10: ideal-model top mass at close is calibrated (|z| <= 4)", body)

@@ -29,6 +29,7 @@ from cges.harness import (
     write_curve_csv,
 )
 from cges.llmclient import (
+    INDEX_SUFFIX,
     AnswerFormat,
     EndpointConfig,
     RecordStore,
@@ -37,6 +38,21 @@ from cges.llmclient import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# each replay-store command and the golden CSV it writes from the fixtures at budget 4
+REPLAY_GOLDENS = pytest.mark.parametrize(
+    "command, golden",
+    [
+        (["replay"], "golden_replay.csv"),
+        (["replay", "--method", "sc"], "golden_replay_sc.csv"),
+        (["replay", "--method", "esc", "--window", "2"], "golden_replay_esc.csv"),
+        # q2 closes unresolved at the budget on 3/4, where SC predicts 1/2
+        (["replay", "--k-policy", "fixed:3", "--gamma", "0.95"], "golden_replay_fixed_k.csv"),
+        (["run", "--seeds", "0"], "golden_run.csv"),
+        (["sweep", "--seeds", "0"], "golden_sweep.csv"),
+    ],
+    ids=["replay", "replay_sc", "replay_esc", "replay_fixed_k", "run", "sweep"],
+)
 
 
 def read_csv_rows(path):
@@ -607,6 +623,13 @@ class TestCli:
         assert err.startswith(f"error: {path}:4: bad sample record: ")
         assert "fixed candidate count 2 is smaller than the 3 distinct labels" in err
 
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["no-lines", "blank-lines"])
+    def test_score_command_names_a_file_without_samples(self, tmp_path, capsys, text):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(text)
+        assert main(["score", "--samples", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: holds no samples\n"
+
     def test_score_command_accepts_numeric_labels(self, tmp_path, capsys):
         path = tmp_path / "samples.jsonl"
         path.write_text('{"label": 3, "confidence": 0.6}\n{"label": "3", "confidence": 0.7}\n')
@@ -740,19 +763,7 @@ class TestCli:
         header = outs[0].split(b"\r\n")[0]
         assert header == b"question_id,prediction,calls,top_mass,resolved"
 
-    @pytest.mark.parametrize(
-        "command, golden",
-        [
-            (["replay"], "golden_replay.csv"),
-            (["replay", "--method", "sc"], "golden_replay_sc.csv"),
-            (["replay", "--method", "esc", "--window", "2"], "golden_replay_esc.csv"),
-            # q2 closes unresolved at the budget on 3/4, where SC predicts 1/2
-            (["replay", "--k-policy", "fixed:3", "--gamma", "0.95"], "golden_replay_fixed_k.csv"),
-            (["run", "--seeds", "0"], "golden_run.csv"),
-            (["sweep", "--seeds", "0"], "golden_sweep.csv"),
-        ],
-        ids=["replay", "replay_sc", "replay_esc", "replay_fixed_k", "run", "sweep"],
-    )
+    @REPLAY_GOLDENS
     def test_replay_outputs_match_golden_files(self, tmp_path, command, golden):
         out = tmp_path / golden
         code = main(
@@ -766,6 +777,30 @@ class TestCli:
         )
         assert code == 0
         assert out.read_bytes() == (FIXTURES / golden).read_bytes()
+
+    @REPLAY_GOLDENS
+    def test_replay_outputs_match_golden_files_with_and_without_the_index(
+        self, tmp_path, monkeypatch, command, golden
+    ):
+        store = tmp_path / "store.jsonl"
+        store.write_bytes((FIXTURES / "mini_store.jsonl").read_bytes())
+        index = tmp_path / f"store.jsonl{INDEX_SUFFIX}"
+        argv = [
+            *command,
+            "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+            "--replay", str(store),
+            "--budget", "4",
+        ]
+        assert main([*argv, "--out", str(tmp_path / "miss.csv")]) == 0  # no index yet
+        assert index.is_file()
+
+        def no_decoding(store):
+            raise AssertionError("a replay open with a valid index decoded the store")
+
+        monkeypatch.setattr(RecordStore, "_load", no_decoding)
+        assert main([*argv, "--out", str(tmp_path / "hit.csv")]) == 0
+        for name in ("miss.csv", "hit.csv"):
+            assert (tmp_path / name).read_bytes() == (FIXTURES / golden).read_bytes()
 
     def test_replay_commands_load_neither_numpy_nor_requests(self, tmp_path):
         source = [
@@ -848,6 +883,15 @@ class TestCli:
         )
         assert code == 1
         assert "no recorded sample" in capsys.readouterr().err
+
+    def test_replay_miss_names_the_store(self, tmp_path, capsys):
+        store = FIXTURES / "mini_store.jsonl"
+        argv = ["replay", "--dataset", str(FIXTURES / "mini_dataset.jsonl"), "--replay", str(store)]
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--method", "sc", "--budget", "64", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {store}: no recorded sample for question 'q1' round 5\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, named",

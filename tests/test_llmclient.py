@@ -3,6 +3,8 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
+import inspect
 import json
 import logging
 import math
@@ -33,12 +35,15 @@ from cges.errors import (
     SamplerError,
 )
 from cges.llmclient import (
+    INDEX_FORMAT,
+    INDEX_SUFFIX,
     INVALID_LABEL,
     AnswerFormat,
     EndpointConfig,
     RecordStore,
     SampleRecord,
     StoreEntry,
+    _check_record,
     _parse_completion,
     derive_seed,
     extract_answer,
@@ -291,7 +296,9 @@ class TestRecordStore:
         path = tmp_path / "store.jsonl"
         RecordStore.open_record(path).append(make_record())
         replay = RecordStore.open_replay(path)
-        with pytest.raises(ReplayMissError, match="'q0' round 9"):
+        with pytest.raises(
+            ReplayMissError, match=r"store\.jsonl: no recorded sample for question 'q0' round 9$"
+        ):
             replay.get("q0", 9)
 
     TORN_TAILS = pytest.mark.parametrize(
@@ -584,6 +591,19 @@ class TestStoreLayout:
         assert len(store) == 300 * 64
         assert retained / len(store) < 260  # 472 B when each record kept its own dict
 
+    def test_retained_bytes_per_record_after_an_index_hit(self, wide_store):
+        RecordStore.open_replay(wide_store)  # writes the index if no open has yet
+        gc.collect()
+        tracemalloc.start()
+        try:
+            store, decoded = open_replay_decoding(wide_store)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not decoded and len(store) == 300 * 64
+        assert retained / len(store) < 260
+
     def test_an_estimator_name_is_one_object_per_store(self, wide_store):
         store = RecordStore.open_replay(wide_store)
         names = [
@@ -594,6 +614,261 @@ class TestStoreLayout:
         ]
         assert len(names) == 300 * 64
         assert len({id(name) for name in names}) == 1
+
+
+def store_layout(store):
+    """Everything a load keeps, insertion order included."""
+    return (
+        [(question_id, list(rounds.items())) for question_id, rounds in store._rounds.items()],
+        [
+            (name, [(question_id, list(rounds.items())) for question_id, rounds in column.items()])
+            for name, column in store._columns.items()
+        ],
+        store._lines,
+        store._separator,
+    )
+
+
+def index_of(path):
+    return path.with_name(path.name + INDEX_SUFFIX)
+
+
+def open_replay_decoding(path):
+    """(the store opened in replay mode, whether the open decoded the store)."""
+    loads = []
+    load = RecordStore._load
+
+    def spy(store):
+        loads.append(store.path)
+        return load(store)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RecordStore, "_load", spy)
+        store = RecordStore.open_replay(path)
+    return store, bool(loads)
+
+
+def write_interleaved_store(path):
+    """Rounds of three questions interleaved as a pooled run writes them, with
+    degraded records, a blank line, estimators first seen in another order
+    than sorted, and no newline after the last line."""
+    degraded = dict(token_probs=None, confidence_by_estimator={})
+    geo_first = json.loads(make_record(question_id="q0", round_idx=2).to_json_line())
+    geo_first["confidence_by_estimator"] = {"lns_geo": 0.31, "mars": 0.5, "lns_arith": 0.7}
+    lines = [
+        make_record(question_id="q1", round_idx=1, label="7", **degraded).to_json_line(),
+        json.dumps(geo_first),
+        make_record(question_id="q1", round_idx=3, prompt="other").to_json_line(),
+        "",
+        make_record(question_id="q2", round_idx=1, seed=2**70).to_json_line(),
+        make_record(question_id="q0", round_idx=1, label="INVALID", **degraded).to_json_line(),
+        make_record(
+            question_id="q1", round_idx=2, confidence_by_estimator={"mars": 1e-300}
+        ).to_json_line(),
+    ]
+    path.write_text("\n".join(lines))
+
+
+class TestReplayIndex:
+    @pytest.mark.parametrize("store", ["fixture", "interleaved"])
+    def test_a_hit_rebuilds_the_maps_of_a_full_load(self, tmp_path, store):
+        path = tmp_path / "store.jsonl"
+        if store == "fixture":
+            path.write_bytes((Path(__file__).parent / "fixtures" / "mini_store.jsonl").read_bytes())
+        else:
+            write_interleaved_store(path)
+        loaded, decoded = open_replay_decoding(path)
+        assert decoded and index_of(path).is_file()
+        indexed, decoded = open_replay_decoding(path)
+        assert not decoded
+        assert store_layout(indexed) == store_layout(loaded)
+        if store == "interleaved":
+            # an estimator lists its questions by their first record that carries it
+            assert list(loaded._rounds) == ["q1", "q0", "q2"]
+            assert list(loaded._columns) == ["lns_geo", "mars", "lns_arith"]
+            assert list(loaded._columns["lns_arith"]) == ["q0", "q1", "q2"]
+            assert loaded._separator == "\n" and loaded._lines == 7
+
+    def test_a_hit_holds_one_object_per_label_prompt_and_name(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        write_interleaved_store(path)
+        RecordStore.open_replay(path)
+        store, decoded = open_replay_decoding(path)
+        assert not decoded
+        cells = [cell for rounds in store._rounds.values() for cell in rounds.values()]
+        for place in (0, 2):  # label, prompt
+            assert len({id(cell[place]) for cell in cells}) == len({cell[place] for cell in cells})
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["q0", "q1", "é"]),
+                st.integers(min_value=1, max_value=6),
+                st.text(min_size=1, max_size=3),
+                st.dictionaries(
+                    st.sampled_from(["lns_arith", "lns_geo", "mars"]),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                ),
+                st.integers(),
+            ),
+            unique_by=lambda cell: cell[:2],
+        )
+    )
+    def test_a_hit_equals_a_full_load_on_any_store(self, cells):
+        records = [
+            make_record(
+                question_id=question_id, round_idx=round_idx, label=label, seed=seed,
+                prompt=question_id * round_idx, confidence_by_estimator=confidences,
+            ).to_json_line()
+            for question_id, round_idx, label, confidences, seed in cells
+        ]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "store.jsonl"
+            path.write_text("".join(f"{line}\n" for line in records))
+            loaded, _ = open_replay_decoding(path)
+            indexed, decoded = open_replay_decoding(path)
+            assert not decoded
+            assert store_layout(indexed) == store_layout(loaded)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda path: RecordStore.open_record(path).append(make_record(round_idx=9)),
+            # the same length, another CRC: a key cannot come from the length or the mtime
+            lambda path: path.write_text(path.read_text().replace("0.85", "0.86", 1)),
+        ],
+        ids=["appended", "edited-in-place"],
+    )
+    def test_a_stale_index_falls_back_to_a_full_load(self, tmp_path, change):
+        path = tmp_path / "store.jsonl"
+        self.write_store(path)
+        RecordStore.open_replay(path)
+        change(path)
+        self.assert_missed_then_rewritten(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda index: index.write_bytes(index.read_bytes()[: len(index.read_bytes()) // 2]),
+            lambda index: index.write_bytes(index.read_bytes()[:-2]),
+            lambda index: index.write_bytes(index.read_bytes() + b"\n"),
+            lambda index: index.write_bytes(index.read_bytes().replace(b"0.85", b"0.95", 1)),
+            lambda index: index.write_bytes(index.read_bytes().replace(b'"q0"', b'"q9"', 1)),
+            lambda index: index.write_text(""),
+        ],
+        ids=["torn", "torn-last-line", "trailing-bytes", "garbled-number", "garbled-id", "empty"],
+    )
+    def test_a_torn_or_garbled_index_falls_back_to_a_full_load(self, tmp_path, damage):
+        path = tmp_path / "store.jsonl"
+        self.write_store(path)
+        RecordStore.open_replay(path)
+        damage(index_of(path))
+        self.assert_missed_then_rewritten(path)
+
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            lambda index: index.write_bytes(
+                index.read_bytes().replace(INDEX_FORMAT.encode(), b"cges-index/0", 1)
+            ),
+            lambda index: index.write_text("[1, 2, 3]\n"),
+            lambda index: index.write_bytes(b"\x80\x04\x95 not json\n"),
+        ],
+        ids=["older-format", "other-json", "binary"],
+    )
+    def test_a_foreign_index_falls_back_to_a_full_load(self, tmp_path, foreign):
+        path = tmp_path / "store.jsonl"
+        self.write_store(path)
+        RecordStore.open_replay(path)
+        foreign(index_of(path))
+        self.assert_missed_then_rewritten(path)
+
+    def test_an_unwritable_index_leaves_the_open_whole_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        self.write_store(path)
+        index_of(path).mkdir()  # a path no index can be read from or renamed onto
+        for _ in range(2):
+            store, decoded = open_replay_decoding(path)
+            assert decoded and len(store) == 3
+        assert sorted(tmp_path.iterdir()) == [path, index_of(path)]
+
+    def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        self.write_store(path)
+
+        def read_only(source, target):
+            raise PermissionError(13, "Permission denied", str(target))
+
+        monkeypatch.setattr(os, "replace", read_only)
+        store, decoded = open_replay_decoding(path)
+        assert decoded and len(store) == 3
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_record_mode_neither_reads_nor_writes_an_index(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        self.write_store(path)
+        RecordStore.open_record(path).append(make_record(round_idx=4))
+        assert not index_of(path).exists()
+        RecordStore.open_replay(path)
+        index = index_of(path).read_bytes()
+        store = RecordStore.open_record(path)
+        assert len(store) == 4 and index_of(path).read_bytes() == index
+
+    @BAD_RECORD_EDITS
+    def test_bad_record_beside_an_index_of_the_good_store_names_path_and_line(
+        self, tmp_path, edit
+    ):
+        good = make_record(round_idx=2).to_json_line()
+        raw = json.loads(good)
+        edit(raw)
+        path = tmp_path / "store.jsonl"
+        path.write_text(make_record().to_json_line() + "\n" + good + "\n")
+        RecordStore.open_replay(path)
+        assert index_of(path).is_file()
+        path.write_text(make_record().to_json_line() + "\n" + json.dumps(raw) + "\n")
+        for mode in (RecordStore.open_record, RecordStore.open_replay):
+            with pytest.raises(CGESError, match="store.jsonl:2"):
+                mode(path)
+
+    # INDEX_FORMAT and a digest of the code whose change must bump it: what a
+    # load checks and keeps, and the index's writer and reader.  When this
+    # fails, bump INDEX_FORMAT (an index written before then misses once) and
+    # pin the new pair here.
+    PINNED_FORMAT = (
+        "cges-index/1",
+        "cfb9f68ee60fc64960f7ee1f17c9fd18eccf218b27b524804e35bfc9830c68bf",
+    )
+
+    def test_index_format_is_bumped_with_what_a_load_checks_or_keeps(self):
+        source = "".join(
+            inspect.getsource(function)
+            for function in (
+                _check_record, RecordStore._keep, RecordStore._load,
+                RecordStore._write_index, RecordStore._load_index,
+            )
+        )
+        pinned = (INDEX_FORMAT, hashlib.sha256(source.encode()).hexdigest())
+        assert pinned == self.PINNED_FORMAT, (
+            "what a load checks or keeps, or the replay index, changed: bump INDEX_FORMAT "
+            "and pin the new pair"
+        )
+
+    @staticmethod
+    def write_store(path):
+        path.write_text(
+            "".join(make_record(round_idx=r).to_json_line() + "\n" for r in (1, 2, 3))
+        )
+
+    @staticmethod
+    def assert_missed_then_rewritten(path):
+        store, decoded = open_replay_decoding(path)
+        assert decoded
+        # record mode never reads an index: its open is a full load
+        assert store_layout(store) == store_layout(RecordStore.open_record(path))
+        again, decoded = open_replay_decoding(path)  # from the index the miss rewrote
+        assert not decoded
+        assert store_layout(again) == store_layout(store)
 
 
 class TestReplaySampler:
