@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import re
+import struct
 import sys
 import threading
 import time
@@ -313,10 +314,11 @@ class StoreEntry(NamedTuple):
     line: int
 
 
-# A replay index's format, part of its key: bump it whenever what a load checks
-# or keeps changes (``_check_record``, ``RecordStore._keep``, ``RecordStore._load``),
-# or the index's own layout does, so that no index written before is read.
-INDEX_FORMAT = "cges-index/1"
+# A replay index's format, part of its key: bump it whenever what a load accepts
+# or keeps changes (``_decode_line``, ``_check_record`` and its type sets,
+# ``RecordStore._keep``, ``RecordStore._load``), or the index's own layout does,
+# so that no index written before is read.
+INDEX_FORMAT = "cges-index/2"
 INDEX_SUFFIX = ".cges-index"
 _BLOCK = 1 << 16  # bytes per read when hashing a store
 
@@ -453,7 +455,6 @@ class RecordStore:
                 prompts.setdefault(prompt, len(prompts))
         header = {
             "format": INDEX_FORMAT, "store_bytes": size, "store_crc32": crc,
-            "lines": self._lines, "separator": self._separator,
             "questions": len(self._rounds), "names": list(self._columns),
             "labels": list(labels), "prompts": list(prompts),
         }
@@ -469,8 +470,12 @@ class RecordStore:
                     entry = [
                         question_id, list(rounds), [labels[label] for label in round_labels],
                         seeds, [prompts[prompt] for prompt in round_prompts], lines,
-                        [  # per estimator with this question: its confidence in each round
-                            [j, [confidences.get(round_idx) for round_idx in rounds]]
+                        [  # per estimator with this question: its confidence in each round as
+                            # little-endian doubles in hex, NaN where the record lacks it
+                            [j, struct.pack(
+                                f"<{len(rounds)}d",
+                                *[confidences.get(round_idx, math.nan) for round_idx in rounds],
+                            ).hex()]
                             for j, column in enumerate(columns)
                             if (confidences := column.get(question_id)) is not None
                         ],
@@ -487,10 +492,8 @@ class RecordStore:
                 temp.unlink()
 
     def _load_index(self, index: Path) -> bool:
-        """Rebuild the maps from the replay index, insertion order included, if
-        its format and key match the store; False, keeping nothing, on any
-        miss.  ``_columns`` lists each estimator's questions in the order of
-        their first record that carries it, as ``_load`` does."""
+        """Rebuild the maps from the replay index if its format and key match
+        the store; False, keeping nothing, on any miss."""
         try:
             with index.open("rb") as handle:
                 head = handle.readline()
@@ -501,8 +504,10 @@ class RecordStore:
                     return False
                 labels, prompts = header["labels"], header["prompts"]
                 rounds_by_question: dict[str, dict[int, tuple[str, int, str, int]]] = {}
-                # per estimator: (first line, question id, column) of each question it has
-                orders: list[list] = [[] for _ in header["names"]]
+                columns_by_name: dict[str, dict[str, dict[int, float]]] = {
+                    name: {} for name in header["names"]
+                }
+                columns_of = list(columns_by_name.values())
                 index_crc = zlib.crc32(head)
                 for _ in range(header["questions"]):
                     line = handle.readline()
@@ -510,31 +515,21 @@ class RecordStore:
                     question_id, keys, label_ids, seeds, prompt_ids, lines, columns = (
                         json.loads(line)
                     )
-                    rounds = rounds_by_question[question_id] = dict(zip(keys, zip(
+                    rounds_by_question[question_id] = dict(zip(keys, zip(
                         map(labels.__getitem__, label_ids), seeds,
                         map(prompts.__getitem__, prompt_ids), lines, strict=True,
                     ), strict=True))
-                    for j, confidences in columns:
-                        column = dict(zip(keys, confidences, strict=True))
-                        if None in confidences:  # rounds whose record lacks this estimator
-                            column = {key: c for key, c in column.items() if c is not None}
-                        # rounds are in file order, so the first is the earliest line
-                        first = rounds[next(iter(column), None)][3]
-                        orders[j].append((first, question_id, column))
+                    for j, packed in columns:
+                        confidences = struct.unpack(f"<{len(keys)}d", bytes.fromhex(packed))
+                        column = dict(zip(keys, confidences))
+                        if any(map(math.isnan, confidences)):  # rounds lacking this estimator
+                            column = {key: c for key, c in column.items() if not math.isnan(c)}
+                        columns_of[j][question_id] = column
                 if json.loads(handle.readline()) != {"index_crc32": index_crc} or handle.read(1):
                     return False
-            columns_by_name = {
-                name: {
-                    question_id: column
-                    for _, question_id, column in sorted(order, key=operator.itemgetter(0))
-                }
-                for name, order in zip(header["names"], orders, strict=True)
-            }
-            line_count, separator = header["lines"], header["separator"]
-        except (OSError, ValueError, LookupError, TypeError):
+        except (OSError, ValueError, LookupError, TypeError, struct.error):
             return False
         self._rounds, self._columns = rounds_by_question, columns_by_name
-        self._lines, self._separator = line_count, separator
         return True
 
     @classmethod

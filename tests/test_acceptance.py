@@ -526,7 +526,7 @@ def test_criterion_8_replay_determinism(tmp_path):
     _verdict("criterion 8: record-then-replay runs are byte-identical", body)
 
 
-def test_criterion_9_cli_end_to_end(tmp_path, capsys):
+def test_criterion_9_cli_end_to_end(tmp_path, capsys, mini_store):
     def body():
         sim_out = tmp_path / "sim.csv"
         assert 0 == main(
@@ -564,7 +564,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
             [
                 "sweep",
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--seeds", "0",
                 "--out", str(sweep_out),
@@ -579,7 +579,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
             [
                 "replay",
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--gamma", "0.95",
                 "--out", str(replay_out),

@@ -130,7 +130,7 @@ class TestLoadDataset:
         with pytest.raises(ConfigurationError, match=r"dup\.jsonl:3: .*'q1'.* line 1"):
             load_dataset(path)
 
-    def test_repeated_id_fails_the_cli(self, tmp_path, capsys):
+    def test_repeated_id_fails_the_cli(self, tmp_path, capsys, mini_store):
         path = tmp_path / "dup.jsonl"
         line = '{"id": "q1", "prompt": "p", "gold": "42", "format": "boxed_math"}\n'
         path.write_text(line * 2)
@@ -138,7 +138,7 @@ class TestLoadDataset:
             [
                 "replay",
                 "--dataset", str(path),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--out", str(tmp_path / "x.csv"),
             ]
@@ -636,13 +636,13 @@ class TestCli:
         assert main(["score", "--samples", str(path)]) == 0
         assert "top: 3 " in capsys.readouterr().out
 
-    def test_run_command(self, tmp_path, capsys):
+    def test_run_command(self, tmp_path, capsys, mini_store):
         out = tmp_path / "compare.csv"
         code = main(
             [
                 "run",
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--gamma", "0.95",
                 "--seeds", "0",
@@ -661,13 +661,13 @@ class TestCli:
         assert float(cges_row["accuracy"]) == 1.0
         assert float(cges_row["avg_calls"]) <= 4.0
 
-    def test_sweep_command(self, tmp_path):
+    def test_sweep_command(self, tmp_path, mini_store):
         out = tmp_path / "curve.csv"
         code = main(
             [
                 "sweep",
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--seeds", "0",
                 "--gamma-grid", "0.7,0.9,0.99",
@@ -680,13 +680,13 @@ class TestCli:
         calls = [float(row["avg_calls"]) for row in rows]
         assert calls == sorted(calls)
 
-    def test_sweep_command_empty_grid(self, tmp_path, capsys, caplog):
+    def test_sweep_command_empty_grid(self, tmp_path, capsys, caplog, mini_store):
         out = tmp_path / "curve.csv"
         code = main(
             [
                 "sweep",
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--seeds", "0",
                 "--gamma-grid", "",
@@ -702,14 +702,14 @@ class TestCli:
         assert out.read_bytes() == b"gamma,avg_calls,accuracy\r\n"
 
     @pytest.mark.parametrize("flag", [["--gamma", "0.5"], ["--window", "3"]])
-    def test_sweep_command_rejects_ignored_flags(self, tmp_path, capsys, flag):
+    def test_sweep_command_rejects_ignored_flags(self, tmp_path, capsys, flag, mini_store):
         out = tmp_path / "curve.csv"
         with pytest.raises(SystemExit) as exc:
             main(
                 [
                     "sweep",
                     "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                    "--replay", str(FIXTURES / "mini_store.jsonl"),
+                    "--replay", str(mini_store),
                     "--budget", "4",
                     "--seeds", "0",
                     *flag,
@@ -721,13 +721,13 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_record_beside_replay_is_rejected(self, tmp_path, capsys, command):
+    def test_record_beside_replay_is_rejected(self, tmp_path, capsys, command, mini_store):
         out, record = tmp_path / "out.csv", tmp_path / "record.jsonl"
         code = main(
             [
                 command,
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--record", str(record),
                 "--budget", "4",
                 "--seeds", "0",
@@ -741,7 +741,7 @@ class TestCli:
         assert not out.exists()
         assert not record.exists()
 
-    def test_replay_command_is_byte_stable(self, tmp_path):
+    def test_replay_command_is_byte_stable(self, tmp_path, mini_store):
         outs = []
         for name, parallel in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")):
             out = tmp_path / name
@@ -749,7 +749,7 @@ class TestCli:
                 [
                     "replay",
                     "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                    "--replay", str(FIXTURES / "mini_store.jsonl"),
+                    "--replay", str(mini_store),
                     "--method", "cges",
                     "--gamma", "0.95",
                     "--budget", "4",
@@ -764,13 +764,13 @@ class TestCli:
         assert header == b"question_id,prediction,calls,top_mass,resolved"
 
     @REPLAY_GOLDENS
-    def test_replay_outputs_match_golden_files(self, tmp_path, command, golden):
+    def test_replay_outputs_match_golden_files(self, tmp_path, command, golden, mini_store):
         out = tmp_path / golden
         code = main(
             [
                 *command,
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--budget", "4",
                 "--out", str(out),
             ]
@@ -780,15 +780,13 @@ class TestCli:
 
     @REPLAY_GOLDENS
     def test_replay_outputs_match_golden_files_with_and_without_the_index(
-        self, tmp_path, monkeypatch, command, golden
+        self, tmp_path, monkeypatch, command, golden, mini_store
     ):
-        store = tmp_path / "store.jsonl"
-        store.write_bytes((FIXTURES / "mini_store.jsonl").read_bytes())
-        index = tmp_path / f"store.jsonl{INDEX_SUFFIX}"
+        index = tmp_path / f"mini_store.jsonl{INDEX_SUFFIX}"
         argv = [
             *command,
             "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-            "--replay", str(store),
+            "--replay", str(mini_store),
             "--budget", "4",
         ]
         assert main([*argv, "--out", str(tmp_path / "miss.csv")]) == 0  # no index yet
@@ -802,10 +800,10 @@ class TestCli:
         for name in ("miss.csv", "hit.csv"):
             assert (tmp_path / name).read_bytes() == (FIXTURES / golden).read_bytes()
 
-    def test_replay_commands_load_neither_numpy_nor_requests(self, tmp_path):
+    def test_replay_commands_load_neither_numpy_nor_requests(self, tmp_path, mini_store):
         source = [
             "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-            "--replay", str(FIXTURES / "mini_store.jsonl"),
+            "--replay", str(mini_store),
             "--budget", "4",
         ]
         argvs = [
@@ -830,6 +828,8 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+        # replay found no index and wrote one, run and sweep read it: both paths ran
+        assert (tmp_path / f"mini_store.jsonl{INDEX_SUFFIX}").is_file()
 
     @pytest.mark.parametrize("command", ["replay", "run", "sweep"])
     def test_replay_store_lacking_the_estimator_fails_before_round_one(
@@ -870,12 +870,12 @@ class TestCli:
         dataset.write_text("".join(f"{line}\n" for line in questions[::2]))  # q1 and q3
         assert main([*argv, "--dataset", str(dataset)]) == 0
 
-    def test_replay_missing_round_fails_cleanly(self, tmp_path, capsys):
+    def test_replay_missing_round_fails_cleanly(self, tmp_path, capsys, mini_store):
         code = main(
             [
                 "replay",
                 "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(FIXTURES / "mini_store.jsonl"),
+                "--replay", str(mini_store),
                 "--method", "sc",
                 "--budget", "9",
                 "--out", str(tmp_path / "x.csv"),
@@ -884,13 +884,16 @@ class TestCli:
         assert code == 1
         assert "no recorded sample" in capsys.readouterr().err
 
-    def test_replay_miss_names_the_store(self, tmp_path, capsys):
-        store = FIXTURES / "mini_store.jsonl"
-        argv = ["replay", "--dataset", str(FIXTURES / "mini_dataset.jsonl"), "--replay", str(store)]
+    def test_replay_miss_names_the_store(self, tmp_path, capsys, mini_store):
+        argv = [
+            "replay",
+            "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+            "--replay", str(mini_store),
+        ]
         out = tmp_path / "x.csv"
         assert main([*argv, "--method", "sc", "--budget", "64", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {store}: no recorded sample for question 'q1' round 5\n"
+            f"error: {mini_store}: no recorded sample for question 'q1' round 5\n"
         )
 
     @pytest.mark.parametrize(
@@ -906,11 +909,11 @@ class TestCli:
         ],
         ids=["missing-dataset", "store-is-a-directory", "missing-samples", "unwritable-out"],
     )
-    def test_unreadable_paths_fail_closed(self, tmp_path, capsys, argv, named):
+    def test_unreadable_paths_fail_closed(self, tmp_path, capsys, argv, named, mini_store):
         paths = dict(
             tmp=tmp_path,
             dataset=FIXTURES / "mini_dataset.jsonl",
-            store=FIXTURES / "mini_store.jsonl",
+            store=mini_store,
         )
         assert main([arg.format(**paths) for arg in argv]) == 1
         err_lines = capsys.readouterr().err.splitlines()

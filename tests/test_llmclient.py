@@ -1,5 +1,6 @@
 """Tests for answer extraction, the record store, and the endpoint client."""
 
+import ast
 import contextlib
 import dataclasses
 import gc
@@ -10,9 +11,11 @@ import logging
 import math
 import os
 import ssl
+import struct
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -43,7 +46,11 @@ from cges.llmclient import (
     RecordStore,
     SampleRecord,
     StoreEntry,
+    _NUMBER_TYPES,
+    _TOKEN_PROBS_TYPES,
     _check_record,
+    _decode_line,
+    _open_lines,
     _parse_completion,
     derive_seed,
     extract_answer,
@@ -617,20 +624,21 @@ class TestStoreLayout:
 
 
 def store_layout(store):
-    """Everything a load keeps, insertion order included."""
+    """Everything a replay reads of a load, with the order of questions,
+    rounds and estimator names."""
     return (
         [(question_id, list(rounds.items())) for question_id, rounds in store._rounds.items()],
-        [
-            (name, [(question_id, list(rounds.items())) for question_id, rounds in column.items()])
-            for name, column in store._columns.items()
-        ],
-        store._lines,
-        store._separator,
+        list(store._columns.items()),
     )
 
 
 def index_of(path):
     return path.with_name(path.name + INDEX_SUFFIX)
+
+
+def packed_double(value):
+    """A confidence as the replay index writes it: a little-endian double in hex."""
+    return struct.pack("<d", value).hex().encode()
 
 
 def open_replay_decoding(path):
@@ -683,10 +691,8 @@ class TestReplayIndex:
         assert not decoded
         assert store_layout(indexed) == store_layout(loaded)
         if store == "interleaved":
-            # an estimator lists its questions by their first record that carries it
             assert list(loaded._rounds) == ["q1", "q0", "q2"]
             assert list(loaded._columns) == ["lns_geo", "mars", "lns_arith"]
-            assert list(loaded._columns["lns_arith"]) == ["q0", "q1", "q2"]
             assert loaded._separator == "\n" and loaded._lines == 7
 
     def test_a_hit_holds_one_object_per_label_prompt_and_name(self, tmp_path):
@@ -753,7 +759,9 @@ class TestReplayIndex:
             lambda index: index.write_bytes(index.read_bytes()[: len(index.read_bytes()) // 2]),
             lambda index: index.write_bytes(index.read_bytes()[:-2]),
             lambda index: index.write_bytes(index.read_bytes() + b"\n"),
-            lambda index: index.write_bytes(index.read_bytes().replace(b"0.85", b"0.95", 1)),
+            lambda index: index.write_bytes(
+                index.read_bytes().replace(packed_double(0.85), packed_double(0.95), 1)
+            ),
             lambda index: index.write_bytes(index.read_bytes().replace(b'"q0"', b'"q9"', 1)),
             lambda index: index.write_text(""),
         ],
@@ -831,24 +839,34 @@ class TestReplayIndex:
             with pytest.raises(CGESError, match="store.jsonl:2"):
                 mode(path)
 
-    # INDEX_FORMAT and a digest of the code whose change must bump it: what a
-    # load checks and keeps, and the index's writer and reader.  When this
-    # fails, bump INDEX_FORMAT (an index written before then misses once) and
-    # pin the new pair here.
+    # INDEX_FORMAT and a digest of what decides what a load accepts and keeps,
+    # and of the index's writer and reader: the record's fields, the types its
+    # check accepts, and the syntax trees of these functions, so that a comment,
+    # docstring or layout edit leaves the digest as it is.  When this fails,
+    # bump INDEX_FORMAT (an index written before then misses once) and pin the
+    # new pair here.
     PINNED_FORMAT = (
-        "cges-index/1",
-        "cfb9f68ee60fc64960f7ee1f17c9fd18eccf218b27b524804e35bfc9830c68bf",
+        "cges-index/2",
+        "f746d6b9d3934796c04cdfdb2a284a5c46e09d3465f52e243265766c1bd75cc8",
     )
 
     def test_index_format_is_bumped_with_what_a_load_checks_or_keeps(self):
-        source = "".join(
-            inspect.getsource(function)
-            for function in (
-                _check_record, RecordStore._keep, RecordStore._load,
-                RecordStore._write_index, RecordStore._load_index,
-            )
-        )
-        pinned = (INDEX_FORMAT, hashlib.sha256(source.encode()).hexdigest())
+        parts = [
+            [field.name for field in dataclasses.fields(SampleRecord)],
+            *(
+                sorted(kind.__name__ for kind in kinds)
+                for kinds in (_NUMBER_TYPES, _TOKEN_PROBS_TYPES)
+            ),
+        ]
+        for function in (
+            _open_lines, _decode_line, _check_record, RecordStore._keep, RecordStore._load,
+            RecordStore._write_index, RecordStore._load_index,
+        ):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0]
+            body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+            parts.append([ast.dump(tree.args), *map(ast.dump, body)])
+        digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        pinned = (INDEX_FORMAT, digest)
         assert pinned == self.PINNED_FORMAT, (
             "what a load checks or keeps, or the replay index, changed: bump INDEX_FORMAT "
             "and pin the new pair"
