@@ -288,7 +288,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = _method_config(args.method, args)
     sampler = replay_sampler(store, ESTIMATOR_FLAGS[args.estimator])
     result = run_controller([q.question_id for q in questions], sampler, config)
-    harness.write_predictions_csv(result, questions, args.out)
+    harness.write_predictions_csv(result, questions, sampler, config.fixed_k, args.out)
     acc = harness.accuracy(result.predictions, questions)
     print(f"avg_calls={result.avg_calls:.3f} accuracy={acc:.4f} unresolved={len(result.unresolved)}")
     print(f"wrote {args.out}")

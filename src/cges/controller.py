@@ -81,7 +81,6 @@ class RunResult:
     predictions: dict[str, Label]
     avg_calls: float
     per_question_calls: dict[str, int]
-    per_question_posterior: dict[str, RunningPosterior]
     # diagnostics: questions that exhausted the budget without their stop rule
     # firing (for CGES, without reaching gamma); always empty for SC
     unresolved: tuple[str, ...] = ()
@@ -110,13 +109,13 @@ def run_many(
     question is resampled while any configuration is open, i.e. its stop rule
     has not fired and its budget is not spent, so each (question, round) is
     drawn once per call rather than once per configuration.  A configuration
-    keeps the calls, prediction, posterior and resolved flag of the round it
-    closes at.  Result ``i`` equals ``run(questions, sampler, configs[i])``
-    whenever the sampler serves the same draw each time a (question, round) is
-    asked for.  Up to the largest ``max_parallel`` chains run at once, and a
-    worker takes the next question as soon as its chain ends.  Once a draw
-    raises, no chain starts another; the draws in flight finish, and the error
-    of the earliest question (in question order) whose chain raised propagates.
+    keeps the prediction, calls and resolved flag of the round it closes at.
+    Result ``i`` equals ``run(questions, sampler, configs[i])`` whenever the
+    sampler serves the same draw each time a (question, round) is asked for.
+    Up to the largest ``max_parallel`` chains run at once, and a worker takes
+    the next question as soon as its chain ends.  Once a draw raises, no chain
+    starts another; the draws in flight finish, and the error of the earliest
+    question (in question order) whose chain raised propagates.
     """
     qids = list(questions)
     if not qids:
@@ -145,7 +144,7 @@ def run_many(
     failed = threading.Event()  # set once a chain raises or the caller's wait ends early
 
     def chain(qid: str) -> list:
-        """Per configuration, (prediction, posterior, resolved) at the round it
+        """Per configuration, (prediction, calls, resolved) at the round it
         closes on ``qid``; once a chain has failed, no chain makes another draw."""
         posterior = RunningPosterior(fixed_k=fixed_k)
         last_label, run_length = None, 0  # the trailing run of one label, for ESC
@@ -177,16 +176,13 @@ def run_many(
                         # SC has no stop rule, so its budget close counts as resolved
                         closing.setdefault(c, configs[c].method is Method.SC)
                 if closing:
-                    # one snapshot per round; the last to close takes the live posterior
-                    live = len(closing) == n_open
-                    snapshot = posterior if live else posterior.copy()
                     for c, resolved in closing.items():
                         if configs[c].method is Method.CGES:
                             prediction = posterior.labels[top_index]
                         else:  # the majority; max keeps the first maximum, the earliest label
                             counts = posterior.counts
                             prediction = max(counts, key=counts.__getitem__)
-                        outcomes[c] = (prediction, snapshot, resolved)
+                        outcomes[c] = (prediction, round_idx, resolved)
                     n_open -= len(closing)
                     rungs = [rung for rung in rungs if outcomes[rung[1]] is None]
         except BaseException:
@@ -206,13 +202,12 @@ def run_many(
 
     results = []
     for closed in zip(*per_question):  # per configuration, its outcome on each question
-        per_question_calls = {qid: post.n for qid, (_, post, _) in zip(qids, closed)}
+        per_question_calls = {qid: calls for qid, (_, calls, _) in zip(qids, closed)}
         results.append(
             RunResult(
                 predictions={qid: prediction for qid, (prediction, _, _) in zip(qids, closed)},
                 avg_calls=sum(per_question_calls.values()) / len(qids),
                 per_question_calls=per_question_calls,
-                per_question_posterior={qid: post for qid, (_, post, _) in zip(qids, closed)},
                 unresolved=tuple(qid for qid, (_, _, ok) in zip(qids, closed) if not ok),
             )
         )

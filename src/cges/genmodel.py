@@ -28,7 +28,6 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args
 
@@ -326,11 +325,6 @@ def _check_rounds(config: GenConfig, m: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-class DriftMethod(Enum):
-    CLOSED_FORM = "closed_form"
-    MONTE_CARLO = "monte_carlo"
-
-
 @dataclass(frozen=True)
 class DriftEstimate:
     """Expected per-round LLR increment against each competitor.
@@ -342,7 +336,6 @@ class DriftEstimate:
 
     mu: dict[int, float]
     std_err: dict[int, float]
-    method: DriftMethod
 
 
 # one-round draws behind a Monte Carlo drift estimate
@@ -387,7 +380,7 @@ def _drift_closed_form(config: GenConfig) -> DriftEstimate:
         log_ratio = math.log(c) - math.log(theta)
         probs = config.answer_law.probs
         mu = {j: (probs[0] - probs[j]) * log_ratio for j in range(1, k)}
-    return DriftEstimate(mu, {j: 0.0 for j in mu}, DriftMethod.CLOSED_FORM)
+    return DriftEstimate(mu, {j: 0.0 for j in mu})
 
 
 def _drift_monte_carlo(
@@ -404,7 +397,7 @@ def _drift_monte_carlo(
         increments = terms[:, 0] - terms[:, j]
         mu[j] = float(increments.mean())
         std_err[j] = float(increments.std(ddof=1) / math.sqrt(n_mc))
-    return DriftEstimate(mu, std_err, DriftMethod.MONTE_CARLO)
+    return DriftEstimate(mu, std_err)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from statistics import fmean
 from typing import Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
-from .controller import ControllerConfig, Method, RunResult, run_many
+from .controller import ControllerConfig, Method, RunResult, Sampler, run_many
 from .errors import ConfigurationError, KeyMismatchError
 from .llmclient import (
     AnswerFormat,
@@ -26,6 +26,7 @@ from .llmclient import (
     read_jsonl,
     replay_sampler,
 )
+from .posterior import RunningPosterior
 
 # stopping-threshold grid swept by default, ascending
 DEFAULT_GAMMA_GRID = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99, 0.999, 0.9999)
@@ -278,21 +279,32 @@ def write_curve_csv(curve: Sequence[CurvePoint], path: Union[str, Path]) -> None
 
 
 def write_predictions_csv(
-    result: RunResult, questions: Sequence[Question], path: Union[str, Path]
+    result: RunResult,
+    questions: Sequence[Question],
+    sampler: Sampler,
+    fixed_k: Optional[int],
+    path: Union[str, Path],
 ) -> None:
-    """Per-question predictions in dataset order; byte-stable across reruns."""
+    """Per-question predictions in dataset order; byte-stable across reruns.
+
+    ``top_mass`` folds rounds 1..calls of each question from ``sampler`` under
+    ``fixed_k``, so the sampler must serve the same draws again, as replay does.
+    """
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["question_id", "prediction", "calls", "top_mass", "resolved"])
         unresolved = set(result.unresolved)
         for question in questions:
             qid = question.question_id
-            posterior = result.per_question_posterior[qid]
+            calls = result.per_question_calls[qid]
+            posterior = RunningPosterior(fixed_k)
+            for round_idx in range(1, calls + 1):
+                posterior.add(*sampler(qid, round_idx))
             writer.writerow(
                 [
                     qid,
                     result.predictions[qid],
-                    result.per_question_calls[qid],
+                    calls,
                     posterior.top()[1],
                     int(qid not in unresolved),
                 ]

@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import urlsplit
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
@@ -300,20 +300,6 @@ class StoreMode(Enum):
     REPLAY = "replay"
 
 
-class StoreEntry(NamedTuple):
-    """One stored record as ``RecordStore.get`` returns it: what the samplers
-    read, and the line that holds it.  The store does not keep entries; it
-    builds one on demand from its per-question rounds and its per-estimator
-    confidence columns.  ``raw_text``, ``token_probs`` and ``timestamp`` are
-    checked when the record is loaded, then dropped."""
-
-    label: str
-    confidences: dict[str, float]
-    seed: int
-    prompt: str
-    line: int
-
-
 # A replay index's format, part of its key: bump it whenever what a load accepts
 # or keeps changes (``_decode_line``, ``_check_record`` and its type sets,
 # ``RecordStore._keep``, ``RecordStore._load``), or the index's own layout does,
@@ -561,15 +547,6 @@ class RecordStore:
             for name, column in list(self._columns.items())  # an append may add a name meanwhile
             if round_idx in column.get(question_id, ())
         }
-
-    def get(self, question_id: str, round_idx: int) -> StoreEntry:
-        try:
-            label, seed, prompt, line = self._rounds[question_id][round_idx]
-        except KeyError:
-            raise ReplayMissError(
-                f"{self.path}: no recorded sample for question {question_id!r} round {round_idx}"
-            ) from None
-        return StoreEntry(label, self._confidences(question_id, round_idx), seed, prompt, line)
 
     def require_estimator(
         self, question_ids: Iterable[str], estimator: Union[Estimator, str]
@@ -819,10 +796,13 @@ def replay_sampler(
         try:
             return rounds[question_id][round_idx][0], column[question_id][round_idx]
         except KeyError:
-            pass
-        # a miss: the store and the estimator lookup raise their own messages
-        entry = store.get(question_id, round_idx)
-        return entry.label, _confidence(entry.confidences, key, question_id, round_idx)
+            if (question_id, round_idx) not in store:
+                raise ReplayMissError(
+                    f"{store.path}: no recorded sample for question {question_id!r} round {round_idx}"
+                ) from None
+        # the record lacks the estimator: the lookup raises, naming those it has
+        confidences = store._confidences(question_id, round_idx)
+        return rounds[question_id][round_idx][0], _confidence(confidences, key, question_id, round_idx)
 
     return sample
 
@@ -858,13 +838,14 @@ def live_sampler(
         prompt_text, fmt = prompts[question_id]
         seed = derive_seed(base_seed, question_id, round_idx)
         if store is not None and (question_id, round_idx) in store:
-            entry = store.get(question_id, round_idx)
-            if entry.seed != seed:
-                mismatch = f"seed {entry.seed}, this run's is {seed}"
-            elif entry.prompt != render_prompt(prompt_text, fmt):
+            label, stored_seed, stored_prompt, _ = store._rounds[question_id][round_idx]
+            if stored_seed != seed:
+                mismatch = f"seed {stored_seed}, this run's is {seed}"
+            elif stored_prompt != render_prompt(prompt_text, fmt):
                 mismatch = "a different prompt"
             else:
-                return entry.label, _confidence(entry.confidences, key, question_id, round_idx)
+                confidences = store._confidences(question_id, round_idx)
+                return label, _confidence(confidences, key, question_id, round_idx)
             raise ConfigurationError(
                 f"{store.path}: stored record for question {question_id!r} round "
                 f"{round_idx} has {mismatch}; record into a fresh store"

@@ -111,14 +111,6 @@ class RunningPosterior:
         if fixed_k is not None:
             _check_fixed_k(fixed_k, len(self._records))
 
-    def copy(self) -> "RunningPosterior":
-        """An independent posterior holding the same statistics."""
-        twin = RunningPosterior(self.fixed_k)
-        twin.n = self.n
-        twin.sum_log_miss = self.sum_log_miss
-        twin._records = {label: record.copy() for label, record in self._records.items()}
-        return twin
-
     @property
     def counts(self) -> dict[Label, int]:
         """Per-label sample counts in first-seen order, as a fresh dict."""
@@ -232,19 +224,6 @@ class RunningPosterior:
         scores, reserve_log = self._scores()
         entries = scores if reserve_log is None else [*scores, reserve_log]
         return scores, reserve_log, _logsumexp(entries)
-
-    def __eq__(self, other: object) -> bool:
-        """Equal statistics: the same K rule, samples folded in the same order."""
-        if not isinstance(other, RunningPosterior):
-            return NotImplemented
-        return (
-            self.fixed_k == other.fixed_k
-            and self.n == other.n
-            and self.sum_log_miss == other.sum_log_miss
-            and list(self._records.items()) == list(other._records.items())
-        )
-
-    __hash__ = None  # mutable
 
 
 def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosterior:

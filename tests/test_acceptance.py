@@ -318,7 +318,10 @@ def test_criterion_5_minority_confident_fixture():
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3, fixed_k=3)
         bayes = run(["q"], sampler, config)
         assert bayes.predictions["q"] == "a1"
-        mass = bayes.per_question_posterior["q"].masses["a1"]
+        posterior = RunningPosterior(fixed_k=3)  # over the draws the run took
+        for round_idx in range(1, bayes.per_question_calls["q"] + 1):
+            posterior.add(*sampler("q", round_idx))
+        mass = posterior.masses["a1"]
         assert abs(mass - 0.144 / 0.154) <= 1e-6  # = 0.935064935...
 
     _verdict("criterion 5: confident minority answer beats the majority vote", body)
@@ -491,17 +494,25 @@ def test_criterion_8_replay_determinism(tmp_path):
                 store=RecordStore.open_record(store_path),
                 base_seed=1,
             )
+            drawn = {}  # (question, round) -> (label, confidence) as the live run drew it
+
+            def logging_sampler(question_id, round_idx):
+                drawn[question_id, round_idx] = draw = sampler(question_id, round_idx)
+                return draw
+
             config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3)
-            live = run(list(prompts), sampler, config)
+            live = run(list(prompts), logging_sampler, config)
         finally:
             server.shutdown()
             server.server_close()
 
         # re-execution in replay mode matches the live run exactly
-        replayed = run(
-            list(prompts), replay_sampler(RecordStore.open_replay(store_path)), config
-        )
+        replay = replay_sampler(RecordStore.open_replay(store_path))
+        replayed = run(list(prompts), replay, config)
         assert replayed == live
+        # and serves every draw again, each confidence to the last bit
+        assert len(drawn) == 9
+        assert {key: replay(*key) for key in drawn} == drawn
 
         # byte-identical prediction CSVs across executions and parallelism
         outputs = []
@@ -625,11 +636,19 @@ def ideal_calibration_z(k, law, seed):
         ControllerConfig(method=Method.CGES, gamma=gamma, budget=IDEAL_BUDGET, fixed_k=k)
         for gamma in IDEAL_GAMMAS
     ]
+
+    def top_mass_at_close(qid, calls):
+        posterior = RunningPosterior(fixed_k=k)
+        for round_idx in range(1, calls + 1):
+            posterior.add(*sampler(qid, round_idx))
+        return posterior.top()[1]
+
     z = {}
     for gamma, result in zip(IDEAL_GAMMAS, run_many(qids, sampler, configs)):
         gaps = np.array(
             [
-                (result.predictions[qid] == truth) - result.per_question_posterior[qid].top()[1]
+                (result.predictions[qid] == truth)
+                - top_mass_at_close(qid, result.per_question_calls[qid])
                 for qid, truth in zip(qids, truths.tolist())
             ]
         )

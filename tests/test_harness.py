@@ -843,13 +843,13 @@ class TestCli:
         store = tmp_path / "store.jsonl"
         store.write_text("\n".join(lines) + "\n")
         reads = []
-        get = RecordStore.get
+        contains = RecordStore.__contains__
 
-        def counting_get(store, *key):
+        def counting_contains(store, key):  # the replay sampler's miss path asks first
             reads.append(key)
-            return get(store, *key)
+            return contains(store, key)
 
-        monkeypatch.setattr(RecordStore, "get", counting_get)
+        monkeypatch.setattr(RecordStore, "__contains__", counting_contains)
         argv = [
             command, "--replay", str(store), "--estimator", "mars", "--budget", "4",
             "--out", str(tmp_path / "out.csv"),

@@ -45,7 +45,6 @@ from cges.llmclient import (
     EndpointConfig,
     RecordStore,
     SampleRecord,
-    StoreEntry,
     _NUMBER_TYPES,
     _TOKEN_PROBS_TYPES,
     _check_record,
@@ -207,14 +206,20 @@ def stored_entries(record, path):
     store.append(record)
     key = (record.question_id, record.round)
     return [
-        store.get(*key),
-        RecordStore.open_record(path).get(*key),
-        RecordStore.open_replay(path).get(*key),
+        kept_entry(store, *key),
+        kept_entry(RecordStore.open_record(path), *key),
+        kept_entry(RecordStore.open_replay(path), *key),
     ]
 
 
+def kept_entry(store, question_id, round_idx):
+    """What a store keeps of one record: (label, confidences, seed, prompt, line)."""
+    label, seed, prompt, line = store._rounds[question_id][round_idx]
+    return label, store._confidences(question_id, round_idx), seed, prompt, line
+
+
 def entry_of(record, line):
-    return StoreEntry(
+    return (
         record.extracted_label, record.confidence_by_estimator, record.seed, record.prompt, line
     )
 
@@ -230,7 +235,7 @@ class TestSampleRecord:
         record = make_record(token_probs=None, confidence_by_estimator={})
         entries = stored_entries(record, tmp_path / "store.jsonl")
         assert entries == [entry_of(record, 1)] * 3
-        assert entries[0].confidences == {}
+        assert entries[0][1] == {}
 
     def test_estimator_keys_serialized_sorted(self):
         record = make_record(confidence_by_estimator={"rm": 0.5, "lns_arith": 0.6})
@@ -276,8 +281,12 @@ class TestRecordStore:
         assert len(store) == 2
 
         replay = RecordStore.open_replay(path)
-        assert replay.get("q0", 1) == entry_of(make_record(round_idx=1), 1)
-        assert replay.get("q0", 2) == store.get("q0", 2) == entry_of(make_record(round_idx=2), 2)
+        assert kept_entry(replay, "q0", 1) == entry_of(make_record(round_idx=1), 1)
+        assert (
+            kept_entry(replay, "q0", 2)
+            == kept_entry(store, "q0", 2)
+            == entry_of(make_record(round_idx=2), 2)
+        )
         assert ("q0", 2) in replay
 
     def test_duplicate_append_rejected(self, tmp_path):
@@ -302,11 +311,11 @@ class TestRecordStore:
     def test_replay_miss_identifies_the_key(self, tmp_path):
         path = tmp_path / "store.jsonl"
         RecordStore.open_record(path).append(make_record())
-        replay = RecordStore.open_replay(path)
+        sampler = replay_sampler(RecordStore.open_replay(path))
         with pytest.raises(
             ReplayMissError, match=r"store\.jsonl: no recorded sample for question 'q0' round 9$"
         ):
-            replay.get("q0", 9)
+            sampler("q0", 9)
 
     TORN_TAILS = pytest.mark.parametrize(
         "tail",
@@ -345,7 +354,7 @@ class TestRecordStore:
         assert path.read_bytes() == intact  # the file keeps its 2 lines
         store.append(make_record(round_idx=3))
         replay = RecordStore.open_replay(path)
-        assert len(replay) == 3 and replay.get("q0", 3).line == 3
+        assert len(replay) == 3 and kept_entry(replay, "q0", 3)[-1] == 3
 
     def test_torn_line_before_the_last_fails_closed_in_record_mode(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -364,7 +373,7 @@ class TestRecordStore:
         path.write_text(make_record().to_json_line())
         store = RecordStore.open_record(path)
         store.append(make_record(round_idx=2))
-        assert RecordStore.open_replay(path).get("q0", 2).line == 2
+        assert kept_entry(RecordStore.open_replay(path), "q0", 2)[-1] == 2
 
     def test_each_append_opens_writes_and_closes_the_file(self, tmp_path, monkeypatch):
         appending = []
@@ -414,7 +423,7 @@ class TestRecordStore:
         for line_no, line in enumerate(lines, start=1):
             raw = json.loads(line)
             key = (raw["question_id"], raw["round"])
-            assert replay.get(*key).line == store.get(*key).line == line_no
+            assert kept_entry(replay, *key)[-1] == kept_entry(store, *key)[-1] == line_no
 
     @pytest.mark.parametrize("mode", [RecordStore.open_record, RecordStore.open_replay])
     def test_require_estimator_names_the_earliest_line_of_interleaved_questions(
@@ -448,7 +457,7 @@ class TestRecordStore:
             store.append(record)
         for view in (store, RecordStore.open_record(path), RecordStore.open_replay(path)):
             for line, record in enumerate(records, start=1):
-                assert view.get("q0", record.round) == entry_of(record, line)
+                assert kept_entry(view, "q0", record.round) == entry_of(record, line)
 
     def test_require_estimator_names_the_line_without_reading_the_file(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -476,7 +485,7 @@ class TestRecordStore:
         raw["step_importance"] = [1.0, 2.0]  # a key cges does not write
         path = tmp_path / "store.jsonl"
         path.write_text(json.dumps(raw) + "\n")
-        assert RecordStore.open_replay(path).get("q0", 1) == entry_of(make_record(), 1)
+        assert kept_entry(RecordStore.open_replay(path), "q0", 1) == entry_of(make_record(), 1)
         del raw["seed"]
         path.write_text(json.dumps(raw) + "\n")
         with pytest.raises(
@@ -617,7 +626,7 @@ class TestStoreLayout:
             name
             for q in range(300)
             for round_idx in range(1, 65)
-            for name in store.get(f"q{q}", round_idx).confidences
+            for name in store._confidences(f"q{q}", round_idx)
         ]
         assert len(names) == 300 * 64
         assert len({id(name) for name in names}) == 1
