@@ -6,7 +6,7 @@ import re
 import sys
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -296,6 +296,24 @@ class TestRunDispatch:
         assert cges.per_question_calls["q"] == 1
         assert sc.per_question_calls["q"] == 4
         assert esc.per_question_calls["q"] == 2
+
+    def test_results_compare_by_predictions_and_calls(self):
+        rng = np.random.default_rng(17)
+        streams = random_streams(rng, 5, 6)
+        # one first-round confidence halved: SC predicts and counts alike, and
+        # a result holds nothing else that could tell the two runs apart
+        changed = {qid: list(stream) for qid, stream in streams.items()}
+        label, confidence = changed["q0"][0]
+        changed["q0"][0] = (label, confidence / 2)
+        config = ControllerConfig(method=Method.SC, budget=6)
+        first = run(list(streams), stream_sampler(streams), config)
+        assert [field.name for field in fields(first)] == [
+            "predictions", "avg_calls", "per_question_calls", "unresolved",
+        ]
+        assert run(list(streams), stream_sampler(streams), config) == first
+        assert run(list(streams), stream_sampler(changed), config) == first
+        changed["q0"] = [("other", 0.5)] * 6
+        assert run(list(streams), stream_sampler(changed), config) != first
 
     def test_duplicate_question_ids_rejected(self):
         with pytest.raises(ConfigurationError):

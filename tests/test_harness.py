@@ -13,8 +13,9 @@ import pytest
 
 import cges
 from cges.cli import main
-from cges.controller import ControllerConfig, Method
+from cges.controller import ControllerConfig, Method, run
 from cges.errors import ConfigurationError, KeyMismatchError
+from cges.posterior import RunningPosterior
 from cges.harness import (
     DEFAULT_GAMMA_GRID,
     ExperimentSpec,
@@ -27,6 +28,7 @@ from cges.harness import (
     sweep_gamma,
     write_comparison_csv,
     write_curve_csv,
+    write_predictions_csv,
 )
 from cges.llmclient import (
     INDEX_SUFFIX,
@@ -223,6 +225,39 @@ class TestAccuracy:
     def test_normalize_answer(self):
         assert normalize_answer("  3 /  4\n") == "3 / 4"
         assert normalize_answer("c", AnswerFormat.LETTER_CHOICE) == "C"
+
+
+class TestWritePredictionsCsv:
+    @pytest.mark.parametrize("fixed_k", [None, 3])
+    def test_top_mass_folds_only_the_draws_each_question_took(self, tmp_path, fixed_k):
+        # q0 closes on its first draw; its later draws would move the mass
+        streams = {
+            "q0": [("a", 0.99), ("b", 0.9), ("b", 0.9), ("b", 0.9)],
+            "q1": [("a", 0.6), ("b", 0.7), ("b", 0.6), ("a", 0.5)],
+        }
+
+        def sample(question_id, round_idx):
+            return streams[question_id][round_idx - 1]
+
+        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, fixed_k=fixed_k)
+        result = run(list(streams), sample, config)
+        assert result.per_question_calls == {"q0": 1, "q1": 4}
+        out = tmp_path / "predictions.csv"
+        write_predictions_csv(result, _questions({"q0": "a", "q1": "b"}), sample, fixed_k, out)
+
+        def top_mass(qid, calls):
+            posterior = RunningPosterior(fixed_k)
+            for label, confidence in streams[qid][:calls]:
+                posterior.add(label, confidence)
+            return posterior.top()[1]
+
+        rows = read_csv_rows(out)
+        assert [row["question_id"] for row in rows] == ["q0", "q1"]
+        for row in rows:
+            calls = int(row["calls"])
+            assert calls == result.per_question_calls[row["question_id"]]
+            assert row["top_mass"] == repr(top_mass(row["question_id"], calls))
+        assert float(rows[0]["top_mass"]) != top_mass("q0", 4)
 
 
 class TestCompareMethods:
