@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import sys
 from pathlib import Path
@@ -154,6 +155,7 @@ def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> ha
         gamma_grid=getattr(args, "gamma_grid", list(harness.DEFAULT_GAMMA_GRID)),
         seeds=args.seeds,
         estimator=ESTIMATOR_FLAGS[args.estimator],
+        fixed_k=args.k_policy,
         store=store,
         endpoint=endpoint,
         record_store=record_store,
@@ -174,7 +176,6 @@ def _method_config(name: str, args: argparse.Namespace) -> ControllerConfig:
         gamma=args.gamma,
         budget=args.budget,
         esc_window=args.window,
-        fixed_k=args.k_policy,
         max_parallel=args.max_parallel,
     )
 
@@ -241,10 +242,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         print(f"(virtual)\t{virtual_mass:.6f}")
     print(f"top: {label} ({mass:.6f})")
     if args.out is not None:
-        import csv as _csv
-
         with args.out.open("w", encoding="utf-8", newline="") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(["label", "mass"])
             writer.writerows(masses.items())
             if virtual_mass > 0.0:
@@ -268,7 +267,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = ControllerConfig(
         method=Method.CGES,
         budget=args.budget,
-        fixed_k=args.k_policy,
         max_parallel=args.max_parallel,
     )
     spec = _build_spec(args, [base])
@@ -287,8 +285,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     store = _open_replay(args, questions)
     config = _method_config(args.method, args)
     sampler = replay_sampler(store, ESTIMATOR_FLAGS[args.estimator])
-    result = run_controller([q.question_id for q in questions], sampler, config)
-    harness.write_predictions_csv(result, questions, sampler, config.fixed_k, args.out)
+    result = run_controller([q.question_id for q in questions], sampler, config, args.k_policy)
+    harness.write_predictions_csv(result, questions, sampler, args.k_policy, args.out)
     acc = harness.accuracy(result.predictions, questions)
     print(f"avg_calls={result.avg_calls:.3f} accuracy={acc:.4f} unresolved={len(result.unresolved)}")
     print(f"wrote {args.out}")

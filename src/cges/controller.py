@@ -2,10 +2,10 @@
 
 Three methods share one sampler interface, a callable
 ``sampler(question_id, round) -> (label, confidence)``, and one loop,
-``run_many``, which serves several configurations sharing one ``fixed_k``
-from one sample stream; ``run`` is its one-configuration form.  Each question
-is one chain of rounds, drawn until no configuration is open on it; a method
-is a stop rule and a predict rule:
+``run_many``, which serves several configurations from one sample stream under
+one K policy, ``fixed_k`` (None selects observed+virtual); ``run`` is its
+one-configuration form.  Each question is one chain of rounds, drawn until no
+configuration is open on it; a method is a stop rule and a predict rule:
 
 * ``cges`` - stop once the top posterior mass reaches the threshold gamma,
   predict the posterior argmax;
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .errors import ConfigurationError
+from .errors import CandidateCountError, ConfigurationError, InvalidSampleError
 from .posterior import Label, RunningPosterior
 
 Sampler = Callable[[str, int], tuple[Label, float]]
@@ -47,7 +47,6 @@ class ControllerConfig:
     gamma: float = 0.9
     budget: int = 16
     esc_window: int = 4
-    fixed_k: Optional[int] = None  # None selects the observed+virtual policy
     max_parallel: int = 1
 
     def __post_init__(self) -> None:
@@ -55,10 +54,8 @@ class ControllerConfig:
             raise ConfigurationError(f"method must be a Method, got {self.method!r}")
         if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
             raise ConfigurationError(f"gamma must be a real number, got {self.gamma!r}")
-        for name in ("budget", "esc_window", "fixed_k", "max_parallel"):
+        for name in ("budget", "esc_window", "max_parallel"):
             value = getattr(self, name)
-            if name == "fixed_k" and value is None:
-                continue  # the observed+virtual policy
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if not 0.0 < self.gamma <= 1.0:
@@ -70,8 +67,6 @@ class ControllerConfig:
                 f"ESC window must lie in [1, budget], got window={self.esc_window} "
                 f"budget={self.budget}"
             )
-        if self.fixed_k is not None and self.fixed_k < 2:
-            raise ConfigurationError(f"fixed K must be >= 2, got {self.fixed_k!r}")
         if self.max_parallel < 1:
             raise ConfigurationError("max_parallel must be >= 1")
 
@@ -87,7 +82,7 @@ class RunResult:
 
 
 def run(
-    questions: Sequence[str], sampler: Sampler, config: ControllerConfig
+    questions: Sequence[str], sampler: Sampler, config: ControllerConfig, fixed_k: Optional[int] = None
 ) -> RunResult:
     """Sample each question round by round until its stop rule fires or the
     budget runs out, then predict.
@@ -96,21 +91,24 @@ def run(
     runs in log space, so a threshold of 1.0 stays unreachable while any
     competing mass is positive.
     """
-    return run_many(questions, sampler, (config,))[0]
+    return run_many(questions, sampler, (config,), fixed_k)[0]
 
 
 def run_many(
-    questions: Sequence[str], sampler: Sampler, configs: Sequence[ControllerConfig]
+    questions: Sequence[str],
+    sampler: Sampler,
+    configs: Sequence[ControllerConfig],
+    fixed_k: Optional[int] = None,
 ) -> tuple[RunResult, ...]:
     """``run`` for several configurations over one shared sample stream.
 
-    The configurations must share ``fixed_k``, and so each question's
-    posterior; run configurations with another ``fixed_k`` in another call.  A
-    question is resampled while any configuration is open, i.e. its stop rule
-    has not fired and its budget is not spent, so each (question, round) is
-    drawn once per call rather than once per configuration.  A configuration
-    keeps the prediction, calls and resolved flag of the round it closes at.
-    Result ``i`` equals ``run(questions, sampler, configs[i])`` whenever the
+    Each question has one posterior under ``fixed_k``, built before its first
+    draw; a draw it refuses raises naming the question and round.  A question
+    is resampled while any configuration is open, i.e. its stop rule has not
+    fired and its budget is not spent, so each (question, round) is drawn once
+    per call rather than once per configuration.  A configuration keeps the
+    prediction, calls and resolved flag of the round it closes at.  Result
+    ``i`` equals ``run(questions, sampler, configs[i], fixed_k)`` whenever the
     sampler serves the same draw each time a (question, round) is asked for.
     Up to the largest ``max_parallel`` chains run at once, and a worker takes
     the next question as soon as its chain ends.  Once a draw raises, no chain
@@ -124,10 +122,6 @@ def run_many(
         raise ConfigurationError("question ids must be unique")
     if not configs:
         raise ConfigurationError("at least one configuration is required")
-    fixed_ks = {config.fixed_k for config in configs}
-    if len(fixed_ks) > 1:
-        raise ConfigurationError(f"configurations run together must share fixed_k, got {fixed_ks}")
-    (fixed_k,) = fixed_ks
     # the threshold ladder: (log gamma, index) of each CGES configuration, ascending
     ladder = sorted(
         (math.log(config.gamma), c)
@@ -155,7 +149,10 @@ def run_many(
             while n_open and not failed.is_set():
                 round_idx += 1
                 label, confidence = sampler(qid, round_idx)
-                posterior.add(label, confidence)
+                try:
+                    posterior.add(label, confidence)
+                except (CandidateCountError, InvalidSampleError) as exc:
+                    raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
                 run_length = run_length + 1 if label == last_label else 1
                 last_label = label
                 closing: dict[int, bool] = {}  # index -> resolved, of those closing this round

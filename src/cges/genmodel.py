@@ -415,12 +415,13 @@ class ConcentrationRow:
     seed: int
 
 
-# a block's (m, trials, K) log terms hold at most this many float64s (256 KB)
+# a block's (m, trials, K) log terms hold at most this many float64s (256 KB),
+# unless m * K alone exceeds it: the block then holds one trial's m * K terms
 BLOCK_ELEMENTS = 2**15
 
 
 def trials_per_block(m: int, k: int) -> int:
-    """Trials drawn together by ``concentration_experiment`` at m rounds and K candidates."""
+    """Trials per ``concentration_experiment`` block at m rounds and K candidates, at least 1."""
     return max(1, BLOCK_ELEMENTS // (m * k))
 
 

@@ -112,6 +112,7 @@ class ExperimentSpec:
     gamma_grid: Sequence[float] = DEFAULT_GAMMA_GRID
     seeds: Sequence[int] = DEFAULT_SEEDS
     estimator: Estimator = Estimator.LNS_ARITHMETIC
+    fixed_k: Optional[int] = None  # the K policy; None selects observed+virtual
     store: Optional[RecordStore] = None
     endpoint: Optional[EndpointConfig] = None
     record_store: Optional[RecordStore] = None
@@ -191,7 +192,7 @@ def _measure(
     qids = [q.question_id for q in spec.questions]
     per_seed = []
     for seed in spec.seeds if spec.store is None else spec.seeds[:1]:
-        results = run_many(qids, _make_sampler(spec, seed), configs)
+        results = run_many(qids, _make_sampler(spec, seed), configs, spec.fixed_k)
         per_seed.append(
             [(result.avg_calls, accuracy(result.predictions, spec.questions)) for result in results]
         )

@@ -151,6 +151,8 @@ class RunningPosterior:
         candidates' aggregate (None if all are named): the one place the
         score formula lives."""
         k = self.effective_k
+        if k < 2:  # observed+virtual with no label yet
+            raise EmptySamplesError("a posterior needs at least one sample")
         log_k_minus_1 = math.log(k - 1)
         n, total_miss = self.n, self.sum_log_miss
         scores = [

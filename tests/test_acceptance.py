@@ -315,8 +315,8 @@ def test_criterion_5_minority_confident_fixture():
         majority = run(["q"], sampler, ControllerConfig(method=Method.SC, budget=3))
         assert majority.predictions["q"] == "a2"  # frequency vote is wrong
 
-        config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3, fixed_k=3)
-        bayes = run(["q"], sampler, config)
+        config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=3)
+        bayes = run(["q"], sampler, config, fixed_k=3)
         assert bayes.predictions["q"] == "a1"
         posterior = RunningPosterior(fixed_k=3)  # over the draws the run took
         for round_idx in range(1, bayes.per_question_calls["q"] + 1):
@@ -633,7 +633,7 @@ def ideal_calibration_z(k, law, seed):
         return labels[round_idx - 1], confs[round_idx - 1]
 
     configs = [
-        ControllerConfig(method=Method.CGES, gamma=gamma, budget=IDEAL_BUDGET, fixed_k=k)
+        ControllerConfig(method=Method.CGES, gamma=gamma, budget=IDEAL_BUDGET)
         for gamma in IDEAL_GAMMAS
     ]
 
@@ -644,7 +644,7 @@ def ideal_calibration_z(k, law, seed):
         return posterior.top()[1]
 
     z = {}
-    for gamma, result in zip(IDEAL_GAMMAS, run_many(qids, sampler, configs)):
+    for gamma, result in zip(IDEAL_GAMMAS, run_many(qids, sampler, configs, fixed_k=k)):
         gaps = np.array(
             [
                 (result.predictions[qid] == truth)

@@ -13,7 +13,12 @@ import pytest
 
 from cges import controller
 from cges.controller import ControllerConfig, Method, run, run_many
-from cges.errors import ConfigurationError, SamplerError
+from cges.errors import (
+    CandidateCountError,
+    ConfigurationError,
+    InvalidSampleError,
+    SamplerError,
+)
 from cges.posterior import CandidateSet, RunningPosterior, Sample, score
 
 
@@ -189,10 +194,9 @@ class TestCgesRun:
     def test_fixed_k_policy_reaches_threshold_faster(self):
         # under fixed K the reserve mass shrinks with K, not with observations
         stream = {"q": [("a", 0.8), ("a", 0.8), ("a", 0.8), ("a", 0.8)]}
-        fixed = ControllerConfig(method=Method.CGES, gamma=0.97, budget=4, fixed_k=2)
-        open_ended = ControllerConfig(method=Method.CGES, gamma=0.97, budget=4)
-        fixed_calls = run(["q"], stream_sampler(stream), fixed).per_question_calls["q"]
-        open_calls = run(["q"], stream_sampler(stream), open_ended).per_question_calls["q"]
+        config = ControllerConfig(method=Method.CGES, gamma=0.97, budget=4)
+        fixed_calls = run(["q"], stream_sampler(stream), config, 2).per_question_calls["q"]
+        open_calls = run(["q"], stream_sampler(stream), config).per_question_calls["q"]
         assert fixed_calls <= open_calls
 
 
@@ -439,8 +443,8 @@ class TestRunMany:
     """``run_many`` serves several configurations from one sample stream."""
 
     @staticmethod
-    def mixed_configs(rng, fixed_k, max_parallel):
-        common = dict(fixed_k=fixed_k, max_parallel=max_parallel)
+    def mixed_configs(rng, max_parallel):
+        common = dict(max_parallel=max_parallel)
         configs = [
             ControllerConfig(method=Method.SC, budget=int(rng.integers(1, 13)), **common),
             ControllerConfig(method=Method.ESC, budget=12, esc_window=2, **common),
@@ -464,15 +468,16 @@ class TestRunMany:
             configs = [
                 config
                 for max_parallel in (1, 2, 8)
-                for config in self.mixed_configs(rng, fixed_k, max_parallel)
+                for config in self.mixed_configs(rng, max_parallel)
             ]
             rng.shuffle(configs)
-            results = run_many(list(streams), sampler, configs)
+            results = run_many(list(streams), sampler, configs, fixed_k)
             assert len(results) == len(configs)
             for config, result in zip(configs, results):
-                assert result == run(list(streams), sampler, config), config
+                assert result == run(list(streams), sampler, config, fixed_k), config
                 # serial and pooled runs agree
-                assert result == run(list(streams), sampler, replace(config, max_parallel=1))
+                serial = replace(config, max_parallel=1)
+                assert result == run(list(streams), sampler, serial, fixed_k)
 
     def test_pooled_chains_under_frequent_thread_switches(self):
         # more workers than cores, switching threads every few bytecodes: each
@@ -512,24 +517,22 @@ class TestRunMany:
     def test_each_key_is_read_once_per_fixed_k(self):
         rng = np.random.default_rng(3)
         streams = skewed_streams(rng, 10, 12)
-        sampler, reads = counting_sampler(streams)
         configs = [
             ControllerConfig(method=Method.CGES, gamma=gamma, budget=12)
             for gamma in (0.7, 0.8, 0.9, 0.99, 0.999)
         ]
-        results = run_many(list(streams), sampler, configs)
-        assert set(reads.values()) == {1}
-        # each question is read as far as its most demanding configuration
-        for qid in streams:
-            deepest = max(result.per_question_calls[qid] for result in results)
-            assert {rnd for q, rnd in reads if q == qid} == set(range(1, deepest + 1))
-
-        # configurations with another fixed_k need their own posterior: another call
-        sampler, reads = counting_sampler(streams)
-        fixed = [replace(config, fixed_k=3) for config in configs]
-        with pytest.raises(ConfigurationError, match="fixed_k"):
-            run_many(list(streams), sampler, fixed + configs)
-        assert reads == {}
+        calls = {}
+        # another K policy is another call, with its own posteriors and its own reads
+        for fixed_k in (None, 3):
+            sampler, reads = counting_sampler(streams)
+            results = run_many(list(streams), sampler, configs, fixed_k)
+            assert set(reads.values()) == {1}
+            # each question is read as far as its most demanding configuration
+            for qid in streams:
+                deepest = max(result.per_question_calls[qid] for result in results)
+                assert {rnd for q, rnd in reads if q == qid} == set(range(1, deepest + 1))
+            calls[fixed_k] = [result.per_question_calls for result in results]
+        assert calls[None] != calls[3]  # the K policy reached the posteriors
 
     def test_top_is_read_at_most_once_per_draw(self, monkeypatch):
         # the thresholds share one top read per round, and the CGES predict
@@ -576,7 +579,7 @@ class TestRunMany:
         streams = skewed_streams(rng, 16, 16)
         for max_parallel in (1, 2):
             built.clear()
-            configs = self.mixed_configs(rng, None, max_parallel)
+            configs = self.mixed_configs(rng, max_parallel)
             results = run_many(list(streams), stream_sampler(streams), configs)
             assert len(built) == len(streams)
             assert all(len({r.per_question_calls[q] for r in results}) > 1 for q in streams)
@@ -584,6 +587,61 @@ class TestRunMany:
     def test_needs_a_configuration(self):
         with pytest.raises(ConfigurationError):
             run_many(["q0"], constant_sampler("a", 0.9), [])
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize(
+        "fixed_k, message",
+        [
+            (1, "must be >= 2, got 1"),
+            (2.5, "must be an int, got 2.5"),
+            (True, "must be an int, got True"),
+            ("3", "must be an int, got '3'"),
+        ],
+    )
+    def test_a_bad_fixed_k_is_refused_before_any_draw(self, fixed_k, message, max_parallel):
+        # K is checked once, by the posterior each chain builds before its first draw
+        streams = {f"q{i}": [("a", 0.9)] * 4 for i in range(4)}
+        config = ControllerConfig(method=Method.CGES, budget=4, max_parallel=max_parallel)
+        sampler, reads = counting_sampler(streams)
+        with pytest.raises(CandidateCountError, match=f"^fixed candidate count {message}$"):
+            run(list(streams), sampler, config, fixed_k)
+        with pytest.raises(CandidateCountError, match=f"^fixed candidate count {message}$"):
+            run_many(list(streams), sampler, [config, replace(config, method=Method.SC)], fixed_k)
+        assert reads == {}
+
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize(
+        "fixed_k, q1, error, message",
+        [
+            # a stub that serves confidence 1.0
+            (
+                None,
+                ("a", 1.0),
+                InvalidSampleError,
+                r"confidence must lie strictly inside \(0, 1\), got 1\.0",
+            ),
+            # a third label under K = 2
+            (
+                2,
+                ("c", 0.6),
+                CandidateCountError,
+                "fixed candidate count 2 is smaller than the 3 distinct labels observed",
+            ),
+        ],
+        ids=["confidence", "fixed_k"],
+    )
+    def test_a_refused_draw_names_its_question_and_round(
+        self, fixed_k, q1, error, message, max_parallel
+    ):
+        streams = {
+            "q0": [("a", 0.9)] * 4,
+            "q1": [("a", 0.6), ("b", 0.6), q1, ("a", 0.6)],
+            "q2": [("a", 0.9)] * 4,
+        }
+        config = ControllerConfig(method=Method.SC, budget=4, max_parallel=max_parallel)
+        with pytest.raises(error, match=f"^question 'q1' round 3: {message}$") as caught:
+            run(list(streams), stream_sampler(streams), config, fixed_k)
+        assert type(caught.value.__cause__) is error  # the posterior's own error, chained
 
 
 class TestConfigValidation:
@@ -601,10 +659,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ControllerConfig(method=Method.ESC, budget=4, esc_window=5)
 
-    def test_fixed_k_bound(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(fixed_k=1)
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -612,8 +666,6 @@ class TestConfigValidation:
             ("budget", True),
             ("budget", "4"),
             ("esc_window", 2.0),
-            ("fixed_k", 2.5),
-            ("fixed_k", True),
             ("max_parallel", 1.5),
             ("max_parallel", False),
         ],

@@ -52,8 +52,18 @@ REPLAY_GOLDENS = pytest.mark.parametrize(
         (["replay", "--k-policy", "fixed:3", "--gamma", "0.95"], "golden_replay_fixed_k.csv"),
         (["run", "--seeds", "0"], "golden_run.csv"),
         (["sweep", "--seeds", "0"], "golden_sweep.csv"),
+        # at gamma 0.85 cges reads 1.75 calls under fixed:3 against 1.5 under
+        # observed+virtual, so a K lost on its way to the posterior fails these
+        (
+            ["run", "--seeds", "0", "--gamma", "0.85", "--k-policy", "fixed:3"],
+            "golden_run_fixed_k.csv",
+        ),
+        (["sweep", "--seeds", "0", "--k-policy", "fixed:3"], "golden_sweep_fixed_k.csv"),
     ],
-    ids=["replay", "replay_sc", "replay_esc", "replay_fixed_k", "run", "sweep"],
+    ids=[
+        "replay", "replay_sc", "replay_esc", "replay_fixed_k", "run", "sweep",
+        "run_fixed_k", "sweep_fixed_k",
+    ],
 )
 
 
@@ -239,8 +249,8 @@ class TestWritePredictionsCsv:
         def sample(question_id, round_idx):
             return streams[question_id][round_idx - 1]
 
-        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4, fixed_k=fixed_k)
-        result = run(list(streams), sample, config)
+        config = ControllerConfig(method=Method.CGES, gamma=0.9, budget=4)
+        result = run(list(streams), sample, config, fixed_k)
         assert result.per_question_calls == {"q0": 1, "q1": 4}
         out = tmp_path / "predictions.csv"
         write_predictions_csv(result, _questions({"q0": "a", "q1": "b"}), sample, fixed_k, out)
@@ -657,6 +667,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:4: bad sample record: ")
         assert "fixed candidate count 2 is smaller than the 3 distinct labels" in err
+
+    @pytest.mark.parametrize(
+        "command", [["replay"], ["run", "--seeds", "0"]], ids=["replay", "run"]
+    )
+    def test_a_fixed_k_overflow_names_its_question_and_round(
+        self, tmp_path, capsys, command, mini_store
+    ):
+        # q1's four rounds answer a, b, c, d: K = 2 cannot hold round 3's label
+        lines = mini_store.read_text().splitlines()
+        for round_idx, label in enumerate("abcd", start=1):
+            record = json.loads(lines[round_idx - 1])
+            assert (record["question_id"], record["round"]) == ("q1", round_idx)
+            record["extracted_label"] = label
+            lines[round_idx - 1] = json.dumps(record)
+        mini_store.write_text("\n".join(lines) + "\n")
+        argv = [
+            *command,
+            "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
+            "--replay", str(mini_store),
+            "--budget", "4",
+            "--gamma", "0.999",
+            "--k-policy", "fixed:2",
+            "--out", str(tmp_path / "out.csv"),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: question 'q1' round 3: fixed candidate count 2 is smaller than "
+            "the 3 distinct labels observed\n"
+        )
 
     @pytest.mark.parametrize("text", ["", "\n \n"], ids=["no-lines", "blank-lines"])
     def test_score_command_names_a_file_without_samples(self, tmp_path, capsys, text):

@@ -490,6 +490,28 @@ class TestRunningPosterior:
         with pytest.raises(EmptySamplesError):
             RunningPosterior(fixed_k=3, labels=("x",)).top()
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            "top_index_and_log_mass", "top_log_mass", "log_scores", "reserve_log_score",
+            "top", "masses", "virtual_mass",
+        ],
+    )
+    def test_every_read_of_an_empty_posterior_needs_a_sample(self, read):
+        # K = 1 under observed+virtual: a read used to fail on log(K - 1)
+        with pytest.raises(EmptySamplesError, match="^a posterior needs at least one sample$"):
+            value = getattr(RunningPosterior(), read)  # a property raises here
+            value()  # a method here
+
+    def test_empty_posteriors_with_k_of_two_or_more_read_as_before(self):
+        # named labels, or a fixed K, give K >= 2 before any sample
+        assert RunningPosterior(labels=("x",)).log_scores() == {"x": 0.0}
+        assert RunningPosterior(labels=("x",)).top_index_and_log_mass() == (0, -math.log(2))
+        assert RunningPosterior(fixed_k=3).log_scores() == {}
+        assert RunningPosterior(fixed_k=3).reserve_log_score() == math.log(3)
+        with pytest.raises(EmptySamplesError, match="no real candidates"):
+            RunningPosterior(fixed_k=3).top_log_mass()
+
     def test_simulator_log_scores_share_the_formula(self):
         # the simulator's numpy sum over rounds and the running sums score alike under fixed K
         rng = np.random.default_rng(41)
