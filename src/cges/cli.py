@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import sys
@@ -37,18 +38,28 @@ def _parse_k_policy(text: str) -> Optional[int]:
     if text == "observed+virtual":
         return None
     if text.startswith("fixed:"):
-        return int(text.split(":", 1)[1])
+        with contextlib.suppress(ValueError):  # a K that is not an integer
+            return int(text.split(":", 1)[1])
     raise argparse.ArgumentTypeError(
-        f"k policy must be 'observed+virtual' or 'fixed:K', got {text!r}"
+        f"k policy must be 'observed+virtual' or 'fixed:K' with an integer K, got {text!r}"
     )
 
 
+def _parse_list(kind: type, what: str, text: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {what}, got {text!r}"
+        ) from None
+
+
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _parse_list(int, "integers such as 1,5,25", text)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _parse_list(float, "numbers such as 0.8,0.9,0.95", text)
 
 
 def build_parser() -> argparse.ArgumentParser:

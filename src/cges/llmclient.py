@@ -14,11 +14,11 @@ import contextlib
 import json
 import json.scanner
 import logging
+import marshal
 import math
 import operator
 import os
 import re
-import struct
 import sys
 import threading
 import time
@@ -302,9 +302,10 @@ class StoreMode(Enum):
 
 # A replay index's format, part of its key: bump it whenever what a load accepts
 # or keeps changes (``_decode_line``, ``_check_record`` and its type sets,
-# ``RecordStore._keep``, ``RecordStore._load``), or the index's own layout does,
+# ``RecordStore._keep``, ``RecordStore._load``), or the index's own layout does
+# (``_index_header``, ``RecordStore._write_index``, ``RecordStore._load_index``),
 # so that no index written before is read.
-INDEX_FORMAT = "cges-index/2"
+INDEX_FORMAT = "cges-index/3"
 INDEX_SUFFIX = ".cges-index"
 _BLOCK = 1 << 16  # bytes per read when hashing a store
 
@@ -317,6 +318,12 @@ def _store_key(path: Path) -> tuple[int, int]:
             size += len(block)
             crc = zlib.crc32(block, crc)
     return size, crc
+
+
+def _index_header(size: int, crc: int, payload: bytes) -> bytes:
+    """A replay index's first line: ``INDEX_FORMAT``, the ``marshal`` version,
+    the store's byte length and CRC-32, and the CRC-32 of the payload after it."""
+    return f"{INDEX_FORMAT} {marshal.version} {size} {crc} {zlib.crc32(payload)}\n".encode()
 
 
 class RecordStore:
@@ -332,13 +339,15 @@ class RecordStore:
     loaded.
 
     A replay open that has loaded and checked every line writes the two maps
-    to a replay index beside the store (``<store>.cges-index``), keyed by the
-    store's byte length, its CRC-32 and ``INDEX_FORMAT``.  A later replay open
-    whose key matches rebuilds the maps from the index and decodes no store
-    line; any miss (no index, a torn, garbled or foreign one, a key that does
-    not match) loads the store in full and writes the index anew.  An index
-    that cannot be written is skipped.  Record mode neither reads nor writes
-    an index.
+    to a replay index beside the store (``<store>.cges-index``): one header
+    line holding ``INDEX_FORMAT``, the ``marshal`` version, the store's byte
+    length and CRC-32 and the payload's CRC-32, then both maps as one
+    ``marshal`` payload.  A later replay open whose header matches the store
+    and the payload rebuilds the maps, in the order a full load keeps, and
+    decodes no store line; any miss (no index, a torn, garbled or foreign one,
+    a store that does not match) loads the store in full and writes the index
+    anew.  An index that cannot be written is skipped.  Record mode neither
+    reads nor writes an index.
     """
 
     def __init__(self, path: Union[str, Path], mode: StoreMode) -> None:
@@ -429,47 +438,16 @@ class RecordStore:
 
     def _write_index(self, index: Path, size: int, crc: int) -> None:
         """Write the replay index of the maps loaded from ``size`` store bytes of
-        CRC-32 ``crc``: a header line, one line per question, and a last line
-        holding the CRC-32 of the lines before it.  It is written to a temporary
-        file beside the index and renamed over it; if that fails, the store has
-        no index and no temporary file is left."""
-        labels: dict[str, int] = {}  # value -> its place in the header's table
-        prompts: dict[str, int] = {}
-        for rounds in self._rounds.values():
-            for label, _, prompt, _ in rounds.values():
-                labels.setdefault(label, len(labels))
-                prompts.setdefault(prompt, len(prompts))
-        header = {
-            "format": INDEX_FORMAT, "store_bytes": size, "store_crc32": crc,
-            "questions": len(self._rounds), "names": list(self._columns),
-            "labels": list(labels), "prompts": list(prompts),
-        }
-        columns = list(self._columns.values())
-        encode = json.JSONEncoder(separators=(",", ":")).encode
+        CRC-32 ``crc``: its header line, then both maps as one ``marshal``
+        payload.  It is written to a temporary file beside the index and renamed
+        over it; if that fails, the store has no index and no temporary file is
+        left."""
+        payload = marshal.dumps((self._rounds, self._columns))
         temp = index.with_name(f"{index.name}.{os.getpid()}-{threading.get_ident()}.tmp")
         try:
             with temp.open("wb") as handle:
-                index_crc = zlib.crc32(head := (encode(header) + "\n").encode())
-                handle.write(head)
-                for question_id, rounds in self._rounds.items():
-                    round_labels, seeds, round_prompts, lines = zip(*rounds.values())
-                    entry = [
-                        question_id, list(rounds), [labels[label] for label in round_labels],
-                        seeds, [prompts[prompt] for prompt in round_prompts], lines,
-                        [  # per estimator with this question: its confidence in each round as
-                            # little-endian doubles in hex, NaN where the record lacks it
-                            [j, struct.pack(
-                                f"<{len(rounds)}d",
-                                *[confidences.get(round_idx, math.nan) for round_idx in rounds],
-                            ).hex()]
-                            for j, column in enumerate(columns)
-                            if (confidences := column.get(question_id)) is not None
-                        ],
-                    ]
-                    line = (encode(entry) + "\n").encode()
-                    index_crc = zlib.crc32(line, index_crc)
-                    handle.write(line)
-                handle.write(f'{{"index_crc32": {index_crc}}}\n'.encode())
+                handle.write(_index_header(size, crc, payload))
+                handle.write(payload)
             os.replace(temp, index)
         except OSError as exc:
             logger.debug("%s: replay index not written: %s", index, exc)
@@ -478,44 +456,17 @@ class RecordStore:
                 temp.unlink()
 
     def _load_index(self, index: Path) -> bool:
-        """Rebuild the maps from the replay index if its format and key match
-        the store; False, keeping nothing, on any miss."""
+        """Rebuild the maps from the replay index if its header line is the one
+        this store and the payload after it call for; False, keeping nothing, on
+        any miss.  The payload is decoded only once its CRC-32 has matched."""
         try:
             with index.open("rb") as handle:
-                head = handle.readline()
-                header = json.loads(head)
-                if header["format"] != INDEX_FORMAT or (
-                    header["store_bytes"], header["store_crc32"]
-                ) != _store_key(self.path):
-                    return False
-                labels, prompts = header["labels"], header["prompts"]
-                rounds_by_question: dict[str, dict[int, tuple[str, int, str, int]]] = {}
-                columns_by_name: dict[str, dict[str, dict[int, float]]] = {
-                    name: {} for name in header["names"]
-                }
-                columns_of = list(columns_by_name.values())
-                index_crc = zlib.crc32(head)
-                for _ in range(header["questions"]):
-                    line = handle.readline()
-                    index_crc = zlib.crc32(line, index_crc)
-                    question_id, keys, label_ids, seeds, prompt_ids, lines, columns = (
-                        json.loads(line)
-                    )
-                    rounds_by_question[question_id] = dict(zip(keys, zip(
-                        map(labels.__getitem__, label_ids), seeds,
-                        map(prompts.__getitem__, prompt_ids), lines, strict=True,
-                    ), strict=True))
-                    for j, packed in columns:
-                        confidences = struct.unpack(f"<{len(keys)}d", bytes.fromhex(packed))
-                        column = dict(zip(keys, confidences))
-                        if any(map(math.isnan, confidences)):  # rounds lacking this estimator
-                            column = {key: c for key, c in column.items() if not math.isnan(c)}
-                        columns_of[j][question_id] = column
-                if json.loads(handle.readline()) != {"index_crc32": index_crc} or handle.read(1):
-                    return False
-        except (OSError, ValueError, LookupError, TypeError, struct.error):
+                header, payload = handle.readline(), handle.read()
+            if header != _index_header(*_store_key(self.path), payload):
+                return False
+            self._rounds, self._columns = marshal.loads(payload)
+        except (OSError, ValueError, EOFError, TypeError):
             return False
-        self._rounds, self._columns = rounds_by_question, columns_by_name
         return True
 
     @classmethod

@@ -520,6 +520,24 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("score --samples s.jsonl", "--k-policy", "fixed:abc"),
+            ("run --dataset d.jsonl --replay s.jsonl", "--seeds", "0,a"),
+            ("simulate --out o.csv", "--m-schedule", "1,x"),
+            ("sweep --dataset d.jsonl --replay s.jsonl --out o.csv", "--gamma-grid", "0.9,abc"),
+        ],
+        ids=["k-policy", "seeds", "m-schedule", "gamma-grid"],
+    )
+    def test_a_malformed_flag_value_names_the_accepted_form(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command.split(), flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and f"got {value!r}" in err
+        assert "_parse_" not in err
+
+    @pytest.mark.parametrize(
         "schedule, named",
         [("", "m_schedule"), ("0", "got 0"), ("5,-1", "got -1")],
         ids=["empty", "zero", "negative"],

@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import json
 import logging
+import marshal
 import math
 import os
 import ssl
@@ -18,6 +19,7 @@ import tempfile
 import textwrap
 import threading
 import tracemalloc
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from cges.llmclient import (
     _TOKEN_PROBS_TYPES,
     _check_record,
     _decode_line,
+    _index_header,
     _open_lines,
     _parse_completion,
     derive_seed,
@@ -634,10 +637,14 @@ class TestStoreLayout:
 
 def store_layout(store):
     """Everything a replay reads of a load, with the order of questions,
-    rounds and estimator names."""
+    rounds and estimator names, and of the questions and rounds in each
+    estimator's column."""
     return (
         [(question_id, list(rounds.items())) for question_id, rounds in store._rounds.items()],
-        list(store._columns.items()),
+        [
+            (name, [(question_id, list(rounds.items())) for question_id, rounds in column.items()])
+            for name, column in store._columns.items()
+        ],
     )
 
 
@@ -646,8 +653,18 @@ def index_of(path):
 
 
 def packed_double(value):
-    """A confidence as the replay index writes it: a little-endian double in hex."""
-    return struct.pack("<d", value).hex().encode()
+    """A confidence as the replay index writes it: ``marshal``'s little-endian double."""
+    return struct.pack("<d", value)
+
+
+def reheaded_index(index, version=marshal.version, payload=None):
+    """The index bytes with another ``marshal`` version in their header line, or
+    another payload, each under a header whose payload CRC-32 matches."""
+    header, kept = index.split(b"\n", 1)
+    payload = kept if payload is None else payload
+    fields = header.split(b" ")  # format, marshal version, store bytes and CRC, payload CRC
+    fields[1], fields[-1] = str(version).encode(), str(zlib.crc32(payload)).encode()
+    return b" ".join(fields) + b"\n" + payload
 
 
 def open_replay_decoding(path):
@@ -771,7 +788,7 @@ class TestReplayIndex:
             lambda index: index.write_bytes(
                 index.read_bytes().replace(packed_double(0.85), packed_double(0.95), 1)
             ),
-            lambda index: index.write_bytes(index.read_bytes().replace(b'"q0"', b'"q9"', 1)),
+            lambda index: index.write_bytes(index.read_bytes().replace(b"q0", b"q9", 1)),
             lambda index: index.write_text(""),
         ],
         ids=["torn", "torn-last-line", "trailing-bytes", "garbled-number", "garbled-id", "empty"],
@@ -791,8 +808,14 @@ class TestReplayIndex:
             ),
             lambda index: index.write_text("[1, 2, 3]\n"),
             lambda index: index.write_bytes(b"\x80\x04\x95 not json\n"),
+            lambda index: index.write_bytes(
+                reheaded_index(index.read_bytes(), version=marshal.version + 1)
+            ),
+            lambda index: index.write_bytes(
+                reheaded_index(index.read_bytes(), payload=marshal.dumps([1, 2, 3]))
+            ),
         ],
-        ids=["older-format", "other-json", "binary"],
+        ids=["older-format", "other-json", "binary", "other-marshal-version", "other-payload"],
     )
     def test_a_foreign_index_falls_back_to_a_full_load(self, tmp_path, foreign):
         path = tmp_path / "store.jsonl"
@@ -855,8 +878,8 @@ class TestReplayIndex:
     # bump INDEX_FORMAT (an index written before then misses once) and pin the
     # new pair here.
     PINNED_FORMAT = (
-        "cges-index/2",
-        "f746d6b9d3934796c04cdfdb2a284a5c46e09d3465f52e243265766c1bd75cc8",
+        "cges-index/3",
+        "0265140847446fc7d129f55dd42b3b648a6380c54ad67c45a88ad1f96e9f725e",
     )
 
     def test_index_format_is_bumped_with_what_a_load_checks_or_keeps(self):
@@ -869,7 +892,7 @@ class TestReplayIndex:
         ]
         for function in (
             _open_lines, _decode_line, _check_record, RecordStore._keep, RecordStore._load,
-            RecordStore._write_index, RecordStore._load_index,
+            _index_header, RecordStore._write_index, RecordStore._load_index,
         ):
             tree = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0]
             body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
