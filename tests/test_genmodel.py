@@ -340,7 +340,40 @@ class TestRoundTerms:
             assert estimate.std_err[j] == float(expected.std(ddof=1) / math.sqrt(n_mc))
 
 
+def _old_ideal_drift(k, c):
+    """The ideal regime's closed form as first written: (c - theta) * log(c / theta)."""
+    theta = (1.0 - c) / (k - 1)
+    return (c - theta) * (math.log(c) - math.log(theta))
+
+
+def _old_realistic_drift(probs, c, j):
+    """The realistic regime's closed form as first written: (P_0 - P_j) * log(c / theta)."""
+    theta = (1.0 - c) / (len(probs) - 1)
+    return (probs[0] - probs[j]) * (math.log(c) - math.log(theta))
+
+
 class TestDrift:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("c", [0.05, 0.25, 0.3, 0.5, 0.7, 0.9, 0.999])
+    def test_ideal_closed_form_is_exact(self, k, c):
+        estimate = drift(IdealGenConfig(k=k, confidence_law=PointMass(c)))
+        assert estimate.mu == {j: _old_ideal_drift(k, c) for j in range(1, k)}
+        assert estimate.std_err == {j: 0.0 for j in range(1, k)}
+
+    @pytest.mark.parametrize(
+        "probs",
+        [(0.4, 0.6), (0.6, 0.4), (0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.4, 0.3, 0.2, 0.1),
+         (0.1, 0.2, 0.3, 0.2, 0.2)],
+    )
+    @pytest.mark.parametrize("c", [0.1, 0.3, 0.7, 0.95])
+    def test_realistic_closed_form_is_exact(self, probs, c):
+        config = RealisticGenConfig(
+            k=len(probs), answer_law=PointSimplex(probs), confidence_noise=PointMass(c)
+        )
+        estimate = drift(config)
+        assert estimate.mu == {j: _old_realistic_drift(probs, c, j) for j in range(1, len(probs))}
+        assert estimate.std_err == {j: 0.0 for j in range(1, len(probs))}
+
     def test_ideal_closed_form(self):
         config = IdealGenConfig(k=2, confidence_law=PointMass(0.7))
         estimate = drift(config)

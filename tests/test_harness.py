@@ -578,8 +578,15 @@ class TestCli:
                 ],
                 "golden_simulate_ideal_k4.csv",
             ),
+            (
+                [
+                    "--k", "3", "--confidence-law", "point:0.7",
+                    "--m-schedule", "1,10,100", "--trials", "300", "--seed", "5",
+                ],
+                "golden_simulate_ideal_point.csv",
+            ),
         ],
-        ids=["ideal", "realistic", "dirichlet", "ideal-k4"],
+        ids=["ideal", "realistic", "dirichlet", "ideal-k4", "ideal-point"],
     )
     def test_simulate_outputs_match_golden_files(self, tmp_path, capsys, options, golden):
         out = tmp_path / golden
