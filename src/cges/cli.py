@@ -25,12 +25,8 @@ from .errors import CGESError, ConfigurationError
 from .llmclient import EndpointConfig, RecordStore, read_jsonl, replay_sampler
 from .posterior import RunningPosterior
 
-ESTIMATOR_FLAGS = {
-    "lns-arith": Estimator.LNS_ARITHMETIC,
-    "lns-geo": Estimator.LNS_GEOMETRIC,
-    "mars": Estimator.MARS_STEPWISE,
-    "rm": Estimator.REWARD_PASSTHROUGH,
-}
+# each estimator's flag is its store key with "-" for "_": lns-arith, lns-geo, mars, rm
+ESTIMATOR_FLAGS = {estimator.value.replace("_", "-"): estimator for estimator in Estimator}
 
 
 def _parse_k_policy(text: str) -> Optional[int]:
@@ -75,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=["ideal", "realistic"], default="ideal")
     sim.add_argument("--k", type=int, default=2)
     sim.add_argument("--confidence-law", default="uniform:0.55,0.95")
-    sim.add_argument("--answer-law", default="point:0.5,0.5", help="realistic mode only")
+    sim.add_argument("--answer-law", help="realistic mode only; default point:0.5,0.5")
     sim.add_argument("--m-schedule", type=_parse_int_list, default=[1, 5, 25, 100])
     sim.add_argument("--trials", type=int, default=200)
     sim.add_argument("--seed", type=int, default=0)
@@ -112,39 +108,40 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(handler=cmd_sweep)
 
     rep = sub.add_parser("replay", help="re-execute one method from a record store")
-    rep.add_argument("--dataset", type=Path, required=True)
+    _add_shared_flags(rep)
     rep.add_argument("--replay", type=Path, required=True)
     rep.add_argument("--method", choices=["sc", "esc", "cges"], default="cges")
     rep.add_argument("--gamma", type=float, default=0.9)
-    rep.add_argument("--budget", type=int, default=16)
     rep.add_argument("--window", type=int, default=4)
-    rep.add_argument("--estimator", choices=sorted(ESTIMATOR_FLAGS), default="lns-arith")
-    rep.add_argument("--k-policy", type=_parse_k_policy, default=None)
-    rep.add_argument("--max-parallel", type=int, default=1)
     rep.add_argument("--out", type=Path, required=True)
     rep.set_defaults(handler=cmd_replay)
 
     return parser
 
 
-def _add_source_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
+    """The dataset and run flags that run, sweep and replay all take."""
     parser.add_argument("--dataset", type=Path, required=True)
+    parser.add_argument("--budget", type=int, default=16)
+    parser.add_argument("--estimator", choices=sorted(ESTIMATOR_FLAGS), default="lns-arith")
+    parser.add_argument("--k-policy", type=_parse_k_policy, default=None)
+    parser.add_argument("--max-parallel", type=int, default=1)
+
+
+def _add_source_flags(parser: argparse.ArgumentParser) -> None:
+    _add_shared_flags(parser)
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--replay", type=Path, help="replay store path")
     source.add_argument("--endpoint-config", type=Path, help="endpoint JSON config")
     parser.add_argument(
         "--record", type=Path, help="record live samples to this store; needs --endpoint-config"
     )
-    parser.add_argument("--budget", type=int, default=16)
-    parser.add_argument("--estimator", choices=sorted(ESTIMATOR_FLAGS), default="lns-arith")
-    parser.add_argument("--k-policy", type=_parse_k_policy, default=None)
     parser.add_argument(
         "--seeds",
         type=_parse_int_list,
         default=list(harness.DEFAULT_SEEDS),
         help="base seeds to average over; live endpoints only, a replay runs once",
     )
-    parser.add_argument("--max-parallel", type=int, default=1)
 
 
 def _build_spec(args: argparse.Namespace, methods: list[ControllerConfig]) -> harness.ExperimentSpec:
@@ -197,6 +194,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # at least 1, so a bad schedule entry is named by the experiment, not as m_max
     m_max = max([1, *args.m_schedule])
     if args.mode == "ideal":
+        if args.answer_law is not None:
+            raise ConfigurationError("--answer-law applies to --mode realistic only")
         config: genmodel.GenConfig = genmodel.IdealGenConfig(
             k=args.k,
             confidence_law=genmodel.parse_scalar_law(args.confidence_law),
@@ -204,9 +203,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     else:
+        answer_law = "point:0.5,0.5" if args.answer_law is None else args.answer_law
         config = genmodel.RealisticGenConfig(
             k=args.k,
-            answer_law=genmodel.parse_simplex_law(args.answer_law),
+            answer_law=genmodel.parse_simplex_law(answer_law),
             confidence_noise=genmodel.parse_scalar_law(args.confidence_law),
             m_max=m_max,
             seed=args.seed,

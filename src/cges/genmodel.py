@@ -12,8 +12,9 @@ The API:
 
 * ``draw_trials`` draws a block of n questions of m rounds at once, in either
   regime;
-* ``drift`` is the expected per-round log-likelihood-ratio increment, in
-  closed form for point-mass laws and by Monte Carlo otherwise;
+* ``drift`` is the expected per-round log-likelihood-ratio increment, in one
+  closed form for point-mass laws in both regimes and by Monte Carlo
+  otherwise;
 * ``concentration_experiment`` scores blocks of ``draw_trials`` at each round
   count m of a schedule, and ``write_concentration_csv`` writes its rows.
 
@@ -228,14 +229,10 @@ class RealisticGenConfig:
         _check_counts(self)
         _check_law("answer law", self.answer_law, SimplexLaw)
         _check_law("confidence noise", self.confidence_noise, ScalarLaw)
-        if isinstance(self.answer_law, PointSimplex) and len(self.answer_law.probs) != self.k:
-            raise ConfigurationError(
-                f"answer law has {len(self.answer_law.probs)} entries for k={self.k}"
-            )
-        if isinstance(self.answer_law, Dirichlet) and len(self.answer_law.alphas) != self.k:
-            raise ConfigurationError(
-                f"answer law has {len(self.answer_law.alphas)} entries for k={self.k}"
-            )
+        law = self.answer_law
+        entries = len(law.probs if isinstance(law, PointSimplex) else law.alphas)
+        if entries != self.k:
+            raise ConfigurationError(f"answer law has {entries} entries for k={self.k}")
 
 
 GenConfig = Union[IdealGenConfig, RealisticGenConfig]
@@ -347,39 +344,26 @@ def drift(config: GenConfig, rng: Optional[np.random.Generator] = None) -> Drift
     otherwise by Monte Carlo over ``DRIFT_N_MC`` rounds drawn from ``rng``
     (seeded with ``config.seed`` when not given).
 
-    The closed forms: ideal with constant confidence c has drift
-    (c - theta) * log(c / theta) against every competitor, with
-    theta = (1 - c)/(K - 1); realistic with constant P and c has drift
-    (P_0 - P_j) * log(c / theta) against competitor j.
+    The closed form: with constant answer law P and constant confidence c,
+    the drift against competitor j is (P_0 - P_j) * log(c / theta), with
+    theta = (1 - c)/(K - 1).  The ideal regime is the case whose answer law
+    is calibrated, P = (c, theta, ..., theta), so its drift against every
+    competitor is (c - theta) * log(c / theta).
     """
-    if _closed_form_available(config):
-        return _drift_closed_form(config)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return _drift_monte_carlo(config, DRIFT_N_MC, rng)
-
-
-def _closed_form_available(config: GenConfig) -> bool:
-    if isinstance(config, IdealGenConfig):
-        return isinstance(config.confidence_law, PointMass)
-    return isinstance(config.answer_law, PointSimplex) and isinstance(
-        config.confidence_noise, PointMass
-    )
-
-
-def _drift_closed_form(config: GenConfig) -> DriftEstimate:
     k = config.k
     if isinstance(config, IdealGenConfig):
-        c = config.confidence_law.value
-        theta = (1.0 - c) / (k - 1)
-        value = (c - theta) * (math.log(c) - math.log(theta))
-        mu = {j: value for j in range(1, k)}
+        noise, answers = config.confidence_law, None  # P is calibrated, built below
     else:
-        c = config.confidence_noise.value
-        theta = (1.0 - c) / (k - 1)
-        log_ratio = math.log(c) - math.log(theta)
-        probs = config.answer_law.probs
-        mu = {j: (probs[0] - probs[j]) * log_ratio for j in range(1, k)}
+        noise, answers = config.confidence_noise, config.answer_law
+    if not isinstance(noise, PointMass) or isinstance(answers, Dirichlet):
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        return _drift_monte_carlo(config, DRIFT_N_MC, rng)
+    c = noise.value
+    theta = (1.0 - c) / (k - 1)
+    probs = (c,) + (theta,) * (k - 1) if answers is None else answers.probs
+    log_ratio = math.log(c) - math.log(theta)
+    mu = {j: (probs[0] - probs[j]) * log_ratio for j in range(1, k)}
     return DriftEstimate(mu, {j: 0.0 for j in mu})
 
 

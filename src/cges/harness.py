@@ -10,10 +10,10 @@ plain-text summary.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from statistics import fmean
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, RunResult, Sampler, run_many
@@ -254,29 +254,27 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_comparison_csv(report: ComparisonReport, path: Union[str, Path]) -> None:
+def _write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The framing of every report file: UTF-8 CSV, a header line, then ``rows``."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["method", "gamma", "avg_calls", "accuracy", "delta_calls", "delta_acc"])
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.method,
-                    _cell(row.gamma),
-                    row.avg_calls,
-                    row.accuracy,
-                    _cell(row.delta_calls),
-                    _cell(row.delta_acc),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_records(path: Union[str, Path], kind: type, records: Iterable) -> None:
+    """One line per dataclass record: a column per field of ``kind``, in
+    declaration order, with None as an empty cell."""
+    header = [field.name for field in fields(kind)]
+    _write_csv(path, header, ([_cell(value) for value in astuple(record)] for record in records))
+
+
+def write_comparison_csv(report: ComparisonReport, path: Union[str, Path]) -> None:
+    _write_records(path, MethodRow, report.rows)
 
 
 def write_curve_csv(curve: Sequence[CurvePoint], path: Union[str, Path]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["gamma", "avg_calls", "accuracy"])
-        for point in curve:
-            writer.writerow([point.gamma, point.avg_calls, point.accuracy])
+    _write_records(path, CurvePoint, curve)
 
 
 def write_predictions_csv(
@@ -291,25 +289,19 @@ def write_predictions_csv(
     ``top_mass`` folds rounds 1..calls of each question from ``sampler`` under
     ``fixed_k``, so the sampler must serve the same draws again, as replay does.
     """
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["question_id", "prediction", "calls", "top_mass", "resolved"])
-        unresolved = set(result.unresolved)
+    unresolved = set(result.unresolved)
+
+    def rows() -> Iterator[list]:
         for question in questions:
             qid = question.question_id
             calls = result.per_question_calls[qid]
             posterior = RunningPosterior(fixed_k)
             for round_idx in range(1, calls + 1):
                 posterior.add(*sampler(qid, round_idx))
-            writer.writerow(
-                [
-                    qid,
-                    result.predictions[qid],
-                    calls,
-                    posterior.top()[1],
-                    int(qid not in unresolved),
-                ]
-            )
+            resolved = int(qid not in unresolved)
+            yield [qid, result.predictions[qid], calls, posterior.top()[1], resolved]
+
+    _write_csv(path, ["question_id", "prediction", "calls", "top_mass", "resolved"], rows())
 
 
 def summarize_report(report: ComparisonReport) -> str:

@@ -516,13 +516,18 @@ class RecordStore:
             default=None,
         )
         if first is not None:
-            line, question_id, round_idx = first
-            available = ", ".join(sorted(self._confidences(question_id, round_idx))) or "none"
-            raise ConfigurationError(
-                f"{self.path}:{line}: record for question "
-                f"{question_id!r} round {round_idx} has no {key!r} confidence "
-                f"(available: {available})"
-            )
+            _, question_id, round_idx = first
+            raise ConfigurationError(self._missing_confidence(question_id, round_idx, key))
+
+    def _missing_confidence(self, question_id: str, round_idx: int, key: str) -> str:
+        """The refusal of a kept record that has no ``key`` confidence, naming its
+        ``path:line`` and the estimators it has."""
+        line = self._rounds[question_id][round_idx][3]
+        available = ", ".join(sorted(self._confidences(question_id, round_idx))) or "none"
+        return (
+            f"{self.path}:{line}: record for question {question_id!r} round {round_idx} "
+            f"has no {key!r} confidence (available: {available})"
+        )
 
     def append(self, record: SampleRecord) -> None:
         if self.mode is not StoreMode.RECORD:
@@ -719,20 +724,6 @@ def _estimator_key(estimator: Union[Estimator, str]) -> str:
     return estimator.value if isinstance(estimator, Estimator) else str(estimator)
 
 
-def _confidence(
-    confidences: Mapping[str, float], key: str, question_id: str, round_idx: int
-) -> float:
-    try:
-        return confidences[key]
-    except KeyError:
-        available = sorted(confidences) or ["none"]
-        raise SamplerError(
-            f"record for question {question_id!r} round {round_idx} has no "
-            f"{key!r} confidence (available: {', '.join(available)}); the record may "
-            "be degraded (missing token log-probabilities)"
-        ) from None
-
-
 def replay_sampler(
     store: RecordStore, estimator: Union[Estimator, str] = Estimator.LNS_ARITHMETIC
 ) -> Sampler:
@@ -751,9 +742,7 @@ def replay_sampler(
                 raise ReplayMissError(
                     f"{store.path}: no recorded sample for question {question_id!r} round {round_idx}"
                 ) from None
-        # the record lacks the estimator: the lookup raises, naming those it has
-        confidences = store._confidences(question_id, round_idx)
-        return rounds[question_id][round_idx][0], _confidence(confidences, key, question_id, round_idx)
+            raise SamplerError(store._missing_confidence(question_id, round_idx, key)) from None
 
     return sample
 
@@ -795,8 +784,10 @@ def live_sampler(
             elif stored_prompt != render_prompt(prompt_text, fmt):
                 mismatch = "a different prompt"
             else:
-                confidences = store._confidences(question_id, round_idx)
-                return label, _confidence(confidences, key, question_id, round_idx)
+                column = store._columns.get(key, {}).get(question_id, {})
+                if round_idx not in column:
+                    raise SamplerError(store._missing_confidence(question_id, round_idx, key))
+                return label, column[round_idx]
             raise ConfigurationError(
                 f"{store.path}: stored record for question {question_id!r} round "
                 f"{round_idx} has {mismatch}; record into a fresh store"
@@ -811,7 +802,14 @@ def live_sampler(
         if store is not None:
             store.append(record)
         confidences = record.confidence_by_estimator
-        return record.extracted_label, _confidence(confidences, key, question_id, round_idx)
+        if key not in confidences:
+            available = ", ".join(sorted(confidences)) or "none"
+            raise SamplerError(
+                f"record for question {question_id!r} round {round_idx} has no {key!r} "
+                f"confidence (available: {available}); the record may be degraded "
+                "(missing token log-probabilities)"
+            )
+        return record.extracted_label, confidences[key]
 
     weakref.finalize(sample, opened.close)
     return sample

@@ -655,6 +655,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ControllerConfig(budget=0)
 
+    def test_max_parallel_bound(self):
+        with pytest.raises(ConfigurationError, match="^max_parallel must be >= 1$"):
+            ControllerConfig(max_parallel=0)
+
     def test_esc_window_bound(self):
         with pytest.raises(ConfigurationError):
             ControllerConfig(method=Method.ESC, budget=4, esc_window=5)

@@ -130,6 +130,11 @@ class TestLaws:
         with pytest.raises(ConfigurationError):
             PointSimplex((0.5, 0.6))
 
+    def test_point_simplex_entries_must_be_non_negative(self):
+        # sums to 1, so only the sign check refuses it
+        with pytest.raises(ConfigurationError, match="^answer probabilities must be >= 0$"):
+            PointSimplex((1.5, -0.5))
+
     def test_dirichlet_positive(self):
         with pytest.raises(ConfigurationError):
             Dirichlet((1.0, 0.0))
@@ -140,6 +145,8 @@ class TestLaws:
         assert parse_scalar_law("beta:2,5") == Beta(2.0, 5.0)
         with pytest.raises(ConfigurationError):
             parse_scalar_law("gauss:0,1")
+        with pytest.raises(ConfigurationError, match="cannot parse law 'uniform:0.1,x'"):
+            parse_scalar_law("uniform:0.1,x")
 
     def test_parse_simplex_law(self):
         assert parse_simplex_law("point:0.4,0.6") == PointSimplex((0.4, 0.6))
@@ -147,11 +154,12 @@ class TestLaws:
         with pytest.raises(ConfigurationError):
             parse_simplex_law("point:1.0")
 
-    def test_answer_law_dimension_checked(self):
-        with pytest.raises(ConfigurationError):
-            RealisticGenConfig(
-                k=3, answer_law=PointSimplex((0.4, 0.6)), confidence_noise=PointMass(0.5)
-            )
+    @pytest.mark.parametrize(
+        "answer_law", [PointSimplex((0.4, 0.6)), Dirichlet((1.0, 1.0))], ids=["point", "dirichlet"]
+    )
+    def test_answer_law_dimension_checked(self, answer_law):
+        with pytest.raises(ConfigurationError, match="^answer law has 2 entries for k=3$"):
+            RealisticGenConfig(k=3, answer_law=answer_law, confidence_noise=PointMass(0.5))
 
     @pytest.mark.parametrize(
         "make",

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import cges
-from cges.cli import main
+from cges.cli import ESTIMATOR_FLAGS, build_parser, main
+from cges.confidence import Estimator
 from cges.controller import ControllerConfig, Method, run
 from cges.errors import ConfigurationError, KeyMismatchError
 from cges.posterior import RunningPosterior
@@ -447,6 +448,26 @@ class TestExperimentSpecValidation:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(questions=questions, methods=[ControllerConfig()])
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"questions": []}, "experiment needs at least one question"),
+            ({"seeds": ()}, "experiment needs at least one seed"),
+            ({"seeds": (0, 1)}, "recording a live run requires a single seed"),
+        ],
+        ids=["no-questions", "no-seeds", "record-two-seeds"],
+    )
+    def test_questions_seeds_and_recording_are_checked(self, tmp_path, overrides, message):
+        fields = dict(
+            questions=[Question("q0", "p", "a", AnswerFormat.BOXED_MATH)],
+            methods=[ControllerConfig()],
+            seeds=(0,),
+            endpoint=EndpointConfig(base_url="http://localhost:1", model_name="m"),
+            record_store=RecordStore.open_record(tmp_path / "out.jsonl"),
+        )
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            ExperimentSpec(**{**fields, **overrides})
+
     def test_record_store_needs_an_endpoint(self, tmp_path):
         record_store = RecordStore.open_record(tmp_path / "out.jsonl")
         with pytest.raises(ConfigurationError, match="needs an endpoint"):
@@ -476,6 +497,31 @@ class TestExperimentSpecValidation:
 
 
 class TestCli:
+    def test_estimator_flags_are_the_hyphenated_store_keys(self):
+        assert ESTIMATOR_FLAGS == {
+            "lns-arith": Estimator.LNS_ARITHMETIC,
+            "lns-geo": Estimator.LNS_GEOMETRIC,
+            "mars": Estimator.MARS_STEPWISE,
+            "rm": Estimator.REWARD_PASSTHROUGH,
+        }
+
+    def test_replay_shares_the_run_and_sweep_flag_defaults(self):
+        parser = build_parser()
+        source = ["--dataset", "d.jsonl", "--replay", "s.jsonl"]
+        parsed = {
+            command: vars(parser.parse_args([command, *source, *extra]))
+            for command, extra in [("run", []), ("sweep", ["--out", "o"]), ("replay", ["--out", "o"])]
+        }
+        shared = ("dataset", "replay", "budget", "estimator", "k_policy", "max_parallel")
+        assert {name: parsed["run"][name] for name in shared} == {
+            "dataset": Path("d.jsonl"), "replay": Path("s.jsonl"), "budget": 16,
+            "estimator": "lns-arith", "k_policy": None, "max_parallel": 1,
+        }
+        for command in ("sweep", "replay"):
+            assert {name: parsed[command][name] for name in shared} == {
+                name: parsed["run"][name] for name in shared
+            }
+
     def test_simulate_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(
@@ -509,6 +555,14 @@ class TestCli:
         code = main(["simulate", *law_flags, "--trials", "5", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_simulate_refuses_an_answer_law_in_ideal_mode(self, tmp_path, capsys):
+        # the ideal regime has no answer law: the flag used to be ignored
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--answer-law", "point:0.9,0.1", "--trials", "5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --answer-law applies to --mode realistic only\n"
         assert not out.exists()
 
     def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
@@ -681,6 +735,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "samples.jsonl:2" in err and message in err
+
+    def test_score_command_takes_observed_virtual_spelled_out(self, capsys):
+        samples = str(FIXTURES / "minority_samples.jsonl")
+        assert main(["score", "--samples", samples]) == 0
+        default = capsys.readouterr().out
+        assert main(["score", "--samples", samples, "--k-policy", "observed+virtual"]) == 0
+        assert capsys.readouterr().out == default
+        assert "(virtual)\t" in default
 
     def test_score_command_names_the_line_of_a_fixed_k_overflow(self, tmp_path, capsys):
         path = tmp_path / "samples.jsonl"

@@ -483,6 +483,16 @@ class TestRecordStore:
             with pytest.raises(CGESError, match="store.jsonl:2"):
                 mode(path)
 
+    def test_a_repeated_record_names_path_and_line_and_leaves_no_index(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(make_record().to_json_line() + "\n" + make_record().to_json_line() + "\n")
+        for mode in (RecordStore.open_record, RecordStore.open_replay):
+            with pytest.raises(
+                DuplicateRecordError, match=r"store.jsonl:2: duplicate record for \('q0', 1\)"
+            ):
+                mode(path)
+        assert not index_of(path).exists()
+
     def test_a_missing_field_is_named_and_other_keys_are_ignored(self, tmp_path):
         raw = json.loads(make_record().to_json_line())
         raw["step_importance"] = [1.0, 2.0]  # a key cges does not write
@@ -944,8 +954,8 @@ class TestReplaySampler:
         with pytest.raises(SamplerError) as caught:
             sampler("q0", 1)
         assert str(caught.value) == (
-            "record for question 'q0' round 1 has no 'lns_arith' confidence (available: none); "
-            "the record may be degraded (missing token log-probabilities)"
+            f"{path}:1: record for question 'q0' round 1 has no 'lns_arith' confidence "
+            "(available: none)"
         )
 
     def test_requires_replay_mode(self, tmp_path):
@@ -1184,6 +1194,46 @@ class TestLiveSampler:
         with pytest.raises(ConfigurationError, match=rf"store.jsonl: .*'q0' round 1 {message}"):
             sampler("q0", 1)
         assert state.requests == []
+
+    def test_resumed_record_without_the_estimator_names_path_and_line(
+        self, stub_server, tmp_path
+    ):
+        base_url, state = stub_server
+        prompts = {"q0": ("What is 40+2?", AnswerFormat.BOXED_MATH)}
+        path = tmp_path / "store.jsonl"
+        prompt = render_prompt("What is 40+2?", AnswerFormat.BOXED_MATH)
+        store = RecordStore.open_record(path)
+        store.append(make_record(seed=derive_seed(0, "q0", 1), prompt=prompt))
+        store.append(
+            make_record(
+                round_idx=2,
+                seed=derive_seed(0, "q0", 2),
+                prompt=prompt,
+                confidence_by_estimator={"lns_arith": 0.85},  # a record of lns-arith only
+            )
+        )
+        sampler = live_sampler(
+            endpoint_for(base_url), prompts, estimator=Estimator.LNS_GEOMETRIC, store=store
+        )
+        assert sampler("q0", 1) == ("42", 0.8485)
+        with pytest.raises(SamplerError) as caught:
+            sampler("q0", 2)
+        assert str(caught.value) == (
+            f"{path}:2: record for question 'q0' round 2 has no 'lns_geo' confidence "
+            "(available: lns_arith)"
+        )
+        assert state.requests == []
+
+    def test_fresh_degraded_sample_names_the_missing_log_probabilities(self, stub_server):
+        base_url, state = stub_server
+        state.omit_logprobs = True
+        sampler = live_sampler(endpoint_for(base_url), {"q0": ("x", AnswerFormat.BOXED_MATH)})
+        with pytest.raises(SamplerError) as caught:
+            sampler("q0", 1)
+        assert str(caught.value) == (
+            "record for question 'q0' round 1 has no 'lns_arith' confidence (available: none); "
+            "the record may be degraded (missing token log-probabilities)"
+        )
 
     def test_recording_requires_record_mode(self, stub_server, tmp_path):
         base_url, _ = stub_server
@@ -1588,6 +1638,7 @@ class TestEndpointConfig:
         [
             ({"max_retries": 1.5}, "max_retries must be int, got 1.5"),
             ({"max_tokens": 2.5}, "max_tokens must be int, got 2.5"),
+            ({"max_tokens": 0}, "max_tokens and request_timeout must be positive"),
             ({"max_retries": True}, "max_retries must be int, got True"),
             ({"request_timeout": True}, "request_timeout must be float, got True"),
             ({"temperature": "0.5"}, "temperature must be float, got '0.5'"),

@@ -129,6 +129,10 @@ class TestCandidateSet:
         with pytest.raises(CandidateCountError):
             CandidateSet(("a", "b", "c"), fixed_k=2)
 
+    def test_observed_virtual_needs_a_label(self):
+        with pytest.raises(CandidateCountError, match="needs at least one observed label"):
+            CandidateSet(labels=())
+
     def test_fixed_k_below_two_rejected(self):
         with pytest.raises(CandidateCountError):
             CandidateSet(("a",), fixed_k=1)
