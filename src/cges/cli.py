@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -212,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     rows = genmodel.concentration_experiment(config, args.m_schedule, args.trials)
-    genmodel.write_concentration_csv(rows, args.out)
+    harness.write_concentration_csv(rows, args.out)
     for row in rows:
         print(
             f"m={row.m:<6d} success={row.success_freq:.4f} "
@@ -246,19 +245,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not posterior.n:
         raise ConfigurationError(f"{args.samples}: holds no samples")
     label, mass = posterior.top()
-    masses, virtual_mass = posterior.masses, posterior.virtual_mass
-    for candidate, candidate_mass in masses.items():
+    rows = list(posterior.masses.items())
+    if posterior.virtual_mass > 0.0:
+        rows.append(("(virtual)", posterior.virtual_mass))
+    for candidate, candidate_mass in rows:
         print(f"{candidate}\t{candidate_mass:.6f}")
-    if virtual_mass > 0.0:
-        print(f"(virtual)\t{virtual_mass:.6f}")
     print(f"top: {label} ({mass:.6f})")
     if args.out is not None:
-        with args.out.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["label", "mass"])
-            writer.writerows(masses.items())
-            if virtual_mass > 0.0:
-                writer.writerow(["(virtual)", virtual_mass])
+        harness._write_csv(args.out, ["label", "mass"], rows)
     return 0
 
 

@@ -41,6 +41,14 @@ class Method(Enum):
     ESC = "esc"
 
 
+def check_gamma(gamma: object) -> None:
+    """The rule for every stopping threshold: a real number (not a bool) in (0, 1]."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise ConfigurationError(f"gamma must be a real number, got {gamma!r}")
+    if not 0.0 < gamma <= 1.0:
+        raise ConfigurationError(f"gamma must lie in (0, 1], got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     method: Method = Method.CGES
@@ -52,14 +60,11 @@ class ControllerConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
             raise ConfigurationError(f"method must be a Method, got {self.method!r}")
-        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
-            raise ConfigurationError(f"gamma must be a real number, got {self.gamma!r}")
+        check_gamma(self.gamma)
         for name in ("budget", "esc_window", "max_parallel"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(f"{name} must be an int, got {value!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if self.budget < 1:
             raise ConfigurationError(f"budget must be >= 1, got {self.budget!r}")
         if self.method is Method.ESC and not 1 <= self.esc_window <= self.budget:

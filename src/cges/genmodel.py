@@ -16,7 +16,7 @@ The API:
   closed form for point-mass laws in both regimes and by Monte Carlo
   otherwise;
 * ``concentration_experiment`` scores blocks of ``draw_trials`` at each round
-  count m of a schedule, and ``write_concentration_csv`` writes its rows.
+  count m of a schedule; ``harness.write_concentration_csv`` writes its rows.
 
 The fixed-K log-likelihood is written once, in ``_round_terms``, which takes
 its draws rounds first.  The experiment sums its output over rounds and the
@@ -25,11 +25,9 @@ Monte Carlo drift differences its candidate columns.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence, Union, get_args
 
 import numpy as np
@@ -462,19 +460,3 @@ def concentration_experiment(
         )
     return rows
 
-
-def write_concentration_csv(rows: Sequence[ConcentrationRow], path: Union[str, Path]) -> None:
-    """Emit experiment rows as CSV with one drift column per competitor."""
-    path = Path(path)
-    competitor_ids = sorted(rows[0].drift) if rows else []
-    header = ["m", "trials", "success_freq", "mean_mass_truth"]
-    header += [f"drift_{j}" for j in competitor_ids]
-    header += ["seed"]
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            record = [row.m, row.trials, row.success_freq, row.mean_mass_truth]
-            record += [row.drift[j] for j in competitor_ids]
-            record += [row.seed]
-            writer.writerow(record)

@@ -16,7 +16,7 @@ from statistics import fmean
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
-from .controller import ControllerConfig, Method, RunResult, Sampler, run_many
+from .controller import ControllerConfig, Method, RunResult, Sampler, check_gamma, run_many
 from .errors import ConfigurationError, KeyMismatchError
 from .llmclient import (
     AnswerFormat,
@@ -131,9 +131,11 @@ class ExperimentSpec:
         if self.record_store is not None and len(self.seeds) > 1:
             # records are keyed (question, round); a second seed would collide
             raise ConfigurationError("recording a live run requires a single seed")
+        for seed in self.seeds:
+            if type(seed) is not int:  # a bool or a numeric string is not a seed
+                raise ConfigurationError(f"seeds must be integers, got {seed!r}")
         for gamma in self.gamma_grid:
-            if not 0.0 < gamma <= 1.0:
-                raise ConfigurationError(f"gamma grid values must lie in (0, 1], got {gamma!r}")
+            check_gamma(gamma)
 
 
 @dataclass(frozen=True)
@@ -275,6 +277,18 @@ def write_comparison_csv(report: ComparisonReport, path: Union[str, Path]) -> No
 
 def write_curve_csv(curve: Sequence[CurvePoint], path: Union[str, Path]) -> None:
     _write_records(path, CurvePoint, curve)
+
+
+def write_concentration_csv(rows: Sequence, path: Union[str, Path]) -> None:
+    """``genmodel.concentration_experiment`` rows, one drift column per
+    competitor; the rows are read by attribute, so this module needs no numpy."""
+    columns = ["m", "trials", "success_freq", "mean_mass_truth"]
+    drift_ids = sorted(rows[0].drift) if rows else []
+    records = (
+        [*(getattr(row, name) for name in columns), *(row.drift[j] for j in drift_ids), row.seed]
+        for row in rows
+    )
+    _write_csv(path, [*columns, *(f"drift_{j}" for j in drift_ids), "seed"], records)
 
 
 def write_predictions_csv(

@@ -151,8 +151,10 @@ class EndpointConfig:
             raise ConfigurationError(f"temperature must be >= 0, got {self.temperature!r}")
         if not 0.0 < self.top_p <= 1.0:
             raise ConfigurationError(f"top_p must lie in (0, 1], got {self.top_p!r}")
-        if self.max_tokens < 1 or self.request_timeout <= 0:
-            raise ConfigurationError("max_tokens and request_timeout must be positive")
+        if self.max_tokens < 1:
+            raise ConfigurationError(f"max_tokens must be >= 1, got {self.max_tokens!r}")
+        if self.request_timeout <= 0:
+            raise ConfigurationError(f"request_timeout must be > 0, got {self.request_timeout!r}")
         if self.max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries!r}")
         url = urlsplit(self.base_url)

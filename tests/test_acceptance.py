@@ -671,3 +671,86 @@ def test_criterion_10_ideal_case_top_mass_is_calibrated_through_the_controller()
         assert not failures, f"|z| > {IDEAL_MAX_ABS_Z} at (K, gamma, z): {failures}"
 
     _verdict("criterion 10: ideal-model top mass at close is calibrated (|z| <= 4)", body)
+
+
+def realistic_point(probs, noise):
+    return RealisticGenConfig(k=len(probs), answer_law=PointSimplex(probs), confidence_noise=noise)
+
+
+# (generator config, gammas, seed) of each case of criterion 11; the answer
+# laws are point simplices, so every question shares one drift mu_j
+WALD_CASES = (
+    (realistic_point((0.6, 0.4), PointMass(0.7)), (0.7, 0.9, 0.99), 2001),
+    (realistic_point((0.4, 0.6), PointMass(0.7)), (0.7, 0.9, 0.99), 2002),
+    (realistic_point((0.5, 0.3, 0.2), PointMass(0.6)), (0.9, 0.99), 2003),
+    (realistic_point((0.5, 0.3, 0.2), Uniform(0.4, 0.9)), (0.7, 0.9, 0.99), 2004),
+    (IdealGenConfig(k=4, confidence_law=Uniform(0.3, 0.9)), (0.7, 0.9, 0.99), 2005),
+)
+WALD_QUESTIONS = 2000
+WALD_BUDGET = 64
+WALD_MAX_ABS_Z = 4.0
+
+
+def wald_z(config, gammas, seed):
+    """Per (gamma, competitor j), the z statistic of the mean of
+    (LLR_j at tau - mu_j * tau) over questions run through the controller.
+
+    tau is the question's close round, LLR_j the truth's log mass minus
+    competitor j's in a fixed-K posterior folded over draws 1..tau, and mu_j
+    ``genmodel.drift``.  A Monte Carlo drift's own error widens the z
+    denominator by E[tau] times its standard error.
+    """
+    k = config.k
+    rng = np.random.default_rng(seed)
+    truths, responses, confidences = draw_trials(config, WALD_BUDGET, WALD_QUESTIONS, rng)
+    qids = [f"q{i}" for i in range(WALD_QUESTIONS)]
+    streams = dict(zip(qids, zip(responses.tolist(), confidences.tolist())))
+
+    def sampler(qid, round_idx):
+        labels, confs = streams[qid]
+        return labels[round_idx - 1], confs[round_idx - 1]
+
+    configs = [
+        ControllerConfig(method=Method.CGES, gamma=gamma, budget=WALD_BUDGET) for gamma in gammas
+    ]
+    results = run_many(qids, sampler, configs, fixed_k=k)
+    taus = np.array([[result.per_question_calls[qid] for qid in qids] for result in results])
+    llr = np.empty((len(gammas), WALD_QUESTIONS, k - 1))
+    for i, (qid, truth) in enumerate(zip(qids, truths.tolist())):
+        closes = taus[:, i].tolist()
+        posterior = RunningPosterior(fixed_k=k, labels=range(k))
+        for round_idx in range(1, max(closes) + 1):
+            posterior.add(*sampler(qid, round_idx))
+            if round_idx in closes:
+                masses = posterior.masses
+                # competitor j is label truth + j, the drift's relabeled convention
+                log_mass = [math.log(masses[(truth + j) % k]) for j in range(k)]
+                for g, close in enumerate(closes):
+                    if close == round_idx:
+                        llr[g, i] = [log_mass[0] - v for v in log_mass[1:]]
+    estimate = drift(config, rng=np.random.default_rng([seed, 0x5EED]))
+    z = {}
+    for g, gamma in enumerate(gammas):
+        for j in range(1, k):
+            gaps = llr[g, :, j - 1] - estimate.mu[j] * taus[g]
+            drift_err = taus[g].mean() * estimate.std_err[j]
+            z[gamma, j] = gaps.mean() / math.sqrt(gaps.var(ddof=1) / WALD_QUESTIONS + drift_err**2)
+    return z
+
+
+def test_criterion_11_walds_identity_ties_the_drift_to_the_controller_posterior():
+    """Rounds are i.i.d. given a point answer law and the close round tau is a
+    bounded stopping time, so Wald's identity gives E[LLR_j at tau] =
+    mu_j * E[tau] for every competitor j, at every gamma: the simulator's
+    drift and the controller's kernel must agree."""
+
+    def body():
+        failures = []
+        for config, gammas, seed in WALD_CASES:
+            for (gamma, j), z in wald_z(config, gammas, seed).items():
+                print(f"  seed {seed}, K={config.k}, gamma={gamma}, j={j}: z={z:+.2f}")
+                if not abs(z) <= WALD_MAX_ABS_Z:
+                    failures.append((seed, gamma, j, round(z, 2)))
+        assert not failures, f"|z| > {WALD_MAX_ABS_Z} at (seed, gamma, j, z): {failures}"
+
+    _verdict("criterion 11: Wald's identity through the controller (|z| <= 4)", body)

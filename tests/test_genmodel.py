@@ -24,8 +24,8 @@ from cges.genmodel import (
     drift,
     parse_scalar_law,
     parse_simplex_law,
-    write_concentration_csv,
 )
+from cges.harness import write_concentration_csv
 
 # closed-form drifts for the point-mass configurations used below
 IDEAL_DRIFT_07_K2 = (0.7 - 0.3) * math.log(0.7 / 0.3)  # 0.33891914415488136

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -42,30 +43,40 @@ from cges.llmclient import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# each replay-store command and the golden CSV it writes from the fixtures at budget 4
+
+def _golden_rows():
+    """One (golden, argv) param per row of fixtures/golden_commands.txt, the one
+    list of golden commands; CI runs the same rows through the installed script."""
+    rows = []
+    for line in (FIXTURES / "golden_commands.txt").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            golden, *argv = line.split()
+            name = golden.removeprefix("golden_").removesuffix(".csv")
+            if "--max-parallel" in argv:  # a parallel run of a serial row's golden
+                name += "-parallel"
+            rows.append(pytest.param(golden, argv, id=name))
+    return rows
+
+
+GOLDEN_ROWS = _golden_rows()
+GOLDENS = pytest.mark.parametrize("golden, argv", GOLDEN_ROWS)
 REPLAY_GOLDENS = pytest.mark.parametrize(
-    "command, golden",
-    [
-        (["replay"], "golden_replay.csv"),
-        (["replay", "--method", "sc"], "golden_replay_sc.csv"),
-        (["replay", "--method", "esc", "--window", "2"], "golden_replay_esc.csv"),
-        # q2 closes unresolved at the budget on 3/4, where SC predicts 1/2
-        (["replay", "--k-policy", "fixed:3", "--gamma", "0.95"], "golden_replay_fixed_k.csv"),
-        (["run", "--seeds", "0"], "golden_run.csv"),
-        (["sweep", "--seeds", "0"], "golden_sweep.csv"),
-        # at gamma 0.85 cges reads 1.75 calls under fixed:3 against 1.5 under
-        # observed+virtual, so a K lost on its way to the posterior fails these
-        (
-            ["run", "--seeds", "0", "--gamma", "0.85", "--k-policy", "fixed:3"],
-            "golden_run_fixed_k.csv",
-        ),
-        (["sweep", "--seeds", "0", "--k-policy", "fixed:3"], "golden_sweep_fixed_k.csv"),
-    ],
-    ids=[
-        "replay", "replay_sc", "replay_esc", "replay_fixed_k", "run", "sweep",
-        "run_fixed_k", "sweep_fixed_k",
-    ],
+    "golden, argv", [row for row in GOLDEN_ROWS if "--replay" in row.values[1]]
 )
+
+
+def golden_argv(argv, store):
+    """A table row's arguments for ``main``: fixture paths resolved against
+    FIXTURES, and the --replay store swapped for ``store``, the test's own copy."""
+    resolved = []
+    for previous, arg in zip([None, *argv], argv):
+        if previous == "--replay":
+            resolved.append(str(store))
+        elif arg.startswith("tests/fixtures/"):
+            resolved.append(str(FIXTURES / arg.removeprefix("tests/fixtures/")))
+        else:
+            resolved.append(arg)
+    return resolved
 
 
 def read_csv_rows(path):
@@ -454,8 +465,17 @@ class TestExperimentSpecValidation:
             ({"questions": []}, "experiment needs at least one question"),
             ({"seeds": ()}, "experiment needs at least one seed"),
             ({"seeds": (0, 1)}, "recording a live run requires a single seed"),
+            ({"seeds": ("0",)}, "seeds must be integers, got '0'"),
+            ({"seeds": (True,)}, "seeds must be integers, got True"),
+            # the grid takes the controller's gamma rule and its messages
+            ({"gamma_grid": ("0.9",)}, "gamma must be a real number, got '0.9'"),
+            ({"gamma_grid": (True,)}, "gamma must be a real number, got True"),
+            ({"gamma_grid": (0.9, 1.5)}, "gamma must lie in (0, 1], got 1.5"),
         ],
-        ids=["no-questions", "no-seeds", "record-two-seeds"],
+        ids=[
+            "no-questions", "no-seeds", "record-two-seeds", "seed-string", "seed-bool",
+            "gamma-string", "gamma-bool", "gamma-above-one",
+        ],
     )
     def test_questions_seeds_and_recording_are_checked(self, tmp_path, overrides, message):
         fields = dict(
@@ -465,7 +485,7 @@ class TestExperimentSpecValidation:
             endpoint=EndpointConfig(base_url="http://localhost:1", model_name="m"),
             record_store=RecordStore.open_record(tmp_path / "out.jsonl"),
         )
-        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             ExperimentSpec(**{**fields, **overrides})
 
     def test_record_store_needs_an_endpoint(self, tmp_path):
@@ -605,48 +625,6 @@ class TestCli:
         assert "m_max" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "options, golden",
-        [
-            ([], "golden_simulate_ideal.csv"),
-            (
-                [
-                    "--mode", "realistic", "--k", "2",
-                    "--answer-law", "point:0.4,0.6", "--confidence-law", "point:0.3",
-                    "--m-schedule", "1,10,100,500", "--trials", "500",
-                ],
-                "golden_simulate_realistic.csv",
-            ),
-            (
-                [
-                    "--mode", "realistic", "--k", "3",
-                    "--answer-law", "dirichlet:1,1,1", "--confidence-law", "beta:2,3",
-                    "--m-schedule", "1,7,40", "--trials", "300", "--seed", "11",
-                ],
-                "golden_simulate_dirichlet.csv",
-            ),
-            (
-                [
-                    "--k", "4", "--confidence-law", "uniform:0.55,0.95",
-                    "--m-schedule", "1,10,100,500", "--trials", "500", "--seed", "7",
-                ],
-                "golden_simulate_ideal_k4.csv",
-            ),
-            (
-                [
-                    "--k", "3", "--confidence-law", "point:0.7",
-                    "--m-schedule", "1,10,100", "--trials", "300", "--seed", "5",
-                ],
-                "golden_simulate_ideal_point.csv",
-            ),
-        ],
-        ids=["ideal", "realistic", "dirichlet", "ideal-k4", "ideal-point"],
-    )
-    def test_simulate_outputs_match_golden_files(self, tmp_path, capsys, options, golden):
-        out = tmp_path / golden
-        assert main(["simulate", *options, "--out", str(out)]) == 0
-        assert out.read_bytes() == (FIXTURES / golden).read_bytes()
-
     def test_score_command(self, tmp_path, capsys):
         out = tmp_path / "score.csv"
         code = main(
@@ -663,19 +641,33 @@ class TestCli:
         labels = {row["label"] for row in rows}
         assert {"a1", "a2", "(virtual)"} == labels
 
-    def test_score_command_fixed_k(self, tmp_path, capsys):
-        out = tmp_path / "score.csv"
+    def test_score_command_fixed_k(self, capsys):
         code = main(
             [
                 "score",
                 "--samples", str(FIXTURES / "minority_samples.jsonl"),
                 "--k-policy", "fixed:3",
-                "--out", str(out),
             ]
         )
         assert code == 0
         assert "top: a1 (0.935065)" in capsys.readouterr().out
-        assert out.read_bytes() == (FIXTURES / "golden_score.csv").read_bytes()
+
+    def test_score_command_with_every_candidate_named_has_no_virtual_row(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "score.csv"
+        code = main(
+            [
+                "score",
+                "--samples", str(FIXTURES / "minority_samples.jsonl"),
+                "--k-policy", "fixed:2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["a1\t0.993103", "a2\t0.006897", "top: a1 (0.993103)"]
+        assert [row["label"] for row in read_csv_rows(out)] == ["a1", "a2"]
 
     def test_score_command_rejects_confidence_of_one(self, tmp_path, capsys):
         path = tmp_path / "samples.jsonl"
@@ -924,32 +916,22 @@ class TestCli:
         header = outs[0].split(b"\r\n")[0]
         assert header == b"question_id,prediction,calls,top_mass,resolved"
 
-    @REPLAY_GOLDENS
-    def test_replay_outputs_match_golden_files(self, tmp_path, command, golden, mini_store):
+    def test_every_golden_file_has_a_command(self):
+        named = {row.values[0] for row in GOLDEN_ROWS}
+        assert named == {path.name for path in FIXTURES.glob("golden_*.csv")}
+
+    @GOLDENS
+    def test_outputs_match_golden_files(self, tmp_path, capsys, golden, argv, mini_store):
         out = tmp_path / golden
-        code = main(
-            [
-                *command,
-                "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-                "--replay", str(mini_store),
-                "--budget", "4",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+        assert main([*golden_argv(argv, mini_store), "--out", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / golden).read_bytes()
 
     @REPLAY_GOLDENS
     def test_replay_outputs_match_golden_files_with_and_without_the_index(
-        self, tmp_path, monkeypatch, command, golden, mini_store
+        self, tmp_path, monkeypatch, golden, argv, mini_store
     ):
         index = tmp_path / f"mini_store.jsonl{INDEX_SUFFIX}"
-        argv = [
-            *command,
-            "--dataset", str(FIXTURES / "mini_dataset.jsonl"),
-            "--replay", str(mini_store),
-            "--budget", "4",
-        ]
+        argv = golden_argv(argv, mini_store)
         assert main([*argv, "--out", str(tmp_path / "miss.csv")]) == 0  # no index yet
         assert index.is_file()
 

@@ -1638,15 +1638,17 @@ class TestEndpointConfig:
         [
             ({"max_retries": 1.5}, "max_retries must be int, got 1.5"),
             ({"max_tokens": 2.5}, "max_tokens must be int, got 2.5"),
-            ({"max_tokens": 0}, "max_tokens and request_timeout must be positive"),
+            ({"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
             ({"max_retries": True}, "max_retries must be int, got True"),
             ({"request_timeout": True}, "request_timeout must be float, got True"),
             ({"temperature": "0.5"}, "temperature must be float, got '0.5'"),
+            ({"request_timeout": 0.0}, "request_timeout must be > 0, got 0.0"),
         ],
     )
     def test_direct_construction_checks_types(self, override, match):
-        with pytest.raises(ConfigurationError, match=match):
+        with pytest.raises(ConfigurationError) as caught:
             endpoint_for("http://x", **override)
+        assert str(caught.value) == match  # the whole message, naming field and value
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "endpoint.json"
