@@ -3,7 +3,9 @@
 Each estimator maps a tokenized response (one per reasoning step for the
 step-wise score, or an external reward score) to a single confidence in the
 open interval (0, 1), clamped away from the boundaries so downstream
-log-likelihoods stay finite.
+log-likelihoods stay finite.  A malformed input (no tokens, a token
+probability outside (0, 1], or a reward score that is not finite) raises
+``InvalidSampleError``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import ConfigurationError, EmptyResponseError, InvalidSampleError, InvalidScoreError
+from .errors import ConfigurationError, InvalidSampleError
 
 DEFAULT_CLAMP_EPSILON = 1e-6
 
@@ -35,7 +37,7 @@ class TokenizedResponse:
 
     def __post_init__(self) -> None:
         if len(self.token_probs) == 0:
-            raise EmptyResponseError("a tokenized response needs at least one token")
+            raise InvalidSampleError("a tokenized response needs at least one token")
         for p in self.token_probs:
             if not 0.0 < p <= 1.0:
                 raise InvalidSampleError(f"token probability must lie in (0, 1], got {p!r}")
@@ -106,5 +108,5 @@ def mars_stepwise(
 def reward_passthrough(score: float) -> float:
     """Use an external reward-model score directly as the confidence."""
     if not math.isfinite(score):
-        raise InvalidScoreError(f"reward score must be finite, got {score!r}")
+        raise InvalidSampleError(f"reward score must be finite, got {score!r}")
     return clamp(score)

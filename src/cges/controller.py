@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .errors import CandidateCountError, ConfigurationError, InvalidSampleError
+from .errors import ConfigurationError, InvalidSampleError
 from .posterior import Label, RunningPosterior
 
 Sampler = Callable[[str, int], tuple[Label, float]]
@@ -156,7 +156,7 @@ def run_many(
                 label, confidence = sampler(qid, round_idx)
                 try:
                     posterior.add(label, confidence)
-                except (CandidateCountError, InvalidSampleError) as exc:
+                except (ConfigurationError, InvalidSampleError) as exc:
                     raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
                 run_length = run_length + 1 if label == last_label else 1
                 last_label = label

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one class per kind of fault."""
 
 
 class CGESError(Exception):
@@ -6,11 +6,8 @@ class CGESError(Exception):
 
 
 class ConfigurationError(CGESError, ValueError):
-    """A config value or combination of values is unusable."""
-
-
-class CandidateCountError(CGESError, ValueError):
-    """Effective candidate count is below 2 or a fixed K cannot hold the observed labels."""
+    """A config value or combination of values is unusable, such as a candidate
+    count K that cannot hold the labels, or predictions and gold ids that differ."""
 
 
 class EmptySamplesError(CGESError, ValueError):
@@ -18,20 +15,9 @@ class EmptySamplesError(CGESError, ValueError):
 
 
 class InvalidSampleError(CGESError, ValueError):
-    """A sample, record or token list is malformed: a confidence outside (0, 1),
-    a round below 1, repeated candidate labels, or a token probability outside (0, 1]."""
-
-
-class EmptyResponseError(CGESError, ValueError):
-    """A tokenized response carries no tokens."""
-
-
-class UnknownLabelError(CGESError, ValueError):
-    """A sample label is missing from a fixed candidate set."""
-
-
-class InvalidScoreError(CGESError, ValueError):
-    """A reward score is not a finite number."""
+    """A sample, record or token list is malformed: a confidence outside (0, 1), a
+    round below 1, repeated candidate labels, a label outside a fixed candidate
+    set, no tokens, a token probability outside (0, 1], or a non-finite reward."""
 
 
 class SamplerError(CGESError, RuntimeError):
@@ -45,7 +31,3 @@ class ReplayMissError(CGESError, LookupError):
 
 class DuplicateRecordError(CGESError, ValueError):
     """A record store already holds a record for this (question, round) key."""
-
-
-class KeyMismatchError(CGESError, ValueError):
-    """Predictions and questions do not cover the same question ids."""

@@ -17,12 +17,13 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
 from .controller import ControllerConfig, Method, RunResult, Sampler, check_gamma, run_many
-from .errors import ConfigurationError, KeyMismatchError
+from .errors import ConfigurationError
 from .llmclient import (
     AnswerFormat,
     EndpointConfig,
     RecordStore,
     live_sampler,
+    normalize_answer,
     read_jsonl,
     replay_sampler,
 )
@@ -76,14 +77,6 @@ def load_dataset(path: Union[str, Path]) -> list[Question]:
     return questions
 
 
-def normalize_answer(label: str, fmt: Optional[AnswerFormat] = None) -> str:
-    """Trim, collapse internal whitespace, and case-fold letter choices."""
-    normalized = " ".join(str(label).split())
-    if fmt is AnswerFormat.LETTER_CHOICE:
-        normalized = normalized.upper()
-    return normalized
-
-
 def accuracy(predictions: Mapping[str, str], questions: Sequence[Question]) -> float:
     """Fraction of questions whose normalized prediction matches their gold
     label, both normalized under the question's answer format."""
@@ -91,11 +84,11 @@ def accuracy(predictions: Mapping[str, str], questions: Sequence[Question]) -> f
     missing = sorted(qids - set(predictions))
     extra = sorted(set(predictions) - qids)
     if missing or extra:
-        raise KeyMismatchError(
+        raise ConfigurationError(
             f"prediction/gold key mismatch; missing={missing!r} extra={extra!r}"
         )
     if not questions:
-        raise KeyMismatchError("no questions to score")
+        raise ConfigurationError("no questions to score")
     hits = sum(
         normalize_answer(predictions[q.question_id], q.format) == normalize_answer(q.gold, q.format)
         for q in questions
@@ -131,6 +124,9 @@ class ExperimentSpec:
         if self.record_store is not None and len(self.seeds) > 1:
             # records are keyed (question, round); a second seed would collide
             raise ConfigurationError("recording a live run requires a single seed")
+        for config in self.methods:
+            if not isinstance(config, ControllerConfig):
+                raise ConfigurationError(f"methods must be ControllerConfigs, got {config!r}")
         for seed in self.seeds:
             if type(seed) is not int:  # a bool or a numeric string is not a seed
                 raise ConfigurationError(f"seeds must be integers, got {seed!r}")

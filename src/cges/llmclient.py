@@ -77,28 +77,32 @@ _ANSWER_LETTER = re.compile(
 )
 
 
+def normalize_answer(label: str, fmt: AnswerFormat) -> str:
+    """The answer rule: trim, collapse internal whitespace, and uppercase a
+    letter choice.  Two answers are the same when their normalized forms are."""
+    normalized = " ".join(str(label).split())
+    if fmt is AnswerFormat.LETTER_CHOICE:
+        normalized = normalized.upper()
+    return normalized
+
+
 def extract_answer(text: str, fmt: AnswerFormat) -> str:
     """Pull the final answer label out of a raw response.
 
-    Boxed math takes the content of the last ``\\boxed{...}`` (brace-matched,
-    whitespace-normalized); letter choice takes the last option letter after
-    an "Answer" marker, uppercased.  Anything unparseable maps to the
-    sentinel label ``INVALID``.
+    Boxed math takes the content of the last ``\\boxed{...}`` (brace-matched),
+    letter choice the last option letter after an "Answer" marker; either is
+    then normalized by ``normalize_answer``.  Anything unparseable, or a box
+    holding only whitespace, maps to the sentinel label ``INVALID``.
     """
     if fmt is AnswerFormat.BOXED_MATH:
         content = _last_boxed(text)
-        if content is not None:
-            normalized = " ".join(content.split())
-            if normalized:
-                return normalized
-        return INVALID_LABEL
-    matches = _ANSWER_LETTER.findall(text)
-    if matches:
-        return matches[-1].upper()
-    return INVALID_LABEL
+    else:
+        matches = _ANSWER_LETTER.findall(text)
+        content = matches[-1] if matches else ""
+    return normalize_answer(content, fmt) or INVALID_LABEL
 
 
-def _last_boxed(text: str) -> Optional[str]:
+def _last_boxed(text: str) -> str:
     openers = list(_BOXED_OPEN.finditer(text))
     for match in reversed(openers):
         start = match.end()
@@ -112,7 +116,7 @@ def _last_boxed(text: str) -> Optional[str]:
             pos += 1
         if depth == 0:
             return text[start : pos - 1]
-    return None
+    return ""
 
 
 # ---------------------------------------------------------------------------

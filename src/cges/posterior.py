@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import (
-    CandidateCountError,
-    EmptySamplesError,
-    InvalidSampleError,
-    UnknownLabelError,
-)
+from .errors import ConfigurationError, EmptySamplesError, InvalidSampleError
 
 Label = Hashable
 
@@ -63,7 +58,7 @@ class CandidateSet:
     def __post_init__(self) -> None:
         RunningPosterior(self.fixed_k, self.labels)  # distinct labels, a valid fixed K
         if self.fixed_k is None and len(self.labels) < 1:
-            raise CandidateCountError(
+            raise ConfigurationError(
                 "observed+virtual policy needs at least one observed label"
             )
 
@@ -116,12 +111,6 @@ class RunningPosterior:
         """Per-label sample counts in first-seen order, as a fresh dict."""
         return {label: record[0] for label, record in self._records.items()}
 
-    @property
-    def effective_k(self) -> int:
-        if self.fixed_k is not None:
-            return self.fixed_k
-        return len(self._records) + 1
-
     def add(self, label: Label, confidence: float) -> None:
         """Fold one (label, confidence) observation into the statistics."""
         if not 0.0 < confidence < 1.0:
@@ -138,19 +127,11 @@ class RunningPosterior:
         record[1] += math.log(confidence)
         record[2] += log_miss
 
-    def log_scores(self) -> dict[Label, float]:
-        """Unnormalized log score of every named label, in first-seen order."""
-        return dict(zip(self._records, self._scores()[0]))
-
-    def reserve_log_score(self) -> Optional[float]:
-        """Aggregate log score of the unnamed candidates, or None if all are named."""
-        return self._scores()[1]
-
     def _scores(self) -> tuple[list[float], Optional[float]]:
         """The named labels' log scores in first-seen order, and the unnamed
         candidates' aggregate (None if all are named): the one place the
         score formula lives."""
-        k = self.effective_k
+        k = len(self._records) + 1 if self.fixed_k is None else self.fixed_k
         if k < 2:  # observed+virtual with no label yet
             raise EmptySamplesError("a posterior needs at least one sample")
         log_k_minus_1 = math.log(k - 1)
@@ -243,7 +224,7 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
     running = RunningPosterior(candidates.fixed_k, candidates.labels)
     for sample in samples:
         if sample.label not in running._records:
-            raise UnknownLabelError(
+            raise InvalidSampleError(
                 f"sample label {sample.label!r} is not in the fixed candidate set"
             )
         running.add(sample.label, sample.confidence)
@@ -266,11 +247,11 @@ def _check_confidence(confidence: float) -> None:
 
 def _check_fixed_k(fixed_k: int, n_labels: int) -> None:
     if isinstance(fixed_k, bool) or not isinstance(fixed_k, int):
-        raise CandidateCountError(f"fixed candidate count must be an int, got {fixed_k!r}")
+        raise ConfigurationError(f"fixed candidate count must be an int, got {fixed_k!r}")
     if fixed_k < 2:
-        raise CandidateCountError(f"fixed candidate count must be >= 2, got {fixed_k}")
+        raise ConfigurationError(f"fixed candidate count must be >= 2, got {fixed_k}")
     if fixed_k < n_labels:
-        raise CandidateCountError(
+        raise ConfigurationError(
             f"fixed candidate count {fixed_k} is smaller than the "
             f"{n_labels} distinct labels observed"
         )

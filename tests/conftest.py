@@ -1,11 +1,17 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
+import csv
 import shutil
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def read_csv_rows(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 @pytest.fixture

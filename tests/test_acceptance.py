@@ -3,14 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see one line per criterion.
 """
 
-import csv
 import itertools
 import json
 import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import numpy as np
 
@@ -51,13 +49,7 @@ from cges.llmclient import (
 )
 from cges.posterior import CandidateSet, RunningPosterior, Sample, score
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def read_csv_rows(path):
-    with path.open(newline="") as handle:
-        return list(csv.DictReader(handle))
-
+from conftest import FIXTURES, read_csv_rows
 
 CONF_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 

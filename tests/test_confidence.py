@@ -15,7 +15,7 @@ from cges.confidence import (
     mars_stepwise,
     reward_passthrough,
 )
-from cges.errors import CGESError, EmptyResponseError, InvalidScoreError
+from cges.errors import CGESError, InvalidSampleError
 
 EPS = DEFAULT_CLAMP_EPSILON
 
@@ -44,7 +44,7 @@ class TestLns:
         assert EPS <= lns_arithmetic(TokenizedResponse((1.0, 1e-30))) <= 1.0 - EPS
 
     def test_empty_response_rejected(self):
-        with pytest.raises(EmptyResponseError):
+        with pytest.raises(InvalidSampleError):
             lns_geometric(TokenizedResponse(()))
 
     def test_geometric_never_exceeds_arithmetic(self):
@@ -119,9 +119,9 @@ class TestRewardPassthrough:
         assert reward_passthrough(-0.1) == EPS
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidScoreError):
+        with pytest.raises(InvalidSampleError):
             reward_passthrough(float("nan"))
-        with pytest.raises(InvalidScoreError):
+        with pytest.raises(InvalidSampleError):
             reward_passthrough(float("inf"))
 
 

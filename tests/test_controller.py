@@ -13,12 +13,7 @@ import pytest
 
 from cges import controller
 from cges.controller import ControllerConfig, Method, run, run_many
-from cges.errors import (
-    CandidateCountError,
-    ConfigurationError,
-    InvalidSampleError,
-    SamplerError,
-)
+from cges.errors import ConfigurationError, InvalidSampleError, SamplerError
 from cges.posterior import CandidateSet, RunningPosterior, Sample, score
 
 
@@ -603,9 +598,9 @@ class TestRunMany:
         streams = {f"q{i}": [("a", 0.9)] * 4 for i in range(4)}
         config = ControllerConfig(method=Method.CGES, budget=4, max_parallel=max_parallel)
         sampler, reads = counting_sampler(streams)
-        with pytest.raises(CandidateCountError, match=f"^fixed candidate count {message}$"):
+        with pytest.raises(ConfigurationError, match=f"^fixed candidate count {message}$"):
             run(list(streams), sampler, config, fixed_k)
-        with pytest.raises(CandidateCountError, match=f"^fixed candidate count {message}$"):
+        with pytest.raises(ConfigurationError, match=f"^fixed candidate count {message}$"):
             run_many(list(streams), sampler, [config, replace(config, method=Method.SC)], fixed_k)
         assert reads == {}
 
@@ -624,7 +619,7 @@ class TestRunMany:
             (
                 2,
                 ("c", 0.6),
-                CandidateCountError,
+                ConfigurationError,
                 "fixed candidate count 2 is smaller than the 3 distinct labels observed",
             ),
         ],

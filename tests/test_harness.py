@@ -1,6 +1,5 @@
 """Tests for experiment orchestration and the command-line interface."""
 
-import csv
 import json
 import os
 import re
@@ -16,7 +15,7 @@ import cges
 from cges.cli import ESTIMATOR_FLAGS, build_parser, main
 from cges.confidence import Estimator
 from cges.controller import ControllerConfig, Method, run
-from cges.errors import ConfigurationError, KeyMismatchError
+from cges.errors import ConfigurationError
 from cges.posterior import RunningPosterior
 from cges.harness import (
     DEFAULT_GAMMA_GRID,
@@ -25,7 +24,6 @@ from cges.harness import (
     accuracy,
     compare_methods,
     load_dataset,
-    normalize_answer,
     summarize_report,
     sweep_gamma,
     write_comparison_csv,
@@ -38,10 +36,11 @@ from cges.llmclient import (
     EndpointConfig,
     RecordStore,
     SampleRecord,
+    normalize_answer,
     replay_sampler,
 )
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from conftest import FIXTURES, read_csv_rows
 
 
 def _golden_rows():
@@ -77,11 +76,6 @@ def golden_argv(argv, store):
         else:
             resolved.append(arg)
     return resolved
-
-
-def read_csv_rows(path):
-    with path.open(newline="") as handle:
-        return list(csv.DictReader(handle))
 
 
 def build_store(tmp_path, streams, name="store.jsonl"):
@@ -235,17 +229,17 @@ class TestAccuracy:
         assert accuracy({"a": "b", "b": "b"}, questions) == 0.5
 
     def test_key_mismatch_lists_ids(self):
-        with pytest.raises(KeyMismatchError, match="q2"):
+        with pytest.raises(ConfigurationError, match="q2"):
             accuracy({"q1": "x"}, _questions({"q1": "x", "q2": "y"}))
-        with pytest.raises(KeyMismatchError, match="q3"):
+        with pytest.raises(ConfigurationError, match="q3"):
             accuracy({"q1": "x", "q3": "z"}, _questions({"q1": "x"}))
 
     def test_nothing_to_score(self):
-        with pytest.raises(KeyMismatchError, match="no questions to score"):
+        with pytest.raises(ConfigurationError, match="no questions to score"):
             accuracy({}, [])
 
     def test_normalize_answer(self):
-        assert normalize_answer("  3 /  4\n") == "3 / 4"
+        assert normalize_answer("  3 /  4\n", AnswerFormat.BOXED_MATH) == "3 / 4"
         assert normalize_answer("c", AnswerFormat.LETTER_CHOICE) == "C"
 
 
@@ -463,6 +457,7 @@ class TestExperimentSpecValidation:
         "overrides, message",
         [
             ({"questions": []}, "experiment needs at least one question"),
+            ({"methods": ["cges"]}, "methods must be ControllerConfigs, got 'cges'"),
             ({"seeds": ()}, "experiment needs at least one seed"),
             ({"seeds": (0, 1)}, "recording a live run requires a single seed"),
             ({"seeds": ("0",)}, "seeds must be integers, got '0'"),
@@ -473,8 +468,8 @@ class TestExperimentSpecValidation:
             ({"gamma_grid": (0.9, 1.5)}, "gamma must lie in (0, 1], got 1.5"),
         ],
         ids=[
-            "no-questions", "no-seeds", "record-two-seeds", "seed-string", "seed-bool",
-            "gamma-string", "gamma-bool", "gamma-above-one",
+            "no-questions", "methods-string", "no-seeds", "record-two-seeds", "seed-string",
+            "seed-bool", "gamma-string", "gamma-bool", "gamma-above-one",
         ],
     )
     def test_questions_seeds_and_recording_are_checked(self, tmp_path, overrides, message):
