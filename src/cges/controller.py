@@ -14,9 +14,11 @@ configuration is open on it; a method is a stop rule and a predict rule:
   agree, predict the majority label over everything drawn.
 
 A chain keeps the question's posterior, its last label and that label's run
-length.  While a CGES configuration is open it reads the posterior's top
-(label index, log mass) once per round: the open CGES configurations form a
-threshold ladder sorted by log gamma, closed up to that top in one comparison.
+length.  While a CGES configuration is open it folds each draw's log terms
+into the posterior and reads its top (label index, log mass) once per round:
+the open CGES configurations form a threshold ladder sorted by log gamma,
+closed up to that top in one comparison.  Once the ladder is empty the chain
+only tallies its draws, since SC and ESC read nothing but the label counts.
 """
 
 from __future__ import annotations
@@ -155,7 +157,10 @@ def run_many(
                 round_idx += 1
                 label, confidence = sampler(qid, round_idx)
                 try:
-                    posterior.add(label, confidence)
+                    if rungs:
+                        posterior.add(label, confidence)
+                    else:  # no threshold will read the scores again: count the draw only
+                        posterior.tally(label, confidence)
                 except (ConfigurationError, InvalidSampleError) as exc:
                     raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
                 run_length = run_length + 1 if label == last_label else 1

@@ -113,6 +113,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.questions:
             raise ConfigurationError("experiment needs at least one question")
+        if not self.methods:
+            raise ConfigurationError("experiment needs at least one method")
         if not self.seeds:
             raise ConfigurationError("experiment needs at least one seed")
         if (self.store is None) == (self.endpoint is None):

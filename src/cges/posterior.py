@@ -9,7 +9,9 @@ samples and renormalizing yields a posterior over candidate answers.
 All arithmetic is done in log space; direct products underflow once a few
 hundred samples accumulate.  ``RunningPosterior`` keeps the sufficient
 statistics of a sample stream, so adding a sample costs O(1) and every score
-is read off them at query time; ``score`` is its batch form.
+is read off them at query time; ``score`` is its batch form.  ``tally`` counts
+a sample without its log terms, for a caller that reads only the counts from
+then on; a tallied posterior refuses every score read.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class RunningPosterior:
     up front, with no samples; the rest are named as they are first seen.
     """
 
-    __slots__ = ("fixed_k", "n", "sum_log_miss", "_records")
+    __slots__ = ("fixed_k", "n", "sum_log_miss", "_records", "_tallied")
 
     def __init__(self, fixed_k: Optional[int] = None, labels: Iterable[Label] = ()) -> None:
         self.fixed_k = fixed_k
@@ -99,6 +101,7 @@ class RunningPosterior:
         self.sum_log_miss = 0.0
         # label -> [n_L, S_L, A_L]; insertion order = first-seen order
         self._records: dict[Label, list] = {}
+        self._tallied = False  # set by ``tally``: the log sums then miss a sample
         for label in labels:
             if label in self._records:
                 raise InvalidSampleError("candidate labels must be pairwise distinct")
@@ -127,10 +130,28 @@ class RunningPosterior:
         record[1] += math.log(confidence)
         record[2] += log_miss
 
+    def tally(self, label: Label, confidence: float) -> None:
+        """Count one observation without its log terms, refusing what ``add``
+        refuses; ``counts``, ``labels`` and ``n`` stay exact, but every score
+        read raises from then on."""
+        # the checks of ``add``, inlined there too: a shared call costs ``add`` time
+        if not 0.0 < confidence < 1.0:
+            _check_confidence(confidence)  # raises
+        record = self._records.get(label)
+        if record is None:
+            if self.fixed_k is not None:
+                _check_fixed_k(self.fixed_k, len(self._records) + 1)
+            record = self._records[label] = [0, 0.0, 0.0]
+        self.n += 1
+        record[0] += 1
+        self._tallied = True
+
     def _scores(self) -> tuple[list[float], Optional[float]]:
         """The named labels' log scores in first-seen order, and the unnamed
         candidates' aggregate (None if all are named): the one place the
         score formula lives."""
+        if self._tallied:
+            raise ConfigurationError("a tallied posterior keeps counts, not scores")
         k = len(self._records) + 1 if self.fixed_k is None else self.fixed_k
         if k < 2:  # observed+virtual with no label yet
             raise EmptySamplesError("a posterior needs at least one sample")

@@ -683,14 +683,16 @@ WALD_BUDGET = 64
 WALD_MAX_ABS_Z = 4.0
 
 
-def wald_z(config, gammas, seed):
-    """Per (gamma, competitor j), the z statistic of the mean of
-    (LLR_j at tau - mu_j * tau) over questions run through the controller.
+def wald_run(config, gammas, seed):
+    """(z, accuracy, mu) of one case run through the controller: per (gamma,
+    competitor j), the z statistic of the mean of (LLR_j at tau - mu_j * tau)
+    over questions; per gamma, the share of questions predicted right; and
+    per j, ``genmodel.drift``'s mu_j.
 
-    tau is the question's close round, LLR_j the truth's log mass minus
-    competitor j's in a fixed-K posterior folded over draws 1..tau, and mu_j
-    ``genmodel.drift``.  A Monte Carlo drift's own error widens the z
-    denominator by E[tau] times its standard error.
+    tau is the question's close round and LLR_j the truth's log mass minus
+    competitor j's in a fixed-K posterior folded over draws 1..tau.  A Monte
+    Carlo drift's own error widens the z denominator by E[tau] times its
+    standard error.
     """
     k = config.k
     rng = np.random.default_rng(seed)
@@ -727,22 +729,43 @@ def wald_z(config, gammas, seed):
             gaps = llr[g, :, j - 1] - estimate.mu[j] * taus[g]
             drift_err = taus[g].mean() * estimate.std_err[j]
             z[gamma, j] = gaps.mean() / math.sqrt(gaps.var(ddof=1) / WALD_QUESTIONS + drift_err**2)
-    return z
+    accuracy = {
+        gamma: sum(result.predictions[qid] == truth for qid, truth in zip(qids, truths.tolist()))
+        / WALD_QUESTIONS
+        for gamma, result in zip(gammas, results)
+    }
+    return z, accuracy, estimate.mu
 
 
 def test_criterion_11_walds_identity_ties_the_drift_to_the_controller_posterior():
     """Rounds are i.i.d. given a point answer law and the close round tau is a
     bounded stopping time, so Wald's identity gives E[LLR_j at tau] =
     mu_j * E[tau] for every competitor j, at every gamma: the simulator's
-    drift and the controller's kernel must agree."""
+    drift and the controller's kernel must agree.  When every mu_j > 0 the
+    posterior drifts toward the truth, so a higher gamma, which waits for
+    more of that drift, is right more often; when every mu_j < 0 it drifts
+    away, and a higher gamma is right less often."""
 
     def body():
-        failures = []
+        failures, misdirected = [], []
         for config, gammas, seed in WALD_CASES:
-            for (gamma, j), z in wald_z(config, gammas, seed).items():
-                print(f"  seed {seed}, K={config.k}, gamma={gamma}, j={j}: z={z:+.2f}")
-                if not abs(z) <= WALD_MAX_ABS_Z:
-                    failures.append((seed, gamma, j, round(z, 2)))
+            z, accuracy, mu = wald_run(config, gammas, seed)
+            for (gamma, j), value in z.items():
+                print(f"  seed {seed}, K={config.k}, gamma={gamma}, j={j}: z={value:+.2f}")
+                if not abs(value) <= WALD_MAX_ABS_Z:
+                    failures.append((seed, gamma, j, round(value, 2)))
+            path = [accuracy[gamma] for gamma in gammas]
+            print(f"  seed {seed}: accuracy {path} at gamma {gammas}")
+            steps = np.diff(path)
+            if all(m > 0 for m in mu.values()) and not (steps > 0).all():
+                misdirected.append((seed, "not rising", path))
+            if all(m < 0 for m in mu.values()) and not (steps < 0).all():
+                misdirected.append((seed, "not falling", path))
         assert not failures, f"|z| > {WALD_MAX_ABS_Z} at (seed, gamma, j, z): {failures}"
+        assert not misdirected, f"accuracy against gamma (seed, fault, path): {misdirected}"
 
-    _verdict("criterion 11: Wald's identity through the controller (|z| <= 4)", body)
+    _verdict(
+        "criterion 11: Wald's identity through the controller (|z| <= 4), and accuracy "
+        "moving with gamma in the drift's direction",
+        body,
+    )

@@ -625,18 +625,49 @@ class TestRunMany:
         ],
         ids=["confidence", "fixed_k"],
     )
+    @pytest.mark.parametrize(
+        "gammas, refused_by",
+        [
+            ((), "tally"),  # SC alone never reads a score
+            ((0.999,), "add"),  # still open at round 3
+            ((0.5,), "tally"),  # closed at round 1, where q1's top mass is 0.6
+        ],
+        ids=["sc", "cges-0.999-sc", "cges-0.5-sc"],
+    )
     def test_a_refused_draw_names_its_question_and_round(
-        self, fixed_k, q1, error, message, max_parallel
+        self, monkeypatch, gammas, refused_by, fixed_k, q1, error, message, max_parallel
     ):
+        refusals = []
+
+        class RecordingPosterior(RunningPosterior):
+            def add(self, label, confidence):
+                self.fold("add", super().add, label, confidence)
+
+            def tally(self, label, confidence):
+                self.fold("tally", super().tally, label, confidence)
+
+            def fold(self, name, method, label, confidence):
+                try:
+                    method(label, confidence)
+                except Exception:
+                    refusals.append((name, self.n + 1))
+                    raise
+
+        monkeypatch.setattr(controller, "RunningPosterior", RecordingPosterior)
         streams = {
             "q0": [("a", 0.9)] * 4,
             "q1": [("a", 0.6), ("b", 0.6), q1, ("a", 0.6)],
             "q2": [("a", 0.9)] * 4,
         }
-        config = ControllerConfig(method=Method.SC, budget=4, max_parallel=max_parallel)
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=gamma, budget=4, max_parallel=max_parallel)
+            for gamma in gammas
+        ]
+        configs.append(ControllerConfig(method=Method.SC, budget=4, max_parallel=max_parallel))
         with pytest.raises(error, match=f"^question 'q1' round 3: {message}$") as caught:
-            run(list(streams), stream_sampler(streams), config, fixed_k)
+            run_many(list(streams), stream_sampler(streams), configs, fixed_k)
         assert type(caught.value.__cause__) is error  # the posterior's own error, chained
+        assert refusals == [(refused_by, 3)]
 
 
 class TestConfigValidation:

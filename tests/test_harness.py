@@ -457,6 +457,7 @@ class TestExperimentSpecValidation:
         "overrides, message",
         [
             ({"questions": []}, "experiment needs at least one question"),
+            ({"methods": []}, "experiment needs at least one method"),
             ({"methods": ["cges"]}, "methods must be ControllerConfigs, got 'cges'"),
             ({"seeds": ()}, "experiment needs at least one seed"),
             ({"seeds": (0, 1)}, "recording a live run requires a single seed"),
@@ -468,7 +469,7 @@ class TestExperimentSpecValidation:
             ({"gamma_grid": (0.9, 1.5)}, "gamma must lie in (0, 1], got 1.5"),
         ],
         ids=[
-            "no-questions", "methods-string", "no-seeds", "record-two-seeds", "seed-string",
+            "no-questions", "no-methods", "methods-string", "no-seeds", "record-two-seeds", "seed-string",
             "seed-bool", "gamma-string", "gamma-bool", "gamma-above-one",
         ],
     )

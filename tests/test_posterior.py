@@ -153,12 +153,17 @@ class TestCandidateSet:
 
 
 class TestSampleValidation:
+    @pytest.mark.parametrize("fold", ["add", "tally"])
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, 1.5, float("nan")])
-    def test_confidence_outside_open_interval_rejected(self, confidence):
+    def test_confidence_outside_open_interval_rejected(self, confidence, fold):
         with pytest.raises(InvalidSampleError):
             Sample("a", confidence)
-        with pytest.raises(InvalidSampleError):
-            RunningPosterior().add("a", confidence)
+        running = RunningPosterior()
+        with pytest.raises(
+            InvalidSampleError, match=r"^confidence must lie strictly inside \(0, 1\), got "
+        ):
+            getattr(running, fold)("a", confidence)
+        assert running.n == 0 and running.counts == {}
 
     def test_round_below_one_rejected(self):
         with pytest.raises(InvalidSampleError):
@@ -473,12 +478,38 @@ class TestRunningPosterior:
         assert running.labels == ("a", "b")
         assert log_scores(running) == scores
 
-    def test_fixed_k_overflow_rejected(self):
+    @pytest.mark.parametrize("fold", ["add", "tally"])
+    def test_fixed_k_overflow_rejected(self, fold):
         running = RunningPosterior(fixed_k=2)
-        running.add("a", 0.5)
-        running.add("b", 0.5)
-        with pytest.raises(ConfigurationError):
-            running.add("c", 0.5)
+        getattr(running, fold)("a", 0.5)
+        getattr(running, fold)("b", 0.5)
+        with pytest.raises(
+            ConfigurationError,
+            match="^fixed candidate count 2 is smaller than the 3 distinct labels observed$",
+        ):
+            getattr(running, fold)("c", 0.5)
+        assert running.counts == {"a": 1, "b": 1}
+
+    @pytest.mark.parametrize("fixed_k", [None, 3])
+    def test_a_tallied_posterior_counts_but_refuses_every_score_read(self, fixed_k):
+        stream = [("b", 0.6), ("a", 0.9), ("b", 0.3), ("c", 0.7)]
+        added, tallied = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
+        for i, (label, confidence) in enumerate(stream):
+            added.add(label, confidence)
+            # the controller's order: add while a threshold is open, then tally
+            (tallied.add if i < 2 else tallied.tally)(label, confidence)
+        assert list(tallied.counts.items()) == list(added.counts.items())
+        assert tallied.labels == added.labels == ("b", "a", "c")
+        assert tallied.n == added.n == 4
+        for read in ("top_index_and_log_mass", "top_log_mass", "top", "masses", "virtual_mass"):
+            with pytest.raises(
+                ConfigurationError, match="^a tallied posterior keeps counts, not scores$"
+            ):
+                value = getattr(tallied, read)  # a property raises here
+                value()  # a method here
+            value = getattr(added, read)  # the twin that folded every sample still reads
+            if callable(value):
+                value()
 
     def test_score_is_the_batch_form(self):
         rng = np.random.default_rng(37)
