@@ -469,8 +469,8 @@ class TestExperimentSpecValidation:
             ({"gamma_grid": (0.9, 1.5)}, "gamma must lie in (0, 1], got 1.5"),
         ],
         ids=[
-            "no-questions", "no-methods", "methods-string", "no-seeds", "record-two-seeds", "seed-string",
-            "seed-bool", "gamma-string", "gamma-bool", "gamma-above-one",
+            "no-questions", "no-methods", "methods-string", "no-seeds", "record-two-seeds",
+            "seed-string", "seed-bool", "gamma-string", "gamma-bool", "gamma-above-one",
         ],
     )
     def test_questions_seeds_and_recording_are_checked(self, tmp_path, overrides, message):
