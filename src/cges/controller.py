@@ -15,10 +15,14 @@ configuration is open on it; a method is a stop rule and a predict rule:
 
 A chain keeps the question's posterior, its last label and that label's run
 length.  While a CGES configuration is open it folds each draw's log terms
-into the posterior and reads its top (label index, log mass) once per round:
-the open CGES configurations form a threshold ladder sorted by log gamma,
-closed up to that top in one comparison.  Once the ladder is empty the chain
-only tallies its draws, since SC and ESC read nothing but the label counts.
+into the posterior, and the open CGES configurations form a threshold ladder
+sorted by log gamma.  A round first asks the posterior (``top_below``, an
+O(1) check against the floor its last exact read left) whether the top log
+mass is surely below the lowest rung; only if not does it read the top
+(label index, log mass) exactly, once, and close the ladder up to it in one
+comparison.  So every close, its prediction and the top mass it closes at
+come from an exact read.  Once the ladder is empty the chain only tallies its draws,
+since SC and ESC read nothing but the label counts.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class ControllerConfig:
                 f"budget={self.budget}"
             )
         if self.max_parallel < 1:
-            raise ConfigurationError("max_parallel must be >= 1")
+            raise ConfigurationError(f"max_parallel must be >= 1, got {self.max_parallel!r}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,8 @@ def run_many(
                 last_label = label
                 closing: dict[int, bool] = {}  # index -> resolved, of those closing this round
                 # a CGES configuration closes only while on the ladder, so a
-                # round that closes one has read its top
-                if rungs:
+                # round that closes one has read its top exactly
+                if rungs and not posterior.top_below(rungs[0][0]):
                     top_index, top = posterior.top_index_and_log_mass()
                     for log_gamma, c in rungs:
                         if log_gamma > top:

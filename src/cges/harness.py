@@ -10,9 +10,9 @@ plain-text summary.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from statistics import fmean
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .confidence import Estimator
@@ -196,8 +196,10 @@ def _measure(
         per_seed.append(
             [(result.avg_calls, accuracy(result.predictions, spec.questions)) for result in results]
         )
+    # the mean of each figure over the seeds, as statistics.fmean computes it,
+    # without that module's import cost
     return [
-        (fmean(calls for calls, _ in column), fmean(acc for _, acc in column))
+        tuple(math.fsum(values) / len(values) for values in zip(*column))
         for column in zip(*per_seed)
     ]
 

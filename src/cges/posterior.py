@@ -12,6 +12,13 @@ statistics of a sample stream, so adding a sample costs O(1) and every score
 is read off them at query time; ``score`` is its batch form.  ``tally`` counts
 a sample without its log terms, for a caller that reads only the counts from
 then on; a tallied posterior refuses every score read.
+
+A loop that stops on the top mass need not read it exactly after every
+sample.  Each exact read of the top leaves a floor, a lower bound on the
+other candidates' mass relative to the top one, and ``add`` carries that
+floor through later samples in O(1); ``top_below`` then proves from it alone
+that the top log mass is below a threshold, or answers False and leaves the
+question to the next exact read.
 """
 
 from __future__ import annotations
@@ -23,6 +30,16 @@ from typing import Hashable, Iterable, Optional, Sequence
 from .errors import ConfigurationError, EmptySamplesError, InvalidSampleError
 
 Label = Hashable
+
+# The floor's rounding slack is _SLACK * n * (_LOG_SPAN + log(K - 1)) after n
+# samples.  |log C| + |log(1 - C)| < _LOG_SPAN for every float C in (0, 1), so
+# every log sum is below n * (_LOG_SPAN + log(K - 1)) in magnitude, and a score
+# gap read from the sums is off by less than 1e-15 of that; _SLACK is ten times it.
+_SLACK = 1e-14
+_LOG_SPAN = 800.0
+# Below this a read's terms may underflow to zero, so a smaller floor proves nothing.
+_TINY = 1e-250
+_TALLIED = "a tallied posterior keeps counts, not scores"
 
 
 @dataclass(frozen=True)
@@ -91,9 +108,22 @@ class RunningPosterior:
     time (``fixed_k``, or the named labels plus one virtual reserve), so the
     scores stay exact when a new label grows K.  ``labels`` names candidates
     up front, with no samples; the rest are named as they are first seen.
+
+    Every score is the all-mismatch score A - n * log(K - 1) plus the label's
+    excess S_L - A_L + n_L * log(K - 1), so a competitor's mass relative to
+    the top one is e^(excess_L - excess_top), and a sample moves the excess of
+    its own label only.  That is how ``add`` keeps the floor (see ``top_below``):
+    the top drawn with a gain scales it by e^(-gain); a competitor drawn that
+    still trails the top swaps its old ratio, less a rounding allowance, for
+    its new one; a new label (which moves K or the unnamed count), the top
+    drawn with a loss (a confidence below 1/K), or a competitor that may have
+    caught up drops it to 0.
     """
 
-    __slots__ = ("fixed_k", "n", "sum_log_miss", "_records", "_tallied")
+    __slots__ = (
+        "fixed_k", "n", "sum_log_miss", "_records", "_tallied",
+        "_floor", "_top", "_top_excess", "_log_k_minus_1",
+    )
 
     def __init__(self, fixed_k: Optional[int] = None, labels: Iterable[Label] = ()) -> None:
         self.fixed_k = fixed_k
@@ -102,6 +132,11 @@ class RunningPosterior:
         # label -> [n_L, S_L, A_L]; insertion order = first-seen order
         self._records: dict[Label, list] = {}
         self._tallied = False  # set by ``tally``: the log sums then miss a sample
+        # the floor, and the top record, its excess and log(K - 1) of the read it
+        # started from; a floor of 0.0 proves nothing
+        self._floor = 0.0
+        self._top: Optional[list] = None
+        self._top_excess = self._log_k_minus_1 = 0.0
         for label in labels:
             if label in self._records:
                 raise InvalidSampleError("candidate labels must be pairwise distinct")
@@ -123,12 +158,33 @@ class RunningPosterior:
             if self.fixed_k is not None:
                 _check_fixed_k(self.fixed_k, len(self._records) + 1)
             record = self._records[label] = [0, 0.0, 0.0]
+            self._floor = 0.0
+        log_hit = math.log(confidence)
         log_miss = math.log1p(-confidence)
         self.n += 1
         self.sum_log_miss += log_miss
         record[0] += 1
-        record[1] += math.log(confidence)
+        record[1] += log_hit
         record[2] += log_miss
+        floor = self._floor
+        if floor:  # carry the floor (see the class docstring), inlined: a call costs ``add`` time
+            log_k_minus_1 = self._log_k_minus_1
+            excess = record[1] - record[2] + record[0] * log_k_minus_1
+            if record is self._top:
+                gain = excess - self._top_excess
+                self._top_excess = excess
+                self._floor = floor * math.exp(-gain) if gain >= 0.0 else 0.0
+            else:
+                gap = excess - self._top_excess  # log of its mass relative to the top's
+                # it still trails; a near tie that rounding hides moves the tail
+                # by less than the slack
+                if gap < 0.0:
+                    step = log_hit - log_miss + log_k_minus_1  # how far the gap moved
+                    allowance = 1.0 + _SLACK * self.n * (_LOG_SPAN + log_k_minus_1)
+                    floor += math.exp(gap) - math.exp(gap - step) * allowance
+                    self._floor = floor if floor > 0.0 else 0.0
+                else:
+                    self._floor = 0.0
 
     def tally(self, label: Label, confidence: float) -> None:
         """Count one observation without its log terms, refusing what ``add``
@@ -146,12 +202,12 @@ class RunningPosterior:
         record[0] += 1
         self._tallied = True
 
-    def _scores(self) -> tuple[list[float], Optional[float]]:
-        """The named labels' log scores in first-seen order, and the unnamed
-        candidates' aggregate (None if all are named): the one place the
-        score formula lives."""
+    def _scores(self) -> tuple[list[float], Optional[float], float]:
+        """The named labels' log scores in first-seen order, the unnamed
+        candidates' aggregate (None if all are named) and log(K - 1): the one
+        place the score formula lives (``add`` keeps the floor with its excess form)."""
         if self._tallied:
-            raise ConfigurationError("a tallied posterior keeps counts, not scores")
+            raise ConfigurationError(_TALLIED)
         k = len(self._records) + 1 if self.fixed_k is None else self.fixed_k
         if k < 2:  # observed+virtual with no label yet
             raise EmptySamplesError("a posterior needs at least one sample")
@@ -163,9 +219,9 @@ class RunningPosterior:
         ]
         n_unnamed = k - len(self._records)
         if n_unnamed <= 0:
-            return scores, None
+            return scores, None, log_k_minus_1
         # every unnamed candidate has the all-mismatch score
-        return scores, total_miss - n * log_k_minus_1 + math.log(n_unnamed)
+        return scores, total_miss - n * log_k_minus_1 + math.log(n_unnamed), log_k_minus_1
 
     def top_log_mass(self) -> float:
         """log of the top label's posterior mass (see ``top_index_and_log_mass``)."""
@@ -179,14 +235,33 @@ class RunningPosterior:
         one), so it is exactly < 0 whenever any competing mass is positive and
         a threshold of 1.0 stays unreachable (robust at thresholds near 1).
         """
-        scores, reserve_log = self._scores()
+        scores, reserve_log, log_k_minus_1 = self._scores()
         best = _first_max(scores)
         # the top label's score; the rest are the competitors
         top_log = scores.pop(best)
         tail = math.fsum([math.exp(v - top_log) for v in scores])
         if reserve_log is not None:
             tail += math.exp(reserve_log - top_log)
+        # the floor starts afresh from this read
+        top = self._top = [*self._records.values()][best]
+        self._top_excess = top[1] - top[2] + top[0] * log_k_minus_1
+        self._log_k_minus_1 = log_k_minus_1
+        self._floor = tail
         return best, -math.log1p(tail)
+
+    def top_below(self, log_gamma: float) -> bool:
+        """True only if the next ``top_index_and_log_mass`` would read a log
+        mass below ``log_gamma``; False when the floor cannot tell.
+
+        That log mass is -log1p(tail), the tail being the other masses
+        relative to the top one, so it is below log gamma once the tail
+        exceeds expm1(-log gamma).  The floor, a lower bound on the tail,
+        shrunk by the rounding slack, proves it without the O(K) read.
+        """
+        if self._tallied:
+            raise ConfigurationError(_TALLIED)
+        floor = self._floor * (1.0 - _SLACK * self.n * (_LOG_SPAN + self._log_k_minus_1))
+        return floor > _TINY and floor > math.expm1(-log_gamma)
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -225,7 +300,7 @@ class RunningPosterior:
         """(log scores, reserve log score, log normalizer) via a max-shifted log-sum-exp."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
-        scores, reserve_log = self._scores()
+        scores, reserve_log, _ = self._scores()
         entries = scores if reserve_log is None else [*scores, reserve_log]
         return scores, reserve_log, _logsumexp(entries)
 

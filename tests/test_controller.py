@@ -424,6 +424,32 @@ def skewed_streams(rng, n_questions, budget, n_labels=3):
     return streams
 
 
+def edge_streams(rng, n_questions, budget, n_labels, k):
+    """Streams at the edges of the posterior's floor: one label leads, the
+    others are first seen at random rounds, and confidences sit at the clamps
+    1e-12 and 1 - 1e-12 or below 1/K, where a drawn leader loses ground."""
+    streams = {}
+    for i in range(n_questions):
+        lean = rng.uniform(0.3, 0.95)
+        debuts = [1, *rng.integers(1, budget + 1, n_labels - 1)]
+        stream = []
+        for t in range(1, budget + 1):
+            seen = [j for j, debut in enumerate(debuts) if debut <= t]
+            j = 0 if rng.uniform() < lean else int(rng.choice(seen))
+            u = rng.uniform()
+            if u < 0.05:
+                confidence = 1e-12
+            elif u < 0.1:
+                confidence = 1 - 1e-12
+            elif u < 0.3:
+                confidence = rng.uniform(0.2, 1.0) / k
+            else:
+                confidence = rng.uniform(0.05, 0.95)
+            stream.append((f"ans{j}", float(confidence)))
+        streams[f"q{i}"] = stream
+    return streams
+
+
 def counting_sampler(streams):
     reads = {}
 
@@ -531,7 +557,8 @@ class TestRunMany:
 
     def test_top_is_read_at_most_once_per_draw(self, monkeypatch):
         # the thresholds share one top read per round, and the CGES predict
-        # rule reuses it at close
+        # rule reuses it at close; a round whose floor proves the lowest open
+        # threshold out of reach reads nothing
         tops = Counter()
         serials = itertools.count()  # not id(): a freed posterior's id is reused
 
@@ -553,9 +580,31 @@ class TestRunMany:
         results = run_many(list(streams), sampler, configs)
         monkeypatch.undo()
         assert set(tops.values()) == {1}
-        assert sum(tops.values()) == sum(reads.values())
+        assert sum(tops.values()) <= sum(reads.values())
+        assert sum(tops.values()) < sum(reads.values())  # this stream skips some reads
         for config, result in zip(configs, results):
             assert result == run(list(streams), stream_sampler(streams), config)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("extra_k", [None, 2])
+    def test_the_screen_changes_no_result(self, monkeypatch, seed, extra_k):
+        # the reference reads the top every round a threshold is open
+        class ReadEveryRound(RunningPosterior):
+            def top_below(self, log_gamma):
+                return False
+
+        rng = np.random.default_rng(seed)
+        n_labels = int(rng.integers(2, 6))
+        fixed_k = None if extra_k is None else n_labels + extra_k
+        streams = edge_streams(rng, 30, 200, n_labels, fixed_k or n_labels + 1)
+        gammas = [0.05, *rng.uniform(0.05, 1.0, 5), 1 - 1e-12, 1.0]
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=g, budget=int(rng.integers(1, 201)))
+            for g in gammas
+        ]
+        screened = run_many(list(streams), stream_sampler(streams), configs, fixed_k)
+        monkeypatch.setattr(controller, "RunningPosterior", ReadEveryRound)
+        assert screened == run_many(list(streams), stream_sampler(streams), configs, fixed_k)
 
     def test_builds_one_posterior_per_question(self, monkeypatch):
         # configurations that close at different rounds keep no posterior of
@@ -682,7 +731,7 @@ class TestConfigValidation:
             ControllerConfig(budget=0)
 
     def test_max_parallel_bound(self):
-        with pytest.raises(ConfigurationError, match="^max_parallel must be >= 1$"):
+        with pytest.raises(ConfigurationError, match="^max_parallel must be >= 1, got 0$"):
             ControllerConfig(max_parallel=0)
 
     def test_esc_window_bound(self):

@@ -510,6 +510,9 @@ class TestRunningPosterior:
             value = getattr(added, read)  # the twin that folded every sample still reads
             if callable(value):
                 value()
+        with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts, not scores$"):
+            tallied.top_below(math.log(0.9))  # the screen is a score read too
+        added.top_below(math.log(0.9))
 
     def test_score_is_the_batch_form(self):
         rng = np.random.default_rng(37)
@@ -573,6 +576,61 @@ class TestRunningPosterior:
             final = genmodel._round_terms(responses.T, confidences.T, k).sum(axis=0)[0]
             for j in range(k):
                 assert_close(scores[j], float(final[j]))
+
+
+def knife_edge_streams():
+    """(stream, fixed K) cases for the screen: seeded random streams, streams
+    whose top mass nears 1 or reaches it, and a competitor close to the top
+    that then draws a confidence of 1e-12, so that its old ratio is nearly all
+    the floor."""
+    rng = np.random.default_rng(41)
+    for fixed_k in (None, 8):
+        for _ in range(6):
+            lean = rng.uniform(0.4, 0.9)
+            yield [
+                ("a" if rng.uniform() < lean else str(rng.choice(list("bcd"))),
+                 float(rng.choice([rng.uniform(0.05, 0.95), 1e-12, 1 - 1e-12], p=[0.8, 0.1, 0.1])))
+                for _ in range(60)
+            ], fixed_k
+        for confidence in (0.99, 0.999, 1 - 1e-6):
+            yield [("a", confidence)] * 3 + [("b", 0.5), ("a", confidence)] * 3, fixed_k
+        # a top mass of exactly 1 once the read's terms underflow to 0 (gamma = 1 closes)
+        yield [(str(j), 0.5) for j in range(6)] + [("a", 0.9999)] * 80, fixed_k
+        for repeats in range(3, 9):
+            for hit in (0.8, 0.9, 0.95):
+                yield [("a", hit)] * 3 + [("b", hit), ("a", hit)] * repeats + [("b", 1e-12)], fixed_k
+
+
+class TestScreen:
+    """``top_below`` proves a top log mass below a threshold without reading
+    it, and never for a threshold that the next exact read would reach."""
+
+    @pytest.mark.parametrize("read_every", [1, 3, 7])
+    def test_a_top_the_next_read_reaches_is_never_screened_out(self, read_every):
+        for stream, fixed_k in knife_edge_streams():
+            screened, exact = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
+            proved = 0
+            for t, (label, confidence) in enumerate(stream, 1):
+                screened.add(label, confidence)
+                exact.add(label, confidence)
+                top = exact.top_index_and_log_mass()[1]
+                # log gamma at the read's top log mass, and the log of gamma = exp(top)
+                for log_gamma in (top, math.log(math.exp(top))):
+                    if log_gamma <= top:  # the read reaches gamma: a close
+                        assert not screened.top_below(log_gamma), (stream, fixed_k, t)
+                proved += screened.top_below(top * (1 - 1e-6))  # just out of reach
+                if t % read_every == 0:
+                    screened.top_index_and_log_mass()
+            assert proved, (stream, fixed_k)  # the floor is tight, not just 0
+
+    def test_a_fresh_or_unread_posterior_proves_nothing(self):
+        running = RunningPosterior()
+        running.add("a", 0.1)
+        assert not running.top_below(math.log(0.99))  # no read yet
+        assert running.top_index_and_log_mass()[1] < math.log(0.99)
+        assert running.top_below(math.log(0.99))
+        running.add("b", 0.6)  # a new label moves K
+        assert not running.top_below(math.log(0.99))
 
 
 def dict_top_log_mass(running):
