@@ -14,15 +14,15 @@ configuration is open on it; a method is a stop rule and a predict rule:
   agree, predict the majority label over everything drawn.
 
 A chain keeps the question's posterior, its last label and that label's run
-length.  While a CGES configuration is open it folds each draw's log terms
-into the posterior, and the open CGES configurations form a threshold ladder
-sorted by log gamma.  A round first asks the posterior (``top_below``, an
-O(1) check against the floor its last exact read left) whether the top log
-mass is surely below the lowest rung; only if not does it read the top
-(label index, log mass) exactly, once, and close the ladder up to it in one
-comparison.  So every close, its prediction and the top mass it closes at
-come from an exact read.  Once the ladder is empty the chain only tallies its draws,
-since SC and ESC read nothing but the label counts.
+length, and adds every draw to the posterior.  The open CGES configurations
+form a threshold ladder sorted by log gamma.  A round first asks the
+posterior (``top_below``, an O(1) check against the floor its last exact
+read left) whether the top log mass is surely below the lowest rung; only if
+not does it read the top (label index, log mass) exactly, once, and close the
+ladder up to it in one comparison, so every close and its prediction come
+from an exact read.  Once the ladder is empty (at the start, under SC or ESC
+alone) the chain calls ``stop_scoring``, since SC and ESC read nothing but
+the label counts: later draws are only counted.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def run_many(
         """Per configuration, (prediction, calls, resolved) at the round it
         closes on ``qid``; once a chain has failed, no chain makes another draw."""
         posterior = RunningPosterior(fixed_k=fixed_k)
+        if not ladder:  # SC and ESC read only the label counts
+            posterior.stop_scoring()
         last_label, run_length = None, 0  # the trailing run of one label, for ESC
         outcomes: list = [None] * len(configs)
         rungs, n_open = ladder, len(configs)
@@ -161,10 +163,7 @@ def run_many(
                 round_idx += 1
                 label, confidence = sampler(qid, round_idx)
                 try:
-                    if rungs:
-                        posterior.add(label, confidence)
-                    else:  # no threshold will read the scores again: count the draw only
-                        posterior.tally(label, confidence)
+                    posterior.add(label, confidence)
                 except (ConfigurationError, InvalidSampleError) as exc:
                     raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
                 run_length = run_length + 1 if label == last_label else 1
@@ -196,6 +195,8 @@ def run_many(
                         outcomes[c] = (prediction, round_idx, resolved)
                     n_open -= len(closing)
                     rungs = [rung for rung in rungs if outcomes[rung[1]] is None]
+                    if not rungs:  # no threshold will read the scores again
+                        posterior.stop_scoring()
         except BaseException:
             failed.set()
             raise

@@ -9,16 +9,11 @@ samples and renormalizing yields a posterior over candidate answers.
 All arithmetic is done in log space; direct products underflow once a few
 hundred samples accumulate.  ``RunningPosterior`` keeps the sufficient
 statistics of a sample stream, so adding a sample costs O(1) and every score
-is read off them at query time; ``score`` is its batch form.  ``tally`` counts
-a sample without its log terms, for a caller that reads only the counts from
-then on; a tallied posterior refuses every score read.
-
-A loop that stops on the top mass need not read it exactly after every
-sample.  Each exact read of the top leaves a floor, a lower bound on the
-other candidates' mass relative to the top one, and ``add`` carries that
-floor through later samples in O(1); ``top_below`` then proves from it alone
-that the top log mass is below a threshold, or answers False and leaves the
-question to the next exact read.
+is read off them at query time; ``score`` is its batch form.  Every mass it
+reports comes off one normalisation, the exact top read, whose log mass is the
+one a stopping rule compares.  Between exact reads, a floor that ``add``
+carries in O(1) lets ``top_below`` prove a threshold out of reach.  After
+``stop_scoring`` a posterior only counts its samples and refuses every score read.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ _SLACK = 1e-14
 _LOG_SPAN = 800.0
 # Below this a read's terms may underflow to zero, so a smaller floor proves nothing.
 _TINY = 1e-250
-_TALLIED = "a tallied posterior keeps counts, not scores"
+_STOPPED = "a tallied posterior keeps counts, not scores"
 
 
 @dataclass(frozen=True)
@@ -56,8 +51,8 @@ class Sample:
 
     def __post_init__(self) -> None:
         _check_confidence(self.confidence)
-        if self.round < 1:
-            raise InvalidSampleError(f"round must be a positive integer, got {self.round!r}")
+        if type(self.round) is not int or self.round < 1:
+            raise InvalidSampleError(f"round must be an integer >= 1, got {self.round!r}")
 
 
 @dataclass(frozen=True)
@@ -112,16 +107,15 @@ class RunningPosterior:
     Every score is the all-mismatch score A - n * log(K - 1) plus the label's
     excess S_L - A_L + n_L * log(K - 1), so a competitor's mass relative to
     the top one is e^(excess_L - excess_top), and a sample moves the excess of
-    its own label only.  That is how ``add`` keeps the floor (see ``top_below``):
-    the top drawn with a gain scales it by e^(-gain); a competitor drawn that
-    still trails the top swaps its old ratio, less a rounding allowance, for
-    its new one; a new label (which moves K or the unnamed count), the top
-    drawn with a loss (a confidence below 1/K), or a competitor that may have
-    caught up drops it to 0.
+    its own label only.  So ``add`` carries the floor (see ``top_below``): the
+    top drawn with a gain scales it by e^(-gain); a competitor drawn that still
+    trails swaps its old ratio, less a rounding allowance, for its new one; a
+    new label (K or the unnamed count moves), the top drawn with a loss (a
+    confidence below 1/K), or a competitor that may have caught up drops it to 0.
     """
 
     __slots__ = (
-        "fixed_k", "n", "sum_log_miss", "_records", "_tallied",
+        "fixed_k", "n", "sum_log_miss", "_records",
         "_floor", "_top", "_top_excess", "_log_k_minus_1",
     )
 
@@ -131,10 +125,9 @@ class RunningPosterior:
         self.sum_log_miss = 0.0
         # label -> [n_L, S_L, A_L]; insertion order = first-seen order
         self._records: dict[Label, list] = {}
-        self._tallied = False  # set by ``tally``: the log sums then miss a sample
         # the floor, and the top record, its excess and log(K - 1) of the read it
-        # started from; a floor of 0.0 proves nothing
-        self._floor = 0.0
+        # started from; a floor of 0.0 proves nothing, and None marks ``stop_scoring``
+        self._floor: Optional[float] = 0.0
         self._top: Optional[list] = None
         self._top_excess = self._log_k_minus_1 = 0.0
         for label in labels:
@@ -150,23 +143,32 @@ class RunningPosterior:
         return {label: record[0] for label, record in self._records.items()}
 
     def add(self, label: Label, confidence: float) -> None:
-        """Fold one (label, confidence) observation into the statistics."""
-        if not 0.0 < confidence < 1.0:
-            _check_confidence(confidence)  # raises
-        record = self._records.get(label)
+        """Fold one (label, confidence) observation into the statistics, or
+        after ``stop_scoring`` count it only; either way refuse a confidence
+        outside (0, 1), an unhashable label and a label past a fixed K."""
+        try:
+            if not 0.0 < confidence < 1.0:
+                _check_confidence(confidence)  # raises
+            record = self._records.get(label)
+        except TypeError:  # a confidence that is no real number, or an unhashable label
+            _check_confidence(confidence)
+            raise InvalidSampleError(f"label must be hashable, got {label!r}") from None
+        floor = self._floor
         if record is None:
             if self.fixed_k is not None:
                 _check_fixed_k(self.fixed_k, len(self._records) + 1)
             record = self._records[label] = [0, 0.0, 0.0]
-            self._floor = 0.0
+            if floor:  # a new label drops the floor; None, stopped scoring, stays
+                floor = self._floor = 0.0
+        self.n += 1
+        record[0] += 1
+        if floor is None:  # scoring stopped: the count is all that is kept
+            return
         log_hit = math.log(confidence)
         log_miss = math.log1p(-confidence)
-        self.n += 1
         self.sum_log_miss += log_miss
-        record[0] += 1
         record[1] += log_hit
         record[2] += log_miss
-        floor = self._floor
         if floor:  # carry the floor (see the class docstring), inlined: a call costs ``add`` time
             log_k_minus_1 = self._log_k_minus_1
             excess = record[1] - record[2] + record[0] * log_k_minus_1
@@ -186,28 +188,17 @@ class RunningPosterior:
                 else:
                     self._floor = 0.0
 
-    def tally(self, label: Label, confidence: float) -> None:
-        """Count one observation without its log terms, refusing what ``add``
-        refuses; ``counts``, ``labels`` and ``n`` stay exact, but every score
-        read raises from then on."""
-        # the checks of ``add``, inlined there too: a shared call costs ``add`` time
-        if not 0.0 < confidence < 1.0:
-            _check_confidence(confidence)  # raises
-        record = self._records.get(label)
-        if record is None:
-            if self.fixed_k is not None:
-                _check_fixed_k(self.fixed_k, len(self._records) + 1)
-            record = self._records[label] = [0, 0.0, 0.0]
-        self.n += 1
-        record[0] += 1
-        self._tallied = True
+    def stop_scoring(self) -> None:
+        """One way: ``add`` then counts each sample only, so ``counts``,
+        ``labels`` and ``n`` stay exact, and every score read raises."""
+        self._floor = None
 
     def _scores(self) -> tuple[list[float], Optional[float], float]:
         """The named labels' log scores in first-seen order, the unnamed
         candidates' aggregate (None if all are named) and log(K - 1): the one
         place the score formula lives (``add`` keeps the floor with its excess form)."""
-        if self._tallied:
-            raise ConfigurationError(_TALLIED)
+        if self._floor is None:
+            raise ConfigurationError(_STOPPED)
         k = len(self._records) + 1 if self.fixed_k is None else self.fixed_k
         if k < 2:  # observed+virtual with no label yet
             raise EmptySamplesError("a posterior needs at least one sample")
@@ -229,23 +220,31 @@ class RunningPosterior:
 
     def top_index_and_log_mass(self) -> tuple[int, float]:
         """(first-seen index of the top label, log of its posterior mass), read
-        in one pass over the scores; ties go to the earliest label.
+        in one pass over the scores; ties go to the earliest label.  This is
+        the one normalisation: every mass the posterior reports comes off it.
 
         The log mass is -log1p(sum of the other masses relative to the top
         one), so it is exactly < 0 whenever any competing mass is positive and
         a threshold of 1.0 stays unreachable (robust at thresholds near 1).
         """
         scores, reserve_log, log_k_minus_1 = self._scores()
-        best = _first_max(scores)
-        # the top label's score; the rest are the competitors
-        top_log = scores.pop(best)
+        if not scores:
+            raise EmptySamplesError("posterior has no real candidates")
+        best = scores.index(max(scores))  # ties go to the earliest label
+        top_log = scores.pop(best)  # the top label's score; the rest are the competitors
         tail = math.fsum([math.exp(v - top_log) for v in scores])
-        if reserve_log is not None:
-            tail += math.exp(reserve_log - top_log)
         # the floor starts afresh from this read
         top = self._top = [*self._records.values()][best]
         self._top_excess = top[1] - top[2] + top[0] * log_k_minus_1
         self._log_k_minus_1 = log_k_minus_1
+        if reserve_log is not None:
+            shift = reserve_log - top_log
+            try:
+                tail += math.exp(shift)
+            except OverflowError:  # the unnamed candidates outweigh the top past the float range
+                self._floor = 0.0
+                # log1p(tail + e^shift) = shift + log1p((1 + tail) e^-shift)
+                return best, -shift - math.log1p((1.0 + tail) * math.exp(-shift))
         self._floor = tail
         return best, -math.log1p(tail)
 
@@ -258,9 +257,10 @@ class RunningPosterior:
         exceeds expm1(-log gamma).  The floor, a lower bound on the tail,
         shrunk by the rounding slack, proves it without the O(K) read.
         """
-        if self._tallied:
-            raise ConfigurationError(_TALLIED)
-        floor = self._floor * (1.0 - _SLACK * self.n * (_LOG_SPAN + self._log_k_minus_1))
+        floor = self._floor
+        if floor is None:
+            raise ConfigurationError(_STOPPED)
+        floor *= 1.0 - _SLACK * self.n * (_LOG_SPAN + self._log_k_minus_1)
         return floor > _TINY and floor > math.expm1(-log_gamma)
 
     @property
@@ -271,8 +271,8 @@ class RunningPosterior:
     @property
     def masses(self) -> dict[Label, float]:
         """Normalized posterior mass of every named candidate, in first-seen order."""
-        scores, _, log_z = self._normalized()
-        return {label: math.exp(v - log_z) for label, v in zip(self._records, scores)}
+        _, named, _ = self._log_masses()
+        return {label: math.exp(v) for label, v in zip(self._records, named)}
 
     @property
     def virtual_mass(self) -> float:
@@ -282,27 +282,29 @@ class RunningPosterior:
         policy, or the unnamed remainder when a fixed K exceeds the named
         labels; 0.0 when every candidate is named.
         """
-        _, reserve_log, log_z = self._normalized()
-        return 0.0 if reserve_log is None else math.exp(reserve_log - log_z)
+        _, _, unnamed = self._log_masses()
+        return 0.0 if unnamed is None else math.exp(unnamed)
 
     def top(self) -> tuple[Label, float]:
         """(named candidate with maximal mass, its mass); ties go to the earliest.
 
         The virtual reserve is never returned, even when it outweighs every
-        named candidate.  Selection compares unnormalized log scores, which
-        order the masses monotonically.
+        named candidate.  The mass is exp of ``top_log_mass()``, the mass a
+        stopping rule compares.
         """
-        scores, _, log_z = self._normalized()
-        best = _first_max(scores)
-        return list(self._records)[best], math.exp(scores[best] - log_z)
+        best, named, _ = self._log_masses()
+        return list(self._records)[best], math.exp(named[best])
 
-    def _normalized(self) -> tuple[list[float], Optional[float], float]:
-        """(log scores, reserve log score, log normalizer) via a max-shifted log-sum-exp."""
+    def _log_masses(self) -> tuple[int, list[float], Optional[float]]:
+        """(top index, named log masses, unnamed log mass or None), each
+        (score - top score) + the top log mass, so the top's is that log mass."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
+        best, log_mass = self.top_index_and_log_mass()
         scores, reserve_log, _ = self._scores()
-        entries = scores if reserve_log is None else [*scores, reserve_log]
-        return scores, reserve_log, _logsumexp(entries)
+        top_log = scores[best]
+        named = [v - top_log + log_mass for v in scores]
+        return best, named, None if reserve_log is None else reserve_log - top_log + log_mass
 
 
 def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosterior:
@@ -310,9 +312,9 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
 
     The batch form of ``RunningPosterior``: for each candidate the
     unnormalized log score sums log C over matching samples and
-    log((1 - C)/(K - 1)) over the rest; masses come out of a max-shifted
-    log-sum-exp.  Unnamed candidates (the virtual reserve, or the remainder
-    under a fixed K) share the all-mismatch score.
+    log((1 - C)/(K - 1)) over the rest; masses come off the top read.
+    Unnamed candidates (the virtual reserve, or the remainder under a fixed
+    K) share the all-mismatch score.
     """
     samples = list(samples)
     if not samples:
@@ -327,18 +329,13 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
     return running
 
 
-def _first_max(scores: list[float]) -> int:
-    """The index of the first maximal score: ties go to the earliest label."""
-    if not scores:
-        raise EmptySamplesError("posterior has no real candidates")
-    return scores.index(max(scores))
-
-
 def _check_confidence(confidence: float) -> None:
-    if not 0.0 < confidence < 1.0:
-        raise InvalidSampleError(
-            f"confidence must lie strictly inside (0, 1), got {confidence!r}"
-        )
+    try:
+        inside = 0.0 < confidence < 1.0
+    except TypeError:  # None or a string, say: no real number
+        raise InvalidSampleError(f"confidence must be a real number, got {confidence!r}") from None
+    if not inside:
+        raise InvalidSampleError(f"confidence must lie strictly inside (0, 1), got {confidence!r}")
 
 
 def _check_fixed_k(fixed_k: int, n_labels: int) -> None:
@@ -351,8 +348,3 @@ def _check_fixed_k(fixed_k: int, n_labels: int) -> None:
             f"fixed candidate count {fixed_k} is smaller than the "
             f"{n_labels} distinct labels observed"
         )
-
-
-def _logsumexp(values: Sequence[float]) -> float:
-    shift = max(values)
-    return shift + math.log(math.fsum(math.exp(v - shift) for v in values))

@@ -671,15 +671,19 @@ class TestRunMany:
                 ConfigurationError,
                 "fixed candidate count 2 is smaller than the 3 distinct labels observed",
             ),
+            # a stub that serves no number, or a label no dict can key
+            (None, ("a", None), InvalidSampleError, "confidence must be a real number, got None"),
+            (None, ("a", "0.9"), InvalidSampleError, r"confidence must be a real number, got '0\.9'"),
+            (None, (["a"], 0.6), InvalidSampleError, r"label must be hashable, got \['a'\]"),
         ],
-        ids=["confidence", "fixed_k"],
+        ids=["confidence", "fixed_k", "none", "string", "unhashable"],
     )
     @pytest.mark.parametrize(
         "gammas, refused_by",
         [
-            ((), "tally"),  # SC alone never reads a score
-            ((0.999,), "add"),  # still open at round 3
-            ((0.5,), "tally"),  # closed at round 1, where q1's top mass is 0.6
+            ((), "counting"),  # SC alone never reads a score
+            ((0.999,), "scoring"),  # still open at round 3
+            ((0.5,), "counting"),  # closed at round 1, where q1's top mass is 0.6
         ],
         ids=["sc", "cges-0.999-sc", "cges-0.5-sc"],
     )
@@ -689,17 +693,17 @@ class TestRunMany:
         refusals = []
 
         class RecordingPosterior(RunningPosterior):
+            mode = "scoring"
+
+            def stop_scoring(self):
+                super().stop_scoring()
+                self.mode = "counting"
+
             def add(self, label, confidence):
-                self.fold("add", super().add, label, confidence)
-
-            def tally(self, label, confidence):
-                self.fold("tally", super().tally, label, confidence)
-
-            def fold(self, name, method, label, confidence):
                 try:
-                    method(label, confidence)
+                    super().add(label, confidence)
                 except Exception:
-                    refusals.append((name, self.n + 1))
+                    refusals.append((self.mode, self.n + 1))
                     raise
 
         monkeypatch.setattr(controller, "RunningPosterior", RecordingPosterior)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -64,17 +65,17 @@ REPLAY_GOLDENS = pytest.mark.parametrize(
 )
 
 
-def golden_argv(argv, store):
+def golden_argv(argv, directory):
     """A table row's arguments for ``main``: fixture paths resolved against
-    FIXTURES, and the --replay store swapped for ``store``, the test's own copy."""
+    FIXTURES, and the --replay store swapped for a copy in ``directory``, the
+    test's own: a replay open writes its index beside the store it reads."""
     resolved = []
     for previous, arg in zip([None, *argv], argv):
+        if arg.startswith("tests/fixtures/"):
+            arg = str(FIXTURES / arg.removeprefix("tests/fixtures/"))
         if previous == "--replay":
-            resolved.append(str(store))
-        elif arg.startswith("tests/fixtures/"):
-            resolved.append(str(FIXTURES / arg.removeprefix("tests/fixtures/")))
-        else:
-            resolved.append(arg)
+            arg = shutil.copy(arg, directory)
+        resolved.append(arg)
     return resolved
 
 
@@ -916,18 +917,32 @@ class TestCli:
         named = {row.values[0] for row in GOLDEN_ROWS}
         assert named == {path.name for path in FIXTURES.glob("golden_*.csv")}
 
+    def test_every_resolved_cges_replay_row_reports_a_mass_at_or_above_gamma(self):
+        # the reported top_mass is the mass the stopping rule compared
+        checked = 0
+        for row in GOLDEN_ROWS:
+            golden, argv = row.values
+            args = build_parser().parse_args([*argv, "--out", "out.csv"])
+            if args.command != "replay" or args.method != "cges":
+                continue
+            for record in read_csv_rows(FIXTURES / golden):
+                if record["resolved"] == "1":
+                    assert float(record["top_mass"]) >= args.gamma, (golden, record)
+                    checked += 1
+        assert checked >= 8
+
     @GOLDENS
-    def test_outputs_match_golden_files(self, tmp_path, capsys, golden, argv, mini_store):
+    def test_outputs_match_golden_files(self, tmp_path, capsys, golden, argv):
         out = tmp_path / golden
-        assert main([*golden_argv(argv, mini_store), "--out", str(out)]) == 0
+        assert main([*golden_argv(argv, tmp_path), "--out", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / golden).read_bytes()
 
     @REPLAY_GOLDENS
     def test_replay_outputs_match_golden_files_with_and_without_the_index(
-        self, tmp_path, monkeypatch, golden, argv, mini_store
+        self, tmp_path, monkeypatch, golden, argv
     ):
-        index = tmp_path / f"mini_store.jsonl{INDEX_SUFFIX}"
-        argv = golden_argv(argv, mini_store)
+        argv = golden_argv(argv, tmp_path)
+        index = Path(argv[argv.index("--replay") + 1] + INDEX_SUFFIX)
         assert main([*argv, "--out", str(tmp_path / "miss.csv")]) == 0  # no index yet
         assert index.is_file()
 

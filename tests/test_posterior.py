@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,22 +153,60 @@ class TestCandidateSet:
             CandidateSet(("a", "a"))
 
 
+def posterior_in_mode(mode, fixed_k=None):
+    """A fresh posterior that folds its samples ("add") or, after
+    ``stop_scoring``, counts them ("stop_scoring")."""
+    running = RunningPosterior(fixed_k)
+    if mode == "stop_scoring":
+        running.stop_scoring()
+    return running
+
+
 class TestSampleValidation:
-    @pytest.mark.parametrize("fold", ["add", "tally"])
+    @pytest.mark.parametrize("fold", ["add", "stop_scoring"])
     @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_confidence_outside_open_interval_rejected(self, confidence, fold):
         with pytest.raises(InvalidSampleError):
             Sample("a", confidence)
-        running = RunningPosterior()
+        running = posterior_in_mode(fold)
         with pytest.raises(
             InvalidSampleError, match=r"^confidence must lie strictly inside \(0, 1\), got "
         ):
-            getattr(running, fold)("a", confidence)
+            running.add("a", confidence)
         assert running.n == 0 and running.counts == {}
 
-    def test_round_below_one_rejected(self):
-        with pytest.raises(InvalidSampleError):
-            Sample("a", 0.5, 0)
+    @pytest.mark.parametrize("fold", ["add", "stop_scoring"])
+    @pytest.mark.parametrize(
+        "label, confidence, message",
+        [
+            ("a", None, r"^confidence must be a real number, got None$"),
+            ("a", "0.9", r"^confidence must be a real number, got '0\.9'$"),
+            ("a", 0.5j, r"^confidence must be a real number, got 0\.5j$"),
+            (["a"], 0.9, r"^label must be hashable, got \['a'\]$"),
+            ({"a": 1}, 0.9, r"^label must be hashable, got \{'a': 1\}$"),
+        ],
+        ids=["none", "string", "complex", "list", "dict"],
+    )
+    def test_a_malformed_draw_is_refused_as_an_invalid_sample(self, fold, label, confidence, message):
+        running = posterior_in_mode(fold)
+        running.add("b", 0.6)
+        with pytest.raises(InvalidSampleError, match=message):
+            running.add(label, confidence)
+        assert running.n == 1 and running.counts == {"b": 1}
+
+    @pytest.mark.parametrize("confidence", [None, "0.9"])
+    def test_a_sample_refuses_a_confidence_that_is_no_number(self, confidence):
+        with pytest.raises(InvalidSampleError, match="^confidence must be a real number, got "):
+            Sample("a", confidence)
+
+    @pytest.mark.parametrize("round_idx", [0, -1, "2", 1.5, 2.0, True, None])
+    def test_a_round_that_is_not_an_integer_of_at_least_one_is_rejected(self, round_idx):
+        # the record store's rule
+        with pytest.raises(
+            InvalidSampleError, match=f"^round must be an integer >= 1, got {re.escape(repr(round_idx))}$"
+        ):
+            Sample("a", 0.5, round_idx)
+        assert Sample("a", 0.5, 2).round == 2
 
     def test_error_is_a_library_value_error(self):
         assert issubclass(InvalidSampleError, CGESError)
@@ -478,16 +517,16 @@ class TestRunningPosterior:
         assert running.labels == ("a", "b")
         assert log_scores(running) == scores
 
-    @pytest.mark.parametrize("fold", ["add", "tally"])
+    @pytest.mark.parametrize("fold", ["add", "stop_scoring"])
     def test_fixed_k_overflow_rejected(self, fold):
-        running = RunningPosterior(fixed_k=2)
-        getattr(running, fold)("a", 0.5)
-        getattr(running, fold)("b", 0.5)
+        running = posterior_in_mode(fold, fixed_k=2)
+        running.add("a", 0.5)
+        running.add("b", 0.5)
         with pytest.raises(
             ConfigurationError,
             match="^fixed candidate count 2 is smaller than the 3 distinct labels observed$",
         ):
-            getattr(running, fold)("c", 0.5)
+            running.add("c", 0.5)
         assert running.counts == {"a": 1, "b": 1}
 
     @pytest.mark.parametrize("fixed_k", [None, 3])
@@ -496,8 +535,9 @@ class TestRunningPosterior:
         added, tallied = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
         for i, (label, confidence) in enumerate(stream):
             added.add(label, confidence)
-            # the controller's order: add while a threshold is open, then tally
-            (tallied.add if i < 2 else tallied.tally)(label, confidence)
+            if i == 2:  # the controller's order: score while a threshold is open, then count
+                tallied.stop_scoring()
+            tallied.add(label, confidence)
         assert list(tallied.counts.items()) == list(added.counts.items())
         assert tallied.labels == added.labels == ("b", "a", "c")
         assert tallied.n == added.n == 4
@@ -513,6 +553,24 @@ class TestRunningPosterior:
         with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts, not scores$"):
             tallied.top_below(math.log(0.9))  # the screen is a score read too
         added.top_below(math.log(0.9))
+
+    @pytest.mark.parametrize("fixed_k", [None, 3])
+    def test_stop_scoring_is_one_way(self, fixed_k):
+        running = RunningPosterior(fixed_k)
+        running.add("a", 0.9)
+        running.top_index_and_log_mass()  # a read that leaves a floor
+        running.stop_scoring()
+        for _ in range(2):
+            running.stop_scoring()  # again: still stopped
+            with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts"):
+                running.top_index_and_log_mass()  # a refused read restarts nothing
+            with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts"):
+                running.top_below(math.log(0.5))
+            running.add("b", 0.6)  # a new label drops no floor back in
+            running.add("a", 0.9)
+        assert running.counts == {"a": 3, "b": 2} and running.n == 5
+        with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts"):
+            running.masses
 
     def test_score_is_the_batch_form(self):
         rng = np.random.default_rng(37)
@@ -683,3 +741,35 @@ def test_kernel_imports_load_neither_numpy_nor_requests():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+# confidences near 0 and 1 as well as in between; with a large fixed K and
+# small confidences the unnamed candidates outweigh the top, up past the float range
+extreme_confidences = st.one_of(
+    st.sampled_from([1e-300, 1e-12, 0.5, 1 - 1e-12, 1 - 2**-53]),
+    st.floats(1e-300, 1 - 2**-53),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stream=st.lists(
+        st.tuples(st.sampled_from("abcd"), extreme_confidences), min_size=1, max_size=30
+    ),
+    fixed_k=st.sampled_from([None, 4, 5, 10**6]),
+)
+@example(stream=[("a", 1e-300)] * 2, fixed_k=None)  # the unnamed mass past the float range
+@example(stream=[("a", 1e-300)] * 2, fixed_k=10**6)
+@example(stream=[("a", 1 - 1e-12)] * 20, fixed_k=4)  # a top mass that rounds to 1.0
+def test_every_mass_is_read_off_the_top_log_mass(stream, fixed_k):
+    running = RunningPosterior(fixed_k=fixed_k)
+    for label, confidence in stream:
+        running.add(label, confidence)
+        index, log_mass = running.top_index_and_log_mass()
+        label_top, mass = running.top()
+        # bit for bit: the reported mass is the one a stopping rule compares
+        assert label_top == running.labels[index]
+        assert mass == math.exp(log_mass) == math.exp(running.top_log_mass())
+        assert running.masses[label_top] == mass
+        assert all(0.0 <= m <= 1.0 for m in running.masses.values())
+        assert 0.0 <= running.virtual_mass <= 1.0 + 1e-12  # a sum of rounded logs
