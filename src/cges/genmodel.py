@@ -18,9 +18,8 @@ The API:
 * ``concentration_experiment`` scores blocks of ``draw_trials`` at each round
   count m of a schedule; ``harness.write_concentration_csv`` writes its rows.
 
-The fixed-K log-likelihood is written once, in ``_round_terms``, which takes
-its draws rounds first.  The experiment sums its output over rounds and the
-Monte Carlo drift differences its candidate columns.
+Both score draws through ``posterior.log_score``, the controller's fixed-K kernel,
+and the experiment reads its masses the way the controller's top read does.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from typing import Optional, Sequence, Union, get_args
 import numpy as np
 
 from .errors import ConfigurationError
+from .posterior import log_score
 
 # keeps law draws inside (0, 1) so logs stay finite; interior laws are unaffected
 CONFIDENCE_FLOOR = 1e-12
@@ -236,27 +236,19 @@ class RealisticGenConfig:
 GenConfig = Union[IdealGenConfig, RealisticGenConfig]
 
 
-def _round_terms(responses: np.ndarray, confidences: np.ndarray, k: int) -> np.ndarray:
-    """Per-round log-likelihood of every candidate, rounds first: shape (m, n, K).
-
-    Takes the answers and confidences of n questions as (m, n) arrays, round
-    t + 1 in row t.  Entry [t, i, j] is log C at the answer question i drew at
-    round t + 1 and log((1 - C) / (K - 1)) at every other candidate: the
-    fixed-K kernel.  ``.sum(axis=0)`` adds the rounds one at a time in round
-    order, so it equals the last row of each question's cumsum bit for bit;
-    a sum over a contiguous last axis would sum pairwise and round differently.
-    """
-    m, n = responses.shape
-    terms = np.repeat(np.log1p(-confidences) - math.log(k - 1), k).reshape(m, n, k)
-    terms.reshape(m * n, k)[np.arange(m * n), responses.ravel()] = np.log(confidences).ravel()
-    return terms
-
-
-def _normalise(log_scores: np.ndarray) -> np.ndarray:
-    """Posterior rows from rows of log-scores: max shift, log-sum-exp, exp."""
-    shift = log_scores.max(axis=1, keepdims=True)
-    log_z = shift + np.log(np.exp(log_scores - shift).sum(axis=1, keepdims=True))
-    return np.exp(log_scores - log_z)
+def _log_scores(responses: np.ndarray, confidences: np.ndarray, k: int) -> np.ndarray:
+    """Every candidate's log score in each of n questions after m rounds, shape (K, n),
+    from (n, m) answers and confidences.  Read rounds first, ``np.bincount`` adds each
+    (question, candidate) sum in round order, as ``RunningPosterior.add`` does."""
+    n, m = responses.shape
+    rounds = confidences.T.ravel()
+    log_miss = np.log1p(-rounds)
+    cells = (responses.T * n + np.arange(n)).ravel()
+    counts, hits, misses = (
+        np.bincount(cells, w, k * n).reshape(k, n) for w in (None, np.log(rounds), log_miss)
+    )
+    total_miss = log_miss.reshape(m, n).sum(axis=0)
+    return log_score(counts, hits, misses, m, total_miss, math.log(k - 1))
 
 
 Draws = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -372,11 +364,16 @@ def _drift_monte_carlo(
     # one round each from n_mc questions, each truth relabeled to index 0
     truths, responses, confidences = draw_trials(config, 1, n_mc, rng)
     relabeled = (responses - truths[:, None]) % k
-    terms = _round_terms(relabeled.T, confidences.T, k)[0]
+    scores = np.empty((k, n_mc))  # filled a block at a time: no other (K, n_mc) array is built
+    # 64 KB arrays, which malloc reuses; each 256 KB one maps fresh pages, 3x slower
+    block = max(1, BLOCK_ELEMENTS // (4 * k))
+    for start in range(0, n_mc, block):
+        rows = slice(start, start + block)
+        scores[:, rows] = _log_scores(relabeled[rows], confidences[rows], k)
     mu: dict[int, float] = {}
     std_err: dict[int, float] = {}
     for j in range(1, k):
-        increments = terms[:, 0] - terms[:, j]
+        increments = scores[0] - scores[j]
         mu[j] = float(increments.mean())
         std_err[j] = float(increments.std(ddof=1) / math.sqrt(n_mc))
     return DriftEstimate(mu, std_err)
@@ -397,8 +394,8 @@ class ConcentrationRow:
     seed: int
 
 
-# a block's (m, trials, K) log terms hold at most this many float64s (256 KB),
-# unless m * K alone exceeds it: the block then holds one trial's m * K terms
+# a block's trials * m * K (question, round, candidate) cells, unless one trial's
+# m * K exceed it; the size fixes how a row's draws split, so a new one changes rows
 BLOCK_ELEMENTS = 2**15
 
 
@@ -421,9 +418,9 @@ def concentration_experiment(
     trials are drawn by ``draw_trials`` in consecutive blocks of
     ``trials_per_block(m, K)``, the last block taking what is left, so memory
     stays bounded whatever the trial count.  Only each block's final
-    log-scores are computed: ``_round_terms`` scores the block rounds first
-    and the sum adds the rounds in round order, so each trial's scores equal
-    the last row of its own cumulative sum.
+    log-scores are computed.  An exact tie goes to the lowest candidate index,
+    as in ``RunningPosterior(fixed_k=K, labels=range(K))``; in the realistic
+    regime the truth is index 0, so a tie with it counts as a success.
     """
     if not m_schedule:
         raise ConfigurationError("m_schedule must name at least one round count")
@@ -442,11 +439,14 @@ def concentration_experiment(
         for start in range(0, trials, block):
             n = min(block, trials - start)
             truths, responses, confidences = draw_trials(config, m, n, rng)
-            final_log_scores = _round_terms(responses.T, confidences.T, config.k).sum(axis=0)
-            posterior = _normalise(final_log_scores)
-            # np.argmax takes the first maximum, matching earliest-label tie-breaking
-            hits += int(np.count_nonzero(posterior.argmax(axis=1) == truths))
-            for mass in posterior[np.arange(n), truths].tolist():
+            scores = _log_scores(responses, confidences, config.k)
+            best = scores.argmax(axis=0)  # the first maximum: the lowest index
+            hits += int(np.count_nonzero(best == truths))
+            trial = np.arange(n)
+            gaps = scores - scores[best, trial]  # log masses relative to the top's
+            ratios = np.exp(gaps)
+            ratios[best, trial] = 0.0  # the tail: the other masses, as the top read sums them
+            for mass in np.exp(gaps[truths, trial] - np.log1p(ratios.sum(axis=0))).tolist():
                 mass_sum += mass
         rows.append(
             ConcentrationRow(

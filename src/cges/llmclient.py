@@ -601,8 +601,10 @@ def sample_once(
 
     Token log-probabilities are requested; when the server omits them the
     record is degraded (no probability-based confidences) and a warning is
-    logged.  HTTP failures are retried up to the configured bound, then raise;
-    this is the package's only retry layer.  A malformed reply is not retried.
+    logged.  HTTP failures (a transport error, a status of 400 or above, or a
+    body that is not JSON) are retried up to the configured bound, then raise;
+    this is the package's only retry layer.  A JSON reply of any other shape
+    than a chat completion is not retried.
     ``connection`` is a keep-alive connection from ``_connect``; without one,
     the call opens its own and closes it.
     """

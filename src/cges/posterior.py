@@ -9,7 +9,8 @@ samples and renormalizing yields a posterior over candidate answers.
 All arithmetic is done in log space; direct products underflow once a few
 hundred samples accumulate.  ``RunningPosterior`` keeps the sufficient
 statistics of a sample stream, so adding a sample costs O(1) and every score
-is read off them at query time; ``score`` is its batch form.  Every mass it
+is read off them at query time by ``log_score``, which ``cges.genmodel`` also
+applies to numpy arrays; ``score`` is its batch form.  Every mass it
 reports comes off one normalisation, the exact top read, whose log mass is the
 one a stopping rule compares.  Between exact reads, a floor that ``add``
 carries in O(1) lets ``top_below`` prove a threshold out of reach.  After
@@ -34,7 +35,15 @@ _SLACK = 1e-14
 _LOG_SPAN = 800.0
 # Below this a read's terms may underflow to zero, so a smaller floor proves nothing.
 _TINY = 1e-250
-_STOPPED = "a tallied posterior keeps counts, not scores"
+_STOPPED = "after stop_scoring a posterior keeps counts, not scores"
+
+
+def log_score(n_label, hit, miss, n, total_miss, log_k_minus_1):
+    """A candidate's unnormalized log score among K: ``hit`` and ``miss`` sum log C
+    and log(1 - C) over its ``n_label`` samples, ``total_miss`` sums log(1 - C) over
+    all ``n``.  The one statement of the formula, for floats and numpy arrays alike;
+    its operation order fixes the last bits of every score."""
+    return hit + (total_miss - miss) - (n - n_label) * log_k_minus_1
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,7 @@ class Sample:
 
     def __post_init__(self) -> None:
         _check_confidence(self.confidence)
+        _check_label(self.label)
         if type(self.round) is not int or self.round < 1:
             raise InvalidSampleError(f"round must be an integer >= 1, got {self.round!r}")
 
@@ -131,6 +141,7 @@ class RunningPosterior:
         self._top: Optional[list] = None
         self._top_excess = self._log_k_minus_1 = 0.0
         for label in labels:
+            _check_label(label)
             if label in self._records:
                 raise InvalidSampleError("candidate labels must be pairwise distinct")
             self._records[label] = [0, 0.0, 0.0]
@@ -152,7 +163,8 @@ class RunningPosterior:
             record = self._records.get(label)
         except TypeError:  # a confidence that is no real number, or an unhashable label
             _check_confidence(confidence)
-            raise InvalidSampleError(f"label must be hashable, got {label!r}") from None
+            _check_label(label)
+            raise
         floor = self._floor
         if record is None:
             if self.fixed_k is not None:
@@ -195,8 +207,8 @@ class RunningPosterior:
 
     def _scores(self) -> tuple[list[float], Optional[float], float]:
         """The named labels' log scores in first-seen order, the unnamed
-        candidates' aggregate (None if all are named) and log(K - 1): the one
-        place the score formula lives (``add`` keeps the floor with its excess form)."""
+        candidates' aggregate (None if all are named) and log(K - 1), each
+        through ``log_score`` (``add`` keeps the floor with its excess form)."""
         if self._floor is None:
             raise ConfigurationError(_STOPPED)
         k = len(self._records) + 1 if self.fixed_k is None else self.fixed_k
@@ -205,14 +217,15 @@ class RunningPosterior:
         log_k_minus_1 = math.log(k - 1)
         n, total_miss = self.n, self.sum_log_miss
         scores = [
-            hit + (total_miss - miss) - (n - n_label) * log_k_minus_1
+            log_score(n_label, hit, miss, n, total_miss, log_k_minus_1)
             for n_label, hit, miss in self._records.values()
         ]
         n_unnamed = k - len(self._records)
         if n_unnamed <= 0:
             return scores, None, log_k_minus_1
         # every unnamed candidate has the all-mismatch score
-        return scores, total_miss - n * log_k_minus_1 + math.log(n_unnamed), log_k_minus_1
+        unnamed = log_score(0, 0.0, 0.0, n, total_miss, log_k_minus_1)
+        return scores, unnamed + math.log(n_unnamed), log_k_minus_1
 
     def top_log_mass(self) -> float:
         """log of the top label's posterior mass (see ``top_index_and_log_mass``)."""
@@ -227,12 +240,18 @@ class RunningPosterior:
         one), so it is exactly < 0 whenever any competing mass is positive and
         a threshold of 1.0 stays unreachable (robust at thresholds near 1).
         """
+        return self._top_read()[:2]
+
+    def _top_read(self) -> tuple[int, float, list[float], Optional[float]]:
+        """``top_index_and_log_mass`` with the one score read it made: the named
+        log scores and the unnamed aggregate (or None), for ``_log_masses``."""
         scores, reserve_log, log_k_minus_1 = self._scores()
         if not scores:
             raise EmptySamplesError("posterior has no real candidates")
         best = scores.index(max(scores))  # ties go to the earliest label
         top_log = scores.pop(best)  # the top label's score; the rest are the competitors
         tail = math.fsum([math.exp(v - top_log) for v in scores])
+        scores.insert(best, top_log)
         # the floor starts afresh from this read
         top = self._top = [*self._records.values()][best]
         self._top_excess = top[1] - top[2] + top[0] * log_k_minus_1
@@ -244,9 +263,10 @@ class RunningPosterior:
             except OverflowError:  # the unnamed candidates outweigh the top past the float range
                 self._floor = 0.0
                 # log1p(tail + e^shift) = shift + log1p((1 + tail) e^-shift)
-                return best, -shift - math.log1p((1.0 + tail) * math.exp(-shift))
+                log_mass = -shift - math.log1p((1.0 + tail) * math.exp(-shift))
+                return best, log_mass, scores, reserve_log
         self._floor = tail
-        return best, -math.log1p(tail)
+        return best, -math.log1p(tail), scores, reserve_log
 
     def top_below(self, log_gamma: float) -> bool:
         """True only if the next ``top_index_and_log_mass`` would read a log
@@ -300,8 +320,7 @@ class RunningPosterior:
         (score - top score) + the top log mass, so the top's is that log mass."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
-        best, log_mass = self.top_index_and_log_mass()
-        scores, reserve_log, _ = self._scores()
+        best, log_mass, scores, reserve_log = self._top_read()
         top_log = scores[best]
         named = [v - top_log + log_mass for v in scores]
         return best, named, None if reserve_log is None else reserve_log - top_log + log_mass
@@ -327,6 +346,13 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
             )
         running.add(sample.label, sample.confidence)
     return running
+
+
+def _check_label(label: Label) -> None:
+    try:
+        hash(label)
+    except TypeError:
+        raise InvalidSampleError(f"label must be hashable, got {label!r}") from None
 
 
 def _check_confidence(confidence: float) -> None:

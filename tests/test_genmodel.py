@@ -26,6 +26,7 @@ from cges.genmodel import (
     parse_simplex_law,
 )
 from cges.harness import write_concentration_csv
+from cges.posterior import RunningPosterior
 
 # closed-form drifts for the point-mass configurations used below
 IDEAL_DRIFT_07_K2 = (0.7 - 0.3) * math.log(0.7 / 0.3)  # 0.33891914415488136
@@ -83,8 +84,10 @@ def _realistic(**fields):
 
 
 def _posterior_path(responses, confidences, k):
-    """The posterior row after each round of one question."""
-    return genmodel._normalise(np.cumsum(_log_terms(responses, confidences, k), axis=0))
+    """The posterior row after each round of one question, by a direct log-sum-exp."""
+    log_scores = np.cumsum(_log_terms(responses, confidences, k), axis=0)
+    weights = np.exp(log_scores - log_scores.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def _llr_paths(truth, responses, confidences, k):
@@ -94,21 +97,33 @@ def _llr_paths(truth, responses, confidences, k):
 
 
 def _reference_row(config, m, trials):
-    """Success frequency and mean truth mass of a row, one posterior path per trial.
+    """Success frequency and mean truth mass of a row, one ``RunningPosterior`` per trial.
 
-    Draws the experiment's blocks from the same generator, then scores each
-    trial through its own full posterior path and sums masses in trial order.
+    Draws the experiment's blocks from the same generator, then folds each
+    trial's rounds into a ``RunningPosterior(fixed_k=K, labels=range(K))``, the
+    controller's posterior, and sums masses in trial order.
     """
     rng = np.random.default_rng([config.seed, m])
     block = genmodel.trials_per_block(m, config.k)
     hits, mass_sum = 0, 0.0
     for start in range(0, trials, block):
         draws = genmodel.draw_trials(config, m, min(block, trials - start), rng)
-        for truth, responses, confidences in zip(draws[0].tolist(), draws[1], draws[2]):
-            final = _posterior_path(responses, confidences, config.k)[-1]
-            hits += int(np.argmax(final) == truth)
-            mass_sum += float(final[truth])
+        for truth, responses, confidences in zip(*(a.tolist() for a in draws)):
+            posterior = RunningPosterior(fixed_k=config.k, labels=range(config.k))
+            for label, confidence in zip(responses, confidences):
+                posterior.add(label, confidence)
+            hits += posterior.top_index_and_log_mass()[0] == truth
+            mass_sum += posterior.masses[truth]
     return hits / trials, mass_sum / trials
+
+
+def _assert_row_matches_the_posterior(row, config, trials):
+    """The row's success frequency equals a per-trial posterior fold's exactly;
+    its mean truth mass differs from it by rounding only (numpy's logs against
+    ``math``'s)."""
+    success, mass = _reference_row(config, row.m, trials)
+    assert row.success_freq == success
+    assert row.mean_mass_truth == pytest.approx(mass, rel=1e-12)
 
 
 class TestLaws:
@@ -311,18 +326,32 @@ class TestPathIdentity:
                 assert np.allclose(ratio, np.exp(path), rtol=1e-9)
 
 
-class TestRoundTerms:
+class TestLogScores:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [1, 7, 40, 500])
-    def test_round_sum_equals_the_reference_cumsum(self, k, m):
+    def test_scores_equal_the_reference_cumsum(self, k, m):
         config = IdealGenConfig(k=k, confidence_law=Uniform(0.05, 0.95), m_max=m, seed=k)
         rng = np.random.default_rng([k, m])
         for n in (1, genmodel.trials_per_block(m, k)):
             _, responses, confidences = draw_trials(config, m, n, rng)
-            final = genmodel._round_terms(responses.T, confidences.T, k).sum(axis=0)
-            reference = np.cumsum(_log_terms(responses, confidences, k), axis=1)[:, -1]
-            assert final.shape == (n, k)
-            assert final.tobytes() == reference.tobytes()
+            scores = genmodel._log_scores(responses, confidences, k)
+            reference = np.cumsum(_log_terms(responses, confidences, k), axis=1)[:, -1].T
+            assert scores.shape == (k, n)
+            # sums per candidate, not per round: equal up to rounding
+            np.testing.assert_allclose(scores, reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_an_exact_tie_goes_to_the_lowest_index_as_in_the_posterior(self, k):
+        # point-mass confidences: candidates k - 1 and k - 2 draw equally often, the
+        # higher index first, so their scores tie exactly and first-seen order differs
+        responses = np.array([[k - 1, k - 2] * 3])
+        confidences = np.full(responses.shape, 0.7)
+        scores = genmodel._log_scores(responses, confidences, k)[:, 0]
+        assert scores[k - 1] == scores[k - 2]
+        posterior = RunningPosterior(fixed_k=k, labels=range(k))
+        for label in responses[0].tolist():
+            posterior.add(label, 0.7)
+        assert int(scores.argmax()) == posterior.top_index_and_log_mass()[0] == k - 2
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("regime", ["ideal", "realistic"])
@@ -335,15 +364,16 @@ class TestRoundTerms:
             )
         n_mc = 5000
         truths, responses, confidences = draw_trials(config, 1, n_mc, np.random.default_rng(k))
-        responses, confidences = (responses[:, 0] - truths) % k, confidences[:, 0]
-        terms = genmodel._round_terms(responses[None], confidences[None], k)[0]
+        responses = (responses - truths[:, None]) % k
+        scores = genmodel._log_scores(responses, confidences, k)
         estimate = genmodel._drift_monte_carlo(config, n_mc, np.random.default_rng(k))
+        responses, confidences = responses[:, 0], confidences[:, 0]
         log_ratio = np.log(confidences) - (np.log1p(-confidences) - math.log(k - 1))
         for j in range(1, k):
             expected = np.where(
                 responses == 0, log_ratio, np.where(responses == j, -log_ratio, 0.0)
             )
-            assert (terms[:, 0] - terms[:, j]).tobytes() == expected.tobytes()
+            assert (scores[0] - scores[j]).tobytes() == expected.tobytes()
             assert estimate.mu[j] == float(expected.mean())
             assert estimate.std_err[j] == float(expected.std(ddof=1) / math.sqrt(n_mc))
 
@@ -444,8 +474,8 @@ class TestConcentrationExperiment:
     @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
     def test_single_round_row_matches_direct_average(self, name):
         config = EXPERIMENT_CONFIGS[name]
-        rows = concentration_experiment(config, [1], trials=64)
-        assert (rows[0].success_freq, rows[0].mean_mass_truth) == _reference_row(config, 1, 64)
+        (row,) = concentration_experiment(config, [1], trials=64)
+        _assert_row_matches_the_posterior(row, config, 64)
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
     def test_rows_equal_per_trial_posterior_paths(self, name):
@@ -458,8 +488,7 @@ class TestConcentrationExperiment:
             rows = concentration_experiment(config, schedule, trials=trials)
             for row, m in zip(rows, schedule):
                 assert (row.m, row.trials) == (m, trials)
-                expected = _reference_row(config, m, trials)
-                assert (row.success_freq, row.mean_mass_truth) == expected
+                _assert_row_matches_the_posterior(row, config, trials)
 
     def test_block_size_follows_m_and_k(self):
         assert genmodel.trials_per_block(1, 2) == genmodel.BLOCK_ELEMENTS // 2

@@ -972,7 +972,8 @@ class TestReplaySampler:
 class StubState:
     def __init__(self):
         self.requests = []
-        self.fail_next = 0
+        self.fail_next = 0  # replies with a 500 status
+        self.non_json_next = 0  # replies with a 200 status and a body that is not JSON
         self.omit_logprobs = False
         self.text = r"The sum is \boxed{42}."
         self.logprobs = [-0.1, -0.2, -0.05]
@@ -992,6 +993,13 @@ def make_stub_handler(state):
                 state.fail_next -= 1
                 self.send_response(500)
                 self.end_headers()
+                return
+            if state.non_json_next > 0:
+                state.non_json_next -= 1
+                self.send_response(200)
+                self.send_header("Content-Length", "8")
+                self.end_headers()
+                self.wfile.write(b"not json")
                 return
             choice = {"message": {"role": "assistant", "content": state.text}}
             if not state.omit_logprobs:
@@ -1080,18 +1088,20 @@ class TestSampleOnce:
         sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), seed=0)
         assert state.requests[-1]["auth"] == "Bearer sk-test"
 
-    def test_transient_http_failure_is_retried(self, stub_server):
+    @pytest.mark.parametrize("failure", ["fail_next", "non_json_next"])
+    def test_transient_http_failure_is_retried(self, stub_server, failure):
         base_url, state = stub_server
-        state.fail_next = 2
+        setattr(state, failure, 2)
         record = sample_once(
             "q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), seed=0
         )
         assert record.extracted_label == "42"
         assert len(state.requests) == 3
 
-    def test_persistent_failure_raises_sampler_error(self, stub_server):
+    @pytest.mark.parametrize("failure", ["fail_next", "non_json_next"])
+    def test_persistent_failure_raises_sampler_error(self, stub_server, failure):
         base_url, state = stub_server
-        state.fail_next = 99
+        setattr(state, failure, 99)
         with pytest.raises(SamplerError, match="3 attempts"):
             sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint_for(base_url), seed=0)
         assert len(state.requests) == 3

@@ -50,6 +50,10 @@ def direct_product_masses(labels, confidences, k):
     return [s / z for s in scores]
 
 
+# the refusal of every score read after ``stop_scoring``
+STOPPED = "^after stop_scoring a posterior keeps counts, not scores$"
+
+
 def log_scores(running):
     """The named labels' unnormalized log scores, keyed by label."""
     return dict(zip(running.labels, running._scores()[0]))
@@ -193,6 +197,20 @@ class TestSampleValidation:
         with pytest.raises(InvalidSampleError, match=message):
             running.add(label, confidence)
         assert running.n == 1 and running.counts == {"b": 1}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RunningPosterior(labels=(["a"],)),
+            lambda: CandidateSet((["a"],), fixed_k=2),
+            lambda: score([Sample(["a"], 0.5)], CandidateSet(("a",), fixed_k=2)),
+        ],
+        ids=["named-label", "candidate-set", "batch-sample"],
+    )
+    def test_the_batch_path_refuses_an_unhashable_label_as_add_does(self, make):
+        # each used to end in a bare TypeError: unhashable type: 'list'
+        with pytest.raises(InvalidSampleError, match=r"^label must be hashable, got \['a'\]$"):
+            make()
 
     @pytest.mark.parametrize("confidence", [None, "0.9"])
     def test_a_sample_refuses_a_confidence_that_is_no_number(self, confidence):
@@ -530,28 +548,26 @@ class TestRunningPosterior:
         assert running.counts == {"a": 1, "b": 1}
 
     @pytest.mark.parametrize("fixed_k", [None, 3])
-    def test_a_tallied_posterior_counts_but_refuses_every_score_read(self, fixed_k):
+    def test_after_stop_scoring_a_posterior_counts_but_refuses_every_score_read(self, fixed_k):
         stream = [("b", 0.6), ("a", 0.9), ("b", 0.3), ("c", 0.7)]
-        added, tallied = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
+        added, stopped = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
         for i, (label, confidence) in enumerate(stream):
             added.add(label, confidence)
             if i == 2:  # the controller's order: score while a threshold is open, then count
-                tallied.stop_scoring()
-            tallied.add(label, confidence)
-        assert list(tallied.counts.items()) == list(added.counts.items())
-        assert tallied.labels == added.labels == ("b", "a", "c")
-        assert tallied.n == added.n == 4
+                stopped.stop_scoring()
+            stopped.add(label, confidence)
+        assert list(stopped.counts.items()) == list(added.counts.items())
+        assert stopped.labels == added.labels == ("b", "a", "c")
+        assert stopped.n == added.n == 4
         for read in ("top_index_and_log_mass", "top_log_mass", "top", "masses", "virtual_mass"):
-            with pytest.raises(
-                ConfigurationError, match="^a tallied posterior keeps counts, not scores$"
-            ):
-                value = getattr(tallied, read)  # a property raises here
+            with pytest.raises(ConfigurationError, match=STOPPED):
+                value = getattr(stopped, read)  # a property raises here
                 value()  # a method here
             value = getattr(added, read)  # the twin that folded every sample still reads
             if callable(value):
                 value()
-        with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts, not scores$"):
-            tallied.top_below(math.log(0.9))  # the screen is a score read too
+        with pytest.raises(ConfigurationError, match=STOPPED):
+            stopped.top_below(math.log(0.9))  # the screen is a score read too
         added.top_below(math.log(0.9))
 
     @pytest.mark.parametrize("fixed_k", [None, 3])
@@ -562,14 +578,14 @@ class TestRunningPosterior:
         running.stop_scoring()
         for _ in range(2):
             running.stop_scoring()  # again: still stopped
-            with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts"):
+            with pytest.raises(ConfigurationError, match=STOPPED):
                 running.top_index_and_log_mass()  # a refused read restarts nothing
-            with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts"):
+            with pytest.raises(ConfigurationError, match=STOPPED):
                 running.top_below(math.log(0.5))
             running.add("b", 0.6)  # a new label drops no floor back in
             running.add("a", 0.9)
         assert running.counts == {"a": 3, "b": 2} and running.n == 5
-        with pytest.raises(ConfigurationError, match="^a tallied posterior keeps counts"):
+        with pytest.raises(ConfigurationError, match=STOPPED):
             running.masses
 
     def test_score_is_the_batch_form(self):
@@ -614,7 +630,8 @@ class TestRunningPosterior:
             RunningPosterior(fixed_k=3).top_log_mass()
 
     def test_simulator_log_scores_share_the_formula(self):
-        # the simulator's numpy sum over rounds and the running sums score alike under fixed K
+        # the simulator feeds ``log_score`` the running sums, taken by ``np.bincount``
+        # over numpy's logs: equal to the running posterior's up to rounding
         rng = np.random.default_rng(41)
         for trial in range(40):
             k = int(rng.integers(2, 6))
@@ -631,7 +648,7 @@ class TestRunningPosterior:
             for label, confidence in zip(responses[0].tolist(), confidences[0].tolist()):
                 running.add(label, confidence)
             scores = log_scores(running)
-            final = genmodel._round_terms(responses.T, confidences.T, k).sum(axis=0)[0]
+            final = genmodel._log_scores(responses, confidences, k)[:, 0]
             for j in range(k):
                 assert_close(scores[j], float(final[j]))
 
