@@ -228,9 +228,6 @@ def cmd_score(args: argparse.Namespace) -> int:
             label = harness.label_field(raw, "label")
             # round is checked, not read: the posterior does not depend on it
             confidence, round_idx = raw["confidence"], raw.get("round", 1)
-            # the record store's type rule: exact numbers, so a string or a bool fails
-            if type(confidence) not in (int, float):
-                raise TypeError(f"'confidence' must be a number, got {confidence!r}")
             if type(round_idx) is not int or round_idx < 1:
                 raise TypeError(f"'round' must be an integer >= 1, got {round_idx!r}")
             posterior.add(label, confidence)  # a fixed K too small fails on this line
@@ -246,8 +243,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"{args.samples}: holds no samples")
     label, mass = posterior.top()
     rows = list(posterior.masses.items())
-    if posterior.virtual_mass > 0.0:
-        rows.append(("(virtual)", posterior.virtual_mass))
+    virtual_mass = posterior.virtual_mass
+    if virtual_mass > 0.0:
+        rows.append(("(virtual)", virtual_mass))
     for candidate, candidate_mass in rows:
         print(f"{candidate}\t{candidate_mass:.6f}")
     print(f"top: {label} ({mass:.6f})")

@@ -18,11 +18,12 @@ length, and adds every draw to the posterior.  The open CGES configurations
 form a threshold ladder sorted by log gamma.  A round first asks the
 posterior (``top_below``, an O(1) check against the floor its last exact
 read left) whether the top log mass is surely below the lowest rung; only if
-not does it read the top (label index, log mass) exactly, once, and close the
-ladder up to it in one comparison, so every close and its prediction come
-from an exact read.  Once the ladder is empty (at the start, under SC or ESC
-alone) the chain calls ``stop_scoring``, since SC and ESC read nothing but
-the label counts: later draws are only counted.
+not, or if the round spends a budget, does it read the top (label index, log
+mass) exactly, once, and close the ladder up to it in one comparison, so every
+close and its prediction come from that round's exact read.  Once the ladder
+is empty (at the start, under SC or ESC alone) the chain calls
+``stop_scoring``, since SC and ESC read nothing but the label counts: later
+draws are only counted.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def run_many(
                 run_length = run_length + 1 if label == last_label else 1
                 last_label = label
                 closing: dict[int, bool] = {}  # index -> resolved, of those closing this round
-                # a CGES configuration closes only while on the ladder, so a
-                # round that closes one has read its top exactly
-                if rungs and not posterior.top_below(rungs[0][0]):
+                # a CGES configuration closes on the ladder or at its budget, and a
+                # round of either kind reads, so every close comes from its own read
+                if rungs and (round_idx in at_budget or not posterior.top_below(rungs[0][0])):
                     top_index, top = posterior.top_index_and_log_mass()
                     for log_gamma, c in rungs:
                         if log_gamma > top:

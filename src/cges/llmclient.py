@@ -604,7 +604,7 @@ def sample_once(
     logged.  HTTP failures (a transport error, a status of 400 or above, or a
     body that is not JSON) are retried up to the configured bound, then raise;
     this is the package's only retry layer.  A JSON reply of any other shape
-    than a chat completion is not retried.
+    than a chat completion, ``null`` included, is refused without a retry.
     ``connection`` is a keep-alive connection from ``_connect``; without one,
     the call opens its own and closes it.
     """
@@ -631,8 +631,6 @@ def sample_once(
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
-    body = None
-    failure: Optional[Exception] = None
     for attempt in range(endpoint.max_retries + 1):
         try:
             status, reply = _post(connection, path, data, headers)
@@ -652,7 +650,7 @@ def sample_once(
             )
             if attempt < endpoint.max_retries:
                 time.sleep(min(0.1 * 2**attempt, 2.0))
-    if body is None:
+    else:
         raise SamplerError(
             f"endpoint request for question {question_id!r} round {round_idx} "
             f"failed after {endpoint.max_retries + 1} attempts"

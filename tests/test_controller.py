@@ -86,6 +86,35 @@ class TestCgesRun:
         assert cges.unresolved == esc.unresolved == ("q1",)
         assert sc.unresolved == ()
 
+    @pytest.mark.parametrize(
+        "stream, budget, gamma, fixed_k",
+        [
+            (list(zip("abba", (0.3, 0.35, 0.65, 0.7))), 4, 0.9, None),
+            (list(zip("abbbaa", (0.3, 0.9, 0.1, 0.65, 0.7, 0.65))), 6, 0.99, 3),
+            (
+                list(zip("aaaaabbbba", (0.1, 0.7, 0.35, 0.6, 0.65, 0.6, 0.7, 0.65, 0.5, 0.65))),
+                10,
+                0.99,
+                4,
+            ),
+        ],
+        ids=["observed-virtual", "fixed-k-3", "fixed-k-4"],
+    )
+    def test_an_exact_tie_at_the_budget_goes_to_the_earliest_label(
+        self, stream, budget, gamma, fixed_k
+    ):
+        # the floor proves gamma out of reach in the last round, and the top
+        # read of an earlier round named b; the budget close reads afresh
+        posterior = RunningPosterior(fixed_k)
+        for label, confidence in stream:
+            posterior.add(label, confidence)
+        named = posterior.masses
+        assert named["a"] == named["b"] and posterior.top()[0] == "a"
+        config = ControllerConfig(method=Method.CGES, gamma=gamma, budget=budget)
+        result = run(["q"], stream_sampler({"q": stream}), config, fixed_k)
+        assert result.predictions == {"q": "a"}
+        assert result.unresolved == ("q",)
+
     def test_gamma_one_exhausts_the_budget(self):
         config = ControllerConfig(method=Method.CGES, gamma=1.0, budget=5)
         result = run(["q0"], constant_sampler("a1", 0.99), config)
@@ -450,6 +479,18 @@ def edge_streams(rng, n_questions, budget, n_labels, k):
     return streams
 
 
+def tie_streams(rng, n_questions, budget):
+    """Streams of two labels whose confidences, drawn from {0.3, 0.35, 0.65,
+    0.7}, often leave the two labels' scores exactly tied."""
+    return {
+        f"q{i}": [
+            ("ab"[int(rng.integers(2))], float(rng.choice([0.3, 0.35, 0.65, 0.7])))
+            for _ in range(budget)
+        ]
+        for i in range(n_questions)
+    }
+
+
 def counting_sampler(streams):
     reads = {}
 
@@ -585,23 +626,37 @@ class TestRunMany:
         for config, result in zip(configs, results):
             assert result == run(list(streams), stream_sampler(streams), config)
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("extra_k", [None, 2])
-    def test_the_screen_changes_no_result(self, monkeypatch, seed, extra_k):
+    @pytest.mark.parametrize(
+        "family, seed, extra_k",
+        [
+            *(pytest.param("edge", s, k, id=f"{k}-{s}") for k in (None, 2) for s in range(4)),
+            # seeds at which a CGES budget ends on an exact tie the floor alone would screen
+            *(
+                pytest.param("ties", s, k, id=f"ties-{k}-{s}")
+                for s, k in ((265, None), (328, None), (0, 0), (3, 0), (0, 2), (53, 2))
+            ),
+        ],
+    )
+    def test_the_screen_changes_no_result(self, monkeypatch, family, seed, extra_k):
         # the reference reads the top every round a threshold is open
         class ReadEveryRound(RunningPosterior):
             def top_below(self, log_gamma):
                 return False
 
         rng = np.random.default_rng(seed)
-        n_labels = int(rng.integers(2, 6))
-        fixed_k = None if extra_k is None else n_labels + extra_k
-        streams = edge_streams(rng, 30, 200, n_labels, fixed_k or n_labels + 1)
-        gammas = [0.05, *rng.uniform(0.05, 1.0, 5), 1 - 1e-12, 1.0]
-        configs = [
-            ControllerConfig(method=Method.CGES, gamma=g, budget=int(rng.integers(1, 201)))
-            for g in gammas
-        ]
+        if family == "ties":
+            fixed_k = None if extra_k is None else 2 + extra_k
+            streams = tie_streams(rng, 20, 16)
+            configs = self.mixed_configs(rng, 1)
+        else:
+            n_labels = int(rng.integers(2, 6))
+            fixed_k = None if extra_k is None else n_labels + extra_k
+            streams = edge_streams(rng, 30, 200, n_labels, fixed_k or n_labels + 1)
+            gammas = [0.05, *rng.uniform(0.05, 1.0, 5), 1 - 1e-12, 1.0]
+            configs = [
+                ControllerConfig(method=Method.CGES, gamma=g, budget=int(rng.integers(1, 201)))
+                for g in gammas
+            ]
         screened = run_many(list(streams), stream_sampler(streams), configs, fixed_k)
         monkeypatch.setattr(controller, "RunningPosterior", ReadEveryRound)
         assert screened == run_many(list(streams), stream_sampler(streams), configs, fixed_k)

@@ -711,7 +711,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ('"confidence": "0.6"', "'confidence' must be a number"),
+            ('"confidence": "0.6"', "confidence must be a real number"),
             ('"confidence": 0.6, "round": 2.7', "'round' must be an integer >= 1"),
             ('"confidence": 0.6, "round": true', "'round' must be an integer >= 1"),
         ],

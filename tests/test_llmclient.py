@@ -977,7 +977,7 @@ class StubState:
         self.omit_logprobs = False
         self.text = r"The sum is \boxed{42}."
         self.logprobs = [-0.1, -0.2, -0.05]
-        self.body = None  # when set, sent verbatim as the 200 reply
+        self.body = None  # when set, sent as the 200 reply: JSON-encoded, or bytes as they are
 
 
 def make_stub_handler(state):
@@ -1007,7 +1007,7 @@ def make_stub_handler(state):
                     "content": [{"token": "t", "logprob": lp} for lp in state.logprobs]
                 }
             reply = {"choices": [choice]} if state.body is None else state.body
-            body = json.dumps(reply).encode()
+            body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -1375,6 +1375,16 @@ class TestOneRetryLayer:
         state.body = {"choices": [{"message": None}]}
         with pytest.raises(SamplerError, match="'q0' round 1: malformed completion message"):
             self.run_cges(base_url, max_retries=3)
+        assert len(state.requests) == 1
+
+    def test_a_null_reply_costs_one_request(self, stub_server):
+        # JSON, but no chat completion: refused at once, with the parser's reason
+        base_url, state = stub_server
+        state.body = b"null"
+        endpoint = endpoint_for(base_url, max_retries=3)
+        with pytest.raises(SamplerError) as caught:
+            sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint, seed=0)
+        assert str(caught.value) == "question 'q0' round 1: malformed completion payload: None"
         assert len(state.requests) == 1
 
     def test_cli_run_exits_on_malformed_reply(self, stub_server, tmp_path, capsys):
