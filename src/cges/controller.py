@@ -19,18 +19,19 @@ form a threshold ladder sorted by log gamma.  A round first asks the
 posterior (``top_below``, an O(1) check against the floor its last exact
 read left) whether the top log mass is surely below the lowest rung; only if
 not, or if the round spends a budget, does it read the top (label index, log
-mass) exactly, once, and close the ladder up to it in one comparison, so every
-close and its prediction come from that round's exact read.  Once the ladder
-is empty (at the start, under SC or ESC alone) the chain calls
-``stop_scoring``, since SC and ESC read nothing but the label counts: later
-draws are only counted.
+mass) exactly, once, and close the ladder's prefix up to it, so every close
+and its prediction come from that round's exact read.  Off the ladder a
+configuration closes only at a checkpoint, a budget or an ESC window end, which
+are listed once per call; there the chain checks them.  Once the ladder is
+empty (at the start, under SC or ESC alone) the chain calls ``stop_scoring``,
+since SC and ESC read nothing but the label counts: a round where no threshold
+is open and no budget or window ends only draws and counts.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -140,19 +141,31 @@ def run_many(
         for c, config in enumerate(configs)
         if config.method is Method.CGES
     )
-    windows = [
-        (c, config.esc_window) for c, config in enumerate(configs) if config.method is Method.ESC
-    ]
-    at_budget: dict[int, list[int]] = {}  # round -> the configurations whose budget it spends
+    # the rounds where a configuration can close off the ladder, each with
+    # (index, window, resolved, CGES) of what may close there: an ESC window
+    # ends at each multiple of it up to the budget (a trailing partial window
+    # never stops a question), then every configuration's budget ends
+    closes: dict[int, list] = {}
     for c, config in enumerate(configs):
-        at_budget.setdefault(config.budget, []).append(c)
+        if config.method is Method.ESC:
+            for end in range(config.esc_window, config.budget + 1, config.esc_window):
+                closes.setdefault(end, []).append((c, config.esc_window, True, False))
+        # SC has no stop rule, so its budget close counts as resolved
+        closes.setdefault(config.budget, []).append(
+            (c, 0, config.method is Method.SC, config.method is Method.CGES)
+        )
+    budgets = {config.budget for config in configs}
+    # (round, whether it spends a budget, what may close there), ascending
+    checkpoints = [(end, end in budgets, events) for end, events in sorted(closes.items())]
     max_parallel = max(config.max_parallel for config in configs)
-    failed = threading.Event()  # set once a chain raises or the caller's wait ends early
+    failed = False  # set once a chain raises or the caller's wait ends early
 
     def chain(qid: str) -> list:
         """Per configuration, (prediction, calls, resolved) at the round it
         closes on ``qid``; once a chain has failed, no chain makes another draw."""
+        nonlocal failed
         posterior = RunningPosterior(fixed_k=fixed_k)
+        add, top_below = posterior.add, posterior.top_below
         if not ladder:  # SC and ESC read only the label counts
             posterior.stop_scoring()
         last_label, run_length = None, 0  # the trailing run of one label, for ESC
@@ -160,46 +173,54 @@ def run_many(
         rungs, n_open = ladder, len(configs)
         round_idx = 0
         try:
-            while n_open and not failed.is_set():
-                round_idx += 1
-                label, confidence = sampler(qid, round_idx)
-                try:
-                    posterior.add(label, confidence)
-                except (ConfigurationError, InvalidSampleError) as exc:
-                    raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
-                run_length = run_length + 1 if label == last_label else 1
-                last_label = label
-                closing: dict[int, bool] = {}  # index -> resolved, of those closing this round
-                # a CGES configuration closes on the ladder or at its budget, and a
-                # round of either kind reads, so every close comes from its own read
-                if rungs and (round_idx in at_budget or not posterior.top_below(rungs[0][0])):
-                    top_index, top = posterior.top_index_and_log_mass()
-                    for log_gamma, c in rungs:
-                        if log_gamma > top:
-                            break  # top < log gamma_j implies top < log gamma_i for i above j
-                        closing[c] = True
-                for c, window in windows:
-                    # a trailing partial window never stops a question
-                    if outcomes[c] is None and round_idx % window == 0 and run_length >= window:
-                        closing[c] = True
-                for c in at_budget.get(round_idx, ()):
-                    if outcomes[c] is None:
-                        # SC has no stop rule, so its budget close counts as resolved
-                        closing.setdefault(c, configs[c].method is Method.SC)
-                if closing:
-                    for c, resolved in closing.items():
-                        if configs[c].method is Method.CGES:
+            for checkpoint, spends_budget, events in checkpoints:
+                # no configuration closes off the ladder before the checkpoint, so
+                # with no threshold open a round only draws and counts
+                while round_idx < checkpoint:
+                    if failed:
+                        return outcomes
+                    round_idx += 1
+                    label, confidence = sampler(qid, round_idx)
+                    try:
+                        add(label, confidence)
+                    except (ConfigurationError, InvalidSampleError) as exc:
+                        raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
+                    run_length = run_length + 1 if label == last_label else 1
+                    last_label = label
+                    # a CGES configuration closes on the ladder or at its budget, and a
+                    # round of either kind reads, so every close comes from its own read
+                    if rungs and (
+                        round_idx == checkpoint and spends_budget or not top_below(rungs[0][0])
+                    ):
+                        top_index, top = posterior.top_index_and_log_mass()
+                        j = 0  # the ladder ascends, so the read closes the prefix rungs[:j]
+                        while j < len(rungs) and rungs[j][0] <= top:
+                            j += 1
+                        if j:
                             prediction = posterior.labels[top_index]
-                        else:  # the majority; max keeps the first maximum, the earliest label
-                            counts = posterior.counts
-                            prediction = max(counts, key=counts.__getitem__)
-                        outcomes[c] = (prediction, round_idx, resolved)
-                    n_open -= len(closing)
-                    rungs = [rung for rung in rungs if outcomes[rung[1]] is None]
-                    if not rungs:  # no threshold will read the scores again
-                        posterior.stop_scoring()
+                            for _, c in rungs[:j]:
+                                outcomes[c] = (prediction, round_idx, True)
+                            rungs, n_open = rungs[j:], n_open - j
+                            if not rungs:  # no threshold will read the scores again
+                                posterior.stop_scoring()
+                                if not n_open:
+                                    return outcomes
+                for c, window, resolved, cges in events:
+                    if outcomes[c] is not None or run_length < window:
+                        continue
+                    if cges:  # closes at its budget with this round's read
+                        outcomes[c] = (posterior.labels[top_index], round_idx, resolved)
+                        rungs = [rung for rung in rungs if rung[1] != c]
+                        if not rungs:
+                            posterior.stop_scoring()
+                    else:  # the majority; max keeps the first maximum, the earliest label
+                        counts = posterior.counts
+                        outcomes[c] = (max(counts, key=counts.__getitem__), round_idx, resolved)
+                    n_open -= 1
+                if not n_open:
+                    break
         except BaseException:
-            failed.set()
+            failed = True
             raise
         return outcomes
 
@@ -211,7 +232,7 @@ def run_many(
             # raises the error of the earliest question whose chain raised
             per_question = list(schedule(chain, qids))
         finally:
-            failed.set()  # on an early exit, the pool waits only for the draws in flight
+            failed = True  # on an early exit, the pool waits only for the draws in flight
 
     results = []
     for closed in zip(*per_question):  # per configuration, its outcome on each question

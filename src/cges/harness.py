@@ -80,6 +80,15 @@ def load_dataset(path: Union[str, Path]) -> list[Question]:
 def accuracy(predictions: Mapping[str, str], questions: Sequence[Question]) -> float:
     """Fraction of questions whose normalized prediction matches their gold
     label, both normalized under the question's answer format."""
+    golds = [normalize_answer(q.gold, q.format) for q in questions]
+    return _accuracy(predictions, questions, golds)
+
+
+def _accuracy(
+    predictions: Mapping[str, str], questions: Sequence[Question], golds: Sequence[str]
+) -> float:
+    """``accuracy`` against ``golds``, the questions' gold labels already normalized,
+    so a study that scores many predictions normalizes each gold once."""
     qids = {q.question_id for q in questions}
     missing = sorted(qids - set(predictions))
     extra = sorted(set(predictions) - qids)
@@ -90,8 +99,8 @@ def accuracy(predictions: Mapping[str, str], questions: Sequence[Question]) -> f
     if not questions:
         raise ConfigurationError("no questions to score")
     hits = sum(
-        normalize_answer(predictions[q.question_id], q.format) == normalize_answer(q.gold, q.format)
-        for q in questions
+        normalize_answer(predictions[q.question_id], q.format) == gold
+        for q, gold in zip(questions, golds)
     )
     return hits / len(questions)
 
@@ -190,11 +199,15 @@ def _measure(
     if not configs:
         return []
     qids = [q.question_id for q in spec.questions]
+    golds = [normalize_answer(q.gold, q.format) for q in spec.questions]
     per_seed = []
     for seed in spec.seeds if spec.store is None else spec.seeds[:1]:
         results = run_many(qids, _make_sampler(spec, seed), configs, spec.fixed_k)
         per_seed.append(
-            [(result.avg_calls, accuracy(result.predictions, spec.questions)) for result in results]
+            [
+                (result.avg_calls, _accuracy(result.predictions, spec.questions, golds))
+                for result in results
+            ]
         )
     # the mean of each figure over the seeds, as statistics.fmean computes it,
     # without that module's import cost

@@ -491,6 +491,33 @@ def tie_streams(rng, n_questions, budget):
     }
 
 
+def oracle_close(stream, config, fixed_k):
+    """(prediction, calls, resolved) of one configuration on one stream, from
+    its method's definition alone: SC and ESC count labels, CGES reads the
+    exact top every round.  Ties go to the earliest label."""
+    labels = [label for label, _ in stream]
+
+    def majority(n):
+        counts = Counter(labels[:n])  # first-seen order; max keeps the first maximum
+        return max(counts, key=counts.__getitem__)
+
+    if config.method is Method.SC:
+        return majority(config.budget), config.budget, True
+    if config.method is Method.ESC:
+        window = config.esc_window
+        for end in range(window, config.budget + 1, window):
+            if len(set(labels[end - window : end])) == 1:
+                return majority(end), end, True
+        return majority(config.budget), config.budget, False
+    posterior = RunningPosterior(fixed_k)
+    for calls, (label, confidence) in enumerate(stream[: config.budget], 1):
+        posterior.add(label, confidence)
+        index, log_mass = posterior.top_index_and_log_mass()
+        if log_mass >= math.log(config.gamma):
+            return posterior.labels[index], calls, True
+    return posterior.labels[index], config.budget, False
+
+
 def counting_sampler(streams):
     reads = {}
 
@@ -541,6 +568,38 @@ class TestRunMany:
                 serial = replace(config, max_parallel=1)
                 assert result == run(list(streams), sampler, serial, fixed_k)
 
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize("fixed_k", [None, 3])
+    def test_mixed_methods_match_an_oracle_of_their_definitions(self, fixed_k, max_parallel):
+        rng = np.random.default_rng(17)
+        streams = skewed_streams(rng, 40, 14)
+        common = dict(max_parallel=max_parallel)
+        configs = [
+            # SC budgets below and above every CGES budget; ESC windows that
+            # do not divide their budgets
+            ControllerConfig(method=Method.SC, budget=5, **common),
+            ControllerConfig(method=Method.ESC, budget=10, esc_window=3, **common),
+            ControllerConfig(method=Method.CGES, gamma=0.9, budget=8, **common),
+            ControllerConfig(method=Method.ESC, budget=9, esc_window=4, **common),
+            ControllerConfig(method=Method.CGES, gamma=0.7, budget=6, **common),
+            ControllerConfig(method=Method.SC, budget=14, **common),
+            ControllerConfig(method=Method.CGES, gamma=0.99, budget=12, **common),
+            ControllerConfig(method=Method.CGES, gamma=1.0, budget=7, **common),
+        ]
+        results = run_many(list(streams), stream_sampler(streams), configs, fixed_k)
+        for config, result in zip(configs, results):
+            closes = {qid: oracle_close(stream, config, fixed_k) for qid, stream in streams.items()}
+            calls = {qid: n for qid, (_, n, _) in closes.items()}
+            assert result == controller.RunResult(
+                predictions={qid: prediction for qid, (prediction, _, _) in closes.items()},
+                avg_calls=sum(calls.values()) / len(streams),
+                per_question_calls=calls,
+                unresolved=tuple(qid for qid, (_, _, ok) in closes.items() if not ok),
+            ), config
+            if config.method is not Method.SC and config.gamma < 1.0:
+                # the streams close each stop rule both before and at its budget
+                assert 1 < len(set(calls.values())) and 0 < len(result.unresolved) < len(streams)
+
     def test_pooled_chains_under_frequent_thread_switches(self):
         # more workers than cores, switching threads every few bytecodes: each
         # chain still reads each of its keys once and closes as the serial run does
@@ -578,23 +637,28 @@ class TestRunMany:
 
     def test_each_key_is_read_once_per_fixed_k(self):
         rng = np.random.default_rng(3)
-        streams = skewed_streams(rng, 10, 12)
-        configs = [
+        cges_only = [
             ControllerConfig(method=Method.CGES, gamma=gamma, budget=12)
             for gamma in (0.7, 0.8, 0.9, 0.99, 0.999)
         ]
-        calls = {}
-        # another K policy is another call, with its own posteriors and its own reads
-        for fixed_k in (None, 3):
-            sampler, reads = counting_sampler(streams)
-            results = run_many(list(streams), sampler, configs, fixed_k)
-            assert set(reads.values()) == {1}
-            # each question is read as far as its most demanding configuration
-            for qid in streams:
-                deepest = max(result.per_question_calls[qid] for result in results)
-                assert {rnd for q, rnd in reads if q == qid} == set(range(1, deepest + 1))
-            calls[fixed_k] = [result.per_question_calls for result in results]
-        assert calls[None] != calls[3]  # the K policy reached the posteriors
+        inputs = [
+            (skewed_streams(rng, 10, 12), cges_only),
+            # SC and ESC budgets and ESC window ends among the ladder's closes
+            (skewed_streams(rng, 10, 16), self.mixed_configs(rng, 2)),
+        ]
+        for streams, configs in inputs:
+            calls = {}
+            # another K policy is another call, with its own posteriors and its own reads
+            for fixed_k in (None, 3):
+                sampler, reads = counting_sampler(streams)
+                results = run_many(list(streams), sampler, configs, fixed_k)
+                assert set(reads.values()) == {1}
+                # each question is read as far as its most demanding configuration
+                for qid in streams:
+                    deepest = max(result.per_question_calls[qid] for result in results)
+                    assert {rnd for q, rnd in reads if q == qid} == set(range(1, deepest + 1))
+                calls[fixed_k] = [result.per_question_calls for result in results]
+            assert calls[None] != calls[3]  # the K policy reached the posteriors
 
     def test_top_is_read_at_most_once_per_draw(self, monkeypatch):
         # the thresholds share one top read per round, and the CGES predict

@@ -230,13 +230,19 @@ class TestAccuracy:
         assert accuracy({"a": "b", "b": "b"}, questions) == 0.5
 
     def test_key_mismatch_lists_ids(self):
-        with pytest.raises(ConfigurationError, match="q2"):
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape("prediction/gold key mismatch; missing=['q2'] extra=[]") + "$",
+        ):
             accuracy({"q1": "x"}, _questions({"q1": "x", "q2": "y"}))
-        with pytest.raises(ConfigurationError, match="q3"):
+        with pytest.raises(
+            ConfigurationError,
+            match=re.escape("prediction/gold key mismatch; missing=[] extra=['q3']") + "$",
+        ):
             accuracy({"q1": "x", "q3": "z"}, _questions({"q1": "x"}))
 
     def test_nothing_to_score(self):
-        with pytest.raises(ConfigurationError, match="no questions to score"):
+        with pytest.raises(ConfigurationError, match="^no questions to score$"):
             accuracy({}, [])
 
     def test_normalize_answer(self):
@@ -298,6 +304,30 @@ class TestCompareMethods:
         assert by_method["sc"].delta_calls == 0.0
         assert by_method["sc"].delta_acc == 0.0
         assert by_method["sc"].avg_calls == 6.0
+
+    def test_each_gold_is_normalized_once_per_study(self, tmp_path, monkeypatch):
+        import cges.harness as harness_module
+
+        # every gold ends in a space and no sampled label does, which tells the calls apart
+        streams = {f"q{i}": [("right", 0.9), ("wrong", 0.6)] * 3 for i in range(4)}
+        gold = dict.fromkeys(streams, "right ")
+        methods = [
+            ControllerConfig(method=Method.SC, budget=6),
+            ControllerConfig(method=Method.ESC, budget=6, esc_window=2),
+            ControllerConfig(method=Method.CGES, gamma=0.9, budget=6),
+        ]
+        spec = spec_for(tmp_path, streams, gold, methods)
+        normalized = Counter()
+
+        def counting_normalize(label, fmt):
+            normalized["gold" if label.endswith(" ") else "prediction"] += 1
+            return normalize_answer(label, fmt)
+
+        monkeypatch.setattr(harness_module, "normalize_answer", counting_normalize)
+        report = compare_methods(spec)
+        # Q golds once each, then one prediction per question and method
+        assert normalized == {"gold": len(streams), "prediction": len(methods) * len(streams)}
+        assert [row.accuracy for row in report.rows] == [1.0, 1.0, 1.0]
 
     def test_minority_confident_item_separates_methods(self, tmp_path):
         streams = {"q0": [("right", 0.9), ("wrong", 0.2), ("wrong", 0.2)]}
