@@ -18,8 +18,8 @@ length, and adds every draw to the posterior.  The open CGES configurations
 form a threshold ladder sorted by log gamma.  A round first asks the
 posterior (``top_below``, an O(1) check against the floor its last exact
 read left) whether the top log mass is surely below the lowest rung; only if
-not, or if the round spends a budget, does it read the top (label index, log
-mass) exactly, once, and close the ladder's prefix up to it, so every close
+not, or if the round spends a CGES budget, does it read the top (label index,
+log mass) exactly, once, and close the ladder's prefix up to it, so every close
 and its prediction come from that round's exact read.  Off the ladder a
 configuration closes only at a checkpoint, a budget or an ESC window end, which
 are listed once per call; there the chain checks them.  Once the ladder is
@@ -154,8 +154,9 @@ def run_many(
         closes.setdefault(config.budget, []).append(
             (c, 0, config.method is Method.SC, config.method is Method.CGES)
         )
-    budgets = {config.budget for config in configs}
-    # (round, whether it spends a budget, what may close there), ascending
+    # only a CGES budget close uses the round's exact read
+    budgets = {config.budget for config in configs if config.method is Method.CGES}
+    # (round, whether it spends a CGES budget, what may close there), ascending
     checkpoints = [(end, end in budgets, events) for end, events in sorted(closes.items())]
     max_parallel = max(config.max_parallel for config in configs)
     failed = False  # set once a chain raises or the caller's wait ends early

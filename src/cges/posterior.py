@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, EmptySamplesError, InvalidSampleError
@@ -120,8 +121,12 @@ class RunningPosterior:
     its own label only.  So ``add`` carries the floor (see ``top_below``): the
     top drawn with a gain scales it by e^(-gain); a competitor drawn that still
     trails swaps its old ratio, less a rounding allowance, for its new one; a
-    new label (K or the unnamed count moves), the top drawn with a loss (a
-    confidence below 1/K), or a competitor that may have caught up drops it to 0.
+    competitor drawn past the top, by a gap g >= 0, is the new top (every other
+    label trails the old one), and the swapped floor F re-bases to
+    (F + 1) e^(-g) - 1, less the allowance; a new label (K or the unnamed count
+    moves) or the top drawn with a loss (a confidence below 1/K) drops it to 0.
+    With one named label, the top, the tail is exactly (K - 1) e^(-excess_top),
+    so a question's first draw sets the floor without a read.
     """
 
     __slots__ = (
@@ -190,15 +195,28 @@ class RunningPosterior:
                 self._floor = floor * math.exp(-gain) if gain >= 0.0 else 0.0
             else:
                 gap = excess - self._top_excess  # log of its mass relative to the top's
-                # it still trails; a near tie that rounding hides moves the tail
-                # by less than the slack
-                if gap < 0.0:
-                    step = log_hit - log_miss + log_k_minus_1  # how far the gap moved
-                    allowance = 1.0 + _SLACK * self.n * (_LOG_SPAN + log_k_minus_1)
+                step = log_hit - log_miss + log_k_minus_1  # how far the gap moved
+                allowance = 1.0 + _SLACK * self.n * (_LOG_SPAN + log_k_minus_1)
+                # a near tie that rounding hides moves the tail by less than the slack
+                if gap < 0.0:  # it still trails
                     floor += math.exp(gap) - math.exp(gap - step) * allowance
-                    self._floor = floor if floor > 0.0 else 0.0
-                else:
-                    self._floor = 0.0
+                else:  # it is the new top, since every other label trails the old one
+                    # (F + 1) e^(-gap) - 1 for the swapped floor F, with its new ratio
+                    # e^gap cancelled out so that nothing overflows, less the allowance
+                    floor = (floor + 1.0 - math.exp(gap - step) * allowance) * math.exp(-gap)
+                    floor -= allowance - 1.0
+                    self._top, self._top_excess = record, excess
+                self._floor = floor if floor > 0.0 else 0.0
+        elif len(self._records) == 1:  # a question's first draw, say
+            # one named label, so the top; the other K - 1 candidates are unnamed, of
+            # excess 0, and the tail is exactly (K - 1) e^(-excess); observed+virtual has K = 2
+            log_k_minus_1 = math.log((self.fixed_k or 2) - 1)
+            excess = record[1] - record[2] + record[0] * log_k_minus_1
+            self._top, self._top_excess, self._log_k_minus_1 = record, excess, log_k_minus_1
+            try:
+                self._floor = math.exp(log_k_minus_1 - excess)
+            except OverflowError:  # the unnamed candidates outweigh the top past the float range
+                pass
 
     def stop_scoring(self) -> None:
         """One way: ``add`` then counts each sample only, so ``counts``,
@@ -240,20 +258,15 @@ class RunningPosterior:
         one), so it is exactly < 0 whenever any competing mass is positive and
         a threshold of 1.0 stays unreachable (robust at thresholds near 1).
         """
-        return self._top_read()[:2]
-
-    def _top_read(self) -> tuple[int, float, list[float], Optional[float]]:
-        """``top_index_and_log_mass`` with the one score read it made: the named
-        log scores and the unnamed aggregate (or None), for ``_log_masses``."""
         scores, reserve_log, log_k_minus_1 = self._scores()
         if not scores:
             raise EmptySamplesError("posterior has no real candidates")
-        best = scores.index(max(scores))  # ties go to the earliest label
-        top_log = scores.pop(best)  # the top label's score; the rest are the competitors
+        top_log = max(scores)
+        best = scores.index(top_log)  # ties go to the earliest label
+        scores[best] = -math.inf  # the competitors only: e^-inf adds an exact 0.0
         tail = math.fsum([math.exp(v - top_log) for v in scores])
-        scores.insert(best, top_log)
         # the floor starts afresh from this read
-        top = self._top = [*self._records.values()][best]
+        top = self._top = next(islice(self._records.values(), best, None))
         self._top_excess = top[1] - top[2] + top[0] * log_k_minus_1
         self._log_k_minus_1 = log_k_minus_1
         if reserve_log is not None:
@@ -263,10 +276,9 @@ class RunningPosterior:
             except OverflowError:  # the unnamed candidates outweigh the top past the float range
                 self._floor = 0.0
                 # log1p(tail + e^shift) = shift + log1p((1 + tail) e^-shift)
-                log_mass = -shift - math.log1p((1.0 + tail) * math.exp(-shift))
-                return best, log_mass, scores, reserve_log
+                return best, -shift - math.log1p((1.0 + tail) * math.exp(-shift))
         self._floor = tail
-        return best, -math.log1p(tail), scores, reserve_log
+        return best, -math.log1p(tail)
 
     def top_below(self, log_gamma: float) -> bool:
         """True only if the next ``top_index_and_log_mass`` would read a log
@@ -320,7 +332,8 @@ class RunningPosterior:
         (score - top score) + the top log mass, so the top's is that log mass."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
-        best, log_mass, scores, reserve_log = self._top_read()
+        best, log_mass = self.top_index_and_log_mass()
+        scores, reserve_log, _ = self._scores()  # the same scores, bit for bit
         top_log = scores[best]
         named = [v - top_log + log_mass for v in scores]
         return best, named, None if reserve_log is None else reserve_log - top_log + log_mass

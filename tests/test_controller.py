@@ -15,6 +15,7 @@ from cges import controller
 from cges.controller import ControllerConfig, Method, run, run_many
 from cges.errors import ConfigurationError, InvalidSampleError, SamplerError
 from cges.posterior import CandidateSet, RunningPosterior, Sample, score
+from conftest import overtake_streams
 
 
 def stream_sampler(streams):
@@ -690,6 +691,28 @@ class TestRunMany:
         for config, result in zip(configs, results):
             assert result == run(list(streams), stream_sampler(streams), config)
 
+    def test_only_a_cges_budget_forces_a_read(self, monkeypatch):
+        # an SC budget closes on the label counts: the round it ends reads
+        # only if the screen cannot prove the open thresholds out of reach
+        read_at = []
+
+        class CountingPosterior(RunningPosterior):
+            def top_index_and_log_mass(self):
+                read_at.append(self.n)
+                return super().top_index_and_log_mass()
+
+        monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
+        streams = {"q": [("a", 0.6), ("b", 0.6)] * 6}
+        cges = ControllerConfig(method=Method.CGES, gamma=0.999, budget=12)
+        sc = ControllerConfig(method=Method.SC, budget=5)
+        runs = {}
+        for configs in ((cges,), (cges, sc)):
+            read_at.clear()
+            results = run_many(list(streams), stream_sampler(streams), configs)
+            runs[len(configs)] = list(read_at), results[0]
+        assert runs[1] == runs[2]
+        assert 5 not in runs[2][0] and 12 in runs[2][0]
+
     @pytest.mark.parametrize(
         "family, seed, extra_k",
         [
@@ -699,6 +722,8 @@ class TestRunMany:
                 pytest.param("ties", s, k, id=f"ties-{k}-{s}")
                 for s, k in ((265, None), (328, None), (0, 0), (3, 0), (0, 2), (53, 2))
             ),
+            # a competitor overtakes the top while the floor holds; K = 8 under extra_k 5
+            *(pytest.param("overtake", 0, k, id=f"overtake-{k}") for k in (None, 5)),
         ],
     )
     def test_the_screen_changes_no_result(self, monkeypatch, family, seed, extra_k):
@@ -708,7 +733,18 @@ class TestRunMany:
                 return False
 
         rng = np.random.default_rng(seed)
-        if family == "ties":
+        if family == "overtake":
+            fixed_k = None if extra_k is None else 3 + extra_k  # the streams name up to 3 labels
+            streams = {f"q{i}": stream for i, stream in enumerate(overtake_streams())}
+            # a threshold at every top mass the streams reach: each closes on its round's read
+            gammas = set()
+            for stream in streams.values():
+                exact = RunningPosterior(fixed_k)
+                for label, confidence in stream:
+                    exact.add(label, confidence)
+                    gammas.add(math.exp(exact.top_log_mass()))
+            configs = [ControllerConfig(method=Method.CGES, gamma=g, budget=8) for g in sorted(gammas)]
+        elif family == "ties":
             fixed_k = None if extra_k is None else 2 + extra_k
             streams = tie_streams(rng, 20, 16)
             configs = self.mixed_configs(rng, 1)

@@ -33,6 +33,7 @@ from cges.posterior import (
     Sample,
     score,
 )
+from conftest import overtake_streams
 
 
 def direct_product_masses(labels, confidences, k):
@@ -657,7 +658,8 @@ def knife_edge_streams():
     """(stream, fixed K) cases for the screen: seeded random streams, streams
     whose top mass nears 1 or reaches it, and a competitor close to the top
     that then draws a confidence of 1e-12, so that its old ratio is nearly all
-    the floor."""
+    the floor; and a competitor that overtakes the top by one hair, on an
+    exact tie, and under the fixed K alone."""
     rng = np.random.default_rng(41)
     for fixed_k in (None, 8):
         for _ in range(6):
@@ -674,6 +676,8 @@ def knife_edge_streams():
         for repeats in range(3, 9):
             for hit in (0.8, 0.9, 0.95):
                 yield [("a", hit)] * 3 + [("b", hit), ("a", hit)] * repeats + [("b", 1e-12)], fixed_k
+        for stream in overtake_streams():
+            yield stream, fixed_k
 
 
 class TestScreen:
@@ -698,14 +702,36 @@ class TestScreen:
                     screened.top_index_and_log_mass()
             assert proved, (stream, fixed_k)  # the floor is tight, not just 0
 
+    @pytest.mark.parametrize("fixed_k", [None, 2, 3, 8])
+    @pytest.mark.parametrize("confidence", [1e-12, 0.1, 0.5, 0.9, 1 - 1e-12])
+    def test_one_draw_proves_only_what_its_read_would(self, fixed_k, confidence):
+        # a one-label posterior's tail is known exactly, before any read
+        running, exact = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
+        running.add("a", confidence)
+        exact.add("a", confidence)
+        top = exact.top_index_and_log_mass()[1]
+        log_gammas = [top, math.log(math.exp(top)), top * (1 + 1e-6), top * (1 - 1e-6), top / 2]
+        log_gammas += [math.log(gamma) for gamma in (1e-13, 0.05, 0.5, 0.95, 1 - 1e-13, 1.0)]
+        proved = [log_gamma for log_gamma in log_gammas if running.top_below(log_gamma)]
+        assert all(top < log_gamma for log_gamma in proved)
+        assert top * (1 - 1e-6) in proved
+
     def test_a_fresh_or_unread_posterior_proves_nothing(self):
         running = RunningPosterior()
+        assert not running.top_below(math.log(1e-300))  # no draw yet
         running.add("a", 0.1)
-        assert not running.top_below(math.log(0.99))  # no read yet
-        assert running.top_index_and_log_mass()[1] < math.log(0.99)
         assert running.top_below(math.log(0.99))
         running.add("b", 0.6)  # a new label moves K
         assert not running.top_below(math.log(0.99))
+        assert running.top_index_and_log_mass()[1] < math.log(0.99)
+        assert running.top_below(math.log(0.99))
+        # a named candidate of no sample may outweigh the drawn one: nothing is known before a read
+        for fixed_k in (None, 8):
+            named = RunningPosterior(fixed_k, labels=("a", "b"))
+            named.add("a", 0.1)
+            assert not named.top_below(math.log(0.99))
+            assert named.top_index_and_log_mass()[1] < math.log(0.99)
+            assert named.top_below(math.log(0.99))
 
 
 def dict_top_log_mass(running):
