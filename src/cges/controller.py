@@ -15,17 +15,19 @@ configuration is open on it; a method is a stop rule and a predict rule:
 
 A chain keeps the question's posterior, its last label and that label's run
 length, and adds every draw to the posterior.  The open CGES configurations
-form a threshold ladder sorted by log gamma.  A round first asks the
-posterior (``top_below``, an O(1) check against the floor its last exact
-read left) whether the top log mass is surely below the lowest rung; only if
-not, or if the round spends a CGES budget, does it read the top (label index,
-log mass) exactly, once, and close the ladder's prefix up to it, so every close
-and its prediction come from that round's exact read.  Off the ladder a
-configuration closes only at a checkpoint, a budget or an ESC window end, which
-are listed once per call; there the chain checks them.  Once the ladder is
-empty (at the start, under SC or ESC alone) the chain calls ``stop_scoring``,
-since SC and ESC read nothing but the label counts: a round where no threshold
-is open and no budget or window ends only draws and counts.
+form a threshold ladder sorted by log gamma, whose lowest rung the posterior
+watches: each ``add`` returns its O(1) ``screen`` verdict there, off the
+bounds on the top mass that it carries between exact reads.  A rung proven out
+of reach ends the round.  Otherwise the round closes every rung the bounds
+prove reached, on the top label they track, and reads the top (label, log
+mass) exactly, once, only if the next rung is proven neither reached nor out
+of reach, or if the round spends a CGES budget; that read closes the ladder's
+prefix up to it.  So every close is the one an exact read would make.  Off the
+ladder a configuration closes only at a checkpoint, a budget or an ESC window
+end, which are listed once per call; there the chain checks them.  Once the
+ladder is empty (at the start, under SC or ESC alone) the chain calls
+``stop_scoring``, since SC and ESC read nothing but the label counts: a round
+where no threshold is open and no budget or window ends only draws and counts.
 """
 
 from __future__ import annotations
@@ -166,8 +168,10 @@ def run_many(
         closes on ``qid``; once a chain has failed, no chain makes another draw."""
         nonlocal failed
         posterior = RunningPosterior(fixed_k=fixed_k)
-        add, top_below = posterior.add, posterior.top_below
-        if not ladder:  # SC and ESC read only the label counts
+        add, screen = posterior.add, posterior.screen
+        if ladder:
+            posterior.watch(ladder[0][0])
+        else:  # SC and ESC read only the label counts
             posterior.stop_scoring()
         last_label, run_length = None, 0  # the trailing run of one label, for ESC
         outcomes: list = [None] * len(configs)
@@ -183,22 +187,25 @@ def run_many(
                     round_idx += 1
                     label, confidence = sampler(qid, round_idx)
                     try:
-                        add(label, confidence)
+                        verdict = add(label, confidence)  # the screen at rungs[0]
                     except (ConfigurationError, InvalidSampleError) as exc:
                         raise type(exc)(f"question {qid!r} round {round_idx}: {exc}") from exc
                     run_length = run_length + 1 if label == last_label else 1
                     last_label = label
-                    # a CGES configuration closes on the ladder or at its budget, and a
-                    # round of either kind reads, so every close comes from its own read
-                    if rungs and (
-                        round_idx == checkpoint and spends_budget or not top_below(rungs[0][0])
-                    ):
-                        top_index, top = posterior.top_index_and_log_mass()
-                        j = 0  # the ladder ascends, so the read closes the prefix rungs[:j]
-                        while j < len(rungs) and rungs[j][0] <= top:
+                    # a CGES configuration closes on the ladder or at its budget
+                    if round_idx == checkpoint and spends_budget:
+                        verdict = None  # a budget closes on this round's read
+                    if rungs and verdict is not False:
+                        j = 0  # the ladder ascends, so the round closes the prefix rungs[:j]
+                        while verdict:  # rungs[j] is proven reached
                             j += 1
+                            verdict = screen(rungs[j][0]) if j < len(rungs) else False
+                        if verdict is None:
+                            _, top = posterior.top_index_and_log_mass()
+                            while j < len(rungs) and rungs[j][0] <= top:
+                                j += 1
                         if j:
-                            prediction = posterior.labels[top_index]
+                            prediction = posterior.top_label  # the read's top, or the proven one
                             for _, c in rungs[:j]:
                                 outcomes[c] = (prediction, round_idx, True)
                             rungs, n_open = rungs[j:], n_open - j
@@ -206,13 +213,17 @@ def run_many(
                                 posterior.stop_scoring()
                                 if not n_open:
                                     return outcomes
+                            else:
+                                posterior.watch(rungs[0][0])
                 for c, window, resolved, cges in events:
                     if outcomes[c] is not None or run_length < window:
                         continue
                     if cges:  # closes at its budget with this round's read
-                        outcomes[c] = (posterior.labels[top_index], round_idx, resolved)
+                        outcomes[c] = (posterior.top_label, round_idx, resolved)
                         rungs = [rung for rung in rungs if rung[1] != c]
-                        if not rungs:
+                        if rungs:
+                            posterior.watch(rungs[0][0])
+                        else:
                             posterior.stop_scoring()
                     else:  # the majority; max keeps the first maximum, the earliest label
                         counts = posterior.counts

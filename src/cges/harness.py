@@ -81,14 +81,19 @@ def accuracy(predictions: Mapping[str, str], questions: Sequence[Question]) -> f
     """Fraction of questions whose normalized prediction matches their gold
     label, both normalized under the question's answer format."""
     golds = [normalize_answer(q.gold, q.format) for q in questions]
-    return _accuracy(predictions, questions, golds)
+    return _accuracy(predictions, questions, golds, {})
 
 
 def _accuracy(
-    predictions: Mapping[str, str], questions: Sequence[Question], golds: Sequence[str]
+    predictions: Mapping[str, str],
+    questions: Sequence[Question],
+    golds: Sequence[str],
+    normalized: dict[tuple[str, AnswerFormat], str],
 ) -> float:
     """``accuracy`` against ``golds``, the questions' gold labels already normalized,
-    so a study that scores many predictions normalizes each gold once."""
+    and ``normalized``, each prediction's normalized form by (text, format) so far,
+    so a study that scores many predictions normalizes each gold and each distinct
+    prediction once.  The key is the text, which tells 1, 1.0 and True apart."""
     qids = {q.question_id for q in questions}
     missing = sorted(qids - set(predictions))
     extra = sorted(set(predictions) - qids)
@@ -98,10 +103,14 @@ def _accuracy(
         )
     if not questions:
         raise ConfigurationError("no questions to score")
-    hits = sum(
-        normalize_answer(predictions[q.question_id], q.format) == gold
-        for q, gold in zip(questions, golds)
-    )
+    hits = 0
+    for q, gold in zip(questions, golds):
+        key = (str(predictions[q.question_id]), q.format)
+        try:
+            prediction = normalized[key]
+        except KeyError:
+            prediction = normalized[key] = normalize_answer(*key)
+        hits += prediction == gold
     return hits / len(questions)
 
 
@@ -200,12 +209,13 @@ def _measure(
         return []
     qids = [q.question_id for q in spec.questions]
     golds = [normalize_answer(q.gold, q.format) for q in spec.questions]
+    normalized: dict[tuple[str, AnswerFormat], str] = {}
     per_seed = []
     for seed in spec.seeds if spec.store is None else spec.seeds[:1]:
         results = run_many(qids, _make_sampler(spec, seed), configs, spec.fixed_k)
         per_seed.append(
             [
-                (result.avg_calls, _accuracy(result.predictions, spec.questions, golds))
+                (result.avg_calls, _accuracy(result.predictions, spec.questions, golds, normalized))
                 for result in results
             ]
         )

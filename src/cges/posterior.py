@@ -12,8 +12,9 @@ statistics of a sample stream, so adding a sample costs O(1) and every score
 is read off them at query time by ``log_score``, which ``cges.genmodel`` also
 applies to numpy arrays; ``score`` is its batch form.  Every mass it
 reports comes off one normalisation, the exact top read, whose log mass is the
-one a stopping rule compares.  Between exact reads, a floor that ``add``
-carries in O(1) lets ``top_below`` prove a threshold out of reach.  After
+one a stopping rule compares.  Between exact reads, a lower and an upper bound
+on the read's tail that ``add`` carries in O(1) let ``screen`` prove a threshold
+out of reach or reached, and name the read's argmax when reached.  After
 ``stop_scoring`` a posterior only counts its samples and refuses every score read.
 """
 
@@ -28,13 +29,13 @@ from .errors import ConfigurationError, EmptySamplesError, InvalidSampleError
 
 Label = Hashable
 
-# The floor's rounding slack is _SLACK * n * (_LOG_SPAN + log(K - 1)) after n
+# The bounds' rounding slack is _SLACK * n * (_LOG_SPAN + log(K - 1)) after n
 # samples.  |log C| + |log(1 - C)| < _LOG_SPAN for every float C in (0, 1), so
 # every log sum is below n * (_LOG_SPAN + log(K - 1)) in magnitude, and a score
 # gap read from the sums is off by less than 1e-15 of that; _SLACK is ten times it.
 _SLACK = 1e-14
 _LOG_SPAN = 800.0
-# Below this a read's terms may underflow to zero, so a smaller floor proves nothing.
+# Below this a read's terms may underflow to zero, so a smaller lower bound proves nothing.
 _TINY = 1e-250
 _STOPPED = "after stop_scoring a posterior keeps counts, not scores"
 
@@ -118,20 +119,24 @@ class RunningPosterior:
     Every score is the all-mismatch score A - n * log(K - 1) plus the label's
     excess S_L - A_L + n_L * log(K - 1), so a competitor's mass relative to
     the top one is e^(excess_L - excess_top), and a sample moves the excess of
-    its own label only.  So ``add`` carries the floor (see ``top_below``): the
-    top drawn with a gain scales it by e^(-gain); a competitor drawn that still
-    trails swaps its old ratio, less a rounding allowance, for its new one; a
-    competitor drawn past the top, by a gap g >= 0, is the new top (every other
-    label trails the old one), and the swapped floor F re-bases to
-    (F + 1) e^(-g) - 1, less the allowance; a new label (K or the unnamed count
-    moves) or the top drawn with a loss (a confidence below 1/K) drops it to 0.
-    With one named label, the top, the tail is exactly (K - 1) e^(-excess_top),
-    so a question's first draw sets the floor without a read.
+    its own label only.  The tail is the sum of the other masses relative to
+    the top one, and ``add`` carries it as an estimate T and an error allowance
+    E, so that T - E and T + E bound it (see ``screen``): the top drawn with a
+    gain g scales both by e^(-g); a competitor drawn that still trails swaps its
+    old ratio for its new one in T and adds the old ratio times the rounding
+    slack to E; a competitor drawn past the top, by a gap g >= 0, is the new top
+    (every other label trails the old one), and T re-bases to (T + 1) e^(-g) - 1
+    for the swapped T, E to the swapped E times e^(-g) plus the slack.  The top
+    drawn with a loss (g < 0, a confidence below 1/K) scales both up, and keeps
+    them only while the upper bound, under 1, shows that it still leads.  A new
+    label (K or the unnamed count moves) or an overflow drops both bounds.  With
+    one named label, the top, the tail is exactly (K - 1) e^(-excess_top), so a
+    question's first draw sets T, with E = 0, without a read.
     """
 
     __slots__ = (
-        "fixed_k", "n", "sum_log_miss", "_records",
-        "_floor", "_top", "_top_excess", "_log_k_minus_1",
+        "fixed_k", "n", "sum_log_miss", "_records", "_tail", "_error",
+        "_top", "_top_label", "_top_excess", "_log_k_minus_1", "_watch",
     )
 
     def __init__(self, fixed_k: Optional[int] = None, labels: Iterable[Label] = ()) -> None:
@@ -140,11 +145,15 @@ class RunningPosterior:
         self.sum_log_miss = 0.0
         # label -> [n_L, S_L, A_L]; insertion order = first-seen order
         self._records: dict[Label, list] = {}
-        # the floor, and the top record, its excess and log(K - 1) of the read it
-        # started from; a floor of 0.0 proves nothing, and None marks ``stop_scoring``
-        self._floor: Optional[float] = 0.0
+        # the tail estimate and its allowance (None marks ``stop_scoring``), and the
+        # top record (None: no bounds carried), its label, its excess and log(K - 1)
+        # of the read they started from; expm1(-log gamma) of the watched threshold
+        self._tail: Optional[float] = 0.0
+        self._error = 0.0
         self._top: Optional[list] = None
+        self._top_label: Label = None
         self._top_excess = self._log_k_minus_1 = 0.0
+        self._watch = math.nan  # no threshold watched: ``add`` proves nothing
         for label in labels:
             _check_label(label)
             if label in self._records:
@@ -158,10 +167,11 @@ class RunningPosterior:
         """Per-label sample counts in first-seen order, as a fresh dict."""
         return {label: record[0] for label, record in self._records.items()}
 
-    def add(self, label: Label, confidence: float) -> None:
+    def add(self, label: Label, confidence: float) -> Optional[bool]:
         """Fold one (label, confidence) observation into the statistics, or
         after ``stop_scoring`` count it only; either way refuse a confidence
-        outside (0, 1), an unhashable label and a label past a fixed K."""
+        outside (0, 1), an unhashable label and a label past a fixed K.  Return
+        what ``screen`` would at the threshold set by ``watch`` (None once stopped)."""
         try:
             if not 0.0 < confidence < 1.0:
                 _check_confidence(confidence)  # raises
@@ -170,64 +180,88 @@ class RunningPosterior:
             _check_confidence(confidence)
             _check_label(label)
             raise
-        floor = self._floor
+        tail = self._tail
         if record is None:
             if self.fixed_k is not None:
                 _check_fixed_k(self.fixed_k, len(self._records) + 1)
             record = self._records[label] = [0, 0.0, 0.0]
-            if floor:  # a new label drops the floor; None, stopped scoring, stays
-                floor = self._floor = 0.0
+            self._top = None  # a new label drops the bounds
         self.n += 1
         record[0] += 1
-        if floor is None:  # scoring stopped: the count is all that is kept
-            return
+        if tail is None:  # scoring stopped: the count is all that is kept
+            return None
         log_hit = math.log(confidence)
         log_miss = math.log1p(-confidence)
         self.sum_log_miss += log_miss
         record[1] += log_hit
         record[2] += log_miss
-        if floor:  # carry the floor (see the class docstring), inlined: a call costs ``add`` time
+        top = self._top
+        if top is not None:  # carry the bounds (see the class docstring), inlined: a call costs ``add`` time
             log_k_minus_1 = self._log_k_minus_1
+            slack = _SLACK * self.n * (_LOG_SPAN + log_k_minus_1)
             excess = record[1] - record[2] + record[0] * log_k_minus_1
-            if record is self._top:
-                gain = excess - self._top_excess
+            gap = excess - self._top_excess  # log of its mass relative to the top's
+            error = self._error
+            if record is top:
+                try:
+                    scale = math.exp(-gap)
+                except OverflowError:  # a loss past the float range
+                    self._top = None
+                    return None
+                tail *= scale
+                error *= scale
+                if gap < 0.0 and (tail + error) * (1.0 + slack) >= 1.0:  # it may no longer lead
+                    self._top = None
+                    return None
                 self._top_excess = excess
-                self._floor = floor * math.exp(-gain) if gain >= 0.0 else 0.0
             else:
-                gap = excess - self._top_excess  # log of its mass relative to the top's
-                step = log_hit - log_miss + log_k_minus_1  # how far the gap moved
-                allowance = 1.0 + _SLACK * self.n * (_LOG_SPAN + log_k_minus_1)
-                # a near tie that rounding hides moves the tail by less than the slack
+                # its ratio before this draw; a near tie that rounding hides moves
+                # the tail by less than the slack on it
+                old = math.exp(gap - (log_hit - log_miss + log_k_minus_1))
+                error += old * slack
                 if gap < 0.0:  # it still trails
-                    floor += math.exp(gap) - math.exp(gap - step) * allowance
+                    tail += math.exp(gap) - old
                 else:  # it is the new top, since every other label trails the old one
-                    # (F + 1) e^(-gap) - 1 for the swapped floor F, with its new ratio
-                    # e^gap cancelled out so that nothing overflows, less the allowance
-                    floor = (floor + 1.0 - math.exp(gap - step) * allowance) * math.exp(-gap)
-                    floor -= allowance - 1.0
-                    self._top, self._top_excess = record, excess
-                self._floor = floor if floor > 0.0 else 0.0
+                    # (T + 1) e^(-gap) - 1 for the swapped T, with its new ratio e^gap
+                    # cancelled out so that nothing overflows
+                    scale = math.exp(-gap)
+                    tail = (tail + 1.0 - old) * scale
+                    error = error * scale + slack
+                    self._top, self._top_label, self._top_excess = record, label, excess
         elif len(self._records) == 1:  # a question's first draw, say
             # one named label, so the top; the other K - 1 candidates are unnamed, of
             # excess 0, and the tail is exactly (K - 1) e^(-excess); observed+virtual has K = 2
             log_k_minus_1 = math.log((self.fixed_k or 2) - 1)
             excess = record[1] - record[2] + record[0] * log_k_minus_1
-            self._top, self._top_excess, self._log_k_minus_1 = record, excess, log_k_minus_1
             try:
-                self._floor = math.exp(log_k_minus_1 - excess)
+                tail = math.exp(log_k_minus_1 - excess)
             except OverflowError:  # the unnamed candidates outweigh the top past the float range
-                pass
+                return None
+            self._top, self._top_label = record, label
+            self._top_excess, self._log_k_minus_1 = excess, log_k_minus_1
+            error = 0.0
+            slack = _SLACK * self.n * (_LOG_SPAN + log_k_minus_1)
+        else:
+            return None
+        self._tail, self._error = tail, error
+        # ``screen`` at the watched threshold, inlined
+        watch = self._watch
+        low = (tail - error) * (1.0 - slack)
+        if low > watch and low > _TINY:
+            return False
+        high = (tail + error) * (1.0 + slack)
+        return True if high < watch and high < 1.0 else None
 
     def stop_scoring(self) -> None:
         """One way: ``add`` then counts each sample only, so ``counts``,
         ``labels`` and ``n`` stay exact, and every score read raises."""
-        self._floor = None
+        self._tail = None
 
     def _scores(self) -> tuple[list[float], Optional[float], float]:
         """The named labels' log scores in first-seen order, the unnamed
         candidates' aggregate (None if all are named) and log(K - 1), each
-        through ``log_score`` (``add`` keeps the floor with its excess form)."""
-        if self._floor is None:
+        through ``log_score`` (``add`` keeps the bounds with its excess form)."""
+        if self._tail is None:
             raise ConfigurationError(_STOPPED)
         k = len(self._records) + 1 if self.fixed_k is None else self.fixed_k
         if k < 2:  # observed+virtual with no label yet
@@ -265,35 +299,55 @@ class RunningPosterior:
         best = scores.index(top_log)  # ties go to the earliest label
         scores[best] = -math.inf  # the competitors only: e^-inf adds an exact 0.0
         tail = math.fsum([math.exp(v - top_log) for v in scores])
-        # the floor starts afresh from this read
-        top = self._top = next(islice(self._records.values(), best, None))
-        self._top_excess = top[1] - top[2] + top[0] * log_k_minus_1
-        self._log_k_minus_1 = log_k_minus_1
+        # the bounds start afresh from this read, with no allowance
+        self._top_label, top = next(islice(self._records.items(), best, None))
+        self._top, self._top_excess = top, top[1] - top[2] + top[0] * log_k_minus_1
+        self._log_k_minus_1, self._error = log_k_minus_1, 0.0
         if reserve_log is not None:
             shift = reserve_log - top_log
             try:
                 tail += math.exp(shift)
             except OverflowError:  # the unnamed candidates outweigh the top past the float range
-                self._floor = 0.0
+                self._top = None
                 # log1p(tail + e^shift) = shift + log1p((1 + tail) e^-shift)
                 return best, -shift - math.log1p((1.0 + tail) * math.exp(-shift))
-        self._floor = tail
+        self._tail = tail
         return best, -math.log1p(tail)
 
-    def top_below(self, log_gamma: float) -> bool:
-        """True only if the next ``top_index_and_log_mass`` would read a log
-        mass below ``log_gamma``; False when the floor cannot tell.
+    def watch(self, log_gamma: float) -> None:
+        """Set the threshold whose ``screen`` verdict each ``add`` returns."""
+        self._watch = _tail_at(log_gamma)
 
-        That log mass is -log1p(tail), the tail being the other masses
-        relative to the top one, so it is below log gamma once the tail
-        exceeds expm1(-log gamma).  The floor, a lower bound on the tail,
-        shrunk by the rounding slack, proves it without the O(K) read.
+    def screen(self, log_gamma: float) -> Optional[bool]:
+        """Whether the next ``top_index_and_log_mass`` would read a log mass of
+        at least ``log_gamma``, told without that O(K) read: True proves it
+        would, with ``top_label`` as its top; False proves it would not; None
+        when the bounds cannot tell.
+
+        That log mass is -log1p(tail), the tail being the other masses relative
+        to the top one, so it reaches log gamma while the tail stays below
+        expm1(-log gamma).  The bounds ``add`` carries, widened by the read's
+        rounding slack, prove either side.  True also needs the upper bound
+        under 1: then every other label trails the tracked top strictly, so the
+        read finds that top, and no tie for the earliest label to break.
         """
-        floor = self._floor
-        if floor is None:
+        if self._tail is None:
             raise ConfigurationError(_STOPPED)
-        floor *= 1.0 - _SLACK * self.n * (_LOG_SPAN + self._log_k_minus_1)
-        return floor > _TINY and floor > math.expm1(-log_gamma)
+        if self._top is None:
+            return None
+        tail, error, watch = self._tail, self._error, _tail_at(log_gamma)
+        slack = _SLACK * self.n * (_LOG_SPAN + self._log_k_minus_1)
+        low = (tail - error) * (1.0 - slack)
+        if low > watch and low > _TINY:
+            return False
+        high = (tail + error) * (1.0 + slack)
+        return True if high < watch and high < 1.0 else None
+
+    @property
+    def top_label(self) -> Label:
+        """The label the bounds track as the top: the last read's top, or a label
+        drawn past it since.  Whenever ``screen`` returns True, the next read's top."""
+        return self._top_label
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -359,6 +413,14 @@ def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosteri
             )
         running.add(sample.label, sample.confidence)
     return running
+
+
+def _tail_at(log_gamma: float) -> float:
+    """expm1(-log gamma): the tail below which a read's top log mass reaches log gamma."""
+    try:
+        return math.expm1(-log_gamma)
+    except OverflowError:  # a gamma below e^-709.78, subnormal: every finite tail reaches it
+        return math.inf
 
 
 def _check_label(label: Label) -> None:

@@ -53,6 +53,14 @@ class TestCgesRun:
         assert result.avg_calls == 1.0
         assert result.unresolved == ()
 
+    def test_a_subnormal_gamma_closes_on_the_first_draw(self):
+        # expm1(-log gamma) overflows below gamma = e^-709.78; any top mass reaches it
+        config = ControllerConfig(method=Method.CGES, gamma=5e-324, budget=4)
+        streams = {"q0": [("a", 0.9)] * 4, "q1": [("b", 0.1)] * 4}
+        result = run(list(streams), stream_sampler(streams), config)
+        assert result.per_question_calls == {"q0": 1, "q1": 1}
+        assert result.predictions == {"q0": "a", "q1": "b"}
+
     def test_stop_is_inclusive_at_the_threshold(self):
         # a gamma whose log equals the first round's top log mass stops there;
         # the next gamma up does not
@@ -713,6 +721,41 @@ class TestRunMany:
         assert runs[1] == runs[2]
         assert 5 not in runs[2][0] and 12 in runs[2][0]
 
+    def test_a_proven_close_makes_no_read(self, monkeypatch):
+        # the bounds prove gamma 0.9 reached at q0's first draw and at q1's third,
+        # where its read after the new label "b" carries them; gamma 1.0 closes at its
+        # budget on that round's read
+        read_at = []  # per question, in order: the chains run serially
+
+        class CountingPosterior(RunningPosterior):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                read_at.append([])
+
+            def top_index_and_log_mass(self):
+                read_at[-1].append(self.n)
+                return super().top_index_and_log_mass()
+
+        monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
+        streams = {"q0": [("a", 0.99)] * 6, "q1": [("a", 0.6), ("b", 0.3)] + [("a", 0.9)] * 4}
+        configs = [
+            ControllerConfig(method=Method.CGES, gamma=0.9, budget=6),
+            ControllerConfig(method=Method.CGES, gamma=1.0, budget=5),
+        ]
+        results = run_many(list(streams), stream_sampler(streams), configs)
+        monkeypatch.undo()
+        assert read_at == [[5], [2, 5]]
+        assert results[0].per_question_calls == {"q0": 1, "q1": 3}
+        for config, result in zip(configs, results):
+            closes = {qid: oracle_close(stream, config, None) for qid, stream in streams.items()}
+            calls = {qid: n for qid, (_, n, _) in closes.items()}
+            assert result == controller.RunResult(
+                predictions={qid: prediction for qid, (prediction, _, _) in closes.items()},
+                avg_calls=sum(calls.values()) / len(streams),
+                per_question_calls=calls,
+                unresolved=tuple(qid for qid, (_, _, ok) in closes.items() if not ok),
+            ), config
+
     @pytest.mark.parametrize(
         "family, seed, extra_k",
         [
@@ -729,8 +772,8 @@ class TestRunMany:
     def test_the_screen_changes_no_result(self, monkeypatch, family, seed, extra_k):
         # the reference reads the top every round a threshold is open
         class ReadEveryRound(RunningPosterior):
-            def top_below(self, log_gamma):
-                return False
+            def add(self, label, confidence):
+                super().add(label, confidence)  # and prove nothing
 
         rng = np.random.default_rng(seed)
         if family == "overtake":
@@ -856,7 +899,7 @@ class TestRunMany:
 
             def add(self, label, confidence):
                 try:
-                    super().add(label, confidence)
+                    return super().add(label, confidence)
                 except Exception:
                     refusals.append((self.mode, self.n + 1))
                     raise

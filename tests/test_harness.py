@@ -229,6 +229,11 @@ class TestAccuracy:
         ]
         assert accuracy({"a": "b", "b": "b"}, questions) == 0.5
 
+    def test_equal_labels_of_other_types_score_apart(self):
+        # 1 == 1.0 == True, but their texts differ, and so do their normalized forms
+        golds = {"a": "1", "b": "1.0", "c": "True"}
+        assert accuracy({"a": 1, "b": 1.0, "c": True}, _questions(golds)) == 1.0
+
     def test_key_mismatch_lists_ids(self):
         with pytest.raises(
             ConfigurationError,
@@ -325,8 +330,9 @@ class TestCompareMethods:
 
         monkeypatch.setattr(harness_module, "normalize_answer", counting_normalize)
         report = compare_methods(spec)
-        # Q golds once each, then one prediction per question and method
-        assert normalized == {"gold": len(streams), "prediction": len(methods) * len(streams)}
+        # Q golds once each, then each distinct (prediction, format) once: every
+        # method predicts "right" on every question, all in one format
+        assert normalized == {"gold": len(streams), "prediction": 1}
         assert [row.accuracy for row in report.rows] == [1.0, 1.0, 1.0]
 
     def test_minority_confident_item_separates_methods(self, tmp_path):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -568,8 +569,8 @@ class TestRunningPosterior:
             if callable(value):
                 value()
         with pytest.raises(ConfigurationError, match=STOPPED):
-            stopped.top_below(math.log(0.9))  # the screen is a score read too
-        added.top_below(math.log(0.9))
+            stopped.screen(math.log(0.9))  # the screen is a score read too
+        added.screen(math.log(0.9))
 
     @pytest.mark.parametrize("fixed_k", [None, 3])
     def test_stop_scoring_is_one_way(self, fixed_k):
@@ -582,7 +583,7 @@ class TestRunningPosterior:
             with pytest.raises(ConfigurationError, match=STOPPED):
                 running.top_index_and_log_mass()  # a refused read restarts nothing
             with pytest.raises(ConfigurationError, match=STOPPED):
-                running.top_below(math.log(0.5))
+                running.screen(math.log(0.5))
             running.add("b", 0.6)  # a new label drops no floor back in
             running.add("a", 0.9)
         assert running.counts == {"a": 3, "b": 2} and running.n == 5
@@ -681,8 +682,8 @@ def knife_edge_streams():
 
 
 class TestScreen:
-    """``top_below`` proves a top log mass below a threshold without reading
-    it, and never for a threshold that the next exact read would reach."""
+    """``screen`` proves a top log mass below a threshold, or reaching it,
+    without reading it, and never against what the next exact read finds."""
 
     @pytest.mark.parametrize("read_every", [1, 3, 7])
     def test_a_top_the_next_read_reaches_is_never_screened_out(self, read_every):
@@ -696,11 +697,47 @@ class TestScreen:
                 # log gamma at the read's top log mass, and the log of gamma = exp(top)
                 for log_gamma in (top, math.log(math.exp(top))):
                     if log_gamma <= top:  # the read reaches gamma: a close
-                        assert not screened.top_below(log_gamma), (stream, fixed_k, t)
-                proved += screened.top_below(top * (1 - 1e-6))  # just out of reach
+                        assert screened.screen(log_gamma) is not False, (stream, fixed_k, t)
+                proved += screened.screen(top * (1 - 1e-6)) is False  # just out of reach
                 if t % read_every == 0:
                     screened.top_index_and_log_mass()
             assert proved, (stream, fixed_k)  # the floor is tight, not just 0
+
+    @pytest.mark.parametrize("read_every", [1, 3, 7])
+    def test_every_proof_agrees_with_the_exact_read(self, read_every):
+        # False proves the read below log gamma; True proves that it reaches log
+        # gamma, on the label the read finds; add returns screen at the watched gamma
+        gammas = (0.3, 0.5, 2 / 3, 0.9, 1 - 1e-12, 1.0)
+        # 1e-300 draws: the unnamed candidates outweigh the top past the float range
+        overflow = [("a", 1e-300)] * 2 + [("b", 0.9), ("a", 1e-300)] + [("b", 0.9)] * 4
+        cases = [*knife_edge_streams(), *((overflow, fixed_k) for fixed_k in (None, 4, 10**6))]
+        proofs = Counter()
+        for stream, fixed_k in cases:
+            screened, exact = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
+            for t, (label, confidence) in enumerate(stream, 1):
+                watched = math.log(gammas[t % len(gammas)])
+                screened.watch(watched)
+                verdict = screened.add(label, confidence)
+                assert verdict is screened.screen(watched), (stream, fixed_k, t)
+                exact.add(label, confidence)
+                index, top = exact.top_index_and_log_mass()
+                # log gamma at the read's top log mass, one ulp and a hair either side, and
+                # the log of gamma = exp(top) unless that underflows to 0
+                near = [top, math.nextafter(top, -math.inf), math.nextafter(top, 0.0)]
+                near += [top * (1 - 1e-6), top * (1 + 1e-6)]
+                if math.exp(top):
+                    near.append(math.log(math.exp(top)))
+                for log_gamma in [*map(math.log, gammas), *near]:
+                    verdict = screened.screen(log_gamma)
+                    if verdict is False:
+                        assert top < log_gamma, (stream, fixed_k, t, log_gamma)
+                    elif verdict:
+                        assert top >= log_gamma, (stream, fixed_k, t, log_gamma)
+                        assert screened.top_label == exact.labels[index], (stream, fixed_k, t)
+                    proofs[verdict] += 1
+                if t % read_every == 0:
+                    screened.top_index_and_log_mass()
+        assert proofs[True] and proofs[False]
 
     @pytest.mark.parametrize("fixed_k", [None, 2, 3, 8])
     @pytest.mark.parametrize("confidence", [1e-12, 0.1, 0.5, 0.9, 1 - 1e-12])
@@ -712,26 +749,26 @@ class TestScreen:
         top = exact.top_index_and_log_mass()[1]
         log_gammas = [top, math.log(math.exp(top)), top * (1 + 1e-6), top * (1 - 1e-6), top / 2]
         log_gammas += [math.log(gamma) for gamma in (1e-13, 0.05, 0.5, 0.95, 1 - 1e-13, 1.0)]
-        proved = [log_gamma for log_gamma in log_gammas if running.top_below(log_gamma)]
+        proved = [log_gamma for log_gamma in log_gammas if running.screen(log_gamma) is False]
         assert all(top < log_gamma for log_gamma in proved)
         assert top * (1 - 1e-6) in proved
 
     def test_a_fresh_or_unread_posterior_proves_nothing(self):
         running = RunningPosterior()
-        assert not running.top_below(math.log(1e-300))  # no draw yet
+        assert running.screen(math.log(1e-300)) is not False  # no draw yet
         running.add("a", 0.1)
-        assert running.top_below(math.log(0.99))
+        assert running.screen(math.log(0.99)) is False
         running.add("b", 0.6)  # a new label moves K
-        assert not running.top_below(math.log(0.99))
+        assert running.screen(math.log(0.99)) is not False
         assert running.top_index_and_log_mass()[1] < math.log(0.99)
-        assert running.top_below(math.log(0.99))
+        assert running.screen(math.log(0.99)) is False
         # a named candidate of no sample may outweigh the drawn one: nothing is known before a read
         for fixed_k in (None, 8):
             named = RunningPosterior(fixed_k, labels=("a", "b"))
             named.add("a", 0.1)
-            assert not named.top_below(math.log(0.99))
+            assert named.screen(math.log(0.99)) is not False
             assert named.top_index_and_log_mass()[1] < math.log(0.99)
-            assert named.top_below(math.log(0.99))
+            assert named.screen(math.log(0.99)) is False
 
 
 def dict_top_log_mass(running):
