@@ -28,21 +28,52 @@ end, which are listed once per call; there the chain checks them.  Once the
 ladder is empty (at the start, under SC or ESC alone) the chain calls
 ``stop_scoring``, since SC and ESC read nothing but the label counts: a round
 where no threshold is open and no budget or window ends only draws and counts.
+
+A pooled run (``max_parallel`` > 1) runs ``max_parallel`` + 1 chains on as
+many workers, and each draw holds one of ``max_parallel`` slots while it calls
+the sampler, so at most ``max_parallel`` draws are in flight.  A sampler that
+waits between attempts does it inside ``lend_slot()``, which hands the draw's
+slot to the one spare chain meanwhile.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ConfigurationError, InvalidSampleError
 from .posterior import Label, RunningPosterior
 
 Sampler = Callable[[str, int], tuple[Label, float]]
+
+# .slots: the semaphore one of whose slots this thread's pooled draw holds
+_draw = threading.local()
+
+
+class _Stopped(Exception):
+    """A pooled draw refused because a chain has failed; it ends its own chain."""
+
+
+@contextlib.contextmanager
+def lend_slot() -> Iterator[None]:
+    """Give the calling draw's slot to a chain waiting for one while the body
+    runs, and take a slot back before returning: a sampler wraps a wait that
+    sends no request in it.  Outside a pooled draw it does nothing."""
+    slots = getattr(_draw, "slots", None)
+    if slots is None:
+        yield
+        return
+    slots.release()
+    try:
+        yield
+    finally:
+        slots.acquire()
 
 
 class Method(Enum):
@@ -125,10 +156,13 @@ def run_many(
     prediction, calls and resolved flag of the round it closes at.  Result
     ``i`` equals ``run(questions, sampler, configs[i], fixed_k)`` whenever the
     sampler serves the same draw each time a (question, round) is asked for.
-    Up to the largest ``max_parallel`` chains run at once, and a worker takes
-    the next question as soon as its chain ends.  Once a draw raises, no chain
-    starts another; the draws in flight finish, and the error of the earliest
-    question (in question order) whose chain raised propagates.
+    Under the largest ``max_parallel`` > 1, up to that many draws run at once:
+    each holds one of that many slots while it calls the sampler, one chain
+    more than that runs, and a worker takes the next question as soon as its
+    chain ends.  A draw lends its slot to the spare chain inside
+    ``lend_slot()``.  Once a draw raises, no chain starts another; the draws
+    in flight finish, and the error of the earliest question (in question
+    order) whose chain raised propagates.
     """
     qids = list(questions)
     if not qids:
@@ -161,7 +195,29 @@ def run_many(
     # (round, whether it spends a CGES budget, what may close there), ascending
     checkpoints = [(end, end in budgets, events) for end, events in sorted(closes.items())]
     max_parallel = max(config.max_parallel for config in configs)
+    pooled = max_parallel > 1 and len(qids) > 1
     failed = False  # set once a chain raises or the caller's wait ends early
+    if pooled:
+        slots = threading.BoundedSemaphore(max_parallel)
+
+        def draw(qid: str, round_idx: int) -> tuple[Label, float]:
+            """The sampler's draw under one of ``max_parallel`` slots; once a
+            chain has failed, ``_Stopped`` in its place."""
+            nonlocal failed
+            with slots:
+                if failed:
+                    raise _Stopped
+                _draw.slots = slots
+                try:
+                    return sampler(qid, round_idx)
+                except BaseException:
+                    failed = True  # before the slot is freed, so no waiting chain draws
+                    raise
+                finally:
+                    _draw.slots = None
+
+    else:  # one chain at a time, and no other to stop
+        draw = sampler
 
     def chain(qid: str) -> list:
         """Per configuration, (prediction, calls, resolved) at the round it
@@ -182,10 +238,8 @@ def run_many(
                 # no configuration closes off the ladder before the checkpoint, so
                 # with no threshold open a round only draws and counts
                 while round_idx < checkpoint:
-                    if failed:
-                        return outcomes
                     round_idx += 1
-                    label, confidence = sampler(qid, round_idx)
+                    label, confidence = draw(qid, round_idx)
                     try:
                         verdict = add(label, confidence)  # the screen at rungs[0]
                     except (ConfigurationError, InvalidSampleError) as exc:
@@ -231,6 +285,8 @@ def run_many(
                     n_open -= 1
                 if not n_open:
                     break
+        except _Stopped:
+            pass
         except BaseException:
             failed = True
             raise
@@ -238,8 +294,8 @@ def run_many(
 
     # a worker takes the next question as soon as its chain ends; a chain reads
     # only its own (question, round) draws, so outcomes do not depend on scheduling
-    with ThreadPoolExecutor(max_workers=max_parallel) as pool:
-        schedule = pool.map if max_parallel > 1 and len(qids) > 1 else map
+    with ThreadPoolExecutor(max_workers=max_parallel + 1) as pool:
+        schedule = pool.map if pooled else map
         try:
             # raises the error of the earliest question whose chain raised
             per_question = list(schedule(chain, qids))

@@ -31,7 +31,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional, Union
 from urllib.parse import urlsplit
 
 from .confidence import Estimator, TokenizedResponse, lns_arithmetic, lns_geometric
-from .controller import Sampler
+from .controller import Sampler, lend_slot
 from .errors import (
     ConfigurationError,
     DuplicateRecordError,
@@ -601,12 +601,14 @@ def sample_once(
 
     Token log-probabilities are requested; when the server omits them the
     record is degraded (no probability-based confidences) and a warning is
-    logged.  HTTP failures (a transport error, a status of 400 or above, or a
-    body that is not JSON) are retried up to the configured bound, then raise;
-    this is the package's only retry layer.  A JSON reply of any other shape
-    than a chat completion, ``null`` included, is refused without a retry.
-    ``connection`` is a keep-alive connection from ``_connect``; without one,
-    the call opens its own and closes it.
+    logged.  HTTP failures (a transport error, a status of 408, 429 or 500 and
+    above, or a body that is not JSON) are retried up to the configured bound,
+    then raise; this is the package's only retry layer.  The backoff between
+    attempts runs inside ``controller.lend_slot()``, so in a pooled run the
+    draw's slot serves another chain while it waits.  Any other 4xx status, and
+    a JSON reply of any other shape than a chat completion, ``null`` included,
+    is refused without a retry.  ``connection`` is a keep-alive connection from
+    ``_connect``; without one, the call opens its own and closes it.
     """
     if connection is None:
         with contextlib.closing(_connect(endpoint)) as connection:
@@ -634,6 +636,11 @@ def sample_once(
     for attempt in range(endpoint.max_retries + 1):
         try:
             status, reply = _post(connection, path, data, headers)
+            if 400 <= status < 500 and status not in (408, 429):  # no retry can change it
+                raise SamplerError(
+                    f"endpoint refused question {question_id!r} round {round_idx}: "
+                    f"HTTP {status}: {reply[:200]!r}"
+                )
             if status >= 400:
                 raise HTTPException(f"HTTP {status}: {reply[:200]!r}")
             body = json.loads(reply)
@@ -649,7 +656,8 @@ def sample_once(
                 exc,
             )
             if attempt < endpoint.max_retries:
-                time.sleep(min(0.1 * 2**attempt, 2.0))
+                with lend_slot():  # another chain's request goes out meanwhile
+                    time.sleep(min(0.1 * 2**attempt, 2.0))
     else:
         raise SamplerError(
             f"endpoint request for question {question_id!r} round {round_idx} "

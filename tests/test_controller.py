@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -32,6 +33,22 @@ def constant_sampler(label, confidence):
         return label, confidence
 
     return sample
+
+
+def stagger_chains(monkeypatch, *ready):
+    """Make ``run_many``'s pool submit its third question, and those after it,
+    only once every event in ``ready`` is set: the first two chains draw first."""
+
+    class StaggeredPool(ThreadPoolExecutor):
+        submitted = 0
+
+        def submit(self, fn, *args, **kwargs):
+            if self.submitted == 2:
+                assert all(event.wait(5) for event in ready), "the first chains never drew"
+            self.submitted += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(controller, "ThreadPoolExecutor", StaggeredPool)
 
 
 def random_streams(rng, n_questions, budget, n_labels=4, prefix="q"):
@@ -395,14 +412,15 @@ class TestSamplerFailures:
             run(["q0", "q1"], half_broken, config)
         assert attempts == {"q0": 1, "q1": 1}
 
-    def test_no_queued_question_is_drawn_after_a_failure(self):
+    def test_no_queued_question_is_drawn_after_a_failure(self, monkeypatch):
         qids = [f"q{i}" for i in range(8)]
         attempts = dict.fromkeys(qids, 0)
-        q0_drawing, q1_failed = threading.Event(), threading.Event()
+        q0_drawing, q1_drawing, q1_failed = (threading.Event() for _ in range(3))
 
         def half_broken(question_id, round_idx):
             attempts[question_id] += 1
             if question_id == "q1":
+                q1_drawing.set()
                 assert q0_drawing.wait(5), "q0's first draw never started"
                 q1_failed.set()
                 raise OSError("down")
@@ -411,10 +429,57 @@ class TestSamplerFailures:
                 assert q1_failed.wait(5), "q1's first draw never failed"
             return "a", 0.5
 
+        # the spare chain starts once q0 and q1 hold both slots
+        stagger_chains(monkeypatch, q0_drawing, q1_drawing)
         config = ControllerConfig(method=Method.SC, budget=4, max_parallel=2)
         with pytest.raises(OSError, match="down"):
             run(qids, half_broken, config)
         assert attempts == {"q0": 1, "q1": 1, **dict.fromkeys(qids[2:], 0)}
+
+    def test_a_chain_waiting_for_a_slot_draws_nothing_after_a_failure(self, monkeypatch):
+        # q0 and q1 hold both slots and q2's chain waits for one; q1's draw
+        # raises, and the slot it frees goes to q2's chain, whose release returns
+        # only once that chain has drawn or given the slot back.  q0's draw
+        # holds its slot until then.  So q2 draws exactly when the failure is
+        # flagged after the slot is freed, or not checked once a slot is taken.
+        attempts = {"q0": 0, "q1": 0, "q2": 0}
+        q0_drawing, q1_drawing, q2_waiting, q2_settled = (threading.Event() for _ in range(4))
+        waiters = set()
+
+        class WatchedSlots(threading.BoundedSemaphore):
+            def __enter__(self):
+                if not self.acquire(blocking=False):
+                    waiters.add(threading.get_ident())
+                    q2_waiting.set()
+                    self.acquire()
+                return True
+
+            def release(self, n=1):
+                super().release(n)
+                if threading.get_ident() in waiters:
+                    q2_settled.set()
+                elif waiters:  # hand the freed slot to the waiting chain
+                    assert q2_settled.wait(5), "the waiting chain never settled"
+
+        def sampler(question_id, round_idx):
+            attempts[question_id] += 1
+            if question_id == "q0":
+                q0_drawing.set()
+                assert q2_settled.wait(5), "q2's chain never settled"
+            elif question_id == "q1":
+                q1_drawing.set()
+                assert q2_waiting.wait(5), "q2's chain never waited for a slot"
+                raise OSError("down")
+            else:
+                q2_settled.set()
+            return "a", 0.5
+
+        monkeypatch.setattr(controller.threading, "BoundedSemaphore", WatchedSlots)
+        stagger_chains(monkeypatch, q0_drawing, q1_drawing)
+        config = ControllerConfig(method=Method.SC, budget=4, max_parallel=2)
+        with pytest.raises(OSError, match="down"):
+            run(["q0", "q1", "q2"], sampler, config)
+        assert attempts == {"q0": 1, "q1": 1, "q2": 0}
 
     def test_earliest_failing_question_wins(self):
         # both chains raise, q1 first; the error is that of the first question in order
@@ -444,6 +509,99 @@ class TestSamplerFailures:
         with pytest.raises(SamplerError, match="degraded"):
             run(["q"], refusing, config)
         assert attempts["count"] == 1
+
+
+class TestLendSlot:
+    """A pooled draw holds one of ``max_parallel`` slots; inside ``lend_slot()``
+    the spare chain may use it."""
+
+    def test_outside_a_pooled_draw_lending_does_nothing(self):
+        with controller.lend_slot():
+            pass
+
+        def sampler(question_id, round_idx):
+            with controller.lend_slot():
+                return "a", 0.5
+
+        for max_parallel in (1, 2):  # a serial run, and a pooled run of one question
+            config = ControllerConfig(method=Method.SC, budget=3, max_parallel=max_parallel)
+            assert run(["q0"], sampler, config).per_question_calls == {"q0": 3}
+
+    def test_a_lent_slot_serves_the_spare_chain(self, monkeypatch):
+        # q0's first draw lends its slot and q1's holds the other, both until
+        # q2 has drawn: only the lent slot lets q2's chain draw at all
+        streams = {f"q{i}": [("a", 0.9), ("b", 0.6), ("a", 0.7)] for i in range(4)}
+        q0_drawing, q1_drawing, q2_drew = (threading.Event() for _ in range(3))
+        lock = threading.Lock()
+        sending = {"now": 0, "most": 0}  # draws in the sampler and not lending
+
+        def count(step):
+            with lock:
+                sending["now"] += step
+                sending["most"] = max(sending["most"], sending["now"])
+
+        def sampler(question_id, round_idx):
+            count(1)
+            try:
+                if (question_id, round_idx) == ("q0", 1):
+                    q0_drawing.set()
+                    count(-1)
+                    with controller.lend_slot():
+                        assert q2_drew.wait(5), "the lent slot served no other chain"
+                    count(1)
+                elif (question_id, round_idx) == ("q1", 1):
+                    q1_drawing.set()
+                    assert q2_drew.wait(5), "the lent slot served no other chain"
+                elif question_id == "q2":
+                    q2_drew.set()
+                return streams[question_id][round_idx - 1]
+            finally:
+                count(-1)
+
+        stagger_chains(monkeypatch, q0_drawing, q1_drawing)
+        config = ControllerConfig(method=Method.CGES, gamma=0.99, budget=3, max_parallel=2)
+        pooled = run(list(streams), sampler, config)
+        assert pooled == run(list(streams), stream_sampler(streams), replace(config, max_parallel=1))
+        assert sending["most"] == 2
+
+    def test_lending_draws_under_frequent_thread_switches(self):
+        # more workers than cores and every other draw lends its slot: no more
+        # than max_parallel draws send at once, and the result is the serial one
+        rng = np.random.default_rng(11)
+        streams = skewed_streams(rng, 48, 8)
+        lock = threading.Lock()
+        sending = {"now": 0, "most": 0}
+
+        def count(step):
+            with lock:
+                sending["now"] += step
+                sending["most"] = max(sending["most"], sending["now"])
+
+        def sampler(question_id, round_idx):
+            if round_idx % 2:
+                with controller.lend_slot():
+                    pass
+            count(1)
+            try:
+                return streams[question_id][round_idx - 1]
+            finally:
+                count(-1)
+
+        configs = [
+            ControllerConfig(method=Method.SC, budget=8, max_parallel=4),
+            ControllerConfig(method=Method.CGES, gamma=0.9, budget=8, max_parallel=4),
+        ]
+        serial = run_many(
+            list(streams), stream_sampler(streams), [replace(c, max_parallel=1) for c in configs]
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_many(list(streams), sampler, configs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+        assert 1 <= sending["most"] <= 4
 
 
 def skewed_streams(rng, n_questions, budget, n_labels=3):

@@ -18,6 +18,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import time
 import tracemalloc
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -972,17 +973,43 @@ class TestReplaySampler:
 class StubState:
     def __init__(self):
         self.requests = []
-        self.fail_next = 0  # replies with a 500 status
+        self.fail_next = 0  # replies with the fail_status status
+        self.fail_status = 500
         self.non_json_next = 0  # replies with a 200 status and a body that is not JSON
         self.omit_logprobs = False
         self.text = r"The sum is \boxed{42}."
         self.logprobs = [-0.1, -0.2, -0.05]
         self.body = None  # when set, sent as the 200 reply: JSON-encoded, or bytes as they are
+        self.lock = threading.Lock()
+        self.in_flight = 0  # requests being served, and the most served at once
+        self.most_in_flight = 0
+
+    def count_in_flight(self, step):
+        with self.lock:
+            self.in_flight += step
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+
+
+def chat_completion(state):
+    """The body of the stub's 200 reply: ``state.body``, or a chat completion
+    of ``state.text`` with ``state.logprobs`` unless it omits them."""
+    choice = {"message": {"role": "assistant", "content": state.text}}
+    if not state.omit_logprobs:
+        choice["logprobs"] = {"content": [{"token": "t", "logprob": lp} for lp in state.logprobs]}
+    reply = {"choices": [choice]} if state.body is None else state.body
+    return reply if isinstance(reply, bytes) else json.dumps(reply).encode()
 
 
 def make_stub_handler(state):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
+            state.count_in_flight(1)
+            try:
+                self.reply()
+            finally:
+                state.count_in_flight(-1)
+
+        def reply(self):
             length = int(self.headers["Content-Length"])
             payload = json.loads(self.rfile.read(length))
             state.requests.append(
@@ -991,7 +1018,7 @@ def make_stub_handler(state):
             )
             if state.fail_next > 0:
                 state.fail_next -= 1
-                self.send_response(500)
+                self.send_response(state.fail_status)
                 self.end_headers()
                 return
             if state.non_json_next > 0:
@@ -1001,13 +1028,7 @@ def make_stub_handler(state):
                 self.end_headers()
                 self.wfile.write(b"not json")
                 return
-            choice = {"message": {"role": "assistant", "content": state.text}}
-            if not state.omit_logprobs:
-                choice["logprobs"] = {
-                    "content": [{"token": "t", "logprob": lp} for lp in state.logprobs]
-                }
-            reply = {"choices": [choice]} if state.body is None else state.body
-            body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
+            body = chat_completion(state)
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -1370,6 +1391,21 @@ class TestOneRetryLayer:
             self.run_cges(base_url, max_retries=3)
         assert len(state.requests) == 4
 
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_a_status_no_retry_can_change_costs_one_request(self, stub_server, status):
+        base_url, state = stub_server
+        state.fail_status, state.fail_next = status, 99
+        with pytest.raises(SamplerError, match=f"refused question 'q0' round 1: HTTP {status}"):
+            self.run_cges(base_url, max_retries=3)
+        assert len(state.requests) == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_a_status_a_retry_can_change_is_retried(self, stub_server, status):
+        base_url, state = stub_server
+        state.fail_status, state.fail_next = status, 1
+        assert self.run_cges(base_url).predictions == {"q0": "42"}
+        assert len(state.requests) == 2
+
     def test_malformed_reply_costs_one_request(self, stub_server):
         base_url, state = stub_server
         state.body = {"choices": [{"message": None}]}
@@ -1469,7 +1505,10 @@ class TestHttpClient:
             sys.setswitchinterval(interval)
         assert result.predictions == dict.fromkeys(questions, "42")
         assert len(state.requests) == 3 * len(questions)
-        assert len({request["port"] for request in state.requests}) <= 8
+        # one connection per worker thread: max_parallel + 1 of them, and no
+        # more than max_parallel requests at once
+        assert len({request["port"] for request in state.requests}) <= 9
+        assert 1 <= state.most_in_flight <= 8
 
     def test_connection_dropped_while_idle_is_reopened_not_retried(self, caplog):
         state = StubState()
@@ -1508,6 +1547,71 @@ class TestHttpClient:
         endpoint = endpoint_for(base_url + "/proxy/")
         sample_once("q0", "x", AnswerFormat.BOXED_MATH, 1, endpoint, seed=0)
         assert state.requests[-1]["path"] == "/proxy/v1/chat/completions"
+
+
+class TestSlotLending:
+    """A pooled draw waits out a retry's backoff with its slot lent to the spare
+    chain, so the endpoint keeps up to ``max_parallel`` requests and no more."""
+
+    def test_a_backoff_lends_its_slot_and_keeps_max_parallel_in_flight(self):
+        # each question's first request gets a 503; the stub counts requests in
+        # flight and the requests that found max_parallel in flight while
+        # another question was backing off, which a draw that slept on its
+        # slot would leave at most max_parallel - 1
+        state = StubState()
+        seen, backing_off = set(), set()
+        counts = {"requests": 0, "in_flight": 0, "most": 0, "lent": 0}
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True  # the body is not held back for the headers' ack
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                question = payload["messages"][0]["content"]
+                with state.lock:
+                    backing_off.discard(question)
+                    counts["requests"] += 1
+                    counts["in_flight"] += 1
+                    counts["most"] = max(counts["most"], counts["in_flight"])
+                    counts["lent"] += counts["in_flight"] == 2 and bool(backing_off)
+                    first = question not in seen
+                    seen.add(question)
+                time.sleep(0.02)
+                body = b"" if first else chat_completion(state)
+                self.send_response(503 if first else 200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                self.wfile.flush()
+                with state.lock:
+                    counts["in_flight"] -= 1
+                    if first:
+                        backing_off.add(question)
+
+            def log_message(self, *args):
+                pass
+
+        questions = [f"q{i}" for i in range(6)]
+        prompts = {qid: (f"question {qid}", AnswerFormat.BOXED_MATH) for qid in questions}
+        results = {}
+        for max_parallel in (2, 1):
+            seen.clear()
+            with serving(Handler) as base_url:
+                sampler = live_sampler(endpoint_for(base_url), prompts)
+                config = ControllerConfig(method=Method.SC, budget=3, max_parallel=max_parallel)
+                results[max_parallel] = run(questions, sampler, config)
+                del sampler
+                if max_parallel == 2:
+                    assert counts["most"] == 2
+                    assert counts["lent"] >= 1
+                else:  # sample_once holding no slot still retries the 503, once
+                    served = counts["requests"]
+                    endpoint = endpoint_for(base_url)
+                    record = sample_once("q6", "x", AnswerFormat.BOXED_MATH, 1, endpoint, seed=0)
+                    assert record.extracted_label == "42" and counts["requests"] == served + 2
+        assert results[2] == results[1]
+        assert results[2].per_question_calls == dict.fromkeys(questions, 3)
 
 
 CHOICE_BASE = {"message": {"content": "Answer: A"}}
