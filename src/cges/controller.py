@@ -33,7 +33,8 @@ A pooled run (``max_parallel`` > 1) runs ``max_parallel`` + 1 chains on as
 many workers, and each draw holds one of ``max_parallel`` slots while it calls
 the sampler, so at most ``max_parallel`` draws are in flight.  A sampler that
 waits between attempts does it inside ``lend_slot()``, which hands the draw's
-slot to the one spare chain meanwhile.
+slot to the one spare chain meanwhile and takes the next freed slot back ahead
+of any new draw.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from .posterior import Label, RunningPosterior
 
 Sampler = Callable[[str, int], tuple[Label, float]]
 
-# .slots: the semaphore one of whose slots this thread's pooled draw holds
+# .slots: (the semaphore one of whose slots this thread's pooled draw holds,
+# the gate that a lender holds while it takes a slot back)
 _draw = threading.local()
 
 
@@ -63,17 +65,20 @@ class _Stopped(Exception):
 @contextlib.contextmanager
 def lend_slot() -> Iterator[None]:
     """Give the calling draw's slot to a chain waiting for one while the body
-    runs, and take a slot back before returning: a sampler wraps a wait that
-    sends no request in it.  Outside a pooled draw it does nothing."""
-    slots = getattr(_draw, "slots", None)
-    if slots is None:
+    runs, and take a slot back before returning, ahead of any new draw: a
+    sampler wraps a wait that sends no request in it.  Outside a pooled draw
+    it does nothing."""
+    lent = getattr(_draw, "slots", None)
+    if lent is None:
         yield
         return
+    slots, gate = lent
     slots.release()
     try:
         yield
     finally:
-        slots.acquire()
+        with gate:  # no new draw takes a slot before this one has its own back
+            slots.acquire()
 
 
 class Method(Enum):
@@ -160,9 +165,10 @@ def run_many(
     each holds one of that many slots while it calls the sampler, one chain
     more than that runs, and a worker takes the next question as soon as its
     chain ends.  A draw lends its slot to the spare chain inside
-    ``lend_slot()``.  Once a draw raises, no chain starts another; the draws
-    in flight finish, and the error of the earliest question (in question
-    order) whose chain raised propagates.
+    ``lend_slot()``, and the next freed slot goes back to it before any new
+    draw.  Once a draw raises, no chain starts another; the draws in flight
+    finish, and the error of the earliest question (in question order) whose
+    chain raised propagates.
     """
     qids = list(questions)
     if not qids:
@@ -199,15 +205,19 @@ def run_many(
     failed = False  # set once a chain raises or the caller's wait ends early
     if pooled:
         slots = threading.BoundedSemaphore(max_parallel)
+        gate = threading.Lock()
 
         def draw(qid: str, round_idx: int) -> tuple[Label, float]:
-            """The sampler's draw under one of ``max_parallel`` slots; once a
-            chain has failed, ``_Stopped`` in its place."""
+            """The sampler's draw under one of ``max_parallel`` slots, taken
+            once no lender is taking its slot back; once a chain has failed,
+            ``_Stopped`` in its place."""
             nonlocal failed
+            with gate:  # pass it: a draw holds no slot while it waits here
+                pass
             with slots:
                 if failed:
                     raise _Stopped
-                _draw.slots = slots
+                _draw.slots = slots, gate
                 try:
                     return sampler(qid, round_idx)
                 except BaseException:
@@ -255,7 +265,7 @@ def run_many(
                             j += 1
                             verdict = screen(rungs[j][0]) if j < len(rungs) else False
                         if verdict is None:
-                            _, top = posterior.top_index_and_log_mass()
+                            top = posterior.top_log_mass()
                             while j < len(rungs) and rungs[j][0] <= top:
                                 j += 1
                         if j:

@@ -280,13 +280,9 @@ class RunningPosterior:
         return scores, unnamed + math.log(n_unnamed), log_k_minus_1
 
     def top_log_mass(self) -> float:
-        """log of the top label's posterior mass (see ``top_index_and_log_mass``)."""
-        return self.top_index_and_log_mass()[1]
-
-    def top_index_and_log_mass(self) -> tuple[int, float]:
-        """(first-seen index of the top label, log of its posterior mass), read
-        in one pass over the scores; ties go to the earliest label.  This is
-        the one normalisation: every mass the posterior reports comes off it.
+        """log of the top label's posterior mass, read in one pass over the
+        scores; the top, ties going to the earliest label, is then ``top_label``.
+        This is the one normalisation: every mass the posterior reports comes off it.
 
         The log mass is -log1p(sum of the other masses relative to the top
         one), so it is exactly < 0 whenever any competing mass is positive and
@@ -310,16 +306,16 @@ class RunningPosterior:
             except OverflowError:  # the unnamed candidates outweigh the top past the float range
                 self._top = None
                 # log1p(tail + e^shift) = shift + log1p((1 + tail) e^-shift)
-                return best, -shift - math.log1p((1.0 + tail) * math.exp(-shift))
+                return -shift - math.log1p((1.0 + tail) * math.exp(-shift))
         self._tail = tail
-        return best, -math.log1p(tail)
+        return -math.log1p(tail)
 
     def watch(self, log_gamma: float) -> None:
         """Set the threshold whose ``screen`` verdict each ``add`` returns."""
         self._watch = _tail_at(log_gamma)
 
     def screen(self, log_gamma: float) -> Optional[bool]:
-        """Whether the next ``top_index_and_log_mass`` would read a log mass of
+        """Whether the next ``top_log_mass`` would read a log mass of
         at least ``log_gamma``, told without that O(K) read: True proves it
         would, with ``top_label`` as its top; False proves it would not; None
         when the bounds cannot tell.
@@ -347,6 +343,8 @@ class RunningPosterior:
     def top_label(self) -> Label:
         """The label the bounds track as the top: the last read's top, or a label
         drawn past it since.  Whenever ``screen`` returns True, the next read's top."""
+        if self._tail is None:
+            raise ConfigurationError(_STOPPED)
         return self._top_label
 
     @property
@@ -357,7 +355,7 @@ class RunningPosterior:
     @property
     def masses(self) -> dict[Label, float]:
         """Normalized posterior mass of every named candidate, in first-seen order."""
-        _, named, _ = self._log_masses()
+        named, _ = self._log_masses()
         return {label: math.exp(v) for label, v in zip(self._records, named)}
 
     @property
@@ -368,7 +366,7 @@ class RunningPosterior:
         policy, or the unnamed remainder when a fixed K exceeds the named
         labels; 0.0 when every candidate is named.
         """
-        _, _, unnamed = self._log_masses()
+        _, unnamed = self._log_masses()
         return 0.0 if unnamed is None else math.exp(unnamed)
 
     def top(self) -> tuple[Label, float]:
@@ -378,19 +376,21 @@ class RunningPosterior:
         named candidate.  The mass is exp of ``top_log_mass()``, the mass a
         stopping rule compares.
         """
-        best, named, _ = self._log_masses()
-        return list(self._records)[best], math.exp(named[best])
-
-    def _log_masses(self) -> tuple[int, list[float], Optional[float]]:
-        """(top index, named log masses, unnamed log mass or None), each
-        (score - top score) + the top log mass, so the top's is that log mass."""
         if not self.n:
             raise EmptySamplesError("a posterior needs at least one sample")
-        best, log_mass = self.top_index_and_log_mass()
+        log_mass = self.top_log_mass()  # the read names its top
+        return self._top_label, math.exp(log_mass)
+
+    def _log_masses(self) -> tuple[list[float], Optional[float]]:
+        """(named log masses, unnamed log mass or None), each (score - top
+        score) + the top log mass, so the top's is that log mass."""
+        if not self.n:
+            raise EmptySamplesError("a posterior needs at least one sample")
+        log_mass = self.top_log_mass()
         scores, reserve_log, _ = self._scores()  # the same scores, bit for bit
-        top_log = scores[best]
+        top_log = max(scores)
         named = [v - top_log + log_mass for v in scores]
-        return best, named, None if reserve_log is None else reserve_log - top_log + log_mass
+        return named, None if reserve_log is None else reserve_log - top_log + log_mass
 
 
 def score(samples: Sequence[Sample], candidates: CandidateSet) -> RunningPosterior:

@@ -36,3 +36,14 @@ def overtake_streams():
         [("a", 0.8), ("b", 0.8), ("a", 0.7), ("b", 0.7), ("a", 0.6), ("b", 0.4), ("b", 0.9), ("a", 0.9)],
         [("a", 0.95)] + [("b", 0.3)] * 5 + [("a", 0.5), ("b", 0.3)],
     ]
+
+
+def overflow_streams():
+    """Streams of (label, confidence) on which the tracked top is drawn at
+    5e-324, a loss of ~744 nats whose e^(-gap) overflows: right after its
+    first draw set the bounds, and after a read that a new label forced."""
+    tiny = 5e-324
+    return [
+        [("a", 0.9), ("a", tiny), ("a", 0.9), ("b", 0.6), ("a", 0.9), ("b", 0.9), ("a", 0.9), ("a", 0.9)],
+        [("a", 0.9), ("b", 0.6), ("a", tiny), ("b", 0.9), ("b", 0.9), ("a", 0.9), ("b", 0.9), ("b", 0.9)],
+    ]

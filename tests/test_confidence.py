@@ -1,6 +1,7 @@
 """Tests for the scalar confidence estimators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,10 +104,24 @@ class TestMars:
             lns_geometric(whole), rel=1e-12
         )
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_importance_must_be_finite_and_non_negative(self, bad):
-        with pytest.raises(ValueError, match="importance scores must be finite and >= 0") as info:
-            mars_stepwise(_steps([0.9], [0.4]), [1.0, bad])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            *(
+                (
+                    lambda bad=bad: mars_stepwise(_steps([0.9], [0.4]), [1.0, bad]),
+                    f"importance scores must be finite and >= 0, got {bad!r}",
+                )
+                for bad in (float("nan"), float("inf"), -1.0)
+            ),
+            (lambda: mars_step_weights([]), "at least one step is required"),
+        ],
+        ids=["nan", "inf", "-1.0", "no-step"],
+    )
+    def test_importance_must_be_finite_and_non_negative(self, make, message):
+        # and name at least one step
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            make()
         assert isinstance(info.value, CGESError)
 
 

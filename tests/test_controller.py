@@ -16,7 +16,7 @@ from cges import controller
 from cges.controller import ControllerConfig, Method, run, run_many
 from cges.errors import ConfigurationError, InvalidSampleError, SamplerError
 from cges.posterior import CandidateSet, RunningPosterior, Sample, score
-from conftest import overtake_streams
+from conftest import overflow_streams, overtake_streams
 
 
 def stream_sampler(streams):
@@ -564,6 +564,57 @@ class TestLendSlot:
         assert pooled == run(list(streams), stream_sampler(streams), replace(config, max_parallel=1))
         assert sending["most"] == 2
 
+    def test_a_lender_takes_the_next_freed_slot_before_a_new_draw(self, monkeypatch):
+        # q0 lends its slot to q2 and takes it back while q1 and q2 hold both slots;
+        # the slot q1 frees next goes to q0, not to q1's next round.  The slots let
+        # any draw that asks within half a second go before the lender's take-back,
+        # so only the controller keeps the order
+        names = {}  # thread -> the question whose chain it runs
+        returning, lender_back, other_asked, settled, q0_drawing, q1_drawing, q2_drew = (
+            threading.Event() for _ in range(7)
+        )
+        order = []  # the questions that take a slot once the lender is back
+
+        class RecordingSlots(threading.BoundedSemaphore):
+            def __enter__(self):
+                return self.acquire()
+
+            def acquire(self, blocking=True, timeout=None):
+                name = names.get(threading.get_ident())
+                if name == "q0" and returning.is_set() and not lender_back.is_set():
+                    lender_back.set()
+                    other_asked.wait(0.5)
+                elif lender_back.is_set():
+                    other_asked.set()
+                taken = super().acquire(blocking, timeout)
+                if lender_back.is_set():
+                    order.append(name)
+                    settled.set()
+                return taken
+
+        def sampler(question_id, round_idx):
+            names[threading.get_ident()] = question_id
+            if (question_id, round_idx) == ("q0", 1):
+                q0_drawing.set()
+                with controller.lend_slot():
+                    assert q2_drew.wait(5), "the lent slot served no other chain"
+                    returning.set()
+            elif (question_id, round_idx) == ("q1", 1):
+                q1_drawing.set()
+                assert lender_back.wait(5), "the lender never asked for its slot back"
+            elif (question_id, round_idx) == ("q2", 1):
+                q2_drew.set()
+                assert settled.wait(5), "no chain took the slot q1 freed"
+            return "a", 0.6
+
+        monkeypatch.setattr(controller.threading, "BoundedSemaphore", RecordingSlots)
+        stagger_chains(monkeypatch, q0_drawing, q1_drawing)
+        config = ControllerConfig(method=Method.SC, budget=2, max_parallel=2)
+        qids = ["q0", "q1", "q2"]
+        result = run(qids, sampler, config)
+        assert order[0] == "q0", order
+        assert result == run(qids, constant_sampler("a", 0.6), replace(config, max_parallel=1))
+
     def test_lending_draws_under_frequent_thread_switches(self):
         # more workers than cores and every other draw lends its slot: no more
         # than max_parallel draws send at once, and the result is the serial one
@@ -679,10 +730,10 @@ def oracle_close(stream, config, fixed_k):
     posterior = RunningPosterior(fixed_k)
     for calls, (label, confidence) in enumerate(stream[: config.budget], 1):
         posterior.add(label, confidence)
-        index, log_mass = posterior.top_index_and_log_mass()
+        log_mass = posterior.top_log_mass()
         if log_mass >= math.log(config.gamma):
-            return posterior.labels[index], calls, True
-    return posterior.labels[index], config.budget, False
+            return posterior.top_label, calls, True
+    return posterior.top_label, config.budget, False
 
 
 def counting_sampler(streams):
@@ -839,9 +890,9 @@ class TestRunMany:
                 super().__init__(*args, **kwargs)
                 self.serial = next(serials)
 
-            def top_index_and_log_mass(self):
+            def top_log_mass(self):
                 tops[self.serial, self.n] += 1
-                return super().top_index_and_log_mass()
+                return super().top_log_mass()
 
         monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
         rng = np.random.default_rng(11)
@@ -863,9 +914,9 @@ class TestRunMany:
         read_at = []
 
         class CountingPosterior(RunningPosterior):
-            def top_index_and_log_mass(self):
+            def top_log_mass(self):
                 read_at.append(self.n)
-                return super().top_index_and_log_mass()
+                return super().top_log_mass()
 
         monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
         streams = {"q": [("a", 0.6), ("b", 0.6)] * 6}
@@ -890,9 +941,9 @@ class TestRunMany:
                 super().__init__(*args, **kwargs)
                 read_at.append([])
 
-            def top_index_and_log_mass(self):
+            def top_log_mass(self):
                 read_at[-1].append(self.n)
-                return super().top_index_and_log_mass()
+                return super().top_log_mass()
 
         monkeypatch.setattr(controller, "RunningPosterior", CountingPosterior)
         streams = {"q0": [("a", 0.99)] * 6, "q1": [("a", 0.6), ("b", 0.3)] + [("a", 0.9)] * 4}
@@ -925,6 +976,8 @@ class TestRunMany:
             ),
             # a competitor overtakes the top while the floor holds; K = 8 under extra_k 5
             *(pytest.param("overtake", 0, k, id=f"overtake-{k}") for k in (None, 5)),
+            # the top drawn with a loss whose e^(-gap) overflows
+            *(pytest.param("overflow", 0, k, id=f"overflow-{k}") for k in (None, 5)),
         ],
     )
     def test_the_screen_changes_no_result(self, monkeypatch, family, seed, extra_k):
@@ -934,9 +987,10 @@ class TestRunMany:
                 super().add(label, confidence)  # and prove nothing
 
         rng = np.random.default_rng(seed)
-        if family == "overtake":
+        if family in ("overtake", "overflow"):
             fixed_k = None if extra_k is None else 3 + extra_k  # the streams name up to 3 labels
-            streams = {f"q{i}": stream for i, stream in enumerate(overtake_streams())}
+            family_streams = overtake_streams() if family == "overtake" else overflow_streams()
+            streams = {f"q{i}": stream for i, stream in enumerate(family_streams)}
             # a threshold at every top mass the streams reach: each closes on its round's read
             gammas = set()
             for stream in streams.values():

@@ -112,7 +112,8 @@ def _reference_row(config, m, trials):
             posterior = RunningPosterior(fixed_k=config.k, labels=range(config.k))
             for label, confidence in zip(responses, confidences):
                 posterior.add(label, confidence)
-            hits += posterior.top_index_and_log_mass()[0] == truth
+            posterior.top_log_mass()  # the read names its top
+            hits += posterior.top_label == truth
             mass_sum += posterior.masses[truth]
     return hits / trials, mass_sum / trials
 
@@ -200,6 +201,8 @@ class TestLaws:
             (lambda: _ideal(k=3.0), "k must be an int, got 3.0"),
             (lambda: _realistic(k=3.0), "k must be an int, got 3.0"),
             (lambda: _ideal(k=True), "k must be an int, got True"),
+            (lambda: _ideal(k=1), "candidate count must be >= 2, got 1"),
+            (lambda: _ideal(m_max=0), "m_max must be >= 1"),
             (lambda: _ideal(m_max=2.5), "m_max must be an int, got 2.5"),
             (lambda: _realistic(m_max=2.5), "m_max must be an int, got 2.5"),
             (lambda: _ideal(seed=1.0), "seed must be an int, got 1.0"),
@@ -223,7 +226,8 @@ class TestLaws:
             ),
         ],
         ids=[
-            "ideal-k-float", "realistic-k-float", "k-bool", "ideal-m_max-float",
+            "ideal-k-float", "realistic-k-float", "k-bool", "ideal-k-one", "ideal-m_max-zero",
+            "ideal-m_max-float",
             "realistic-m_max-float", "seed-float", "ideal-seed-negative",
             "realistic-seed-negative", "trials-bool", "trials-float", "m-float", "m-bool",
         ],
@@ -351,7 +355,8 @@ class TestLogScores:
         posterior = RunningPosterior(fixed_k=k, labels=range(k))
         for label in responses[0].tolist():
             posterior.add(label, 0.7)
-        assert int(scores.argmax()) == posterior.top_index_and_log_mass()[0] == k - 2
+        posterior.top_log_mass()
+        assert int(scores.argmax()) == posterior.top_label == k - 2
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("regime", ["ideal", "realistic"])

@@ -34,7 +34,7 @@ from cges.posterior import (
     Sample,
     score,
 )
-from conftest import overtake_streams
+from conftest import overflow_streams, overtake_streams
 
 
 def direct_product_masses(labels, confidences, k):
@@ -470,7 +470,8 @@ class TestRunningPosterior:
         for label in named:
             assert_close(posterior.masses[label], masses[label])
         assert_close(posterior.virtual_mass, virtual)
-        assert running.labels[running.top_index_and_log_mass()[0]] == best == posterior.top()[0]
+        running.top_log_mass()
+        assert running.top_label == best == posterior.top()[0]
         assert_close(running.top_log_mass(), top_log)
         assert running.top_log_mass() == posterior.top_log_mass()
 
@@ -521,7 +522,8 @@ class TestRunningPosterior:
                 running.add(label, confidence)
             scores = log_scores(running)
             assert scores["a"] == scores["b"]
-            assert running.labels[running.top_index_and_log_mass()[0]] == "b"
+            running.top_log_mass()
+            assert running.top_label == "b"
             assert running.top()[0] == "b"
 
     def test_counts_is_a_snapshot(self):
@@ -561,7 +563,7 @@ class TestRunningPosterior:
         assert list(stopped.counts.items()) == list(added.counts.items())
         assert stopped.labels == added.labels == ("b", "a", "c")
         assert stopped.n == added.n == 4
-        for read in ("top_index_and_log_mass", "top_log_mass", "top", "masses", "virtual_mass"):
+        for read in ("top_log_mass", "top_label", "top", "masses", "virtual_mass"):
             with pytest.raises(ConfigurationError, match=STOPPED):
                 value = getattr(stopped, read)  # a property raises here
                 value()  # a method here
@@ -576,12 +578,12 @@ class TestRunningPosterior:
     def test_stop_scoring_is_one_way(self, fixed_k):
         running = RunningPosterior(fixed_k)
         running.add("a", 0.9)
-        running.top_index_and_log_mass()  # a read that leaves a floor
+        running.top_log_mass()  # a read that leaves a floor
         running.stop_scoring()
         for _ in range(2):
             running.stop_scoring()  # again: still stopped
             with pytest.raises(ConfigurationError, match=STOPPED):
-                running.top_index_and_log_mass()  # a refused read restarts nothing
+                running.top_log_mass()  # a refused read restarts nothing
             with pytest.raises(ConfigurationError, match=STOPPED):
                 running.screen(math.log(0.5))
             running.add("b", 0.6)  # a new label drops no floor back in
@@ -613,7 +615,7 @@ class TestRunningPosterior:
     @pytest.mark.parametrize(
         "read",
         [
-            "top_index_and_log_mass", "top_log_mass", "top", "masses", "virtual_mass",
+            "top_log_mass", "top", "masses", "virtual_mass",
         ],
     )
     def test_every_read_of_an_empty_posterior_needs_a_sample(self, read):
@@ -625,7 +627,8 @@ class TestRunningPosterior:
     def test_empty_posteriors_with_k_of_two_or_more_read_as_before(self):
         # named labels, or a fixed K, give K >= 2 before any sample
         assert log_scores(RunningPosterior(labels=("x",))) == {"x": 0.0}
-        assert RunningPosterior(labels=("x",)).top_index_and_log_mass() == (0, -math.log(2))
+        named = RunningPosterior(labels=("x",))
+        assert named.top_log_mass() == -math.log(2) and named.top_label == "x"
         assert log_scores(RunningPosterior(fixed_k=3)) == {}
         assert RunningPosterior(fixed_k=3)._scores()[1] == math.log(3)
         with pytest.raises(EmptySamplesError, match="no real candidates"):
@@ -693,14 +696,14 @@ class TestScreen:
             for t, (label, confidence) in enumerate(stream, 1):
                 screened.add(label, confidence)
                 exact.add(label, confidence)
-                top = exact.top_index_and_log_mass()[1]
+                top = exact.top_log_mass()
                 # log gamma at the read's top log mass, and the log of gamma = exp(top)
                 for log_gamma in (top, math.log(math.exp(top))):
                     if log_gamma <= top:  # the read reaches gamma: a close
                         assert screened.screen(log_gamma) is not False, (stream, fixed_k, t)
                 proved += screened.screen(top * (1 - 1e-6)) is False  # just out of reach
                 if t % read_every == 0:
-                    screened.top_index_and_log_mass()
+                    screened.top_log_mass()
             assert proved, (stream, fixed_k)  # the floor is tight, not just 0
 
     @pytest.mark.parametrize("read_every", [1, 3, 7])
@@ -720,7 +723,7 @@ class TestScreen:
                 verdict = screened.add(label, confidence)
                 assert verdict is screened.screen(watched), (stream, fixed_k, t)
                 exact.add(label, confidence)
-                index, top = exact.top_index_and_log_mass()
+                top = exact.top_log_mass()
                 # log gamma at the read's top log mass, one ulp and a hair either side, and
                 # the log of gamma = exp(top) unless that underflows to 0
                 near = [top, math.nextafter(top, -math.inf), math.nextafter(top, 0.0)]
@@ -733,10 +736,10 @@ class TestScreen:
                         assert top < log_gamma, (stream, fixed_k, t, log_gamma)
                     elif verdict:
                         assert top >= log_gamma, (stream, fixed_k, t, log_gamma)
-                        assert screened.top_label == exact.labels[index], (stream, fixed_k, t)
+                        assert screened.top_label == exact.top_label, (stream, fixed_k, t)
                     proofs[verdict] += 1
                 if t % read_every == 0:
-                    screened.top_index_and_log_mass()
+                    screened.top_log_mass()
         assert proofs[True] and proofs[False]
 
     @pytest.mark.parametrize("fixed_k", [None, 2, 3, 8])
@@ -746,12 +749,38 @@ class TestScreen:
         running, exact = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
         running.add("a", confidence)
         exact.add("a", confidence)
-        top = exact.top_index_and_log_mass()[1]
+        top = exact.top_log_mass()
         log_gammas = [top, math.log(math.exp(top)), top * (1 + 1e-6), top * (1 - 1e-6), top / 2]
         log_gammas += [math.log(gamma) for gamma in (1e-13, 0.05, 0.5, 0.95, 1 - 1e-13, 1.0)]
         proved = [log_gamma for log_gamma in log_gammas if running.screen(log_gamma) is False]
         assert all(top < log_gamma for log_gamma in proved)
         assert top * (1 - 1e-6) in proved
+
+    @pytest.mark.parametrize("fixed_k", [None, 3, 8, 10**6])
+    def test_a_top_drawn_past_the_float_range_drops_the_bounds(self, fixed_k):
+        # e^(-gap) of the top's loss overflows: add drops the bounds and proves
+        # nothing, and the next read is the exact one
+        for stream in overflow_streams():
+            running, exact = RunningPosterior(fixed_k), RunningPosterior(fixed_k)
+            running.watch(math.log(0.9))
+            for t, (label, confidence) in enumerate(stream):
+                exact.add(label, confidence)
+                top = exact.top_log_mass()  # the reference reads every round
+                if confidence == 5e-324:
+                    assert running.screen(math.log(0.5)) is not None  # the bounds are carried
+                    assert running.top_label == label
+                    assert running.add(label, confidence) is None
+                    assert all(
+                        running.screen(math.log(gamma)) is None for gamma in (1e-300, 0.5, 0.9, 1.0)
+                    )
+                    assert running.top_log_mass() == top
+                    assert running.top_label == exact.top_label
+                    break
+                running.add(label, confidence)
+                if t:  # the read a new label forces in ``run_many``
+                    running.top_log_mass()
+            else:
+                raise AssertionError("no draw at 5e-324")
 
     def test_a_fresh_or_unread_posterior_proves_nothing(self):
         running = RunningPosterior()
@@ -760,14 +789,14 @@ class TestScreen:
         assert running.screen(math.log(0.99)) is False
         running.add("b", 0.6)  # a new label moves K
         assert running.screen(math.log(0.99)) is not False
-        assert running.top_index_and_log_mass()[1] < math.log(0.99)
+        assert running.top_log_mass() < math.log(0.99)
         assert running.screen(math.log(0.99)) is False
         # a named candidate of no sample may outweigh the drawn one: nothing is known before a read
         for fixed_k in (None, 8):
             named = RunningPosterior(fixed_k, labels=("a", "b"))
             named.add("a", 0.1)
             assert named.screen(math.log(0.99)) is not False
-            assert named.top_index_and_log_mass()[1] < math.log(0.99)
+            assert named.top_log_mass() < math.log(0.99)
             assert named.screen(math.log(0.99)) is False
 
 
@@ -804,7 +833,7 @@ def test_kernel_reads_are_bit_identical_to_the_dict_reading(stream, fixed_k):
         assert running.top_log_mass() == dict_top_log_mass(running)
         scores = log_scores(running)
         # the first label holding the maximal score: ties go to the earliest
-        assert running.labels[running.top_index_and_log_mass()[0]] == max(
+        assert running.top_label == max(
             scores, key=scores.__getitem__
         )
 
@@ -845,10 +874,11 @@ def test_every_mass_is_read_off_the_top_log_mass(stream, fixed_k):
     running = RunningPosterior(fixed_k=fixed_k)
     for label, confidence in stream:
         running.add(label, confidence)
-        index, log_mass = running.top_index_and_log_mass()
+        log_mass = running.top_log_mass()
+        read_top = running.top_label
         label_top, mass = running.top()
         # bit for bit: the reported mass is the one a stopping rule compares
-        assert label_top == running.labels[index]
+        assert label_top == read_top
         assert mass == math.exp(log_mass) == math.exp(running.top_log_mass())
         assert running.masses[label_top] == mass
         assert all(0.0 <= m <= 1.0 for m in running.masses.values())
